@@ -711,6 +711,7 @@ class FleetSimulator:
                 prompt_tokens=s.request.prompt_tokens,
                 output_tokens=s.request.output_tokens,
                 queued_s=s.admitted_s - s.request.arrival_s,
+                cached_tokens=s.cached_tokens,
             )
             for rep in replicas for s in rep.finished
         ]

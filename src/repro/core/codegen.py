@@ -7,6 +7,12 @@ a quantized tensor (or KV pair), and a target GPU, and produces a
 assembled, CUDA-like source is emitted, and the result can report
 modelled counters/latency and execute numerically.
 
+A generator owns one :class:`~repro.kernels.vq_fused.CodebookStats`
+memo shared by every kernel it builds, so each tensor's hotness profile
+and each conflict degree is computed once per generator, not once per
+shape and candidate.  The winning candidate's counters are kept on the
+:class:`GeneratedKernel`, which never re-costs its kernel.
+
 Ablation levels (Tbl. IV) are first-class: ``level="GC"`` ...
 ``level="O4"`` (default, the full VQ-LLM configuration), so the
 breakdown experiments generate each level through the same path.
@@ -16,23 +22,24 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from repro.core.cache import CacheBoundaries
 from repro.core.emitter import emit_cuda
-from repro.core.heuristics import LEVELS, choose_knobs
-from repro.core.hotness import HotnessProfile, profile_hotness
+from repro.core.heuristics import LEVELS, PlanKnobs, choose_knobs
+from repro.core.hotness import HotnessProfile
 from repro.core.slack import find_slack
 from repro.core.template import BASE_RESOURCES, KernelTemplate, build_template
 from repro.gpu.costmodel import CostModel
 from repro.gpu.counters import PerfCounters
 from repro.gpu.spec import GPUSpec
 from repro.kernels.attention import AttentionShape
-from repro.kernels.base import KernelResult
+from repro.kernels.base import KernelBase, KernelResult
 from repro.kernels.gemm import GemmShape
 from repro.kernels.vq_fused import (
+    CodebookStats,
     VQAttentionKernel,
     VQGemmKernel,
     VQGemvKernel,
@@ -48,6 +55,9 @@ class GeneratedKernel:
     kernel: object
     spec: GPUSpec
     source: str
+    #: Counters of the selected candidate, occupancy already resolved
+    #: by the cost model that ranked it.
+    perf: PerfCounters
 
     @property
     def name(self) -> str:
@@ -55,10 +65,10 @@ class GeneratedKernel:
                 f"{self.template.knobs.label}")
 
     def counters(self) -> PerfCounters:
-        return self.kernel.counters(self.spec)
+        return self.perf
 
     def latency_us(self) -> float:
-        return CostModel(self.spec).latency(self.counters()).total_us
+        return CostModel(self.spec).latency(self.perf).total_us
 
     def result(self, run_numerics: bool = False) -> KernelResult:
         return self.kernel.result(self.spec, run_numerics=run_numerics)
@@ -75,6 +85,9 @@ class VQLLMCodeGenerator:
 
     def __init__(self, spec: GPUSpec):
         self.spec = spec
+        #: Shape-independent codebook statistics of every tensor this
+        #: generator has costed (see the module docstring).
+        self.stats = CodebookStats()
 
     @staticmethod
     def _resident_books(operation: str, config, shape,
@@ -153,23 +166,10 @@ class VQLLMCodeGenerator:
 
     def _generate_weight_kernel(self, operation, kernel_cls, shape, qt,
                                 level, a) -> GeneratedKernel:
-        profile = profile_hotness(qt)
-        cost = CostModel(self.spec)
-        best = None
-        best_us = None
-        for knobs in self._knob_candidates(operation, qt.config, profile,
-                                           level, shape):
-            kernel = kernel_cls(shape, qt, knobs, profile=profile, a=a)
-            us = cost.latency(kernel.counters(self.spec)).total_us
-            if best_us is None or us < best_us:
-                best, best_us = (knobs, kernel), us
-        knobs, kernel = best
-        template = build_template(operation, qt.config, knobs)
-        base = BASE_RESOURCES[operation]
-        template.slack = find_slack(self.spec, base["threads"],
-                                    base["regs"], base["smem"])
-        return GeneratedKernel(template, kernel, self.spec,
-                               emit_cuda(template))
+        return self._select(
+            operation, shape, level, qt,
+            lambda knobs: kernel_cls(shape, qt, knobs, stats=self.stats,
+                                     a=a))
 
     def generate_attention(
         self,
@@ -182,27 +182,39 @@ class VQLLMCodeGenerator:
         v_cache: Optional[np.ndarray] = None,
     ) -> GeneratedKernel:
         """Generate a fused VQ decode-attention kernel."""
-        profile_k = profile_hotness(qt_k)
-        profile_v = profile_hotness(qt_v)
+        return self._select(
+            "attention", shape, level, qt_k,
+            lambda knobs: VQAttentionKernel(
+                shape, qt_k, qt_v, knobs, stats=self.stats,
+                q=q, k_cache=k_cache, v_cache=v_cache))
+
+    def _select(self, operation: str, shape, level: str,
+                qt: QuantizedTensor,
+                build: Callable[[PlanKnobs], KernelBase]) -> GeneratedKernel:
+        """Cost each candidate kernel once and wrap the fastest.
+
+        Candidate knobs come from ``qt``'s config and hotness profile
+        (the key cache's, for attention); ``build`` turns one knob set
+        into a kernel.  Ties keep the earlier candidate.
+        """
+        config = qt.config
         cost = CostModel(self.spec)
         best = None
-        best_us = None
-        for knobs in self._knob_candidates("attention", qt_k.config,
-                                           profile_k, level, shape):
-            kernel = VQAttentionKernel(
-                shape, qt_k, qt_v, knobs,
-                profile_k=profile_k, profile_v=profile_v,
-                q=q, k_cache=k_cache, v_cache=v_cache)
-            us = cost.latency(kernel.counters(self.spec)).total_us
-            if best_us is None or us < best_us:
-                best, best_us = (knobs, kernel), us
-        knobs, kernel = best
-        template = build_template("attention", qt_k.config, knobs)
-        base = BASE_RESOURCES["attention"]
-        template.slack = find_slack(
-            self.spec, base["threads"], base["regs"], base["smem"])
+        for knobs in self._knob_candidates(operation, config,
+                                           self.stats.profile(qt), level,
+                                           shape):
+            kernel = build(knobs)
+            counters = kernel.counters(self.spec)
+            us = cost.latency(counters).total_us
+            if best is None or us < best[0]:
+                best = (us, knobs, kernel, counters)
+        _, knobs, kernel, counters = best
+        template = build_template(operation, config, knobs)
+        base = BASE_RESOURCES[operation]
+        template.slack = find_slack(self.spec, base["threads"],
+                                    base["regs"], base["smem"])
         return GeneratedKernel(template, kernel, self.spec,
-                               emit_cuda(template))
+                               emit_cuda(template), counters)
 
     def sweep_levels(self, generate_fn, *args, **kwargs) -> dict:
         """Generate one kernel per Tbl. IV level; keyed GC..O4.

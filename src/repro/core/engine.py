@@ -15,6 +15,12 @@ generating and costing a kernel is milliseconds, a cache hit is a dict
 lookup.  Each engine is bound to one :class:`~repro.gpu.spec.GPUSpec`,
 so the spec is an implicit part of every cache key.
 
+Below the latency memo, the engine's generator keeps one
+:class:`~repro.kernels.vq_fused.CodebookStats` memo (hotness profiles
+and bank-conflict degrees per tensor).  Both live and die with the
+engine: a fresh engine costs every kernel family cold, and nothing is
+cached at module level, on disk, or on the tensors.
+
 See ``docs/architecture.md`` for where the engine sits in the
 VQConfig -> quantizer -> codegen -> cost model -> engine -> serve flow.
 """
@@ -40,6 +46,7 @@ from repro.kernels.elementwise import (
     ElementwiseGemvKernel,
 )
 from repro.kernels.gemm import FP16GemmKernel, FP16GemvKernel, GemmShape
+from repro.kernels.vq_fused import CodebookStats
 from repro.vq.quantizer import QuantizedTensor
 
 #: Operations understood by :meth:`ComputeEngine.batch_latency_us`.
@@ -257,5 +264,7 @@ class ComputeEngine:
         }
 
     def memo_clear(self) -> None:
-        """Drop every cached latency (tests use this for isolation)."""
+        """Drop every cached latency and codebook statistic (tests use
+        this for isolation)."""
         self._memo.clear()
+        self.generator.stats = CodebookStats()

@@ -41,6 +41,9 @@ GEMV_TILE = TileConfig(
     smem_bytes=8 * 1024,
 )
 
+#: Largest batch (``m``) the GEMV kernels accept.
+GEMV_MAX_BATCH = 64
+
 
 @dataclass(frozen=True)
 class GemmShape:
@@ -124,7 +127,7 @@ class FP16GemvKernel(KernelBase):
     def __init__(self, shape: GemmShape, a: Optional[np.ndarray] = None,
                  w: Optional[np.ndarray] = None,
                  tile: TileConfig = GEMV_TILE):
-        if shape.m > 64:
+        if shape.m > GEMV_MAX_BATCH:
             raise ValueError("GEMV kernel expects a small batch dimension")
         self.shape = shape
         self.tile = tile

@@ -26,7 +26,8 @@ Counter derivations (all per launch):
   cache) cost one 32 B sector per L1 miss, with the hit rate from
   :func:`repro.gpu.memory.l1_hit_rate`;
 - bank-conflict replays are measured on the tensor's real index stream
-  with :class:`repro.gpu.banks.BankConflictModel`;
+  with :class:`repro.gpu.banks.BankConflictModel`, once per tensor and
+  cache split (:class:`CodebookStats`);
 - shared fusion pays the layout round trip of Fig. 6 (registers ->
   shared -> registers) on the mismatched fraction of dequantized data;
   register fusion replaces it with ``n_shuffles`` warp shuffles per
@@ -37,7 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -51,7 +52,13 @@ from repro.gpu.memory import l1_hit_rate
 from repro.gpu.spec import GPUSpec
 from repro.kernels.attention import BLOCK_TOKENS, AttentionShape
 from repro.kernels.base import FP16, FP32, KernelBase
-from repro.kernels.gemm import GEMM_TILE, GEMV_TILE, GemmShape, gemv_split_k
+from repro.kernels.gemm import (
+    GEMM_TILE,
+    GEMV_MAX_BATCH,
+    GEMV_TILE,
+    GemmShape,
+    gemv_split_k,
+)
 from repro.llm.attention import attention_decode
 from repro.vq.config import VQConfig
 from repro.vq.packing import unpack_cost_ops
@@ -101,12 +108,66 @@ def _sample_stream(qt: QuantizedTensor,
     return inverse[idx]
 
 
+class CodebookStats:
+    """Codebook statistics of quantized tensors that no kernel shape moves.
+
+    A tensor's hotness profile, and the bank-conflict degree of its
+    sampled lookup stream under one cache split, depend on the tensor
+    and the bank geometry only: every GEMM, GEMV and attention shape,
+    and every candidate placement with the same split, reads the same
+    value.  :class:`~repro.core.codegen.VQLLMCodeGenerator` owns one
+    instance and hands it to each kernel it builds, so each statistic
+    is computed once per generator; a kernel built on its own gets a
+    private instance.
+
+    Entries are keyed on the :class:`QuantizedTensor` object itself
+    (identity-hashed), so the memo pins every tensor it describes for
+    as long as it lives.  Sampled index streams are neither keys nor
+    values: one is rebuilt on each miss instead of being held.
+    """
+
+    def __init__(self):
+        self._profiles: Dict[QuantizedTensor, HotnessProfile] = {}
+        self._degrees: Dict[tuple, float] = {}
+        #: Conflict degrees computed so far, i.e. memo misses.
+        self.degree_evaluations = 0
+
+    def profile(self, qt: QuantizedTensor) -> HotnessProfile:
+        """Hotness profile of ``qt``, computed on first use."""
+        profile = self._profiles.get(qt)
+        if profile is None:
+            profile = self._profiles[qt] = profile_hotness(qt)
+        return profile
+
+    def conflict_degree(self, spec: GPUSpec, entry_bytes: int,
+                        qt: QuantizedTensor, reordered: bool, n_reg: int,
+                        n_shared: Optional[int]) -> float:
+        """Mean transactions per warp of ``qt``'s codebook lookups.
+
+        ``reordered`` numbers entries hottest-first, as the
+        hierarchical cache does; ``n_reg`` and ``n_shared`` are the
+        register- and shared-resident bounds of
+        :meth:`~repro.gpu.banks.BankConflictModel.average_degree`.
+        """
+        key = (qt, reordered, spec.warp_size, spec.smem_banks,
+               spec.smem_bank_bytes, entry_bytes, n_reg, n_shared)
+        degree = self._degrees.get(key)
+        if degree is None:
+            stream = _sample_stream(qt,
+                                    self.profile(qt) if reordered else None)
+            degree = BankConflictModel(spec, entry_bytes).average_degree(
+                stream, n_reg, n_shared)
+            self._degrees[key] = degree
+            self.degree_evaluations += 1
+        return degree
+
+
 def _codebook_effects(
     spec: GPUSpec,
     knobs: PlanKnobs,
     config: VQConfig,
-    profile: HotnessProfile,
-    stream: np.ndarray,
+    stats: CodebookStats,
+    qt: QuantizedTensor,
     lookups: float,
     n_books_per_block: int,
     loading_blocks: float,
@@ -117,7 +178,7 @@ def _codebook_effects(
     full_book = config.codebook_bytes
     eff = _CodebookEffects()
     warp_accesses = lookups / spec.warp_size
-    model = BankConflictModel(spec, entry_bytes)
+    profile = stats.profile(qt)
 
     if knobs.placement == "global":
         working_set = n_books_per_block * full_book
@@ -134,7 +195,7 @@ def _codebook_effects(
         eff.smem_bytes = n_books_per_block * full_book
         eff.global_to_shared = loading_blocks * n_books_per_block * full_book
         eff.shared_to_reg = lookups * entry_bytes
-        degree = model.average_degree(stream, 0, None)
+        degree = stats.conflict_degree(spec, entry_bytes, qt, False, 0, None)
         eff.conflict_transactions = warp_accesses * max(0.0,
                                                         degree - entry_words)
         return eff
@@ -166,7 +227,8 @@ def _codebook_effects(
     eff.l1_transactions = cold_lookups
     eff.shared_to_reg = lookups * (cov_cached - cov_reg) * entry_bytes
     eff.shuffle_ops = lookups * cov_reg * entry_words
-    degree = model.average_degree(stream, n_reg, n_shared)
+    degree = stats.conflict_degree(spec, entry_bytes, qt, True, n_reg,
+                                   n_shared)
     eff.conflict_transactions = warp_accesses * max(0.0,
                                                     degree - entry_words)
     return eff
@@ -175,8 +237,9 @@ def _codebook_effects(
 class _VQFusedBase(KernelBase):
     """Counter plumbing shared by the three fused-kernel families."""
 
-    def __init__(self, knobs: PlanKnobs):
+    def __init__(self, knobs: PlanKnobs, stats: Optional[CodebookStats]):
         self.knobs = knobs
+        self.stats = stats if stats is not None else CodebookStats()
 
     def _assemble(
         self,
@@ -250,12 +313,11 @@ class VQGemmKernel(_VQFusedBase):
 
     def __init__(self, shape: GemmShape, qt: QuantizedTensor,
                  knobs: PlanKnobs,
-                 profile: Optional[HotnessProfile] = None,
+                 stats: Optional[CodebookStats] = None,
                  a: Optional[np.ndarray] = None):
-        super().__init__(knobs)
+        super().__init__(knobs, stats)
         self.shape = shape
         self.qt = qt
-        self.profile = profile if profile is not None else profile_hotness(qt)
         self.a = a
 
     def _tiles(self):
@@ -342,11 +404,8 @@ class VQGemmKernel(_VQFusedBase):
                 loading_blocks /= dup
                 notes["dataflow"] = f"tile_aligned(dup={dup})"
 
-        stream = _sample_stream(
-            self.qt,
-            self.profile if self.knobs.placement == "hierarchical" else None)
         effects = [_codebook_effects(
-            spec, self.knobs, cfg, self.profile, stream, lookups,
+            spec, self.knobs, cfg, self.stats, self.qt, lookups,
             n_books, loading_blocks)]
 
         mismatch = 1.0
@@ -405,11 +464,11 @@ class VQGemvKernel(VQGemmKernel):
 
     def __init__(self, shape: GemmShape, qt: QuantizedTensor,
                  knobs: PlanKnobs,
-                 profile: Optional[HotnessProfile] = None,
+                 stats: Optional[CodebookStats] = None,
                  a: Optional[np.ndarray] = None):
-        if shape.m > 64:
+        if shape.m > GEMV_MAX_BATCH:
             raise ValueError("GEMV kernel expects a small batch dimension")
-        super().__init__(shape, qt, knobs, profile, a)
+        super().__init__(shape, qt, knobs, stats, a)
 
 
 class VQAttentionKernel(_VQFusedBase):
@@ -428,19 +487,14 @@ class VQAttentionKernel(_VQFusedBase):
     def __init__(self, shape: AttentionShape,
                  qt_k: QuantizedTensor, qt_v: QuantizedTensor,
                  knobs: PlanKnobs,
-                 profile_k: Optional[HotnessProfile] = None,
-                 profile_v: Optional[HotnessProfile] = None,
+                 stats: Optional[CodebookStats] = None,
                  q: Optional[np.ndarray] = None,
                  k_cache: Optional[np.ndarray] = None,
                  v_cache: Optional[np.ndarray] = None):
-        super().__init__(knobs)
+        super().__init__(knobs, stats)
         self.shape = shape
         self.qt_k = qt_k
         self.qt_v = qt_v
-        self.profile_k = (profile_k if profile_k is not None
-                          else profile_hotness(qt_k))
-        self.profile_v = (profile_v if profile_v is not None
-                          else profile_hotness(qt_v))
         self.q, self.k_cache, self.v_cache = q, k_cache, v_cache
 
     def counters(self, spec: GPUSpec) -> PerfCounters:
@@ -487,18 +541,10 @@ class VQAttentionKernel(_VQFusedBase):
             base_smem = 2 * BLOCK_TOKENS * s.head_dim * FP16
             notes["token_chunks"] = chunks
 
-        reordered = self.knobs.placement == "hierarchical"
-        stream_k = _sample_stream(self.qt_k,
-                                  self.profile_k if reordered else None)
-        stream_v = _sample_stream(self.qt_v,
-                                  self.profile_v if reordered else None)
         effects = [
-            _codebook_effects(spec, self.knobs, cfg, self.profile_k,
-                              stream_k, lookups_each, n_books,
-                              loading_blocks),
-            _codebook_effects(spec, self.knobs, cfg, self.profile_v,
-                              stream_v, lookups_each, n_books,
-                              loading_blocks),
+            _codebook_effects(spec, self.knobs, cfg, self.stats, qt,
+                              lookups_each, n_books, loading_blocks)
+            for qt in (self.qt_k, self.qt_v)
         ]
         # The QK and PV phases run sequentially within a block, so the K
         # and V codebooks reuse one staging buffer: shared memory is the

@@ -55,7 +55,7 @@ from typing import Optional, Sequence, Tuple
 from repro.core.engine import ComputeEngine
 from repro.gpu.costmodel import LAUNCH_OVERHEAD_S
 from repro.kernels.attention import AttentionShape
-from repro.kernels.gemm import GemmShape
+from repro.kernels.gemm import GEMV_MAX_BATCH, GemmShape
 from repro.llm.config import LlamaConfig
 from repro.llm.model import decode_operator_shapes
 from repro.vq.quantizer import QuantizedTensor
@@ -147,6 +147,10 @@ class StepCostModel:
 
     # -- operator pricing ----------------------------------------------
     def _gemv_us(self, shape: GemmShape, fp16: bool = False) -> float:
+        if shape.m > GEMV_MAX_BATCH:
+            # Past the GEMV kernels' batch cap a decode projection runs
+            # as the same family's GEMM.
+            return self._gemm_us(shape, fp16)
         if fp16 or (self.weight_qt is None and self.weight_bits is None):
             return self.engine.batch_latency_us("gemv", shape)
         if self.weight_bits is not None:

@@ -312,6 +312,28 @@ class TestPagedFleet:
         assert 0.0 < report.cached_token_fraction < 1.0
         assert "prefix" in report.summary()
 
+    def test_records_carry_cached_tokens(self):
+        """Fleet records keep each request's prefix-cache hit, as the
+        single-engine simulator's do; with no preemption (one match
+        per request) they sum to the fleet's hit tokens."""
+        from repro.serve.api import FleetConfig, SchedulerConfig
+        config = FleetConfig(
+            scheduler=SchedulerConfig(token_budget=512, max_seqs=16,
+                                      admission="paged",
+                                      prefix_caching=True),
+            policy="prefix-affinity", name="unit")
+        trace = multi_turn_chat_trace(
+            4, 3, rate_rps=50.0, think_s=0.02, system_tokens=32,
+            user=LengthSampler(mean=16), output=LengthSampler(mean=8),
+            seed=0)
+        report = config.build(2, KVBudget(capacity_bytes=6000.0,
+                                          bytes_per_token=1.0),
+                              ConstantCostModel()).run(trace)
+        assert sum(s.n_preemptions for s in report.replica_stats) == 0
+        cached = [r.cached_tokens for r in report.records]
+        assert any(cached)
+        assert sum(cached) == report.prefix_hit_tokens > 0
+
     def test_queue_depth_counts_preempted_sequences(self):
         """Preempted sequences carry re-prefill work, so jsq must see
         them as queued load."""

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.gpu.banks import BankConflictModel, warp_conflict_degree
 from repro.gpu.spec import RTX4090
@@ -92,3 +94,48 @@ class TestBankConflictModel:
     def test_rejects_bad_entry_bytes(self):
         with pytest.raises(ValueError):
             BankConflictModel(RTX4090, entry_bytes=-2)
+
+
+def _scalar_average_degree(model, stream, register_resident,
+                           shared_resident, max_warps, seed=0):
+    """Per-warp loop over :func:`warp_conflict_degree`: the reference
+    the vectorized :meth:`BankConflictModel.average_degree` replicates,
+    with the same deterministic warp sampling."""
+    warp = model.spec.warp_size
+    n_warps = stream.size // warp
+    if n_warps > max_warps:
+        chosen = np.random.default_rng(seed).choice(
+            n_warps, size=max_warps, replace=False)
+    else:
+        chosen = range(n_warps)
+    degrees = []
+    for w in chosen:
+        lanes = [int(i) for i in stream[w * warp:(w + 1) * warp]
+                 if i >= register_resident
+                 and (shared_resident is None or i < shared_resident)]
+        if lanes:
+            degrees.append(warp_conflict_degree(
+                lanes, model.entry_bytes, model.spec.smem_banks,
+                model.spec.smem_bank_bytes))
+    return sum(degrees) / len(degrees) if degrees else 0.0
+
+
+class TestVectorizedMatchesScalar:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        stream=st.lists(st.integers(0, 511), min_size=32,
+                        max_size=32 * 20),
+        entry_bytes=st.integers(1, 40),
+        register_resident=st.integers(0, 64),
+        shared_resident=st.one_of(st.none(), st.integers(0, 600)),
+        max_warps=st.integers(1, 24),
+    )
+    def test_average_degree_equals_scalar_loop(
+            self, stream, entry_bytes, register_resident, shared_resident,
+            max_warps):
+        model = BankConflictModel(RTX4090, entry_bytes=entry_bytes)
+        stream = np.array(stream, dtype=np.int64)
+        got = model.average_degree(stream, register_resident,
+                                   shared_resident, max_warps=max_warps)
+        assert got == _scalar_average_degree(
+            model, stream, register_resident, shared_resident, max_warps)

@@ -9,6 +9,7 @@ import pytest
 
 from repro.core.engine import ComputeEngine
 from repro.gpu.spec import RTX4090
+from repro.kernels.gemm import GemmShape
 from repro.llm.config import tiny_llama
 from repro.serve.costs import StepCostModel, bucket_up
 from repro.serve.requests import Request, poisson_trace, LengthSampler
@@ -272,3 +273,47 @@ class TestReviewRegressions:
         with pytest.raises(ValueError):
             engine.batch_latency_us("attention", AS(1, 2, 64, 128),
                                     qt_v=FakeQT())
+
+
+class TestDecodeBatchPastGemvCap:
+    """Bucketed decode batches above the GEMV kernels' cap (64) are
+    priced with the same family's GEMM; before the fix they raised
+    ``ValueError: GEMV kernel expects a small batch dimension``."""
+
+    SHAPE = GemmShape(m=96, n=4096, k=4096)
+
+    @pytest.mark.parametrize("family", ["fp16", "elementwise", "vq"])
+    def test_gemv_past_cap_is_the_family_gemm(self, family, qt_gptvq):
+        kwargs = {"fp16": {}, "elementwise": {"weight_bits": 4},
+                  "vq": {"weight_qt": qt_gptvq}}[family]
+        engine = ComputeEngine(RTX4090)
+        cost = StepCostModel(engine, tiny_llama(), **kwargs)
+        assert cost._gemv_us(self.SHAPE) == cost._gemm_us(self.SHAPE)
+        assert (cost._gemv_us(self.SHAPE, fp16=True)
+                == engine.batch_latency_us("gemm", self.SHAPE))
+        for batch in (65, 96, 128):
+            assert cost.decode_step_us(batch, 512) > 0
+
+    def test_gemv_within_cap_is_unchanged(self):
+        engine = ComputeEngine(RTX4090)
+        cost = StepCostModel(engine, tiny_llama())
+        shape = GemmShape(m=64, n=4096, k=4096)
+        assert cost._gemv_us(shape) == engine.batch_latency_us("gemv",
+                                                               shape)
+
+    def test_default_fleet_serves_bursty_kv_cq4(self):
+        """``FleetConfig()`` allows 128 sequences per replica, so a
+        bursty kv-cq-4 trace reaches the 96 and 128 batch buckets."""
+        from repro.bench.cluster import replica_kv_budget
+        from repro.bench.serving import make_cost_model, make_trace
+        from repro.llm.config import llama_7b
+        from repro.serve.api import FleetConfig
+
+        config = llama_7b()
+        trace = make_trace("bursty", 40.0, 300, 384, 96, seed=0)
+        cost = make_cost_model(ComputeEngine(RTX4090), config, "kv-cq-4")
+        report = FleetConfig().build(
+            2, replica_kv_budget(config, "kv-cq-4", RTX4090),
+            cost).run(trace)
+        assert report.n_requests + report.n_rejected == len(trace)
+        assert max(batch for batch, _ in cost._decode_table) > 64

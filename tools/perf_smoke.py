@@ -26,6 +26,13 @@ Checks:
    time-series telemetry (``SimConfig(timeline=...)``) enabled must
    stay within the same 1.5x allowance — SAMPLE events on the heap
    plus per-window accumulation are O(windows), not O(events).
+5. Conflict-degree evaluations, an exact count rather than a time: a
+   fresh engine costing a kv-cq-4 decode sweep (every batch bucket,
+   four sequence buckets) may call
+   :meth:`~repro.gpu.banks.BankConflictModel.average_degree` at most
+   once per distinct input (index stream, cache bounds, bank
+   geometry).  Recomputing per shape or per candidate fails it
+   deterministically.
 
 Run with::
 
@@ -36,17 +43,25 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import hashlib
 import io
 import runpy
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
+from repro.bench.serving import make_cost_model  # noqa: E402
+from repro.core.engine import ComputeEngine  # noqa: E402
+from repro.gpu.banks import BankConflictModel  # noqa: E402
+from repro.gpu.spec import RTX4090  # noqa: E402
+from repro.llm.config import llama_7b  # noqa: E402
 from repro.obs.timeline import TimelineConfig  # noqa: E402
 from repro.serve.api import SchedulerConfig, SimConfig  # noqa: E402
+from repro.serve.costs import BATCH_BUCKETS  # noqa: E402
 from repro.serve.requests import Request  # noqa: E402
 from repro.serve.scheduler import KVBudget  # noqa: E402
 
@@ -82,6 +97,32 @@ def _event_core_elapsed(n_requests: int, trace: bool = False,
     elapsed = time.perf_counter() - t0
     assert report.n_requests == n_requests
     return elapsed
+
+
+def _decode_sweep_degree_calls() -> tuple:
+    """``(calls, distinct keys)`` of ``average_degree`` in one sweep."""
+    calls: Counter = Counter()
+    original = BankConflictModel.average_degree
+
+    def counted(self, stream, register_resident=0, shared_resident=None,
+                **kwargs):
+        spec = self.spec
+        calls[(hashlib.sha256(stream.tobytes()).hexdigest(),
+               register_resident, shared_resident, self.entry_bytes,
+               spec.warp_size, spec.smem_banks, spec.smem_bank_bytes)] += 1
+        return original(self, stream, register_resident, shared_resident,
+                        **kwargs)
+
+    BankConflictModel.average_degree = counted
+    try:
+        cost = make_cost_model(ComputeEngine(RTX4090), llama_7b(),
+                               "kv-cq-4")
+        for batch in BATCH_BUCKETS:
+            for seq in (512, 1024, 2048, 4096):
+                cost.decode_step_us(batch, seq)
+    finally:
+        BankConflictModel.average_degree = original
+    return sum(calls.values()), len(calls)
 
 
 def main(argv=None) -> int:
@@ -129,7 +170,17 @@ def main(argv=None) -> int:
           f"plain {off_s:.2f} s, sampled {tl_s:.2f} s "
           f"({tl_factor:.2f}x, max {args.trace_factor:.2f}x)")
 
+    degree_calls, degree_keys = _decode_sweep_degree_calls()
+    print(f"conflict degrees: kv-cq-4 decode sweep made {degree_calls} "
+          f"average_degree calls for {degree_keys} distinct inputs "
+          f"(max one per input)")
+
     failed = False
+    if degree_calls > degree_keys:
+        print(f"PERF REGRESSION: {degree_calls} average_degree calls for "
+              f"{degree_keys} distinct inputs; the codebook memo should "
+              f"evaluate each once per engine")
+        failed = True
     if warm_s > args.budget_s:
         print(f"PERF REGRESSION: warm cluster_serving.py took "
               f"{warm_s:.2f} s > {args.budget_s:.2f} s budget")
