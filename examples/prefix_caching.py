@@ -4,7 +4,7 @@ PR 4's paged allocator made KV *occupancy* real; this example shows the
 next multiplier: requests that share a prompt prefix — a fleet-wide
 system prompt, or a chat session re-sending its whole history every
 turn — can share the prefix's KV blocks instead of recomputing them
-(`repro.serve.prefix`: ref-counted blocks keyed by rolling hashes in a
+(`repro.serve.prefix`: ref-counted blocks keyed by their token ids in a
 radix tree, LRU eviction of unreferenced leaves, copy-on-write on
 divergence).
 

@@ -19,7 +19,7 @@ budget:
   accounting, fragmentation stats);
 - :mod:`repro.serve.prefix` — shared-prefix KV reuse over that pool
   (``prefix_caching=True``): a radix tree of ref-counted,
-  rolling-hash-keyed blocks with LRU eviction and copy-on-write, so
+  token-keyed blocks with LRU eviction and copy-on-write, so
   requests sharing a system prompt or chat history skip the prefill
   work for the cached prefix;
 - :mod:`repro.serve.costs` — prices one scheduler iteration through the
@@ -41,7 +41,6 @@ from repro.serve.prefix import (
     PrefixCache,
     PrefixCachingAllocator,
     PrefixStats,
-    rolling_hash,
 )
 from repro.serve.requests import (
     LengthSampler,
@@ -102,7 +101,6 @@ __all__ = [
     "percentile",
     "poisson_trace",
     "replayed_trace",
-    "rolling_hash",
     "shared_prefix_trace",
     "trace_stats",
 ]

@@ -10,11 +10,11 @@ radix attention).
 Design:
 
 - **Block identity.**  A cached block is one radix-tree node holding
-  exactly ``block_tokens`` token ids.  Nodes are keyed by a *rolling
-  hash* chained from the parent (:func:`rolling_hash`), so looking up a
-  prompt is one hash-and-compare per block; stored token ids are
-  verified on every hop, so a hash collision degrades to a miss, never
-  to a wrong hit.
+  exactly ``block_tokens`` token ids.  A node's children are keyed by
+  their own token tuples, so looking up a prompt is one dict probe per
+  block.  The probe compares token ids exactly, so a hit is never
+  wrong, and a node is reachable only through its parent, so a block's
+  identity is its *full prefix*, not just its own tokens.
 - **Ref counting.**  Matching a prompt locks the matched path
   (``ref += 1`` on every node); ``release`` unlocks it.  Referenced
   blocks are pinned; because locks are always path prefixes, a
@@ -24,6 +24,9 @@ Design:
   least-recently-used when the free list cannot cover an allocation —
   cached blocks are a second-class tenant of the pool: resident while
   memory is idle, reclaimed the moment a live sequence needs the block.
+  A heap with an entry per unreferenced leaf is kept up to date as
+  leaves appear, so reclaiming ``k`` blocks costs ``k`` heap pops (plus
+  skipped stale entries), not a walk of the whole tree.
 - **Copy-on-write.**  Only *full* blocks are shared, and at least one
   prompt token must always be recomputed (its logits feed the
   sampler).  When the block holding that tail is itself cached — the
@@ -61,36 +64,25 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.serve.paging import PagedKVAllocator, PagingStats
 from repro.serve.sanitize import check
 
-#: Multiplier/modulus of the polynomial rolling hash (64-bit prime
-#: modulus; the multiplier is a large odd constant well-spread mod 2^61).
-_HASH_MULT = 1_000_003
-_HASH_MOD = (1 << 61) - 1
-
-
-def rolling_hash(parent_hash: int, tokens: Sequence[int]) -> int:
-    """Chained polynomial hash of one block's token ids.
-
-    The parent's hash seeds the polynomial, so equal blocks at
-    different tree positions hash differently — a block's identity is
-    its *full prefix*, not just its own tokens.
-    """
-    h = parent_hash
-    for t in tokens:
-        h = (h * _HASH_MULT + int(t) + 1) % _HASH_MOD
-    return h
+#: The LRU heap is rebuilt from the tree once it holds more than this
+#: many entries per resident block, which bounds the stale entries it
+#: carries while keeping the rebuild's cost amortized O(1) per push.
+LRU_HEAP_FACTOR = 2
 
 
 class _RadixNode:
-    """One cached full block: token ids plus tree and LRU bookkeeping."""
+    """One cached full block: token ids plus tree and LRU bookkeeping.
 
-    __slots__ = ("key", "tokens", "parent", "children", "ref", "last_used")
+    ``parent`` is ``None`` for the root and for evicted nodes.
+    """
 
-    def __init__(self, key: int, tokens: Tuple[int, ...],
+    __slots__ = ("tokens", "parent", "children", "ref", "last_used")
+
+    def __init__(self, tokens: Tuple[int, ...],
                  parent: Optional["_RadixNode"]):
-        self.key = key
         self.tokens = tokens
         self.parent = parent
-        self.children: Dict[int, _RadixNode] = {}
+        self.children: Dict[Tuple[int, ...], _RadixNode] = {}
         self.ref = 0
         self.last_used = 0
 
@@ -140,16 +132,27 @@ class PrefixCache:
     evict; pool accounting (how many blocks memory affords) lives in
     :class:`PrefixCachingAllocator`.  ``block_tokens`` is the node
     granularity; only exact multiples are ever stored.
+
+    Eviction order comes from a lazy min-heap of ``(last_used, seq,
+    node)`` entries.  Invariant: every unreferenced leaf has an entry
+    at its current ``last_used``.  An entry is pushed whenever a node
+    becomes an unreferenced leaf (created as the end of an insert,
+    unlocked to ref 0, exposed by evicting its last child) and whenever
+    such a leaf is touched; entries whose node was since evicted,
+    gained a child, got locked or was touched again are stale and are
+    skipped when popped.
     """
 
     def __init__(self, block_tokens: int):
         if block_tokens < 1:
             raise ValueError("block_tokens must be >= 1")
         self.block_tokens = block_tokens
-        self._root = _RadixNode(key=0, tokens=(), parent=None)
+        self._root = _RadixNode(tokens=(), parent=None)
         self._n_nodes = 0
         self._n_referenced = 0
         self._tick = 0
+        self._lru: List[Tuple[int, int, _RadixNode]] = []
+        self._seq = itertools.count()
 
     # -- size ----------------------------------------------------------
     @property
@@ -169,6 +172,35 @@ class PrefixCache:
         unreferenced block is eventually evictable)."""
         return self._n_nodes - self._n_referenced
 
+    @property
+    def lru_heap_bound(self) -> int:
+        """Most entries the LRU heap may hold before it is rebuilt."""
+        return LRU_HEAP_FACTOR * self._n_nodes
+
+    # -- LRU heap ------------------------------------------------------
+    def _push_if_evictable(self, node: _RadixNode) -> None:
+        """Give ``node`` a heap entry if it is an unreferenced leaf."""
+        if node.children or node.ref:
+            return
+        heapq.heappush(self._lru, (node.last_used, next(self._seq), node))
+        if len(self._lru) > self.lru_heap_bound:
+            self._rebuild_lru()
+
+    def _rebuild_lru(self) -> None:
+        """Replace the heap's contents, in place (:meth:`evict_lru`
+        holds a reference), with one entry per unreferenced leaf."""
+        heap = self._lru
+        heap.clear()
+        stack = [self._root]
+        while stack:
+            node = stack.pop()
+            for child in node.children.values():
+                if child.children:
+                    stack.append(child)
+                elif child.ref == 0:
+                    heap.append((child.last_used, next(self._seq), child))
+        heapq.heapify(heap)
+
     # -- lookup --------------------------------------------------------
     def _walk(self, token_ids: Sequence[int],
               max_blocks: int) -> List[_RadixNode]:
@@ -176,12 +208,10 @@ class PrefixCache:
         node = self._root
         path: List[_RadixNode] = []
         for b in range(max_blocks):
-            tokens = tuple(token_ids[b * bt:(b + 1) * bt])
-            child = node.children.get(rolling_hash(node.key, tokens))
-            if child is None or child.tokens != tokens:
+            node = node.children.get(tuple(token_ids[b * bt:(b + 1) * bt]))
+            if node is None:
                 break
-            path.append(child)
-            node = child
+            path.append(node)
         return path
 
     def match(self, token_ids: Sequence[int],
@@ -192,6 +222,8 @@ class PrefixCache:
         self._tick += 1
         for node in path:
             node.last_used = self._tick
+        if path:
+            self._push_if_evictable(path[-1])
         return path
 
     # -- ref counting --------------------------------------------------
@@ -210,6 +242,7 @@ class PrefixCache:
             node.ref -= 1
             if node.ref == 0:
                 self._n_referenced -= 1
+                self._push_if_evictable(node)
 
     # -- insertion -----------------------------------------------------
     def insert(self, token_ids: Sequence[int],
@@ -230,21 +263,18 @@ class PrefixCache:
         self._tick += 1
         for b in range(n_blocks):
             tokens = tuple(token_ids[b * bt:(b + 1) * bt])
-            key = rolling_hash(node.key, tokens)
-            child = node.children.get(key)
-            if child is not None and child.tokens == tokens:
-                dups += 1
-            else:
-                if child is not None:
-                    # Hash collision: keep the resident block, treat
-                    # the new one as uncacheable from here down.
-                    break
-                child = _RadixNode(key=key, tokens=tokens, parent=node)
-                node.children[key] = child
+            child = node.children.get(tokens)
+            if child is None:
+                child = _RadixNode(tokens=tokens, parent=node)
+                node.children[tokens] = child
                 self._n_nodes += 1
                 created += 1
+            else:
+                dups += 1
             child.last_used = self._tick
             node = child
+        if node is not self._root:
+            self._push_if_evictable(node)
         return created, dups
 
     # -- eviction ------------------------------------------------------
@@ -253,36 +283,31 @@ class PrefixCache:
         first (evicting a leaf may expose its parent).  Returns the
         number of blocks actually reclaimed.
 
-        One DFS collects every evictable leaf into a ``last_used``
-        heap; parents join the heap as their last child falls — so a
-        bulk reclaim costs one tree walk plus a heap pop per block,
-        not a fresh walk per block.  Ties on ``last_used`` break by
-        DFS discovery order, which is deterministic.
+        Pops the LRU heap, skipping stale entries, so reclaiming ``k``
+        blocks costs ``k`` pops plus the stale ones, never a tree walk.
+        No two leaves ever share a ``last_used``: each tick touches one
+        root-down path, and a path holds at most one leaf.  The order
+        is therefore fully determined by ``last_used``.
         """
         if n <= 0:
             return 0
-        heap: List[tuple] = []
-        order = itertools.count()
-        stack = [self._root]
-        while stack:
-            node = stack.pop()
-            for child in node.children.values():
-                if child.children:
-                    stack.append(child)
-                elif child.ref == 0:
-                    heapq.heappush(heap,
-                                   (child.last_used, next(order), child))
+        heap = self._lru
+        root = self._root
         evicted = 0
         while evicted < n and heap:
-            _, _, victim = heapq.heappop(heap)
+            last_used, _, victim = heapq.heappop(heap)
             parent = victim.parent
-            del parent.children[victim.key]
+            if (parent is None or victim.children or victim.ref
+                    or victim.last_used != last_used):
+                continue
+            del parent.children[victim.tokens]
+            victim.parent = None
             self._n_nodes -= 1
             evicted += 1
-            if (parent is not self._root and not parent.children
-                    and parent.ref == 0):
-                heapq.heappush(heap,
-                               (parent.last_used, next(order), parent))
+            if parent is not root:
+                self._push_if_evictable(parent)
+        if len(heap) > self.lru_heap_bound:
+            self._rebuild_lru()
         return evicted
 
 
@@ -390,8 +415,7 @@ class PrefixCachingAllocator(PagedKVAllocator):
             # at (len(token_ids) - 1) // bt.
             tail = tuple(token_ids[matchable * bt:(matchable + 1) * bt])
             parent = path[-1] if path else self.cache._root
-            child = parent.children.get(rolling_hash(parent.key, tail))
-            if child is not None and child.tokens == tail:
+            if tail in parent.children:
                 self.n_cow_copies += 1
         self.cache.lock(path)
         if path:
@@ -555,17 +579,22 @@ class PrefixCachingAllocator(PagedKVAllocator):
     def audit(self) -> None:
         """Base-pool audit plus a full radix-tree consistency sweep.
 
-        The tree walk verifies, for every node: the rolling hash chains
-        from the parent (``key == rolling_hash(parent.key, tokens)``),
-        parent/child links are mutual, blocks are exactly
-        ``block_tokens`` wide, refs are non-negative, and every
-        referenced node has a referenced parent (locks are path
-        prefixes).  Tallies (``n_nodes``, ``n_referenced``) and the sum
-        of per-node refs are re-derived and compared against the O(1)
-        counters and the locks live sequences hold.
+        The tree walk verifies, for every node: its tokens equal the key
+        its parent's children map files it under, parent/child links are
+        mutual, blocks are exactly ``block_tokens`` wide, refs are
+        non-negative, every referenced node has a referenced parent
+        (locks are path prefixes), and every unreferenced leaf has an
+        LRU heap entry at its current ``last_used`` (a leaf without one
+        still counts in ``free_blocks`` but :meth:`ensure` could never
+        reclaim it).  Tallies (``n_nodes``, ``n_referenced``) and the
+        sum of per-node refs are re-derived and compared against the
+        O(1) counters and the locks live sequences hold, and the heap
+        must be within its rebuild bound.
         """
         super().audit()
         cache = self.cache
+        heap_entries = {(node, last_used)
+                        for last_used, _, node in cache._lru}
         n_nodes = 0
         n_ref = 0
         ref_sum = 0
@@ -575,25 +604,27 @@ class PrefixCachingAllocator(PagedKVAllocator):
             for key, child in node.children.items():
                 n_nodes += 1
                 check(child.parent is node,
-                      f"node {child.key} has a stale parent link")
-                check(child.key == key,
-                      f"node keyed {key} in its parent's children map "
-                      f"carries key {child.key}")
-                check(child.key == rolling_hash(node.key, child.tokens),
-                      f"node {child.key} does not hash-chain from its "
-                      f"parent {node.key}: the tree no longer matches "
-                      f"its lookup keys")
+                      f"node {key} has a stale parent link")
+                check(child.tokens == key,
+                      f"node filed under {key} holds tokens "
+                      f"{child.tokens}: the node's tokens no longer "
+                      f"match its lookup key")
                 check(len(child.tokens) == self.block_tokens,
-                      f"node {child.key} stores {len(child.tokens)} "
+                      f"node {key} stores {len(child.tokens)} "
                       f"tokens; only full {self.block_tokens}-token "
                       f"blocks may be cached")
                 check(child.ref >= 0,
-                      f"node {child.key} has negative ref {child.ref}")
+                      f"node {key} has negative ref {child.ref}")
                 if child.ref > 0:
                     n_ref += 1
                     check(node is cache._root or node.ref > 0,
-                          f"node {child.key} is referenced but its "
+                          f"node {key} is referenced but its "
                           f"parent is not; locks must be path prefixes")
+                elif not child.children:
+                    check((child, child.last_used) in heap_entries,
+                          f"unreferenced leaf {key} has no LRU heap "
+                          f"entry at its last_used {child.last_used}: "
+                          f"ensure could never reclaim it")
                 ref_sum += child.ref
                 stack.append(child)
         check(n_nodes == cache._n_nodes,
@@ -602,6 +633,9 @@ class PrefixCachingAllocator(PagedKVAllocator):
         check(n_ref == cache._n_referenced,
               f"{n_ref} nodes are referenced but the n_referenced "
               f"tally says {cache._n_referenced}")
+        check(len(cache._lru) <= cache.lru_heap_bound,
+              f"LRU heap holds {len(cache._lru)} entries, above its "
+              f"rebuild bound {cache.lru_heap_bound}")
         lock_sum = sum(len(path) for path in self._shared.values())
         check(ref_sum == lock_sum,
               f"node refs sum to {ref_sum} but live sequences hold "
@@ -613,7 +647,7 @@ class PrefixCachingAllocator(PagedKVAllocator):
                       f"owner {owner!r}'s locked path is not a "
                       f"root-down path")
                 check(node.ref >= 1,
-                      f"owner {owner!r} locks node {node.key} whose "
+                      f"owner {owner!r} locks node {node.tokens} whose "
                       f"ref is {node.ref}")
                 prev = node
         check(self._used_blocks + cache.n_blocks + self.raw_free_blocks

@@ -28,8 +28,9 @@ What is caught:
 - accounting drift: ``used_blocks`` counter vs the per-owner dict,
   token counts exceeding backing blocks, pool conservation
   (used + free == total);
-- tree corruption: a node whose rolling hash does not chain from its
-  parent, broken parent/child links, wrong-size blocks;
+- tree corruption: a node whose tokens differ from the key its parent
+  files it under, broken parent/child links, wrong-size blocks, an
+  unreferenced leaf missing from the LRU eviction heap;
 - leaks at drain: owners, locks or referenced blocks surviving after
   every sequence finished.
 """

@@ -7,10 +7,10 @@ Two promises are under test:
    the same trace (checked on paged, prefix-caching and fleet runs,
    including a 10k-request soak).
 2. **Sensitivity** — injected corruption (double-free, refcount
-   decrement, counter drift, tree rewiring) raises
-   :class:`SanitizeError` instead of silently skewing results; a
-   hypothesis property test drives random op sequences and corruption
-   kinds.
+   decrement, counter drift, tree rewiring, a leaf dropped from the
+   LRU heap) raises :class:`SanitizeError` instead of silently skewing
+   results; a hypothesis property test drives random op sequences and
+   corruption kinds.
 """
 
 import numpy as np
@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from repro.cluster.fleet import FleetSimulator, Replica
 from repro.serve.api import FleetConfig, SchedulerConfig, SimConfig
 from repro.serve.paging import PagedKVAllocator
-from repro.serve.prefix import PrefixCachingAllocator, rolling_hash
+from repro.serve.prefix import PrefixCachingAllocator
 from repro.serve.requests import (
     multi_turn_chat_trace,
     poisson_trace,
@@ -206,8 +206,27 @@ class TestSensitivity:
     def test_tree_rewiring_caught(self):
         alloc, _ = self._warm_prefix()
         node = next(iter(alloc.cache._root.children.values()))
-        node.tokens = tuple(t + 1 for t in node.tokens)  # hash mismatch
-        with pytest.raises(SanitizeError, match="hash-chain"):
+        node.tokens = tuple(t + 1 for t in node.tokens)  # key mismatch
+        with pytest.raises(SanitizeError,
+                           match="no longer match its lookup key"):
+            alloc.audit()
+
+    def test_leaf_missing_from_lru_heap_caught(self):
+        """A leaf without a heap entry counts as free but can never be
+        reclaimed, so admission would promise unallocatable blocks."""
+        alloc, ids = self._warm_prefix()
+        leaf = alloc.cache._walk(ids, 3)[-1]
+        assert leaf.ref == 0 and not leaf.children
+        alloc.cache._lru[:] = [e for e in alloc.cache._lru
+                               if e[2] is not leaf]  # drop its entry
+        with pytest.raises(SanitizeError, match="no LRU heap entry"):
+            alloc.audit()
+
+    def test_lru_heap_over_bound_caught(self):
+        alloc, _ = self._warm_prefix()
+        cache = alloc.cache
+        cache._lru.extend([cache._lru[-1]] * (cache.lru_heap_bound + 1))
+        with pytest.raises(SanitizeError, match="rebuild bound"):
             alloc.audit()
 
     def test_lock_leak_at_drain_caught(self):

@@ -5,15 +5,22 @@ The golden numbers in ``TestDefaultPathUnchanged`` were recorded on
 main immediately before the prefix subsystem landed; with
 ``prefix_caching=False`` (the default) every one of them must stay
 bit-identical, so PR 1-4 results do not shift.
+
+``TestIncrementalLRUEquivalence`` drives random operation sequences
+through :class:`PrefixCache` and :class:`LegacyPrefixCache`, a copy of
+the earlier hash-keyed tree's logic that rebuilt its eviction heap from
+a full DFS on every ``evict_lru`` call, and requires identical trees
+after every step.
 """
 
-import pytest
+import heapq
+import itertools
 
-from repro.serve.prefix import (
-    PrefixCache,
-    PrefixCachingAllocator,
-    rolling_hash,
-)
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.serve.prefix import PrefixCache, PrefixCachingAllocator
 from repro.serve.requests import Request
 from repro.serve.scheduler import ContinuousBatchScheduler, KVBudget
 from repro.serve.simulator import ServingSimulator
@@ -55,19 +62,6 @@ def _prefix_sched(total_tokens=256, block_tokens=8, token_budget=256,
                                     block_tokens=block_tokens,
                                     watermark_frac=watermark_frac,
                                     prefix_caching=True)
-
-
-class TestRollingHash:
-    def test_deterministic_and_chained(self):
-        h1 = rolling_hash(0, (1, 2, 3))
-        assert h1 == rolling_hash(0, (1, 2, 3))
-        assert h1 != rolling_hash(0, (1, 2, 4))
-        # Chaining: the same block under a different parent hashes
-        # differently — identity is the full prefix.
-        assert rolling_hash(h1, (5, 6)) != rolling_hash(0, (5, 6))
-
-    def test_order_sensitive(self):
-        assert rolling_hash(0, (1, 2)) != rolling_hash(0, (2, 1))
 
 
 class TestPrefixCache:
@@ -124,6 +118,22 @@ class TestPrefixCache:
         # The shared stem only falls once its children are gone.
         assert cache.evict_lru(10) == 2
         assert cache.n_blocks == 0
+
+    def test_touch_moves_a_leaf_behind_newer_ones(self):
+        """A leaf's older LRU position dies with the touch, whether the
+        touch is a bare match or a match-lock-unlock cycle."""
+        for relock in (False, True):
+            cache = PrefixCache(block_tokens=2)
+            a, b = _ids([0, 1]), _ids([2, 3])
+            cache.insert(a, 1)
+            cache.insert(b, 1)
+            path = cache.match(a, 1)
+            if relock:
+                cache.lock(path)
+                cache.unlock(path)
+            assert cache.evict_lru(1) == 1
+            assert len(cache.match(a, 1)) == 1
+            assert cache.match(b, 1) == []
 
     def test_partial_lock_leaves_tail_evictable(self):
         cache = PrefixCache(block_tokens=2)
@@ -438,3 +448,200 @@ class TestDefaultPathUnchanged:
         assert rep.n_preempted == want["n_preempted"]
         assert rep.peak_seqs == want["peak_seqs"]
         assert not rep.prefix_caching and rep.prefix_hit_rate == 0.0
+
+
+# ----------------------------------------------------------------------
+# Incremental LRU heap and token keys against the DFS reference
+# ----------------------------------------------------------------------
+_LEGACY_HASH_MULT = 1_000_003
+_LEGACY_HASH_MOD = (1 << 61) - 1
+
+
+def _legacy_rolling_hash(parent_hash, tokens):
+    h = parent_hash
+    for t in tokens:
+        h = (h * _LEGACY_HASH_MULT + int(t) + 1) % _LEGACY_HASH_MOD
+    return h
+
+
+class _LegacyNode:
+    __slots__ = ("key", "tokens", "parent", "children", "ref", "last_used")
+
+    def __init__(self, key, tokens, parent):
+        self.key = key
+        self.tokens = tokens
+        self.parent = parent
+        self.children = {}
+        self.ref = 0
+        self.last_used = 0
+
+
+class LegacyPrefixCache:
+    """The earlier radix tree's logic, as the equivalence oracle:
+    children keyed by a rolling hash chained from the parent, and a
+    fresh DFS over the whole tree on every ``evict_lru`` call.
+    """
+
+    def __init__(self, block_tokens):
+        self.block_tokens = block_tokens
+        self._root = _LegacyNode(key=0, tokens=(), parent=None)
+        self._n_nodes = 0
+        self._n_referenced = 0
+        self._tick = 0
+
+    @property
+    def n_blocks(self):
+        return self._n_nodes
+
+    @property
+    def n_referenced(self):
+        return self._n_referenced
+
+    def _walk(self, token_ids, max_blocks):
+        bt = self.block_tokens
+        node = self._root
+        path = []
+        for b in range(max_blocks):
+            tokens = tuple(token_ids[b * bt:(b + 1) * bt])
+            child = node.children.get(_legacy_rolling_hash(node.key, tokens))
+            if child is None or child.tokens != tokens:
+                break
+            path.append(child)
+            node = child
+        return path
+
+    def match(self, token_ids, max_blocks):
+        path = self._walk(token_ids, max_blocks)
+        self._tick += 1
+        for node in path:
+            node.last_used = self._tick
+        return path
+
+    def lock(self, nodes):
+        for node in nodes:
+            if node.ref == 0:
+                self._n_referenced += 1
+            node.ref += 1
+
+    def unlock(self, nodes):
+        for node in nodes:
+            node.ref -= 1
+            if node.ref == 0:
+                self._n_referenced -= 1
+
+    def insert(self, token_ids, n_blocks):
+        bt = self.block_tokens
+        node = self._root
+        created = 0
+        dups = 0
+        self._tick += 1
+        for b in range(n_blocks):
+            tokens = tuple(token_ids[b * bt:(b + 1) * bt])
+            key = _legacy_rolling_hash(node.key, tokens)
+            child = node.children.get(key)
+            if child is not None and child.tokens == tokens:
+                dups += 1
+            else:
+                if child is not None:
+                    break
+                child = _LegacyNode(key=key, tokens=tokens, parent=node)
+                node.children[key] = child
+                self._n_nodes += 1
+                created += 1
+            child.last_used = self._tick
+            node = child
+        return created, dups
+
+    def evict_lru(self, n):
+        if n <= 0:
+            return 0
+        heap = []
+        order = itertools.count()
+        stack = [self._root]
+        while stack:
+            node = stack.pop()
+            for child in node.children.values():
+                if child.children:
+                    stack.append(child)
+                elif child.ref == 0:
+                    heapq.heappush(heap,
+                                   (child.last_used, next(order), child))
+        evicted = 0
+        while evicted < n and heap:
+            _, _, victim = heapq.heappop(heap)
+            parent = victim.parent
+            del parent.children[victim.key]
+            self._n_nodes -= 1
+            evicted += 1
+            if (parent is not self._root and not parent.children
+                    and parent.ref == 0):
+                heapq.heappush(heap,
+                               (parent.last_used, next(order), parent))
+        return evicted
+
+
+def _tree(node):
+    """Nested ``{tokens: (ref, last_used, subtree)}`` view of a tree."""
+    return {child.tokens: (child.ref, child.last_used, _tree(child))
+            for child in node.children.values()}
+
+
+#: A few prompts over a 3-symbol alphabet: ops reuse them, so siblings
+#: share stems and matches hit leaves that earlier inserts created.
+_PROMPTS = st.lists(st.lists(st.integers(0, 2), max_size=8).map(tuple),
+                    min_size=1, max_size=4)
+#: (kind, prompt index or lock index, block count or evict n).
+_OP = st.tuples(
+    st.sampled_from(("insert", "match", "lock", "unlock", "evict")),
+    st.integers(0, 4), st.integers(0, 3))
+
+
+class TestIncrementalLRUEquivalence:
+    @settings(max_examples=300, deadline=None)
+    @given(block_tokens=st.integers(1, 3), prompts=_PROMPTS,
+           ops=st.lists(_OP, min_size=1, max_size=60))
+    def test_trees_match_dfs_reference_after_every_op(
+            self, block_tokens, prompts, ops):
+        cache = PrefixCache(block_tokens)
+        legacy = LegacyPrefixCache(block_tokens)
+        locks = []
+        for kind, i, k in ops:
+            ids = prompts[i % len(prompts)]
+            blocks = min(k, len(ids) // block_tokens)
+            if kind == "insert":
+                assert cache.insert(ids, blocks) == legacy.insert(ids,
+                                                                  blocks)
+            elif kind in ("match", "lock"):
+                path = cache.match(ids, blocks)
+                legacy_path = legacy.match(ids, blocks)
+                assert ([n.tokens for n in path]
+                        == [n.tokens for n in legacy_path])
+                if kind == "lock":
+                    cache.lock(path)
+                    legacy.lock(legacy_path)
+                    locks.append((path, legacy_path))
+            elif kind == "unlock":
+                if locks:
+                    path, legacy_path = locks.pop(i % len(locks))
+                    cache.unlock(path)
+                    legacy.unlock(legacy_path)
+            else:
+                assert cache.evict_lru(k) == legacy.evict_lru(k)
+            assert _tree(cache._root) == _tree(legacy._root)
+            assert cache.n_blocks == legacy.n_blocks
+            assert cache.n_referenced == legacy.n_referenced
+            assert len(cache._lru) <= cache.lru_heap_bound
+
+    def test_heap_is_rebuilt_within_its_bound(self):
+        """Lock/unlock churn on one leaf pushes an entry per unlock;
+        the heap is rebuilt instead of growing past its bound."""
+        cache = PrefixCache(block_tokens=2)
+        ids = _ids(range(6))
+        cache.insert(ids, 3)
+        for _ in range(50):
+            path = cache.match(ids, 3)
+            cache.lock(path)
+            cache.unlock(path)
+            assert len(cache._lru) <= cache.lru_heap_bound
+        assert cache.evict_lru(10) == 3
+        assert cache._lru == []

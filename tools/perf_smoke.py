@@ -33,6 +33,12 @@ Checks:
    once per distinct input (index stream, cache bounds, bank
    geometry).  Recomputing per shape or per candidate fails it
    deterministically.
+6. Prefix-cache eviction scaling: the wall time per block of
+   ``PrefixCache.evict_lru(1)`` on a tree of 25,000 unreferenced
+   leaves over the same on 2,500 leaves must stay within 5x.  Host
+   speed cancels in the ratio.  An LRU heap pop grows with the log of
+   the tree (~1.6x on a 2-vCPU Xeon VM); a tree walk per call grows
+   with its size (10x the node visits, ~26x on the same VM).
 
 Run with::
 
@@ -62,8 +68,16 @@ from repro.llm.config import llama_7b  # noqa: E402
 from repro.obs.timeline import TimelineConfig  # noqa: E402
 from repro.serve.api import SchedulerConfig, SimConfig  # noqa: E402
 from repro.serve.costs import BATCH_BUCKETS  # noqa: E402
+from repro.serve.prefix import PrefixCache  # noqa: E402
 from repro.serve.requests import Request  # noqa: E402
 from repro.serve.scheduler import KVBudget  # noqa: E402
+
+#: Unreferenced-leaf counts of the eviction-scaling check's two trees,
+#: the ``evict_lru(1)`` calls timed on each, and the largest allowed
+#: per-block time ratio of the large tree over the small one.
+EVICT_SMALL, EVICT_LARGE = 2_500, 25_000
+EVICT_TIMED = 1_000
+EVICT_MAX_RATIO = 5.0
 
 
 class _ConstantCostModel:
@@ -97,6 +111,21 @@ def _event_core_elapsed(n_requests: int, trace: bool = False,
     elapsed = time.perf_counter() - t0
     assert report.n_requests == n_requests
     return elapsed
+
+
+def _evict_s_per_block(n_leaves: int) -> float:
+    """Best-of-3 wall seconds per block of ``evict_lru(1)`` on a tree
+    of ``n_leaves`` unreferenced one-block leaves."""
+    best = float("inf")
+    for _ in range(3):
+        cache = PrefixCache(block_tokens=1)
+        for token in range(n_leaves):
+            cache.insert((token,), 1)
+        t0 = time.perf_counter()
+        for _ in range(EVICT_TIMED):
+            cache.evict_lru(1)
+        best = min(best, time.perf_counter() - t0)
+    return best / EVICT_TIMED
 
 
 def _decode_sweep_degree_calls() -> tuple:
@@ -175,7 +204,20 @@ def main(argv=None) -> int:
           f"average_degree calls for {degree_keys} distinct inputs "
           f"(max one per input)")
 
+    small_s = _evict_s_per_block(EVICT_SMALL)
+    large_s = _evict_s_per_block(EVICT_LARGE)
+    evict_ratio = large_s / small_s
+    print(f"prefix eviction: {large_s * 1e6:.2f} us/block on "
+          f"{EVICT_LARGE:,} leaves, {small_s * 1e6:.2f} us/block on "
+          f"{EVICT_SMALL:,} ({evict_ratio:.2f}x, max "
+          f"{EVICT_MAX_RATIO:.1f}x)")
+
     failed = False
+    if evict_ratio > EVICT_MAX_RATIO:
+        print(f"PERF REGRESSION: evict_lru costs {evict_ratio:.2f}x more "
+              f"per block on a {EVICT_LARGE // EVICT_SMALL}x larger tree; "
+              f"eviction should pop a heap, not walk the tree")
+        failed = True
     if degree_calls > degree_keys:
         print(f"PERF REGRESSION: {degree_calls} average_degree calls for "
               f"{degree_keys} distinct inputs; the codebook memo should "
