@@ -28,7 +28,7 @@ from repro.core.engine import ComputeEngine
 from repro.gpu.costmodel import LAUNCH_OVERHEAD_S
 from repro.gpu.spec import GPUSpec, get_spec
 from repro.kernels.attention import AttentionShape
-from repro.kernels.gemm import GemmShape
+from repro.kernels.gemm import GEMV_MAX_BATCH, GemmShape
 from repro.llm.config import LlamaConfig
 from repro.llm.model import decode_operator_shapes
 
@@ -77,12 +77,15 @@ class E2ELedger:
         self._step_memo: Dict[tuple, DecodeStepBreakdown] = {}
 
     def _gemv_us(self, shape: GemmShape, mode: str) -> float:
+        # Past the GEMV kernels' batch cap a decode projection runs as
+        # the same family's GEMM (as StepCostModel prices it).
+        kind = "gemm" if shape.m > GEMV_MAX_BATCH else "gemv"
         if mode == "fp16":
-            return self.engine.batch_latency_us("gemv", shape)
+            return self.engine.batch_latency_us(kind, shape)
         if mode == "qserve":
-            return self.engine.batch_latency_us("gemv", shape, bits=4)
+            return self.engine.batch_latency_us(kind, shape, bits=4)
         qt = weight_sample(_VQ_WEIGHT_ALGO[mode])
-        return self.engine.batch_latency_us("gemv", shape, qt=qt, level="O4")
+        return self.engine.batch_latency_us(kind, shape, qt=qt, level="O4")
 
     def _attention_us(self, shape: AttentionShape, mode: str) -> float:
         if mode == "fp16":

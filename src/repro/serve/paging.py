@@ -194,6 +194,19 @@ class PagedKVAllocator:
                   f"only {self.holds(owner)} blocks")
         return True
 
+    def note_tokens(self, owner: int, tokens: int) -> None:
+        """Record ``tokens`` live tokens for ``owner`` inside the blocks
+        it already holds — what :meth:`ensure` does when no block is
+        missing, without the growth check.  The caller guarantees the
+        fit (a decode that crosses no block boundary); sanitize mode
+        checks it, as :meth:`ensure` does."""
+        if tokens > self._used_tokens.get(owner, 0):
+            self._used_tokens[owner] = tokens
+        if self.sanitize:
+            check(tokens <= self.holds(owner) * self.block_tokens,
+                  f"owner {owner!r} noted {tokens} tokens but holds "
+                  f"only {self.holds(owner)} blocks")
+
     def release(self, owner: int) -> int:
         """Return all of ``owner``'s blocks to the free list."""
         if self.sanitize:

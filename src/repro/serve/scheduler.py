@@ -48,8 +48,6 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, List, Optional, Tuple
 
-import numpy as np
-
 from repro.llm.config import LlamaConfig
 from repro.vq.config import VQConfig
 
@@ -202,6 +200,10 @@ class SequenceState:
     admitted_s: float = 0.0
     first_token_s: Optional[float] = None
     finished_s: Optional[float] = None
+    #: Token slots this sequence's KV blocks back under paged admission
+    #: (``holds × block_tokens``; scheduler bookkeeping, refreshed at
+    #: admission and after every allocation).
+    kv_slots: int = 0
 
     @property
     def prefill_target(self) -> int:
@@ -238,23 +240,28 @@ class SequenceState:
         return self.request.total_tokens
 
 
+def _drop(seqs: List[SequenceState], seq: SequenceState) -> None:
+    """Remove ``seq`` from ``seqs`` by identity (``list.remove`` would
+    compare dataclass fields on the way)."""
+    for i, cand in enumerate(seqs):
+        if cand is seq:
+            del seqs[i]
+            return
+
+
 @dataclass
 class BatchPlan:
     """One iteration's work: prefill chunks plus decode sequences."""
 
     prefill: List[Tuple[SequenceState, int]] = field(default_factory=list)
     decode: List[SequenceState] = field(default_factory=list)
-    #: Scheduler-stamped value of :meth:`mean_context` (set on the
-    #: reserve fast path from an incrementally maintained context sum;
-    #: ``None`` means "derive from ``decode``").  The sum is exact
-    #: integer arithmetic either way, so the cached value is
-    #: bit-identical to the derived one.
+    #: Scheduler-stamped value of :meth:`mean_context`, set when the
+    #: plan grants every decoding sequence (the scheduler's incremental
+    #: decode-context sum is then exactly this plan's sum); ``None``
+    #: means "derive from ``decode``".  The sum is exact integer
+    #: arithmetic either way, so the stamped value is bit-identical to
+    #: the derived one.
     cached_mean_context: Optional[float] = None
-    #: True when ``decode`` is exactly the scheduler's decoding set (one
-    #: round-robin rotation of it) — lets ``complete`` detect finished
-    #: sequences with one vectorized counter update instead of a
-    #: per-sequence property scan.
-    full_decode: bool = False
 
     @property
     def prefill_tokens(self) -> int:
@@ -393,33 +400,22 @@ class ContinuousBatchScheduler:
         self.preempted: Deque[SequenceState] = deque()
         self.running: List[SequenceState] = []
         self.reserved_tokens = 0
-        #: Reserve-mode fast-path state.  ``running`` is partitioned
-        #: (in running order) into ``_prefilling`` and ``_decoding`` so
-        #: :meth:`schedule` never scans the whole batch; the two
-        #: integer context sums back :attr:`kv_occupancy` and
-        #: :meth:`BatchPlan.mean_context` without per-sequence property
-        #: walks; ``_dec_remaining`` holds output-tokens-left per
-        #: decoding sequence (aligned with ``_decoding``) so full-batch
-        #: iterations detect completions with one vectorized compare.
-        #: All of it is redundant bookkeeping over the same integers
-        #: the object attributes hold — results stay bit-identical.
-        #: Paged admission (preemption, block clipping) keeps the
-        #: original object path untouched.
+        #: Incremental batch state, shared by both admission modes, so
+        #: no iteration scans the whole batch.  ``running`` is
+        #: partitioned (in running order) into ``_prefilling`` and
+        #: ``_decoding``; the two integer context sums back
+        #: :attr:`kv_occupancy` and :meth:`BatchPlan.mean_context`;
+        #: ``_committed`` is paged admission's outstanding prefill
+        #: demand — blocks running sequences still need for their prompt
+        #: plus sampled-token slot, beyond what they hold.  Each is
+        #: updated only where its inputs change (admission, allocation,
+        #: preemption, completion) and equals the re-sum over
+        #: ``running`` exactly, so results stay bit-identical.
         self._decoding: List[SequenceState] = []
         self._prefilling: List[SequenceState] = []
         self._decode_ctx_sum = 0
         self._running_ctx_sum = 0
-        self._dec_remaining = np.zeros(0, dtype=np.int64)
-        self._dec_dirty = False
-        #: Lazy-decrement offset for ``_dec_remaining``: true remaining
-        #: is ``stored - _dec_base``, so a full-rotation iteration
-        #: "decrements every element" by bumping the scalar.
-        self._dec_base = 0
-        #: Smallest *true* remaining (meaningful only while
-        #: ``_dec_remaining`` is non-empty) — completions are
-        #: impossible while > 0, so full-rotation iterations skip the
-        #: finished scan entirely.
-        self._dec_min = 0
+        self._committed = 0
         #: ``budget.max_tokens`` is a derived property; hot paths read
         #: it every iteration, so cache it (budgets are never mutated
         #: after scheduler construction).
@@ -571,86 +567,93 @@ class ContinuousBatchScheduler:
         Admission is FCFS without holes: skipping ahead of a large
         request would starve it.  Preempted sequences re-enter first —
         they predate everything still waiting.
+
+        The admission rule is the one per-mode difference.  Reserve
+        admission needs the request's worst-case footprint beside every
+        other reservation.  Paged admission needs only the prompt's
+        blocks (plus the first sampled token's slot) — that is the whole
+        point of paging — but counts the outstanding prefill demand of
+        already running sequences (``_committed``) too, so a burst of
+        admissions cannot promise the same free blocks twice.  Under
+        prefix caching, blocks the radix tree already holds for the
+        candidate's prompt are not demanded (a feasibility ``peek``;
+        the blocks are matched and locked only when the candidate is
+        actually admitted).
         """
-        if self.allocator is not None:
-            self._admit_paged(now_s)
-        else:
-            while self.waiting and len(self.running) < self.max_seqs:
-                nxt = self.waiting[0]
-                if (self.reserved_tokens + nxt.total_tokens
+        alloc = self.allocator
+        while (len(self.running) < self.max_seqs
+               and (self.preempted or self.waiting)):
+            seq = self.preempted[0] if self.preempted else None
+            req = self.waiting[0] if seq is None else seq.request
+            restart = 0 if seq is None else seq.restart_tokens
+            known = None
+            if alloc is None:
+                if (self.reserved_tokens + req.total_tokens
                         > self._max_tokens):
                     break
-                self.waiting.popleft()
-                seq = self._new_sequence(nxt, now_s)
-                self.running.append(seq)
-                self.reserved_tokens += nxt.total_tokens
-                # prompt_tokens >= 1 (Request validation), so a fresh
-                # sequence always starts in the prefill partition.
-                self._prefilling.append(seq)
-                self._running_ctx_sum += seq.context_tokens
+            else:
+                if self.prefix_caching:
+                    known = self._known_ids(req, restart)
+                cached_blocks = 0
+                if known is not None:
+                    cached_blocks = alloc.peek(known) // alloc.block_tokens
+                need = max(0, alloc.blocks_for_tokens(
+                    req.prompt_tokens + restart + 1) - cached_blocks)
+                watermark = self._watermark_blocks if self.running else 0
+                if self._committed + need + watermark > alloc.free_blocks:
+                    break
+            if seq is None:
+                seq = self._new_sequence(self.waiting.popleft(), now_s)
+            else:
+                self.preempted.popleft()
+                if self.tracer.enabled:
+                    # Re-admission after preemption (value=1 marks it).
+                    self.tracer.event(EVT_ADMITTED, now_s,
+                                      self.trace_replica, req.req_id, 1)
+            if alloc is None:
+                self.reserved_tokens += req.total_tokens
+            else:
+                if alloc.sanitize:
+                    # Declare the owner live before any allocation so a
+                    # release with zero blocks still counts for the
+                    # double-free check.
+                    alloc.notify_admitted(req.req_id)
+                if known is not None:
+                    cached = alloc.match_and_lock(req.req_id, known)
+                    seq.prefilled = cached
+                    seq.cached_tokens = cached
+                seq.kv_slots = alloc.holds(req.req_id) * alloc.block_tokens
+                self._committed += self._owed_blocks(seq)
+            self.running.append(seq)
+            # At least one prompt token is always computed (prefix
+            # caching leaves the last one to the sampler), so an
+            # admitted sequence starts in the prefill partition.
+            self._prefilling.append(seq)
+            self._running_ctx_sum += seq.context_tokens
         self.peak_seqs = max(self.peak_seqs, len(self.running))
         self.peak_reserved_tokens = max(self.peak_reserved_tokens,
                                         self.reserved_tokens)
 
-    def _admit_paged(self, now_s: float) -> None:
-        """Admit while the free list covers each candidate's prefill.
-
-        Only the prompt (plus the first sampled token's slot) is
-        required up front — that is the whole point of paging — but the
-        check also counts the *outstanding* prefill demand of already
-        running sequences, so a burst of admissions cannot promise the
-        same free blocks twice.  Under prefix caching, blocks the
-        radix tree already holds for the candidate's prompt are not
-        demanded (a feasibility ``peek``; the blocks are matched and
-        locked only when the candidate is actually admitted).
-        """
+    def _owed_blocks(self, seq: SequenceState) -> int:
+        """Blocks ``seq`` still needs for its prompt (plus recompute)
+        and the sampled token's slot, beyond what it holds — its share
+        of ``_committed``."""
         alloc = self.allocator
-        committed = sum(
-            max(0, alloc.blocks_for_tokens(s.prefill_target + 1)
-                - alloc.holds(s.request.req_id))
-            for s in self.running)
-        while (len(self.running) < self.max_seqs
-               and (self.preempted or self.waiting)):
-            known = None
-            if self.preempted:
-                cand = self.preempted[0]
-                req = cand.request
-                target = cand.prefill_target
-                if self.prefix_caching:
-                    known = self._known_ids(req, cand.restart_tokens)
-            else:
-                req = self.waiting[0]
-                target = req.prompt_tokens
-                if self.prefix_caching:
-                    known = self._known_ids(req, 0)
-            cached_blocks = 0
-            if known is not None:
-                cached_blocks = alloc.peek(known) // alloc.block_tokens
-            need = max(0, alloc.blocks_for_tokens(target + 1)
-                       - cached_blocks)
-            watermark = self._watermark_blocks if self.running else 0
-            if committed + need + watermark > alloc.free_blocks:
-                break
-            if self.preempted:
-                seq = self.preempted.popleft()
-                if self.tracer.enabled:
-                    # Re-admission after preemption (value=1 marks it).
-                    self.tracer.event(EVT_ADMITTED, now_s,
-                                      self.trace_replica,
-                                      seq.request.req_id, 1)
-            else:
-                seq = self._new_sequence(self.waiting.popleft(), now_s)
-            if alloc.sanitize:
-                # Declare the owner live before any allocation so a
-                # release with zero blocks still counts for the
-                # double-free check.
-                alloc.notify_admitted(req.req_id)
-            if known is not None:
-                cached = alloc.match_and_lock(req.req_id, known)
-                seq.prefilled = cached
-                seq.cached_tokens = cached
-            self.running.append(seq)
-            committed += need
+        return max(0, alloc.blocks_for_tokens(seq.prefill_target + 1)
+                   - seq.kv_slots // alloc.block_tokens)
+
+    def _ensure(self, seq: SequenceState, tokens: int) -> bool:
+        """Grow ``seq``'s blocks to ``tokens`` slots; on success refresh
+        its ``kv_slots`` and its share of ``_committed``."""
+        alloc = self.allocator
+        rid = seq.request.req_id
+        if not alloc.ensure(rid, tokens):
+            return False
+        owed = self._owed_blocks(seq)
+        seq.kv_slots = alloc.holds(rid) * alloc.block_tokens
+        if owed:  # growth only shrinks a debt; none stays none
+            self._committed += self._owed_blocks(seq) - owed
+        return True
 
     @staticmethod
     def _known_ids(request: Request, generated: int):
@@ -701,8 +704,17 @@ class ContinuousBatchScheduler:
         the tree rather than freed — if they survive until re-admission
         the recompute is (mostly) a cache hit.
         """
+        self._committed -= self._owed_blocks(victim)
         self._release_blocks(victim)
-        self.running.remove(victim)
+        victim.kv_slots = 0
+        ctx = victim.context_tokens
+        self._running_ctx_sum -= ctx
+        if victim.prefill_remaining > 0:
+            _drop(self._prefilling, victim)
+        else:
+            _drop(self._decoding, victim)
+            self._decode_ctx_sum -= ctx
+        _drop(self.running, victim)
         evicted_ids.add(id(victim))
         victim.prefilled = 0
         victim.restart_tokens = victim.generated
@@ -742,17 +754,43 @@ class ContinuousBatchScheduler:
                 victim = cand
         return victim
 
-    def _grow_for_decode(self, seq: SequenceState, plan: BatchPlan,
-                         evicted_ids: set) -> bool:
-        """Allocate ``seq``'s next token slot, preempting as needed.
+    def _grant_decodes(self, rotation: List[SequenceState], budget: int,
+                       plan: BatchPlan) -> None:
+        """Paged decode grant: give each sequence of ``rotation`` its
+        next token slot while ``budget`` lasts.
+
+        A decode that stays inside the blocks it holds only records the
+        token with the allocator; one that crosses into a new block
+        goes through :meth:`_grow_for_decode`.
+        """
+        note = self.allocator.note_tokens
+        decode = plan.decode
+        #: Sequences preempted while building *this* plan — an id set,
+        #: so skipping them costs O(1) per candidate.
+        evicted_ids: set = set()
+        for seq in rotation:
+            if budget <= 0:
+                break
+            if evicted_ids and id(seq) in evicted_ids:
+                continue  # preempted as a victim earlier this plan
+            tokens = seq.context_tokens + 1
+            if tokens <= seq.kv_slots:
+                note(seq.request.req_id, tokens)
+            elif not self._grow_for_decode(seq, tokens, plan, evicted_ids):
+                continue
+            decode.append(seq)
+            budget -= 1
+
+    def _grow_for_decode(self, seq: SequenceState, tokens: int,
+                         plan: BatchPlan, evicted_ids: set) -> bool:
+        """Allocate the block ``seq``'s next token crosses into,
+        preempting as needed.
 
         Returns ``False`` when ``seq`` cannot decode this iteration —
         either it was itself the preemption victim, or every other
         running sequence is already committed to the plan.
         """
-        alloc = self.allocator
-        rid = seq.request.req_id
-        while not alloc.ensure(rid, seq.context_tokens + 1):
+        while not self._ensure(seq, tokens):
             victim = self._pick_victim(plan)
             if victim is None:
                 return False
@@ -772,17 +810,15 @@ class ContinuousBatchScheduler:
         wedge a one-token-from-done prefill at zero progress.
         """
         alloc = self.allocator
-        rid = seq.request.req_id
         kv = seq.context_tokens
-        capacity = (alloc.holds(rid) + alloc.free_blocks) * alloc.block_tokens
-        avail = capacity - kv
+        avail = seq.kv_slots + alloc.free_blocks * alloc.block_tokens - kv
         chunk = min(chunk, avail)
         if chunk < 1:
             return 0
         target = kv + chunk
         if chunk == seq.prefill_remaining and chunk + 1 <= avail:
             target += 1
-        if not alloc.ensure(rid, target):  # pragma: no cover - avail bounds
+        if not self._ensure(seq, target):  # pragma: no cover - avail bounds
             return 0
         return chunk
 
@@ -801,52 +837,24 @@ class ContinuousBatchScheduler:
         self._admit(now_s)
         plan = BatchPlan()
         budget = self.token_budget
-        #: Sequences preempted while building *this* plan (paged only) —
-        #: an id set, so skipping them costs O(1) per candidate instead
-        #: of an equality scan of ``running``.
-        evicted_ids: set = set()
-        if self.allocator is None:
-            # Reserve mode maintains the decode partition incrementally
-            # (running order, same as the ``in_decode`` scan would
-            # yield): prefill completes strictly in running order —
-            # earlier sequences drain the chunk budget first — so
-            # appending on entry preserves it.
-            candidates = self._decoding
-        else:
-            candidates = [s for s in self.running if s.in_decode]
-        if candidates and budget > 0:
-            start = self._decode_offset % len(candidates)
-            if self.allocator is None and budget >= len(candidates):
-                # Fast path: the whole rotation is granted — emit it as
-                # one slice concatenation.  ``(start + granted) % len``
-                # is ``start`` again when every candidate is granted.
-                plan.decode = candidates[start:] + candidates[:start]
-                plan.full_decode = True
-                plan.cached_mean_context = (self._decode_ctx_sum
-                                            / len(candidates))
-                budget -= len(candidates)
-                self._decode_offset = start
+        decoding = self._decoding
+        n = len(decoding)
+        if n:
+            start = self._decode_offset % n
+            rotation = decoding[start:] + decoding[:start]
+            if self.allocator is None:
+                plan.decode = rotation[:budget] if budget < n else rotation
             else:
-                granted = 0
-                for seq in candidates[start:] + candidates[:start]:
-                    if budget <= 0:
-                        break
-                    if id(seq) in evicted_ids:
-                        continue  # preempted as a victim earlier this plan
-                    if (self.allocator is not None
-                            and not self._grow_for_decode(seq, plan,
-                                                          evicted_ids)):
-                        continue
-                    plan.decode.append(seq)
-                    budget -= 1
-                    granted += 1
-                self._decode_offset = (start + granted) % len(candidates)
-        prefill_src = (self._prefilling if self.allocator is None
-                       else self.running)
-        for seq in list(prefill_src):
-            if budget <= 0:
-                break
-            if seq.prefill_remaining > 0:
+                self._grant_decodes(rotation, budget, plan)
+            granted = len(plan.decode)
+            budget -= granted
+            self._decode_offset = (start + granted) % n
+            # Every (surviving) decoding sequence granted: the running
+            # decode-context sum is exactly this plan's.
+            if granted and granted == len(self._decoding):
+                plan.cached_mean_context = self._decode_ctx_sum / granted
+        if budget > 0:
+            for seq in self._prefilling:
                 chunk = min(seq.prefill_remaining, budget)
                 if self.allocator is not None:
                     chunk = self._clip_prefill_chunk(seq, chunk)
@@ -854,6 +862,8 @@ class ContinuousBatchScheduler:
                         continue
                 plan.prefill.append((seq, chunk))
                 budget -= chunk
+                if budget <= 0:
+                    break
         return plan
 
     def complete(self, plan: BatchPlan, now_s: float) -> List[SequenceState]:
@@ -864,47 +874,10 @@ class ContinuousBatchScheduler:
         sampler), which is when TTFT stops ticking.  After a recompute
         preemption the same rule re-applies: the iteration completing
         the re-prefill samples the *next* token.
-        """
-        if self.allocator is None:
-            return self._complete_reserve(plan, now_s)
-        finished: List[SequenceState] = []
-        for seq, chunk in plan.prefill:
-            seq.prefilled += chunk
-            if seq.prefill_remaining == 0:
-                seq.generated += 1
-                if seq.first_token_s is None:
-                    seq.first_token_s = now_s
-        for seq in plan.decode:
-            seq.generated += 1
-            if seq.first_token_s is None:
-                seq.first_token_s = now_s
-        # High-water mark of resident KV, before finished sequences free.
-        self.peak_kv_occupancy = max(self.peak_kv_occupancy,
-                                     self.kv_occupancy)
-        for seq in list(self.running):
-            if seq.finished:
-                seq.finished_s = now_s
-                self.running.remove(seq)
-                self._release_blocks(seq)
-                finished.append(seq)
-        return finished
 
-    def _complete_reserve(self, plan: BatchPlan,
-                          now_s: float) -> List[SequenceState]:
-        """Reserve-mode :meth:`complete`: same transitions, maintained
-        incrementally over the fast-path partitions.
-
-        Only sequences granted a token this iteration can newly finish,
-        so the finished scan never walks ``running``: a full-rotation
-        decode grant is checked with one vectorized decrement of
-        ``_dec_remaining`` (``full_decode`` plans), anything else falls
-        back to scanning just the decode partition.  The vectorized
-        decrement itself is lazy — a scalar ``_dec_base`` offset stands
-        in for subtracting 1 from every element, and ``_dec_min``
-        (smallest true remaining) proves most iterations cannot finish
-        anyone, so the steady-state cost per iteration is two integer
-        ops, not an array pass.  All sums are integer arithmetic —
-        metrics stay bit-identical to the original whole-batch scans.
+        Only sequences granted work this iteration can finish, so the
+        finished scan covers the plan, never all of ``running``.
+        Finished sequences are released in running order.
         """
         entrants: List[SequenceState] = []
         for seq, chunk in plan.prefill:
@@ -915,77 +888,60 @@ class ContinuousBatchScheduler:
                 self._running_ctx_sum += 1
                 if seq.first_token_s is None:
                     seq.first_token_s = now_s
-                # Completions are a prefix of the prefill partition
-                # (earlier sequences drain the budget first), so this
-                # removal hits index 0 and is O(1).
-                self._prefilling.remove(seq)
                 entrants.append(seq)
+        # A decoding sequence sampled its first token when its prefill
+        # completed, so only the counter moves here.
+        done = set()
         for seq in plan.decode:
             seq.generated += 1
-            if seq.first_token_s is None:
-                seq.first_token_s = now_s
+            if seq.generated >= seq.request.output_tokens:
+                done.add(id(seq))
         n_decode = len(plan.decode)
         self._running_ctx_sum += n_decode
         self._decode_ctx_sum += n_decode
         # High-water mark of resident KV, before finished sequences free.
         self.peak_kv_occupancy = max(self.peak_kv_occupancy,
                                      self.kv_occupancy)
-        decode_done: List[SequenceState] = []
-        if plan.full_decode and n_decode == len(self._decoding):
-            if self._dec_dirty:
-                # Rebuild post-increment: values already reflect this
-                # iteration's token, so no decrement on this branch.
-                self._dec_remaining = np.fromiter(
-                    (s.request.output_tokens - s.generated
-                     for s in self._decoding),
-                    dtype=np.int64, count=n_decode)
-                self._dec_base = 0
-                self._dec_dirty = False
-                self._dec_min = int(self._dec_remaining.min())
-            else:
-                # Lazy decrement of the whole array: true remaining is
-                # ``stored - _dec_base``.
-                self._dec_base += 1
-                self._dec_min -= 1
-            if n_decode and self._dec_min <= 0:
-                done = self._dec_remaining <= self._dec_base
-                decode_done = [self._decoding[i]
-                               for i in np.nonzero(done)[0]]
-                self._dec_remaining = self._dec_remaining[~done]
-                self._dec_min = (int(self._dec_remaining.min())
-                                 - self._dec_base
-                                 if self._dec_remaining.size else 0)
-        elif n_decode:
-            self._dec_dirty = True
-            decode_done = [s for s in self._decoding if s.finished]
-        # Decode finishers precede entrant finishers in running order:
-        # decode entry follows running order, and entrants are the
-        # youngest decoders-to-be.
-        finished = decode_done + [s for s in entrants if s.finished]
-        if finished:
-            for seq in finished:
-                seq.finished_s = now_s
-                self.reserved_tokens -= seq.reserved_tokens
-                self._running_ctx_sum -= seq.context_tokens
-            dead = {id(s) for s in finished}
-            self.running[:] = [s for s in self.running if id(s) not in dead]
-            if decode_done:
-                for seq in decode_done:
+        finished: List[SequenceState] = []
+        if done:
+            # Filter the decode partition, not the plan, so finishers
+            # come out in running order.
+            decoding = []
+            for seq in self._decoding:
+                if id(seq) in done:
+                    finished.append(seq)
                     self._decode_ctx_sum -= seq.context_tokens
-                self._decoding[:] = [s for s in self._decoding
-                                     if id(s) not in dead]
-        live = [s for s in entrants if not s.finished]
-        if live:
-            for seq in live:
-                self._decoding.append(seq)
-                self._decode_ctx_sum += seq.context_tokens
-            if not self._dec_dirty:
-                vals = [s.request.output_tokens - s.generated
-                        for s in live]
-                vmin = min(vals)
-                self._dec_min = (vmin if self._dec_remaining.size == 0
-                                 else min(self._dec_min, vmin))
-                self._dec_remaining = np.concatenate(
-                    [self._dec_remaining,
-                     np.array(vals, dtype=np.int64) + self._dec_base])
+                else:
+                    decoding.append(seq)
+            self._decoding[:] = decoding
+        if entrants:
+            # Prefill completes in running order in both modes: an
+            # earlier prefiller either completes, takes the rest of the
+            # token budget, or (paged) takes every free block, so a
+            # later one never overtakes it.  Entrants therefore follow
+            # every decoding sequence, and appending keeps
+            # ``_decoding`` in running order.
+            gone = {id(s) for s in entrants}
+            self._prefilling[:] = [s for s in self._prefilling
+                                   if id(s) not in gone]
+            for seq in entrants:
+                if seq.generated >= seq.request.output_tokens:
+                    finished.append(seq)
+                else:
+                    self._decoding.append(seq)
+                    self._decode_ctx_sum += seq.context_tokens
+        if not finished:
+            return finished
+        alloc = self.allocator
+        for seq in finished:
+            seq.finished_s = now_s
+            self._running_ctx_sum -= seq.context_tokens
+            if alloc is None:
+                self.reserved_tokens -= seq.reserved_tokens
+            else:
+                self._committed -= self._owed_blocks(seq)
+                self._release_blocks(seq)
+                seq.kv_slots = 0
+        dead = {id(s) for s in finished}
+        self.running[:] = [s for s in self.running if id(s) not in dead]
         return finished

@@ -161,6 +161,24 @@ class TestE2ELedger:
         # Paper: the bandwidth-constrained A40 gains more from VQ.
         assert theirs["vq4"] >= ours["vq4"] * 0.95
 
+    def test_batch_past_gemv_cap_prices_gemm(self, ledger):
+        """The GEMV kernels reject batches above ``GEMV_MAX_BATCH``; a
+        decode projection that large runs as the same family's GEMM,
+        as the serving cost model prices it."""
+        from repro.bench.e2e import run
+        from repro.kernels.gemm import GEMV_MAX_BATCH, GemmShape
+
+        big = GemmShape(m=GEMV_MAX_BATCH + 32, n=4096, k=4096)
+        assert (ledger._gemv_us(big, "fp16")
+                == ledger.engine.batch_latency_us("gemm", big))
+        capped = GemmShape(m=GEMV_MAX_BATCH, n=4096, k=4096)
+        assert (ledger._gemv_us(capped, "fp16")
+                == ledger.engine.batch_latency_us("gemv", capped))
+        result = run(["--batch", "96", "--prompt-len", "128",
+                      "--gen-tokens", "8"])
+        assert [r[0] for r in result.rows] == list(MODES)
+        assert all(r[1] > 0 for r in result.rows)
+
     def test_unknown_mode_rejected(self, ledger):
         with pytest.raises(ValueError):
             ledger.decode_step(1, 128, "int3")

@@ -18,7 +18,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster.fleet import FleetSimulator, Replica
 from repro.serve.api import FleetConfig, SchedulerConfig, SimConfig
 from repro.serve.paging import PagedKVAllocator
 from repro.serve.prefix import PrefixCachingAllocator

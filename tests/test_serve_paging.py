@@ -2,18 +2,25 @@
 
 Covers the paging invariants the subsystem promises — block
 conservation (allocated + free == pool) across admit/advance/preempt/
-finish, no block leak after preemption — plus the equivalence guarantee
-that ``admission="reserve"`` exactly reproduces the legacy (PR-1)
-scheduler's ``ServingReport``, verified against a verbatim copy of the
-legacy implementation on the PR-1 seed scenario.
+finish, no block leak after preemption — plus two equivalence
+guarantees, each verified against a verbatim copy of the older code:
+``admission="reserve"`` exactly reproduces the legacy (PR-1)
+scheduler's ``ServingReport`` on the PR-1 seed scenario, and the
+incremental scheduler reproduces the object-path scheduler
+(``LegacyPagedScheduler``) iteration by iteration on random traces in
+both admission modes.
 """
 
 import random
 from collections import deque
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.llm.config import llama_7b
+from repro.obs.trace import EVT_ADMITTED, EVT_PREEMPTED
+from repro.serve.api import SchedulerConfig
 from repro.serve.paging import PagedKVAllocator
 from repro.serve.requests import Request
 from repro.serve.sanitize import SanitizeError
@@ -107,6 +114,22 @@ class TestPagedKVAllocator:
         # The holder can still use its own slack and the last free block.
         assert alloc.ensure(0, 16)
         assert alloc.free_blocks == 0
+
+    def test_note_tokens_matches_ensure_within_held_blocks(self):
+        noted = PagedKVAllocator(total_blocks=8, block_tokens=4,
+                                 sanitize=True)
+        ensured = PagedKVAllocator(total_blocks=8, block_tokens=4)
+        for alloc in (noted, ensured):
+            assert alloc.ensure(0, 5)  # 2 blocks, 8 slots
+        for tokens in (6, 8, 7):
+            noted.note_tokens(0, tokens)
+            assert ensured.ensure(0, tokens)
+            assert noted._used_tokens == ensured._used_tokens
+            assert noted.holds(0) == ensured.holds(0) == 2
+        assert noted.stats() == ensured.stats()
+        # Past the held blocks it is a caller bug, caught when sanitized.
+        with pytest.raises(SanitizeError):
+            noted.note_tokens(0, 9)
 
     def test_stats_and_fragmentation(self):
         alloc = PagedKVAllocator(total_blocks=8, block_tokens=16)
@@ -517,3 +540,391 @@ class TestReserveEquivalence:
         sched = ContinuousBatchScheduler(budget)
         assert sched.admission == "reserve"
         assert sched.allocator is None
+
+
+# ----------------------------------------------------------------------
+# One incremental scheduler path against the object-path oracle
+# ----------------------------------------------------------------------
+class LegacyPagedScheduler(ContinuousBatchScheduler):
+    """The object-path scheduler, as the equivalence oracle.
+
+    A verbatim copy of the loop that rebuilt the decode list from
+    ``running`` every iteration, re-summed the outstanding prefill
+    blocks at every admission, called ``ensure`` for every decode token
+    and scanned all of ``running`` for finishers.  Reserve admission
+    runs the same object path (no block growth; a reservation is
+    released instead of blocks), as it did before the scheduler kept
+    incremental batch state.  Queueing, gauges, metrics and block
+    release are inherited.
+    """
+
+    @property
+    def kv_occupancy(self):
+        if self.allocator is not None:
+            frac = getattr(self.allocator, "resident_fraction", None)
+            return self.allocator.used_fraction if frac is None else frac
+        live = sum(s.context_tokens for s in self.running)
+        return live / max(1, self._max_tokens)
+
+    def _admit(self, now_s):
+        if self.allocator is not None:
+            self._admit_paged(now_s)
+        else:
+            while self.waiting and len(self.running) < self.max_seqs:
+                nxt = self.waiting[0]
+                if (self.reserved_tokens + nxt.total_tokens
+                        > self._max_tokens):
+                    break
+                self.waiting.popleft()
+                seq = self._new_sequence(nxt, now_s)
+                self.running.append(seq)
+                self.reserved_tokens += nxt.total_tokens
+        self.peak_seqs = max(self.peak_seqs, len(self.running))
+        self.peak_reserved_tokens = max(self.peak_reserved_tokens,
+                                        self.reserved_tokens)
+
+    def _admit_paged(self, now_s):
+        alloc = self.allocator
+        committed = sum(
+            max(0, alloc.blocks_for_tokens(s.prefill_target + 1)
+                - alloc.holds(s.request.req_id))
+            for s in self.running)
+        while (len(self.running) < self.max_seqs
+               and (self.preempted or self.waiting)):
+            known = None
+            if self.preempted:
+                cand = self.preempted[0]
+                req = cand.request
+                target = cand.prefill_target
+                if self.prefix_caching:
+                    known = self._known_ids(req, cand.restart_tokens)
+            else:
+                req = self.waiting[0]
+                target = req.prompt_tokens
+                if self.prefix_caching:
+                    known = self._known_ids(req, 0)
+            cached_blocks = 0
+            if known is not None:
+                cached_blocks = alloc.peek(known) // alloc.block_tokens
+            need = max(0, alloc.blocks_for_tokens(target + 1)
+                       - cached_blocks)
+            watermark = self._watermark_blocks if self.running else 0
+            if committed + need + watermark > alloc.free_blocks:
+                break
+            if self.preempted:
+                seq = self.preempted.popleft()
+                if self.tracer.enabled:
+                    self.tracer.event(EVT_ADMITTED, now_s,
+                                      self.trace_replica,
+                                      seq.request.req_id, 1)
+            else:
+                seq = self._new_sequence(self.waiting.popleft(), now_s)
+            if alloc.sanitize:
+                alloc.notify_admitted(req.req_id)
+            if known is not None:
+                cached = alloc.match_and_lock(req.req_id, known)
+                seq.prefilled = cached
+                seq.cached_tokens = cached
+            self.running.append(seq)
+            committed += need
+
+    def _preempt(self, victim, evicted_ids):
+        self._release_blocks(victim)
+        self.running.remove(victim)
+        evicted_ids.add(id(victim))
+        victim.prefilled = 0
+        victim.restart_tokens = victim.generated
+        victim.preemptions += 1
+        pos = 0
+        while (pos < len(self.preempted)
+               and self.preempted[pos].admission_no < victim.admission_no):
+            pos += 1
+        self.preempted.insert(pos, victim)
+        self.n_preemptions += 1
+        if self.tracer.enabled:
+            self.tracer.event(EVT_PREEMPTED, self._trace_now_s,
+                              self.trace_replica, victim.request.req_id,
+                              victim.restart_tokens)
+
+    def _pick_victim(self, plan):
+        planned = {id(s) for s in plan.decode}
+        planned.update(id(s) for s, _ in plan.prefill)
+        victim = None
+        for cand in self.running:
+            if id(cand) in planned:
+                continue
+            if victim is None or cand.admission_no > victim.admission_no:
+                victim = cand
+        return victim
+
+    def _grow_for_decode(self, seq, plan, evicted_ids):
+        alloc = self.allocator
+        rid = seq.request.req_id
+        while not alloc.ensure(rid, seq.context_tokens + 1):
+            victim = self._pick_victim(plan)
+            if victim is None:
+                return False
+            self._preempt(victim, evicted_ids)
+            if victim is seq:
+                return False
+        return True
+
+    def _clip_prefill_chunk(self, seq, chunk):
+        alloc = self.allocator
+        rid = seq.request.req_id
+        kv = seq.context_tokens
+        capacity = (alloc.holds(rid) + alloc.free_blocks) * alloc.block_tokens
+        avail = capacity - kv
+        chunk = min(chunk, avail)
+        if chunk < 1:
+            return 0
+        target = kv + chunk
+        if chunk == seq.prefill_remaining and chunk + 1 <= avail:
+            target += 1
+        if not alloc.ensure(rid, target):
+            return 0
+        return chunk
+
+    def schedule(self, now_s=0.0):
+        if self.tracer.enabled:
+            self._trace_now_s = now_s
+        self._admit(now_s)
+        plan = BatchPlan()
+        budget = self.token_budget
+        evicted_ids = set()
+        candidates = [s for s in self.running if s.in_decode]
+        if candidates and budget > 0:
+            start = self._decode_offset % len(candidates)
+            granted = 0
+            for seq in candidates[start:] + candidates[:start]:
+                if budget <= 0:
+                    break
+                if id(seq) in evicted_ids:
+                    continue
+                if (self.allocator is not None
+                        and not self._grow_for_decode(seq, plan,
+                                                      evicted_ids)):
+                    continue
+                plan.decode.append(seq)
+                budget -= 1
+                granted += 1
+            self._decode_offset = (start + granted) % len(candidates)
+        for seq in list(self.running):
+            if budget <= 0:
+                break
+            if seq.prefill_remaining > 0:
+                chunk = min(seq.prefill_remaining, budget)
+                if self.allocator is not None:
+                    chunk = self._clip_prefill_chunk(seq, chunk)
+                    if chunk < 1:
+                        continue
+                plan.prefill.append((seq, chunk))
+                budget -= chunk
+        return plan
+
+    def complete(self, plan, now_s):
+        finished = []
+        for seq, chunk in plan.prefill:
+            seq.prefilled += chunk
+            if seq.prefill_remaining == 0:
+                seq.generated += 1
+                if seq.first_token_s is None:
+                    seq.first_token_s = now_s
+        for seq in plan.decode:
+            seq.generated += 1
+            if seq.first_token_s is None:
+                seq.first_token_s = now_s
+        self.peak_kv_occupancy = max(self.peak_kv_occupancy,
+                                     self.kv_occupancy)
+        for seq in list(self.running):
+            if seq.finished:
+                seq.finished_s = now_s
+                self.running.remove(seq)
+                if self.allocator is not None:
+                    self._release_blocks(seq)
+                else:
+                    self.reserved_tokens -= seq.reserved_tokens
+                finished.append(seq)
+        return finished
+
+
+_DIFF_STEP_S = 0.001
+
+
+@st.composite
+def _diff_scenarios(draw):
+    """A scheduler configuration, a trace it can serve, and a cycle of
+    per-iteration token budgets.
+
+    Pools are sized from the largest request up, so the tight end
+    preempts and clips prefill chunks.  A fixed token budget bounds
+    the decode batch it builds, so the cycle is what drops budgets
+    below the decode batch and makes decode grants rotate partially.
+    """
+    admission = draw(st.sampled_from(["reserve", "paged"]))
+    prefix = admission == "paged" and draw(st.booleans())
+    bt = draw(st.sampled_from([1, 4, 16]))
+    n = draw(st.integers(1, 16))
+    shared = tuple(range(1000, 1000 + 48))  # a common system prompt
+    trace = []
+    arrival = 0.0
+    for i in range(n):
+        arrival += draw(st.sampled_from([0.0, 0.0005, 0.002, 0.01]))
+        prompt = draw(st.integers(1, 48))
+        output = draw(st.integers(1, 32))
+        prompt_ids = output_ids = None
+        if prefix and draw(st.integers(0, 5)):
+            head = draw(st.integers(0, min(prompt, len(shared))))
+            prompt_ids = shared[:head] + tuple(
+                draw(st.integers(0, 3)) for _ in range(prompt - head))
+            output_ids = tuple(range(i * 100, i * 100 + output))
+        trace.append(Request(req_id=i, arrival_s=arrival,
+                             prompt_tokens=prompt, output_tokens=output,
+                             prompt_ids=prompt_ids, output_ids=output_ids))
+    largest = max(-(-r.total_tokens // bt) for r in trace)
+    pool_blocks = largest + draw(st.integers(0, 2 * largest))
+    budgets = draw(st.lists(st.sampled_from([1, 2, 3, 5, 8, 24, 512]),
+                            min_size=1, max_size=3))
+    config = SchedulerConfig(
+        token_budget=budgets[0],
+        max_seqs=draw(st.integers(1, 12)), admission=admission,
+        block_tokens=bt, watermark_frac=draw(st.sampled_from([0.0, 0.1])),
+        prefix_caching=prefix)
+    budget = KVBudget(capacity_bytes=float(pool_blocks * bt),
+                      bytes_per_token=1.0)
+    return config, budget, trace, budgets
+
+
+def _plan_key(plan):
+    return ([(s.request.req_id, chunk) for s, chunk in plan.prefill],
+            [s.request.req_id for s in plan.decode])
+
+
+def _scheduler_state(sched):
+    """Everything the two paths must agree on between iterations."""
+    state = {
+        "decode_offset": sched._decode_offset,
+        "preempted": [s.request.req_id for s in sched.preempted],
+        "waiting": [r.req_id for r in sched.waiting],
+        "running": [(s.request.req_id, s.prefilled, s.generated,
+                     s.restart_tokens, s.cached_tokens, s.preemptions,
+                     s.first_token_s) for s in sched.running],
+        "reserved_tokens": sched.reserved_tokens,
+        "kv_occupancy": sched.kv_occupancy,
+        "peak_kv_occupancy": sched.peak_kv_occupancy,
+        "peak_seqs": sched.peak_seqs,
+        "n_preemptions": sched.n_preemptions,
+    }
+    alloc = sched.allocator
+    if alloc is not None:
+        owners = set(alloc._held) | set(getattr(alloc, "_shared", ()))
+        state.update(holds={o: alloc.holds(o) for o in owners},
+                     used_tokens=dict(alloc._used_tokens),
+                     free_blocks=alloc.free_blocks,
+                     stats=alloc.stats())
+        if sched.prefix_caching:
+            state["prefix_stats"] = alloc.prefix_stats()
+    return state
+
+
+def _assert_incremental_state(sched):
+    """The incremental state equals its re-derivation from ``running``."""
+    running = sched.running
+    assert ([id(s) for s in sched._prefilling]
+            == [id(s) for s in running if s.prefill_remaining > 0])
+    assert ([id(s) for s in sched._decoding]
+            == [id(s) for s in running if s.in_decode])
+    assert sched._running_ctx_sum == sum(s.context_tokens for s in running)
+    assert sched._decode_ctx_sum == sum(s.context_tokens
+                                        for s in sched._decoding)
+    alloc = sched.allocator
+    if alloc is not None:
+        holds = [alloc.holds(s.request.req_id) for s in running]
+        assert sched._committed == sum(
+            max(0, alloc.blocks_for_tokens(s.prefill_target + 1) - h)
+            for s, h in zip(running, holds))
+        assert [s.kv_slots for s in running] == [
+            h * alloc.block_tokens for h in holds]
+
+
+def _run_lockstep(config, budget, trace, budgets):
+    """Drive the scheduler and the oracle through ``trace`` side by
+    side (the token budget cycling through ``budgets``), comparing
+    plans and state after every iteration."""
+    new = ContinuousBatchScheduler(budget, config=config)
+    old = LegacyPagedScheduler(budget, config=config)
+    pending = deque(trace)
+    now = 0.0
+    for it in range(20_000):
+        while pending and pending[0].arrival_s <= now:
+            req = pending.popleft()
+            assert new.fits(req) == old.fits(req)
+            if new.fits(req):
+                new.submit(req)
+                old.submit(req)
+        new.token_budget = old.token_budget = budgets[it % len(budgets)]
+        plan, want = new.schedule(now), old.schedule(now)
+        assert _plan_key(plan) == _plan_key(want)
+        assert plan.mean_context() == want.mean_context()
+        if plan.empty:
+            if not pending:
+                break
+            now = max(now, pending[0].arrival_s)
+            continue
+        now += _DIFF_STEP_S
+        done, want_done = new.complete(plan, now), old.complete(want, now)
+        assert ([s.request.req_id for s in done]
+                == [s.request.req_id for s in want_done])
+        assert _scheduler_state(new) == _scheduler_state(old)
+        _assert_incremental_state(new)
+    else:
+        pytest.fail("differential trace failed to drain")
+    assert not new.has_work and not old.has_work
+
+
+class TestIncrementalSchedulerEquivalence:
+    """The one incremental scheduler path must reproduce the object-path
+    oracle exactly, iteration by iteration, in both admission modes."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(scenario=_diff_scenarios())
+    def test_matches_object_path_oracle(self, scenario):
+        config, budget, trace, budgets = scenario
+        _run_lockstep(config, budget, trace, budgets)
+        reports = [ServingSimulator(cls(budget, config=config),
+                                    ConstantCostModel()).run(trace)
+                   for cls in (ContinuousBatchScheduler,
+                               LegacyPagedScheduler)]
+        assert reports[0].records == reports[1].records
+        assert reports[0].metrics() == reports[1].metrics()
+
+    @pytest.mark.parametrize("output", [4, 1])
+    def test_deferred_sampled_slot_stays_committed(self, output):
+        """A prompt that completes in the last free slot defers its
+        sampled token's slot to its first decode.  Until then the
+        sequence still owes a block, which the running ``committed``
+        total must keep counting — and drop when the sequence finishes
+        on that first token instead (``output=1``)."""
+        config = SchedulerConfig(token_budget=64, max_seqs=2,
+                                 admission="paged", block_tokens=4)
+        budget = KVBudget(capacity_bytes=20.0, bytes_per_token=1.0)
+        trace = [_req(0, prompt=4, output=12),
+                 _req(1, prompt=8, output=output, arrival=0.0035)]
+        sched = ContinuousBatchScheduler(budget, config=config)
+        sched.submit(trace[0])
+        for it in range(4):
+            sched.complete(sched.schedule(it * 0.001), (it + 1) * 0.001)
+        sched.submit(trace[1])
+        # Request 0 decodes into a third block; request 1's 8-token
+        # prompt then fills the last two free blocks exactly.
+        plan = sched.schedule(0.004)
+        assert plan.prefill[0][1] == 8 and sched.allocator.holds(1) == 2
+        done = sched.complete(plan, 0.005)
+        if output == 1:
+            assert [s.request.req_id for s in done] == [1]
+            assert sched._committed == 0
+        else:
+            assert sched._decoding[-1].request.req_id == 1
+            assert sched._committed == 1
+        _assert_incremental_state(sched)
+        _run_lockstep(config, budget, trace, [64])

@@ -39,6 +39,15 @@ Checks:
    speed cancels in the ratio.  An LRU heap pop grows with the log of
    the tree (~1.6x on a 2-vCPU Xeon VM); a tree walk per call grows
    with its size (10x the node visits, ~26x on the same VM).
+7. Paged ``ensure`` calls, an exact count rather than a time: in a
+   fixed constant-cost paged run (3,000 requests, a 6,000-token pool,
+   hundreds of preemptions) every
+   :meth:`~repro.serve.paging.PagedKVAllocator.ensure` call must fail,
+   allocate a block, or back a planned prefill chunk.  A decode calls
+   ``ensure`` only when its next token crosses into a new block, so
+   calls that succeed without allocating can number at most the
+   prefill chunks; calling ``ensure`` for every decode token fails it
+   deterministically (~220k such calls against ~4k chunks).
 
 Run with::
 
@@ -51,6 +60,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import random
 import runpy
 import sys
 import time
@@ -68,6 +78,7 @@ from repro.llm.config import llama_7b  # noqa: E402
 from repro.obs.timeline import TimelineConfig  # noqa: E402
 from repro.serve.api import SchedulerConfig, SimConfig  # noqa: E402
 from repro.serve.costs import BATCH_BUCKETS  # noqa: E402
+from repro.serve.paging import PagedKVAllocator  # noqa: E402
 from repro.serve.prefix import PrefixCache  # noqa: E402
 from repro.serve.requests import Request  # noqa: E402
 from repro.serve.scheduler import KVBudget  # noqa: E402
@@ -78,6 +89,11 @@ from repro.serve.scheduler import KVBudget  # noqa: E402
 EVICT_SMALL, EVICT_LARGE = 2_500, 25_000
 EVICT_TIMED = 1_000
 EVICT_MAX_RATIO = 5.0
+
+#: The paged ensure-count run: requests, and the KV pool in tokens
+#: (16-token blocks), tight enough to preempt.
+ENSURE_REQUESTS = 3_000
+ENSURE_POOL_TOKENS = 6_000
 
 
 class _ConstantCostModel:
@@ -126,6 +142,49 @@ def _evict_s_per_block(n_leaves: int) -> float:
             cache.evict_lru(1)
         best = min(best, time.perf_counter() - t0)
     return best / EVICT_TIMED
+
+
+def _paged_ensure_counts() -> tuple:
+    """``(idle ensure calls, prefill chunks, preemptions)`` of one
+    constant-cost paged run; an idle call succeeds without allocating.
+    """
+    rng = random.Random(0)
+    requests = [Request(req_id=i, arrival_s=i * 0.0002,
+                        prompt_tokens=rng.randint(40, 239),
+                        output_tokens=rng.randint(20, 139))
+                for i in range(ENSURE_REQUESTS)]
+    chunks = idle = 0
+
+    class ChunkCounting(_ConstantCostModel):
+        def step_us(self, plan):
+            nonlocal chunks
+            chunks += len(plan.prefill)
+            return super().step_us(plan)
+
+    original = PagedKVAllocator.ensure
+
+    def counted(self, owner, tokens):
+        nonlocal idle
+        held = self.holds(owner)
+        ok = original(self, owner, tokens)
+        if ok and self.holds(owner) == held:
+            idle += 1
+        return ok
+
+    PagedKVAllocator.ensure = counted
+    try:
+        budget = KVBudget(capacity_bytes=float(ENSURE_POOL_TOKENS),
+                          bytes_per_token=1.0)
+        sim = SimConfig(scheduler=SchedulerConfig(token_budget=512,
+                                                  max_seqs=64,
+                                                  admission="paged"),
+                        name="perf-smoke-paged").build(budget,
+                                                       ChunkCounting())
+        report = sim.run(requests)
+    finally:
+        PagedKVAllocator.ensure = original
+    assert report.n_requests == ENSURE_REQUESTS
+    return idle, chunks, report.n_preempted
 
 
 def _decode_sweep_degree_calls() -> tuple:
@@ -212,7 +271,17 @@ def main(argv=None) -> int:
           f"{EVICT_SMALL:,} ({evict_ratio:.2f}x, max "
           f"{EVICT_MAX_RATIO:.1f}x)")
 
+    idle_ensures, chunks, preempted = _paged_ensure_counts()
+    print(f"paged ensure: {idle_ensures:,} calls allocated nothing for "
+          f"{chunks:,} prefill chunks ({preempted:,} preemptions; max one "
+          f"per chunk)")
+
     failed = False
+    if idle_ensures > chunks:
+        print(f"PERF REGRESSION: {idle_ensures:,} ensure calls allocated "
+              f"nothing but only {chunks:,} prefill chunks were planned; "
+              f"decodes should call ensure only at block crossings")
+        failed = True
     if evict_ratio > EVICT_MAX_RATIO:
         print(f"PERF REGRESSION: evict_lru costs {evict_ratio:.2f}x more "
               f"per block on a {EVICT_LARGE // EVICT_SMALL}x larger tree; "
