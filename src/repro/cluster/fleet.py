@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import bisect
 import hashlib
+import math
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Union
@@ -53,14 +54,14 @@ from typing import Callable, Dict, List, Optional, Sequence, Union
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.slo import SLOMonitor
 from repro.obs.timeline import TimelineCollector
-from repro.obs.trace import EVT_EVICTED, EVT_REJECTED, NULL_TRACER, Tracer
+from repro.obs.trace import EVT_REJECTED, NULL_TRACER, Tracer
 from repro.serve.api import FleetConfig
 from repro.serve.costs import StepCostModel
 from repro.serve.events import ARRIVAL, SAMPLE, STEP, EventLoop, EventStats
 from repro.serve.requests import Request
 from repro.serve.scheduler import ContinuousBatchScheduler
-from repro.serve.simulator import (RequestRecord, observe_request_metrics,
-                                   percentile)
+from repro.serve.simulator import (RequestRecord, ServingEngine,
+                                   observe_request_metrics, percentile)
 
 #: Sentinel distinguishing "kwarg not passed" from any real value.
 _UNSET = object()
@@ -97,28 +98,21 @@ class SLO:
         return True
 
 
-class Replica:
+class Replica(ServingEngine):
     """One serving engine instance with a private simulation clock."""
 
     def __init__(self, replica_id: int,
                  scheduler: ContinuousBatchScheduler,
                  cost_model: StepCostModel):
-        self.replica_id = replica_id
-        self.scheduler = scheduler
-        self.cost_model = cost_model
-        self.now_s = 0.0
-        self.iterations = 0
+        super().__init__(scheduler, cost_model, replica_id)
         self.n_submitted = 0
-        self.peak_kv = 0.0
-        self.finished: list = []
-        #: Times a driver activated this replica — one per iteration
-        #: under the event heap, but one per *arrival* (plus one per
-        #: iteration) under the legacy lockstep :meth:`advance_to`
-        #: driver, which polls idle replicas too.  The regression test
-        #: for the lockstep inefficiency pins the difference.
+        #: Times a driver activated this replica — one per STEP pop
+        #: under the event heap (a pop may run a whole replayed run of
+        #: iterations), but one per *arrival* plus one per iteration
+        #: under the legacy lockstep :meth:`advance_to` driver, which
+        #: polls idle replicas too.  The regression test for the
+        #: lockstep inefficiency pins the difference.
         self.n_wakeups = 0
-        #: Eviction count already traced, for delta instants.
-        self._last_evicted = 0
 
     @property
     def has_work(self) -> bool:
@@ -155,36 +149,30 @@ class Replica:
         self.scheduler.submit(request)
         self.n_submitted += 1
 
-    def step(self) -> list:
+    def step(self, horizon_s: float = -math.inf,
+             max_iterations: int = 0) -> list:
         """Run one scheduler iteration and advance the clock.
 
-        Returns the sequences that completed this iteration (also
-        appended to :attr:`finished`), so the fleet driver can feed
-        per-window telemetry without diffing the list.
+        The fleet driver passes its next ARRIVAL or SAMPLE time as
+        ``horizon_s`` and its iteration cap, and the iteration is then
+        replayed while it repeats (:meth:`~repro.serve.simulator.
+        ServingEngine.execute`).  Other replicas' STEP events need not
+        bound the run: they never read this replica, while the router
+        and the timeline do.  The defaults run exactly one iteration.
+
+        Returns the sequences that completed (also appended to
+        :attr:`finished`), so the fleet driver can feed per-window
+        telemetry without diffing the list.
         """
         plan = self.scheduler.schedule(self.now_s)
         if plan.empty:  # pragma: no cover - has_work implies a plan
-            # Fail loudly: returning would spin advance_to/run forever.
+            # The scheduler preempts until some sequence progresses,
+            # and a lone sequence always fits the pool, so this is a
+            # scheduler bug: fail loudly, since returning would spin
+            # advance_to/run forever.
             raise RuntimeError(f"replica {self.replica_id} made no "
                                "progress with work pending")
-        self.iterations += 1
-        step_us = self.cost_model.step_us(plan)
-        t0 = self.now_s
-        self.now_s += step_us / 1e6
-        self.peak_kv = max(self.peak_kv, self.scheduler.kv_utilization)
-        tracer = self.scheduler.tracer
-        if tracer.enabled:
-            tracer.step(self.replica_id, t0, step_us, plan,
-                        self.scheduler.kv_occupancy)
-            evicted = getattr(getattr(self.scheduler, "allocator", None),
-                              "n_evicted_blocks", 0)
-            if evicted > self._last_evicted:
-                tracer.event(EVT_EVICTED, t0, self.replica_id, -1,
-                             evicted - self._last_evicted)
-                self._last_evicted = evicted
-        done = self.scheduler.complete(plan, self.now_s)
-        self.finished.extend(done)
-        return done
+        return self.execute(plan, horizon_s, max_iterations)
 
     def advance_to(self, t_s: float) -> None:
         """Run iterations until the clock reaches ``t_s`` or work runs out.
@@ -617,6 +605,7 @@ class FleetSimulator:
         self.tracer = tracer
         if tracer.enabled:
             for rep in replicas:
+                rep.tracer = tracer
                 rep.scheduler.tracer = tracer
                 rep.scheduler.trace_replica = rep.replica_id
 
@@ -658,7 +647,19 @@ class FleetSimulator:
                         f"replica {rep.replica_id} exceeded "
                         f"{max_iterations} iterations; the offered load "
                         "likely diverges")
-                done = rep.step()
+                # Arrivals pop in ``pending`` order, so the next one is
+                # at a fixed index; with the timeline's next SAMPLE it
+                # bounds a replayed run.
+                horizon_s = (pending[len(pending) - arrivals_left].arrival_s
+                             if arrivals_left else math.inf)
+                if timeline is not None:
+                    horizon_s = min(horizon_s, timeline.next_sample_s)
+                ran = rep.iterations
+                done = rep.step(horizon_s, max_iterations)
+                # Step events count iterations, replayed ones included.
+                replayed = rep.iterations - ran - 1
+                loop.stats.n_step_events += replayed
+                loop.stats.n_events += replayed
                 if timeline is not None and done:
                     timeline.on_complete(idx, done, rep.now_s)
                 if rep.has_work:

@@ -344,6 +344,21 @@ class StepCostModel:
             "first_token_entries": len(self._first_token_table),
         }
 
+    def repeat_room(self, plan: BatchPlan) -> int:
+        """Further iterations of ``plan`` that :meth:`step_us` prices
+        exactly as it prices this one (0 for a plan with prefill).
+
+        A replayed decode-only iteration adds one token to every
+        sequence, so the mean decode context grows by exactly 1: the
+        context sums are integers, so ``ceil`` of the float mean does
+        too.  The price repeats while the mean stays in its sequence
+        bucket; the batch bucket is the plan's own.
+        """
+        if plan.prefill or not plan.decode:
+            return 0
+        mean = plan.mean_context()
+        return self._bucket_seq(mean) - math.ceil(max(1.0, mean))
+
     def step_us(self, plan: BatchPlan) -> float:
         """Price one scheduler iteration (prefill chunks + decodes).
 

@@ -63,13 +63,15 @@ TRANSFER = 2
 class EventStats:
     """Counters of one event-loop run (wakeup accounting).
 
-    ``n_step_events`` is the number of times a worker was *woken* to
-    run one iteration — under the heap this equals the iterations that
-    actually execute, whereas the old lockstep driver additionally
-    polled every replica at every arrival (``replicas x arrivals``
-    activations, almost all no-ops on sparse traces).  ``n_idle_polls``
-    counts wakeups that found no runnable work; the heap keeps it at
-    zero by construction, and the regression test holds it there.
+    ``n_step_events`` counts the iterations STEP events executed, and
+    ``n_events`` counts them the same way: a fleet replica may run a
+    whole run of identical decode-only iterations on one STEP pop, and
+    the driver adds the replayed ones (``Replica.n_wakeups`` counts the
+    pops).  The old lockstep driver additionally polled every replica
+    at every arrival (``replicas x arrivals`` activations, almost all
+    no-ops on sparse traces).  ``n_idle_polls`` counts wakeups that
+    found no runnable work; the heap keeps it at zero by construction,
+    and the regression test holds it there.
     """
 
     n_events: int = 0
@@ -95,7 +97,7 @@ class EventStats:
             "events_arrivals_total", "ARRIVAL events popped",
             **labels).inc(self.n_arrivals)
         registry.counter(
-            "events_steps_total", "STEP wakeups popped",
+            "events_steps_total", "Iterations run by STEP events",
             **labels).inc(self.n_step_events)
         registry.counter(
             "events_transfers_total", "TRANSFER events popped",

@@ -802,8 +802,9 @@ class ContinuousBatchScheduler:
     def _clip_prefill_chunk(self, seq: SequenceState, chunk: int) -> int:
         """Shrink a prefill chunk to what the free list can back now.
 
-        Prefill never preempts — decodes hold that privilege — it just
-        takes fewer tokens and resumes next iteration.  A chunk that
+        A chunk never preempts — decodes hold that privilege — it just
+        takes fewer tokens and resumes next iteration (only a plan with
+        no progress at all preempts, in :meth:`schedule`).  A chunk that
         completes the prompt takes the sampled token's slot too when it
         fits; otherwise that slot is deferred to the sequence's first
         decode (whose ``ensure`` may preempt), so a full pool can never
@@ -854,17 +855,106 @@ class ContinuousBatchScheduler:
             if granted and granted == len(self._decoding):
                 plan.cached_mean_context = self._decode_ctx_sum / granted
         if budget > 0:
-            for seq in self._prefilling:
-                chunk = min(seq.prefill_remaining, budget)
-                if self.allocator is not None:
-                    chunk = self._clip_prefill_chunk(seq, chunk)
-                    if chunk < 1:
-                        continue
-                plan.prefill.append((seq, chunk))
-                budget -= chunk
-                if budget <= 0:
-                    break
+            self._plan_prefill(plan, budget)
+        while (plan.empty and self.allocator is not None
+               and len(self.running) > 1):
+            # Nothing decodes and every prefill is clipped to zero: a
+            # full pool of prefilling sequences' private and locked
+            # shared blocks.  Apply the decodes' rule — preempt the
+            # youngest — and retry (the plan is empty, so the budget
+            # is whole).
+            self._preempt(self._pick_victim(plan), set())
+            self._plan_prefill(plan, budget)
         return plan
+
+    def _plan_prefill(self, plan: BatchPlan, budget: int) -> None:
+        """Chunk ``budget`` prefill tokens over the prefilling
+        sequences, in running order."""
+        for seq in self._prefilling:
+            chunk = min(seq.prefill_remaining, budget)
+            if self.allocator is not None:
+                chunk = self._clip_prefill_chunk(seq, chunk)
+                if chunk < 1:
+                    continue
+            plan.prefill.append((seq, chunk))
+            budget -= chunk
+            if budget <= 0:
+                break
+
+    # -- decode-run replay ---------------------------------------------
+    def repeat_room(self, plan: BatchPlan, limit: int) -> int:
+        """How many further iterations, up to ``limit``, would plan
+        exactly ``plan`` again.
+
+        Only a decode-only plan granting every decoding sequence can
+        repeat, and only while nothing else could change the next plan:
+        nothing is queued or prefilling (it could be admitted or take
+        budget), no sequence finishes before the run's last iteration,
+        and under paged admission every block the run crosses fits in
+        ``free_blocks`` (free plus evictable), so no decode in it could
+        preempt.  Whether the price repeats too is the cost model's
+        half (:meth:`~repro.serve.costs.StepCostModel.repeat_room`).
+        """
+        if (limit <= 0 or plan.prefill or plan.cached_mean_context is None
+                or self._prefilling or self.waiting or self.preempted):
+            return 0
+        decode = plan.decode
+        room = min(limit, min(s.request.output_tokens - s.generated
+                              for s in decode) - 1)
+        alloc = self.allocator
+        if room <= 0 or alloc is None:
+            return max(0, room)
+        # A sequence holding ``slack`` slots past this plan's token
+        # crosses ceil((k - slack) / block_tokens) blocks in k replays.
+        bt = alloc.block_tokens
+        slacks = [s.kv_slots - s.context_tokens - 1 for s in decode]
+        free = alloc.free_blocks
+
+        def fits(k: int) -> bool:
+            return sum(-(-(k - slack) // bt)
+                       for slack in slacks if k > slack) <= free
+
+        if fits(room):
+            return room
+        lo, hi = 0, room  # fits(lo), not fits(hi)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if fits(mid):
+                lo = mid
+            else:
+                hi = mid
+        return lo
+
+    def repeat(self, plan: BatchPlan, k: int) -> None:
+        """Advance through ``k`` replays of ``plan`` (``k`` within
+        :meth:`repeat_room`), leaving ``plan`` as the run's last
+        iteration.
+
+        Each decoding sequence takes its first ``k`` tokens here and its
+        KV grows straight to the last iteration's token: one ``ensure``
+        per sequence that crosses a block (evictions batch exactly,
+        since decodes never touch the radix tree and LRU order is fixed
+        by ``last_used``), a noted token for the rest.  :meth:`complete`
+        then applies the last token, so finishers and peak occupancy —
+        which only grows within a run — come out as step-by-step
+        execution leaves them.
+        """
+        alloc = self.allocator
+        for seq in plan.decode:
+            seq.generated += k
+            if alloc is None:
+                continue
+            tokens = seq.context_tokens + 1
+            if tokens <= seq.kv_slots:
+                alloc.note_tokens(seq.request.req_id, tokens)
+            elif not self._ensure(seq, tokens):  # pragma: no cover
+                raise RuntimeError(
+                    f"replayed decode of request {seq.request.req_id} "
+                    "found no free block; repeat_room bounds the run")
+        grown = k * len(plan.decode)
+        self._running_ctx_sum += grown
+        self._decode_ctx_sum += grown
+        plan.cached_mean_context = self._decode_ctx_sum / len(plan.decode)
 
     def complete(self, plan: BatchPlan, now_s: float) -> List[SequenceState]:
         """Apply one executed iteration; return sequences that finished.

@@ -13,7 +13,9 @@ loop:
 2. ask the scheduler for an iteration plan (decodes + prefill chunks);
 3. if nothing is runnable, fast-forward the clock to the next arrival;
 4. otherwise execute the plan: advance the clock by its modelled
-   latency and commit token progress.
+   latency and commit token progress — replaying it, without planning,
+   while it would repeat and no event is due
+   (:meth:`ServingEngine.execute`).
 
 The output is a :class:`ServingReport` with the request-level metrics
 serving papers report: sustained request/token throughput, time to
@@ -26,6 +28,7 @@ kernel stack.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
@@ -40,7 +43,8 @@ from repro.serve.api import SimConfig
 from repro.serve.costs import StepCostModel
 from repro.serve.events import ARRIVAL, SAMPLE, EventLoop
 from repro.serve.requests import Request
-from repro.serve.scheduler import ContinuousBatchScheduler, SequenceState
+from repro.serve.scheduler import (BatchPlan, ContinuousBatchScheduler,
+                                   SequenceState)
 
 #: Sentinel distinguishing "kwarg not passed" from any real value.
 _UNSET = object()
@@ -288,6 +292,83 @@ class ServingReport:
         return "\n".join(lines)
 
 
+class ServingEngine:
+    """One serving engine: a scheduler and a cost model behind a
+    private clock, plus the counters a report reads.
+
+    Both drivers run iterations through :meth:`execute` — the
+    single-engine :class:`ServingSimulator` on one instance, the fleet
+    on each :class:`~repro.cluster.fleet.Replica` — so pricing,
+    decode-run replay and plan application live in one place.
+    """
+
+    def __init__(self, scheduler: ContinuousBatchScheduler,
+                 cost_model: StepCostModel, replica_id: int = 0):
+        self.replica_id = replica_id
+        self.scheduler = scheduler
+        self.cost_model = cost_model
+        self.now_s = 0.0
+        #: Executed iterations, replayed ones included.
+        self.iterations = 0
+        self.peak_kv = 0.0
+        self.finished: List[SequenceState] = []
+        #: The driver's tracer.  A traced engine replays nothing: the
+        #: tracer writes one row per iteration.
+        self.tracer = NULL_TRACER
+        #: Eviction count already traced, for delta instants.
+        self._last_evicted = 0
+
+    def execute(self, plan: BatchPlan, horizon_s: float,
+                max_iterations: int) -> List[SequenceState]:
+        """Price and run ``plan``, replaying it while it repeats; return
+        the sequences that finished (also appended to :attr:`finished`).
+
+        After the first iteration, the scheduler's
+        :meth:`~ContinuousBatchScheduler.repeat_room` and the cost
+        model's ``repeat_room`` bound how many further iterations would
+        plan and price exactly the same batch.  They are replayed
+        without planning while each starts before ``horizon_s`` — the
+        driver's next event that could observe or change this engine —
+        and the engine stays within ``max_iterations``.  The clock
+        repeats the step-by-step float addition, never one
+        multiplication, so every modeled number stays bit-identical.
+        """
+        sched = self.scheduler
+        tracer = self.tracer
+        self.iterations += 1
+        step_us = self.cost_model.step_us(plan)
+        t0 = self.now_s
+        dt = step_us / 1e6
+        now_s = t0 + dt
+        if horizon_s > now_s and not tracer.enabled:
+            room = min(self.cost_model.repeat_room(plan),
+                       max_iterations - self.iterations)
+            room = sched.repeat_room(plan, room)
+            repeats = 0
+            while repeats < room and horizon_s > now_s:
+                now_s += dt
+                repeats += 1
+            if repeats:
+                sched.repeat(plan, repeats)
+                self.iterations += repeats
+        self.now_s = now_s
+        # Utilization only grows within a replayed run, so one read
+        # after it is the run's maximum.
+        self.peak_kv = max(self.peak_kv, sched.kv_utilization)
+        if tracer.enabled:
+            tracer.step(self.replica_id, t0, step_us, plan,
+                        sched.kv_occupancy)
+            evicted = getattr(getattr(sched, "allocator", None),
+                              "n_evicted_blocks", 0)
+            if evicted > self._last_evicted:
+                tracer.event(EVT_EVICTED, t0, self.replica_id, -1,
+                             evicted - self._last_evicted)
+                self._last_evicted = evicted
+        done = sched.complete(plan, now_s)
+        self.finished.extend(done)
+        return done
+
+
 class ServingSimulator:
     """Drives a trace through scheduler + cost model to a report."""
 
@@ -327,28 +408,25 @@ class ServingSimulator:
         loop = EventLoop()
         for req in pending:
             loop.push(req.arrival_s, ARRIVAL, req)
-        now_s = 0.0
         sched = self.scheduler
+        engine = ServingEngine(sched, self.cost_model)
         tracer = Tracer(name=self.name) if self.config.trace else NULL_TRACER
         self.tracer = tracer
         if tracer.enabled:
             sched.tracer = tracer
+            engine.tracer = tracer
         timeline = (TimelineCollector(self.config.timeline,
                                       n_replicas=1, name=self.name)
                     if self.config.timeline is not None else None)
         arrivals_left = len(pending)
         if timeline is not None:
             loop.push(timeline.next_sample_s, SAMPLE, None)
-        finished: List[SequenceState] = []
-        iterations = 0
-        peak_kv = 0.0
-        last_evicted = 0
 
         rejected: List[Request] = []
         while True:
             while True:
                 nxt = loop.peek()
-                if nxt is None or nxt[0] > now_s:
+                if nxt is None or nxt[0] > engine.now_s:
                     break
                 t_evt, kind, req = loop.pop()
                 if kind == SAMPLE:
@@ -373,7 +451,7 @@ class ServingSimulator:
                 if timeline is not None:
                     timeline.on_arrival(0)
 
-            plan = sched.schedule(now_s)
+            plan = sched.schedule(engine.now_s)
             if plan.empty:
                 nxt = loop.peek()
                 while nxt is not None and nxt[1] == SAMPLE:
@@ -388,14 +466,15 @@ class ServingSimulator:
                     nxt = loop.peek()
                 if nxt is not None:
                     # Idle: fast-forward to the next arrival.
-                    now_s = max(now_s, nxt[0])
+                    engine.now_s = max(engine.now_s, nxt[0])
                     continue
                 if not sched.has_work:
                     break  # drained
-                # Unreachable by construction (a self-preempting decode
-                # frees blocks for prefill, and re-admission runs at the
-                # top of schedule()) — but a stall must never silently
-                # drop in-flight requests, so fail loudly, matching
+                # The scheduler preempts until a plan makes progress
+                # whenever two or more sequences run, and a lone
+                # sequence always fits the pool, so work pending under
+                # an empty plan is a scheduler bug — fail loudly rather
+                # than silently drop in-flight requests, matching
                 # Replica.step in the fleet layer.
                 raise RuntimeError(
                     "scheduler made no progress with work pending "
@@ -403,27 +482,16 @@ class ServingSimulator:
                     f"{len(sched.waiting)} waiting, "
                     f"{len(getattr(sched, 'preempted', ()))} preempted)")
 
-            iterations += 1
-            if iterations > max_iterations:
+            if engine.iterations >= max_iterations:
                 raise RuntimeError(
                     f"simulation exceeded {max_iterations} iterations; "
                     "the offered load likely diverges")
-            step_us = self.cost_model.step_us(plan)
-            t0 = now_s
-            now_s += step_us / 1e6
-            peak_kv = max(peak_kv, sched.kv_utilization)
-            if tracer.enabled:
-                tracer.step(0, t0, step_us, plan, sched.kv_occupancy)
-                evicted = getattr(getattr(sched, "allocator", None),
-                                  "n_evicted_blocks", 0)
-                if evicted > last_evicted:
-                    tracer.event(EVT_EVICTED, t0, 0, -1,
-                                 evicted - last_evicted)
-                    last_evicted = evicted
-            done = sched.complete(plan, now_s)
-            finished.extend(done)
+            # The heap holds only arrivals and SAMPLEs: its head bounds
+            # a replayed run (nxt is the peek that ended event intake).
+            done = engine.execute(plan, math.inf if nxt is None else nxt[0],
+                                  max_iterations)
             if timeline is not None and done:
-                timeline.on_complete(0, done, now_s)
+                timeline.on_complete(0, done, engine.now_s)
 
         alloc = getattr(sched, "allocator", None)
         if alloc is not None and alloc.sanitize:
@@ -443,11 +511,11 @@ class ServingSimulator:
                 queued_s=s.admitted_s - s.request.arrival_s,
                 cached_tokens=s.cached_tokens,
             )
-            for s in finished
+            for s in engine.finished
         ]
         records.sort(key=lambda r: r.req_id)
         if tracer.enabled:
-            tracer.record_sequences(0, finished)
+            tracer.record_sequences(0, engine.finished)
         self.last_event_stats = loop.stats
         registry = MetricsRegistry()
         # Duck-typed schedulers (equivalence-test stand-ins) may not
@@ -462,7 +530,7 @@ class ServingSimulator:
                   if getattr(sched, "prefix_caching", False) else None)
         timeline_obj = slo_report = None
         if timeline is not None:
-            timeline_obj = timeline.finalize(now_s, (sched,))
+            timeline_obj = timeline.finalize(engine.now_s, (sched,))
             if self.config.timeline.tracks_slo:
                 slo_report = SLOMonitor(
                     target=self.config.timeline.slo_target,
@@ -470,10 +538,10 @@ class ServingSimulator:
         return ServingReport(
             name=self.name,
             records=records,
-            makespan_s=now_s,
-            n_iterations=iterations,
+            makespan_s=engine.now_s,
+            n_iterations=engine.iterations,
             peak_seqs=sched.peak_seqs,
-            peak_kv_utilization=peak_kv,
+            peak_kv_utilization=engine.peak_kv,
             n_rejected=len(rejected),
             admission=getattr(sched, "admission", "reserve"),
             peak_kv_occupancy=getattr(sched, "peak_kv_occupancy", 0.0),

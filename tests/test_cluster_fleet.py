@@ -5,6 +5,8 @@ analytic integration is covered by ``tests/test_bench_experiments.py``
 and ``examples/cluster_serving.py``.
 """
 
+import math
+
 import pytest
 
 from repro.cluster.fleet import (
@@ -28,6 +30,9 @@ class ConstantCostModel:
 
     def step_us(self, plan):
         return self._us
+
+    def repeat_room(self, plan):
+        return math.inf  # a constant cost never changes
 
 
 def _replicas(n, max_tokens=100_000, step_us=1000.0, token_budget=512,

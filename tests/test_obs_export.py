@@ -10,6 +10,7 @@ within float tolerance.
 """
 
 import json
+import math
 
 import pytest
 
@@ -26,6 +27,9 @@ from repro.serve.scheduler import KVBudget
 class _ConstantCostModel:
     def step_us(self, plan):
         return 150.0
+
+    def repeat_room(self, plan):
+        return math.inf  # a constant cost never changes
 
 
 @pytest.fixture(scope="module")

@@ -13,6 +13,8 @@ Two promises are under test:
    corruption kinds.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -34,6 +36,9 @@ class ConstantCostModel:
 
     def step_us(self, plan):
         return 1000.0
+
+    def repeat_room(self, plan):
+        return math.inf  # a constant cost never changes
 
 
 def _budget(tokens=4096):

@@ -5,6 +5,8 @@ the old per-constructor kwarg sprawl must keep working for one PR
 cycle, warn, and produce *identical* simulations.
 """
 
+import math
+
 import pytest
 
 from repro.cluster.fleet import FleetReport, FleetSimulator, Replica
@@ -20,6 +22,9 @@ class ConstantCostModel:
 
     def step_us(self, plan):
         return self._us
+
+    def repeat_room(self, plan):
+        return math.inf  # a constant cost never changes
 
 
 def _budget():

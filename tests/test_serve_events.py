@@ -11,6 +11,8 @@ The heap driver (:class:`repro.serve.events.EventLoop` under
    polled — checked by the sparse-trace wakeup regression.
 """
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -30,6 +32,9 @@ class ConstantCostModel:
 
     def step_us(self, plan):
         return self._us
+
+    def repeat_room(self, plan):
+        return math.inf  # a constant cost never changes
 
 
 def _replicas(n, max_tokens=120, step_us=1000.0, token_budget=64,

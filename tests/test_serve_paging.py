@@ -11,6 +11,7 @@ incremental scheduler reproduces the object-path scheduler
 both admission modes.
 """
 
+import math
 import random
 from collections import deque
 
@@ -41,6 +42,9 @@ class ConstantCostModel:
 
     def step_us(self, plan):
         return self._us
+
+    def repeat_room(self, plan):
+        return math.inf  # a constant cost never changes
 
 
 def _req(i, prompt=64, output=16, arrival=0.0):
@@ -482,6 +486,9 @@ class LegacyReserveScheduler:
                 budget -= chunk
         return plan
 
+    def repeat_room(self, plan, limit):
+        return 0  # the step-by-step reference never replays
+
     def complete(self, plan, now_s):
         finished = []
         for seq, chunk in plan.prefill:
@@ -721,6 +728,9 @@ class LegacyPagedScheduler(ContinuousBatchScheduler):
                 plan.prefill.append((seq, chunk))
                 budget -= chunk
         return plan
+
+    def repeat_room(self, plan, limit):
+        return 0  # the step-by-step reference never replays
 
     def complete(self, plan, now_s):
         finished = []

@@ -15,11 +15,13 @@ after every step.
 
 import heapq
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.serve.api import SchedulerConfig, SimConfig
 from repro.serve.prefix import PrefixCache, PrefixCachingAllocator
 from repro.serve.requests import Request
 from repro.serve.scheduler import ContinuousBatchScheduler, KVBudget
@@ -34,6 +36,9 @@ class ConstantCostModel:
 
     def step_us(self, plan):
         return self._us
+
+    def repeat_room(self, plan):
+        return math.inf  # a constant cost never changes
 
 
 def _ids(*ranges):
@@ -382,6 +387,53 @@ class TestSchedulerIntegration:
         assert report.records[0].cached_tokens == 0    # cold
         assert all(r.cached_tokens == 48 for r in report.records[1:])
         assert "prefix" in report.summary()
+
+    def test_prefilling_sequences_never_wedge_a_full_pool(self):
+        """Two prefilling sequences must not stall on a pool their
+        private and locked shared blocks fill.
+
+        Admission credits each prompt's cached blocks against
+        ``free_blocks``, which counts them as evictable until the
+        admission locks them.  Here the first prompt's 18-token suffix
+        then takes all 15 blocks left after both prefixes are locked,
+        short of finishing, and nothing decodes.  Preempting the
+        youngest unlocks its prefix, so the first prompt completes."""
+        p1, p2 = tuple(range(1, 6)), tuple(range(11, 21))
+        trace = [_req(0, p1, output=1), _req(1, p2, output=1),
+                 _req(2, _ids(p1, range(100, 118)), output=2, arrival=1.0),
+                 _req(3, _ids(p2, (200, 201)), output=2, arrival=1.0)]
+        sim = SimConfig(scheduler=SchedulerConfig(
+            admission="paged", prefix_caching=True, block_tokens=1,
+            watermark_frac=0.0), sanitize=True).build(
+                KVBudget(capacity_bytes=30.0, bytes_per_token=1.0),
+                ConstantCostModel())
+        report = sim.run(trace)
+        assert report.n_requests == 4
+        assert report.n_preempted == 1
+        first = {r.req_id: r.first_token_s for r in report.records}
+        assert first[2] < first[3]  # the older prompt went first
+
+    def test_chat_trace_on_a_tight_pool_completes(self):
+        """The end-to-end form of the stall above: ``fp16`` Llama-7B
+        behind a 1 GB prefix-cached pool used to stop with two
+        sequences wedged in prefill and 95 requests queued."""
+        from repro.bench.serving import (make_cost_model, make_kv_budget,
+                                         make_trace)
+        from repro.core.engine import ComputeEngine
+        from repro.gpu.spec import get_spec
+        from repro.llm.config import llama_7b
+
+        spec, config = get_spec("rtx4090"), llama_7b()
+        trace = make_trace("chat", 8.0, 250, 256, 96, seed=5)
+        sim = SimConfig(scheduler=SchedulerConfig(
+            max_seqs=64, admission="paged", prefix_caching=True),
+            sanitize=True).build(
+                make_kv_budget(config, "fp16", capacity_bytes=1e9,
+                               spec=spec),
+                make_cost_model(ComputeEngine(spec), config, "fp16"))
+        report = sim.run(trace)
+        assert report.n_requests + report.n_rejected == len(trace)
+        assert report.n_requests > 0 and report.n_preempted > 0
 
     def test_prefix_requires_paged(self):
         budget = KVBudget(capacity_bytes=100.0, bytes_per_token=1.0)

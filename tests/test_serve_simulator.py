@@ -5,6 +5,8 @@ cost) so they are exact and instant; one slow-ish test drives the real
 analytic stack end-to-end on tiny-Llama.
 """
 
+import math
+
 import pytest
 
 from repro.core.engine import ComputeEngine
@@ -27,6 +29,9 @@ class ConstantCostModel:
     def step_us(self, plan):
         self.calls += 1
         return self._us
+
+    def repeat_room(self, plan):
+        return math.inf  # a constant cost never changes
 
 
 def _scheduler(max_tokens=100_000, token_budget=512, max_seqs=16):

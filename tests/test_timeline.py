@@ -47,6 +47,9 @@ class ConstantCostModel:
     def step_us(self, plan):
         return self._us
 
+    def repeat_room(self, plan):
+        return math.inf  # a constant cost never changes
+
 
 def _run_serving(trace, timeline=None, max_tokens=100_000.0,
                  trace_on=False, step_us=1000.0, **sched_kw):

@@ -48,6 +48,14 @@ Checks:
    calls that succeed without allocating can number at most the
    prefill chunks; calling ``ensure`` for every decode token fails it
    deterministically (~220k such calls against ~4k chunks).
+8. Decode-run replay, an exact count rather than a time: in a fixed
+   ``kv-cq-4`` paged, prefix-cached chat run on the real cost model
+   (300 requests at 2 req/s, 4 GB of KV, seed 0),
+   :meth:`~repro.serve.scheduler.ContinuousBatchScheduler.schedule`
+   may be called for at most half of the iterations.  A run of
+   identical decode-only iterations is planned once and replayed, so
+   797 calls plan its 7,389 iterations; planning every iteration
+   (7,412 calls) fails it deterministically.
 
 Run with::
 
@@ -70,7 +78,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
-from repro.bench.serving import make_cost_model  # noqa: E402
+from repro.bench.serving import (make_cost_model, make_kv_budget,  # noqa: E402
+                                 make_trace)
 from repro.core.engine import ComputeEngine  # noqa: E402
 from repro.gpu.banks import BankConflictModel  # noqa: E402
 from repro.gpu.spec import RTX4090  # noqa: E402
@@ -81,7 +90,8 @@ from repro.serve.costs import BATCH_BUCKETS  # noqa: E402
 from repro.serve.paging import PagedKVAllocator  # noqa: E402
 from repro.serve.prefix import PrefixCache  # noqa: E402
 from repro.serve.requests import Request  # noqa: E402
-from repro.serve.scheduler import KVBudget  # noqa: E402
+from repro.serve.scheduler import (ContinuousBatchScheduler,  # noqa: E402
+                                   KVBudget)
 
 #: Unreferenced-leaf counts of the eviction-scaling check's two trees,
 #: the ``evict_lru(1)`` calls timed on each, and the largest allowed
@@ -95,12 +105,18 @@ EVICT_MAX_RATIO = 5.0
 ENSURE_REQUESTS = 3_000
 ENSURE_POOL_TOKENS = 6_000
 
+#: The replay-count run's chat trace: requests at 2 req/s.
+REPLAY_REQUESTS = 300
+
 
 class _ConstantCostModel:
     """Fixed step cost: isolates scheduler/event-core overhead."""
 
     def step_us(self, plan):
         return 150.0
+
+    def repeat_room(self, plan):
+        return float("inf")  # a constant cost never changes
 
 
 def _run_example(path: Path) -> float:
@@ -185,6 +201,35 @@ def _paged_ensure_counts() -> tuple:
         PagedKVAllocator.ensure = original
     assert report.n_requests == ENSURE_REQUESTS
     return idle, chunks, report.n_preempted
+
+
+def _replay_schedule_calls() -> tuple:
+    """``(schedule calls, iterations)`` of one fixed ``kv-cq-4`` paged,
+    prefix-cached chat run on the real cost model."""
+    config = llama_7b()
+    trace = make_trace("chat", 2.0, REPLAY_REQUESTS, 384, 96, seed=0)
+    budget = make_kv_budget(config, "kv-cq-4", capacity_bytes=4e9,
+                            spec=RTX4090)
+    cost = make_cost_model(ComputeEngine(RTX4090), config, "kv-cq-4")
+    calls = 0
+    original = ContinuousBatchScheduler.schedule
+
+    def counted(self, now_s=0.0):
+        nonlocal calls
+        calls += 1
+        return original(self, now_s)
+
+    ContinuousBatchScheduler.schedule = counted
+    try:
+        sim = SimConfig(scheduler=SchedulerConfig(max_seqs=64,
+                                                  admission="paged",
+                                                  prefix_caching=True),
+                        name="perf-smoke-replay").build(budget, cost)
+        report = sim.run(trace)
+    finally:
+        ContinuousBatchScheduler.schedule = original
+    assert report.n_requests == REPLAY_REQUESTS
+    return calls, report.n_iterations
 
 
 def _decode_sweep_degree_calls() -> tuple:
@@ -276,7 +321,16 @@ def main(argv=None) -> int:
           f"{chunks:,} prefill chunks ({preempted:,} preemptions; max one "
           f"per chunk)")
 
+    schedule_calls, iterations = _replay_schedule_calls()
+    print(f"decode replay: {schedule_calls:,} schedule calls planned "
+          f"{iterations:,} iterations (max half)")
+
     failed = False
+    if 2 * schedule_calls > iterations:
+        print(f"PERF REGRESSION: {schedule_calls:,} schedule calls for "
+              f"{iterations:,} iterations; runs of identical decode-only "
+              f"iterations should be planned once and replayed")
+        failed = True
     if idle_ensures > chunks:
         print(f"PERF REGRESSION: {idle_ensures:,} ensure calls allocated "
               f"nothing but only {chunks:,} prefill chunks were planned; "
