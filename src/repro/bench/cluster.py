@@ -28,7 +28,6 @@ from repro.bench.harness import ExperimentResult
 from repro.bench.serving import (
     SERVING_MODES,
     TRACE_KINDS,
-    _TraceKindAction,
     make_cost_model,
     make_trace,
     mode_cost_kwargs,
@@ -367,15 +366,12 @@ def run(argv: Optional[Sequence[str]] = None,
                         choices=list(SERVING_MODES), metavar="MODE",
                         help=f"serving modes to compare {SERVING_MODES} "
                              "(routing/tp use the first)")
-    parser.add_argument("--trace-kind", "--trace", default=None,
-                        choices=TRACE_KINDS, dest="trace_kind",
-                        action=_TraceKindAction,
+    parser.add_argument("--trace-kind", default=None, choices=TRACE_KINDS,
                         help="arrival process (shared_prefix/chat carry "
                              "token ids for prefix caching); default "
                              "poisson, or chat when prefix caching is "
                              "in play (--experiment routing / "
-                             "--prefix-caching); --trace is a "
-                             "deprecated alias")
+                             "--prefix-caching)")
     parser.add_argument("--trace-out", default=None, metavar="PATH",
                         help="record a repro.obs run timeline and write "
                              "Chrome/Perfetto trace_event JSON here "

@@ -32,6 +32,7 @@ from repro.bench.workloads import (
 from repro.core.codegen import VQLLMCodeGenerator
 from repro.core.dataflow import axes_for
 from repro.core.fusion import REQUIRED_LAYOUT, n_shuffles
+from repro.core.heuristics import LEVELS
 from repro.core.hotness import block_consistency, per_block_counts, \
     profile_hotness
 from repro.core.slack import find_slack
@@ -54,7 +55,6 @@ from repro.kernels.gemm import FP16GemmKernel, FP16GemvKernel
 from repro.llm.config import llama_7b, llama_65b
 from repro.vq.algorithms import ALGORITHMS, make_config
 
-LEVELS = ("GC", "SC", "O1", "O2", "O3", "O4")
 WEIGHT_ALGOS = ("quip#-4", "aqlm-3", "gptvq-2")
 
 

@@ -29,7 +29,6 @@ Two mode families are supported:
 from __future__ import annotations
 
 import argparse
-import warnings
 from typing import List, Optional, Sequence
 
 from repro.bench.e2e import _VQ_KV_ALGO, _VQ_WEIGHT_ALGO, MODES
@@ -51,7 +50,7 @@ from repro.serve.requests import (
     trace_stats,
 )
 from repro.serve.scheduler import ADMISSION_POLICIES, KVBudget
-from repro.serve.simulator import ServingReport, ServingSimulator
+from repro.serve.simulator import ServingReport
 from repro.vq.algorithms import make_config
 
 
@@ -382,24 +381,6 @@ def prefix_comparison(
     return result
 
 
-class _TraceKindAction(argparse.Action):
-    """``--trace-kind`` plus its deprecated ``--trace`` spelling.
-
-    ``--trace`` used to select the *arrival process*; now that
-    ``--trace-out`` records a *run timeline*, keeping the bare name
-    canonical invites exactly that confusion, so it warns.  Shared
-    with :mod:`repro.bench.cluster`.
-    """
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        if option_string == "--trace":
-            warnings.warn(
-                "--trace is a deprecated alias for --trace-kind (the "
-                "arrival process); --trace-out is what records a run "
-                "timeline", DeprecationWarning, stacklevel=2)
-        setattr(namespace, self.dest, values)
-
-
 def run(argv: Optional[Sequence[str]] = None,
         reports: Optional[dict] = None) -> ExperimentResult:
     """Run the CLI experiment and return the structured result.
@@ -422,13 +403,10 @@ def run(argv: Optional[Sequence[str]] = None,
                         default=["fp16", "kv-cq-4", "kv-cq-2"],
                         choices=list(SERVING_MODES), metavar="MODE",
                         help=f"serving modes to compare {SERVING_MODES}")
-    parser.add_argument("--trace-kind", "--trace", default=None,
-                        choices=TRACE_KINDS, dest="trace_kind",
-                        action=_TraceKindAction,
+    parser.add_argument("--trace-kind", default=None, choices=TRACE_KINDS,
                         help="arrival process (shared_prefix/chat carry "
                              "token ids for prefix caching); default "
-                             "poisson, or chat under --prefix-caching; "
-                             "--trace is a deprecated alias")
+                             "poisson, or chat under --prefix-caching")
     parser.add_argument("--trace-out", default=None, metavar="PATH",
                         help="record a repro.obs run timeline and write "
                              "Chrome/Perfetto trace_event JSON here "

@@ -47,24 +47,16 @@ from __future__ import annotations
 import bisect
 import hashlib
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.slo import SLOMonitor
-from repro.obs.timeline import TimelineCollector
-from repro.obs.trace import EVT_REJECTED, NULL_TRACER, Tracer
 from repro.serve.api import FleetConfig
 from repro.serve.costs import StepCostModel
-from repro.serve.events import ARRIVAL, SAMPLE, STEP, EventLoop, EventStats
+from repro.serve.events import SAMPLE, STEP
 from repro.serve.requests import Request
 from repro.serve.scheduler import ContinuousBatchScheduler
-from repro.serve.simulator import (RequestRecord, ServingEngine,
-                                   observe_request_metrics, percentile)
-
-#: Sentinel distinguishing "kwarg not passed" from any real value.
-_UNSET = object()
+from repro.serve.simulator import (Report, RequestRecord, ServingEngine,
+                                   SimulationRun)
 
 
 @dataclass(frozen=True)
@@ -105,18 +97,10 @@ class Replica(ServingEngine):
                  scheduler: ContinuousBatchScheduler,
                  cost_model: StepCostModel):
         super().__init__(scheduler, cost_model, replica_id)
-        self.n_submitted = 0
-        #: Times a driver activated this replica — one per STEP pop
-        #: under the event heap (a pop may run a whole replayed run of
-        #: iterations), but one per *arrival* plus one per iteration
-        #: under the legacy lockstep :meth:`advance_to` driver, which
-        #: polls idle replicas too.  The regression test for the
-        #: lockstep inefficiency pins the difference.
+        #: Times the fleet's heap activated this replica: one per STEP
+        #: pop, which may run a whole replayed run of iterations.  Idle
+        #: replicas are never activated.
         self.n_wakeups = 0
-
-    @property
-    def has_work(self) -> bool:
-        return self.scheduler.has_work
 
     @property
     def queue_depth(self) -> int:
@@ -143,12 +127,6 @@ class Replica(ServingEngine):
         """
         return self.scheduler.kv_pressure
 
-    def submit(self, request: Request) -> None:
-        """Route one request here (arrival may be later than the clock)."""
-        self.now_s = max(self.now_s, request.arrival_s)
-        self.scheduler.submit(request)
-        self.n_submitted += 1
-
     def step(self, horizon_s: float = -math.inf,
              max_iterations: int = 0) -> list:
         """Run one scheduler iteration and advance the clock.
@@ -169,22 +147,10 @@ class Replica(ServingEngine):
             # The scheduler preempts until some sequence progresses,
             # and a lone sequence always fits the pool, so this is a
             # scheduler bug: fail loudly, since returning would spin
-            # advance_to/run forever.
+            # the driver forever.
             raise RuntimeError(f"replica {self.replica_id} made no "
                                "progress with work pending")
         return self.execute(plan, horizon_s, max_iterations)
-
-    def advance_to(self, t_s: float) -> None:
-        """Run iterations until the clock reaches ``t_s`` or work runs out.
-
-        The legacy lockstep driver: :meth:`FleetSimulator.run` no
-        longer calls it (the global event heap orders replica
-        boundaries against arrivals instead), but it remains the
-        reference semantics the heap is equivalence-tested against.
-        """
-        self.n_wakeups += 1
-        while self.has_work and self.now_s < t_s:
-            self.step()
 
 
 # ----------------------------------------------------------------------
@@ -315,130 +281,23 @@ def make_policy(policy: Union[str, RouterPolicy]) -> RouterPolicy:
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class ReplicaStats:
-    """Per-replica accounting of one fleet run.
-
-    Replaces the PR-3 positional tuple ``(routed, iterations, peak_kv,
-    preemptions)``; iteration/indexing keep the old unpacking sites
-    working (``routed, iters, peak, *rest = stats``) while new code
-    reads attributes.
-    """
+    """Per-replica accounting of one fleet run."""
 
     n_requests: int
     n_iterations: int
     peak_kv_utilization: float
     n_preemptions: int = 0
 
-    def __iter__(self):
-        yield self.n_requests
-        yield self.n_iterations
-        yield self.peak_kv_utilization
-        yield self.n_preemptions
-
-    def __len__(self) -> int:
-        return 4
-
-    def __getitem__(self, idx):
-        return (self.n_requests, self.n_iterations,
-                self.peak_kv_utilization, self.n_preemptions)[idx]
-
 
 @dataclass
-class FleetReport:
+class FleetReport(Report):
     """Aggregate metrics of one simulated fleet run."""
 
-    name: str
     policy: str
     n_replicas: int
-    records: List[RequestRecord]
     #: req_id -> replica index, for every routed request.
     assignments: Dict[int, int]
-    makespan_s: float
-    #: Per-replica accounting (:class:`ReplicaStats`); legacy raw
-    #: tuples are converted with a DeprecationWarning.
     replica_stats: List[ReplicaStats] = field(default_factory=list)
-    n_rejected: int = 0
-    #: Whether any replica ran with prefix caching enabled.
-    prefix_caching: bool = False
-    #: Prefix-cache counters summed across replicas.
-    prefix_lookups: int = 0
-    prefix_lookup_hits: int = 0
-    prefix_hit_tokens: int = 0
-    prefix_miss_tokens: int = 0
-    n_evicted_blocks: int = 0
-    #: Event-loop statistics of the run (:class:`~repro.serve.events.
-    #: EventStats`), surfaced into :meth:`metrics`.
-    event_stats: Optional[EventStats] = None
-    #: The run's :class:`~repro.obs.metrics.MetricsRegistry` (flat dict
-    #: merged into :meth:`metrics`; Prometheus text available).
-    registry: Optional[object] = None
-    #: The run's :class:`~repro.obs.trace.Tracer` when the fleet ran
-    #: with ``FleetConfig(trace=True)``, else ``None``.
-    tracer: Optional[object] = None
-    #: The run's per-replica :class:`~repro.obs.timeline.Timeline` when
-    #: it ran with ``FleetConfig(timeline=...)``, else ``None``.  Never
-    #: merged into :meth:`metrics` (bit-identity contract).
-    timeline: Optional[object] = None
-    #: Evaluated :class:`~repro.obs.slo.SLOReport` over the fleet-merged
-    #: windows when the timeline config carried SLO limits.
-    slo: Optional[object] = None
-
-    def __post_init__(self):
-        converted, warned = [], False
-        for entry in self.replica_stats:
-            if isinstance(entry, ReplicaStats):
-                converted.append(entry)
-                continue
-            if not warned:
-                warnings.warn(
-                    "passing replica_stats as positional tuples is "
-                    "deprecated; pass ReplicaStats instances "
-                    "(repro.cluster.fleet)", DeprecationWarning,
-                    stacklevel=3)
-                warned = True
-            converted.append(ReplicaStats(*tuple(entry)[:4]))
-        self.replica_stats = converted
-
-    @property
-    def n_preempted(self) -> int:
-        """Recompute preemptions across all replicas (paged admission)."""
-        return sum(stats.n_preemptions for stats in self.replica_stats)
-
-    @property
-    def prefix_hit_rate(self) -> float:
-        """Fleet-wide fraction of admissions hitting the prefix cache."""
-        return self.prefix_lookup_hits / max(1, self.prefix_lookups)
-
-    @property
-    def cached_token_fraction(self) -> float:
-        """Fleet-wide fraction of prompt tokens served from caches."""
-        total = self.prefix_hit_tokens + self.prefix_miss_tokens
-        return self.prefix_hit_tokens / max(1, total)
-
-    @property
-    def n_requests(self) -> int:
-        return len(self.records)
-
-    @property
-    def throughput_rps(self) -> float:
-        return self.n_requests / self.makespan_s if self.makespan_s else 0.0
-
-    @property
-    def output_tokens_per_s(self) -> float:
-        total = sum(r.output_tokens for r in self.records)
-        return total / self.makespan_s if self.makespan_s else 0.0
-
-    def _quantile(self, values: List[float], q: float) -> float:
-        return percentile(values, q) if values else 0.0
-
-    def ttft_s(self, q: float = 50.0) -> float:
-        return self._quantile([r.ttft_s for r in self.records], q)
-
-    def tpot_s(self, q: float = 50.0) -> float:
-        return self._quantile(
-            [r.tpot_s for r in self.records if r.output_tokens > 1], q)
-
-    def latency_s(self, q: float = 50.0) -> float:
-        return self._quantile([r.latency_s for r in self.records], q)
 
     # -- SLO-conditioned metrics ---------------------------------------
     def slo_attainment(self, slo: SLO) -> float:
@@ -472,78 +331,31 @@ class FleetReport:
         return True
 
     def metrics(self, slo: Optional[SLO] = None) -> dict:
-        """Flat JSON-safe metric dict (plain ``int``/``float`` values).
+        """Flat JSON-safe metric dict (see :meth:`Report._metrics`).
 
-        The fleet analogue of
-        :meth:`repro.serve.simulator.ServingReport.metrics`, with the
-        same key names for shared concepts so the orchestrator's
-        trajectory deltas compare uniformly.  Passing an :class:`SLO`
-        adds the SLO-conditioned metrics (``goodput_rps``,
-        ``slo_attainment``).
+        Passing an :class:`SLO` adds the SLO-conditioned metrics
+        (``goodput_rps``, ``slo_attainment``).
         """
-        out = {
-            "n_replicas": self.n_replicas,
-            "n_requests": self.n_requests,
-            "n_rejected": self.n_rejected,
-            "makespan_s": self.makespan_s,
-            "throughput_rps": self.throughput_rps,
-            "output_tokens_per_s": self.output_tokens_per_s,
-            "ttft_p50_ms": self.ttft_s(50) * 1e3,
-            "ttft_p95_ms": self.ttft_s(95) * 1e3,
-            "tpot_p50_ms": self.tpot_s(50) * 1e3,
-            "latency_p50_s": self.latency_s(50),
-            "latency_p99_s": self.latency_s(99),
-            "n_preempted": self.n_preempted,
-            "prefix_hit_rate": self.prefix_hit_rate,
-            "cached_token_fraction": self.cached_token_fraction,
-            "n_evicted_blocks": self.n_evicted_blocks,
-        }
+        own = {"n_replicas": self.n_replicas}
         if slo is not None:
-            out["goodput_rps"] = self.goodput_rps(slo)
-            out["slo_attainment"] = self.slo_attainment(slo)
-        if self.event_stats is not None:
-            out["n_events"] = self.event_stats.n_events
-            out["n_arrivals"] = self.event_stats.n_arrivals
-            out["n_step_events"] = self.event_stats.n_step_events
-            out["n_idle_polls"] = self.event_stats.n_idle_polls
-        if self.registry is not None:
-            # Registry metrics never shadow the canonical keys above.
-            for key, value in self.registry.to_flat_dict().items():
-                out.setdefault(key, value)
-        return out
+            own["goodput_rps"] = self.goodput_rps(slo)
+            own["slo_attainment"] = self.slo_attainment(slo)
+        return self._metrics(own)
 
     def summary(self) -> str:
         """Multi-line human-readable summary."""
-        lines = [
-            f"{self.name}: {self.n_replicas} replicas ({self.policy}), "
-            f"{self.n_requests} requests in {self.makespan_s:.2f} s",
-            f"  throughput : {self.throughput_rps:6.2f} req/s, "
-            f"{self.output_tokens_per_s:8.1f} output tok/s",
-            f"  TTFT       : p50 {self.ttft_s(50) * 1e3:8.1f} ms, "
-            f"p95 {self.ttft_s(95) * 1e3:8.1f} ms",
-            f"  TPOT       : p50 {self.tpot_s(50) * 1e3:8.2f} ms/token",
-            f"  latency    : p50 {self.latency_s(50):6.2f} s, "
-            f"p95 {self.latency_s(95):6.2f} s",
-        ]
-        if self.prefix_caching:
-            lines.append(
-                f"  prefix     : {self.prefix_hit_rate:.0%} admissions "
-                f"hit, {self.cached_token_fraction:.0%} of prompt tokens "
-                f"cached, {self.n_evicted_blocks} blocks evicted")
+        detail = []
         for rid, stats in enumerate(self.replica_stats):
             line = (f"  replica {rid}  : {stats.n_requests:4d} requests, "
                     f"{stats.n_iterations:6d} iterations, "
                     f"peak KV {stats.peak_kv_utilization:.0%}")
             if stats.n_preemptions:
                 line += f", {stats.n_preemptions} preemptions"
-            lines.append(line)
-        if self.n_rejected:
-            lines.append(f"  rejected   : {self.n_rejected} requests "
-                         "exceeded every replica's KV budget")
-        if self.slo is not None:
-            lines.extend("  " + ln for ln in
-                         self.slo.summary().splitlines())
-        return "\n".join(lines)
+            detail.append(line)
+        return self._summary(
+            f"{self.name}: {self.n_replicas} replicas ({self.policy}), "
+            f"{self.n_requests} requests in {self.makespan_s:.2f} s",
+            detail)
 
 
 # ----------------------------------------------------------------------
@@ -554,38 +366,28 @@ class FleetSimulator:
 
     The driver is the shared event heap: per-replica iteration
     boundaries and request arrivals pop in global simulated-time order
-    (ties break arrivals-first, matching the old strict
-    ``now_s < arrival`` lockstep), so the router always inspects every
+    (ties break arrivals-first, so a replica advances only while
+    strictly behind an arrival), so the router always inspects every
     replica advanced to the arrival instant while idle replicas stay
-    out of the heap entirely.  ``last_event_stats`` exposes the event
-    counters of the most recent :meth:`run`.
+    out of the heap entirely.
     """
 
     def __init__(self, replicas: Sequence[Replica],
-                 policy: Union[str, RouterPolicy] = _UNSET,
-                 name: str = _UNSET,
                  config: Optional[FleetConfig] = None):
         if not replicas:
             raise ValueError("need at least one replica")
-        legacy = {k: v for k, v in (("policy", policy), ("name", name))
-                  if v is not _UNSET}
-        if config is not None:
-            if legacy:
-                raise TypeError(
-                    "pass either config= or legacy fleet kwargs, not "
-                    f"both (got {sorted(legacy)})")
-        else:
-            if legacy:
-                warnings.warn(
-                    "passing fleet options as individual kwargs is "
-                    "deprecated; pass config=FleetConfig(...) "
-                    "(repro.serve.api)", DeprecationWarning, stacklevel=2)
-            config = FleetConfig(**legacy)
-        self.config = config
+        self.config = config if config is not None else FleetConfig()
         self.replicas = list(replicas)
-        self.policy = make_policy(config.policy)
-        self.name = config.name
-        self.last_event_stats: Optional[EventStats] = None
+        self.policy = make_policy(self.config.policy)
+        self.name = self.config.name
+
+    def _route(self, request: Request, candidates: List[int]) -> int:
+        idx = self.policy.choose(request, self.replicas, candidates)
+        if idx not in candidates:
+            raise ValueError(
+                f"policy {self.policy.name!r} chose replica {idx}, "
+                f"not one of the feasible {candidates}")
+        return idx
 
     def run(self, trace: Sequence[Request],
             max_iterations: Optional[int] = None) -> FleetReport:
@@ -593,33 +395,11 @@ class FleetSimulator:
 
         ``max_iterations`` (per replica) defaults to the config's cap.
         """
-        if max_iterations is None:
-            max_iterations = self.config.max_iterations
-        pending = sorted(trace, key=lambda r: r.arrival_s)
-        if not pending:
-            raise ValueError("empty trace")
         replicas = self.replicas
-        assignments: Dict[int, int] = {}
-        rejected: List[Request] = []
-        tracer = Tracer(name=self.name) if self.config.trace else NULL_TRACER
-        self.tracer = tracer
-        if tracer.enabled:
-            for rep in replicas:
-                rep.tracer = tracer
-                rep.scheduler.tracer = tracer
-                rep.scheduler.trace_replica = rep.replica_id
-
-        loop = EventLoop()
-        for req in pending:
-            loop.push(req.arrival_s, ARRIVAL, req)
-        timeline = (TimelineCollector(self.config.timeline,
-                                      n_replicas=len(replicas),
-                                      name=self.name)
-                    if self.config.timeline is not None else None)
-        schedulers = tuple(rep.scheduler for rep in replicas)
-        arrivals_left = len(pending)
-        if timeline is not None:
-            loop.push(timeline.next_sample_s, SAMPLE, None)
+        run = SimulationRun(replicas, self.config, trace, max_iterations,
+                            route=self._route)
+        loop, pending, timeline = run.loop, run.pending, run.timeline
+        max_iterations = run.max_iterations
         #: Whether replica i currently owns a STEP event in the heap
         #: (exactly one while it has work; entries never go stale
         #: because only step() moves a busy replica's clock).
@@ -631,12 +411,7 @@ class FleetSimulator:
         while not loop.empty:
             t_s, kind, payload = loop.pop()
             if kind == SAMPLE:
-                # Telemetry boundary: read every replica's state, keep
-                # sampling while the run can still produce events (the
-                # heap would otherwise never drain).
-                timeline.sample(t_s, schedulers)
-                if arrivals_left or any(in_heap):
-                    loop.push(timeline.next_sample_s, SAMPLE, None)
+                run.sample(t_s)
                 continue
             if kind == STEP:
                 idx = payload
@@ -650,6 +425,7 @@ class FleetSimulator:
                 # Arrivals pop in ``pending`` order, so the next one is
                 # at a fixed index; with the timeline's next SAMPLE it
                 # bounds a replayed run.
+                arrivals_left = run.arrivals_left
                 horizon_s = (pending[len(pending) - arrivals_left].arrival_s
                              if arrivals_left else math.inf)
                 if timeline is not None:
@@ -667,103 +443,21 @@ class FleetSimulator:
                 else:
                     in_heap[idx] = False
                 continue
-            req = payload
-            arrivals_left -= 1
-            candidates = [i for i, rep in enumerate(replicas)
-                          if rep.scheduler.fits(req)]
-            if not candidates:
-                rejected.append(req)
-                if tracer.enabled:
-                    # No replica could ever hold it; pin to track 0.
-                    tracer.event(EVT_REJECTED, req.arrival_s, 0,
-                                 req.req_id)
-                if timeline is not None:
-                    # Rejections happen at the front end, before
-                    # routing; pin to replica 0 like the trace does.
-                    timeline.on_reject(0)
-                continue
-            idx = self.policy.choose(req, replicas, candidates)
-            if idx not in candidates:
-                raise ValueError(
-                    f"policy {self.policy.name!r} chose replica {idx}, "
-                    f"not one of the feasible {candidates}")
-            replicas[idx].submit(req)
-            assignments[req.req_id] = idx
-            if timeline is not None:
-                timeline.on_arrival(idx)
-            if not in_heap[idx]:
+            idx = run.arrive(payload)
+            if idx is not None and not in_heap[idx]:
                 loop.push(replicas[idx].now_s, STEP, idx)
                 in_heap[idx] = True
-        self.last_event_stats = loop.stats
 
-        for rep in replicas:
-            alloc = getattr(rep.scheduler, "allocator", None)
-            if alloc is not None and alloc.sanitize:
-                # Per-replica full-heap audit at drain (reads state
-                # only; raises SanitizeError on a broken invariant).
-                alloc.audit_drained()
-
-        records = [
-            RequestRecord(
-                req_id=s.request.req_id,
-                arrival_s=s.request.arrival_s,
-                first_token_s=s.first_token_s,
-                finished_s=s.finished_s,
-                prompt_tokens=s.request.prompt_tokens,
-                output_tokens=s.request.output_tokens,
-                queued_s=s.admitted_s - s.request.arrival_s,
-                cached_tokens=s.cached_tokens,
-            )
-            for rep in replicas for s in rep.finished
-        ]
-        records.sort(key=lambda r: r.req_id)
-        if tracer.enabled:
-            for rep in replicas:
-                tracer.record_sequences(rep.replica_id, rep.finished)
-        registry = MetricsRegistry()
-        for rep in replicas:
-            emit = getattr(rep.scheduler, "emit_metrics", None)
-            if emit is not None:
-                emit(registry, replica=str(rep.replica_id))
-        loop.stats.emit_metrics(registry)
-        observe_request_metrics(registry, records,
-                                n_rejected=len(rejected))
-        prefix = [
-            stats for rep in replicas
-            if getattr(rep.scheduler, "prefix_caching", False)
-            and (stats := rep.scheduler.prefix_stats()) is not None
-        ]
-        makespan_s = max(rep.now_s for rep in replicas)
-        timeline_obj = slo_report = None
-        if timeline is not None:
-            timeline_obj = timeline.finalize(makespan_s, schedulers)
-            if self.config.timeline.tracks_slo:
-                slo_report = SLOMonitor(
-                    target=self.config.timeline.slo_target,
-                ).evaluate(timeline_obj)
         return FleetReport(
-            name=self.name,
+            **run.finish([{"replica": str(rep.replica_id)}
+                          for rep in replicas]),
             policy=self.policy.name,
             n_replicas=len(replicas),
-            records=records,
-            assignments=assignments,
-            makespan_s=makespan_s,
+            assignments=run.assignments,
             replica_stats=[ReplicaStats(rep.n_submitted, rep.iterations,
                                         rep.peak_kv,
                                         rep.scheduler.n_preemptions)
                            for rep in replicas],
-            n_rejected=len(rejected),
-            prefix_caching=bool(prefix),
-            prefix_lookups=sum(p.n_lookups for p in prefix),
-            prefix_lookup_hits=sum(p.n_lookup_hits for p in prefix),
-            prefix_hit_tokens=sum(p.hit_tokens for p in prefix),
-            prefix_miss_tokens=sum(p.miss_tokens for p in prefix),
-            n_evicted_blocks=sum(p.n_evicted_blocks for p in prefix),
-            event_stats=loop.stats,
-            registry=registry,
-            tracer=tracer if tracer.enabled else None,
-            timeline=timeline_obj,
-            slo=slo_report,
         )
 
 

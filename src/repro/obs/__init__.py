@@ -32,6 +32,7 @@ enable the timeline with ``SimConfig(timeline=TimelineConfig(...))`` /
 from .breakdown import breakdown_summary, request_breakdowns
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 from .perfetto import to_perfetto, write_perfetto
+from .report import percentile
 from .slo import BurnRateRule, SLOAlert, SLOMonitor, SLOReport
 from .timeline import (
     Timeline,
@@ -74,6 +75,7 @@ __all__ = [
     "TimelineWindow",
     "Tracer",
     "breakdown_summary",
+    "percentile",
     "request_breakdowns",
     "to_perfetto",
     "write_perfetto",

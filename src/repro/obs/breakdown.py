@@ -141,9 +141,8 @@ def breakdown_summary(breakdowns: List[dict],
             agg[seg] += b[seg]
 
     ttfts = [b["ttft_s"] for b in breakdowns]
-    tail_cut = percentile(ttfts, tail_q)
-    tail = [b for b in breakdowns if b["ttft_s"] >= tail_cut] \
-        if n else []
+    tail_cut = percentile(ttfts, tail_q) if n else float("nan")
+    tail = [b for b in breakdowns if b["ttft_s"] >= tail_cut]
 
     def _ttft_split(rows: List[dict]) -> dict:
         """Queue-wait vs prefill-compute vs stall shares of summed
@@ -171,7 +170,7 @@ def breakdown_summary(breakdowns: List[dict],
         "per_replica": {
             pid: agg for pid, agg in sorted(per_replica.items())},
         "ttft_tail_q": tail_q,
-        "ttft_tail_cut_ms": tail_cut * 1e3 if n else float("nan"),
+        "ttft_tail_cut_ms": tail_cut * 1e3,
         "tail_n": len(tail),
         "tail_ttft_split": tail_split,
         "overall_ttft_split": overall_split,

@@ -35,7 +35,7 @@ import json
 import math
 import sys
 from collections import defaultdict
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence
 
 __all__ = [
     "build_report",
@@ -52,24 +52,29 @@ _PHASES = ("queued", "prefill", "decode")
 _SEGMENTS = ("queued", "prefill", "stall", "decode")
 
 
-def percentile(values: Sequence[float], q: float) -> float:
-    """``np.percentile(values, q)`` with linear interpolation, in stdlib.
+def percentile(values: Iterable[float], q: float) -> float:
+    """Exact percentile (q in [0, 100]): ``np.percentile``'s default
+    linear interpolation, in stdlib.
 
-    Kept numerically identical to numpy's default method so the report
-    reconciles with ``ServingReport`` aggregates bit-for-bit on the
-    same inputs.
+    Bit-identical to numpy: the same rank, and numpy's ``_lerp`` form,
+    which interpolates from the nearer neighbour.  The package's one
+    exact percentile — the simulators' reports, timeline windows and
+    this CLI all call it, so they reconcile bit-for-bit.  Raises on an
+    empty input; each caller picks its own empty value.
     """
-    if not values:
-        return math.nan
+    if not 0 <= q <= 100:
+        raise ValueError("q must be in [0, 100]")
     data = sorted(values)
-    if len(data) == 1:
-        return float(data[0])
-    rank = (len(data) - 1) * (q / 100.0)
+    if not data:
+        raise ValueError("percentile of an empty sequence")
+    rank = (len(data) - 1) * (q / 100)
     lo = math.floor(rank)
-    hi = math.ceil(rank)
-    if lo == hi:
-        return float(data[int(rank)])
-    return data[lo] * (hi - rank) + data[hi] * (rank - lo)
+    if lo >= len(data) - 1:
+        return float(data[-1])
+    a, b = float(data[lo]), float(data[lo + 1])
+    g = rank - lo
+    diff = b - a
+    return b - diff * (1 - g) if g >= 0.5 else a + diff * g
 
 
 def load_trace(path) -> dict:
@@ -267,11 +272,12 @@ def render_markdown(report: dict) -> str:
     lines.append("|---|---|---|---|---|")
     for label, values in (("TTFT ms", report["ttft_ms"]),
                           ("TPOT ms", report["tpot_ms"])):
-        mean = sum(values) / len(values) if values else math.nan
-        lines.append(
-            f"| {label} | {_fmt(percentile(values, 50))} "
-            f"| {_fmt(percentile(values, 95))} "
-            f"| {_fmt(percentile(values, 99))} | {_fmt(mean)} |")
+        p50, p95, p99, mean = (
+            (percentile(values, 50), percentile(values, 95),
+             percentile(values, 99), sum(values) / len(values))
+            if values else (math.nan,) * 4)
+        lines.append(f"| {label} | {_fmt(p50)} | {_fmt(p95)} "
+                     f"| {_fmt(p99)} | {_fmt(mean)} |")
     lines.append("")
 
     if report["n_preempted"]:

@@ -35,6 +35,7 @@ wall clock or calls tracer methods (lint rule RPL009 enforces both).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -142,11 +143,11 @@ class TimelineWindow:
 
     def ttft_p(self, q: float) -> float:
         """Windowed TTFT percentile in ms (NaN with no completions)."""
-        return percentile(list(self.ttft_ms), q)
+        return percentile(self.ttft_ms, q) if self.ttft_ms else math.nan
 
     def tpot_p(self, q: float) -> float:
         """Windowed TPOT percentile in ms (NaN with no samples)."""
-        return percentile(list(self.tpot_ms), q)
+        return percentile(self.tpot_ms, q) if self.tpot_ms else math.nan
 
     def to_json(self) -> dict:
         """Plain JSON-safe dict (raw samples included)."""

@@ -26,14 +26,15 @@ budget:
   memoized :meth:`~repro.core.engine.ComputeEngine.batch_latency_us`;
 - :mod:`repro.serve.simulator` — the discrete-event loop and the
   :class:`~repro.serve.simulator.ServingReport` metrics (throughput,
-  TTFT, TPOT, latency percentiles).
+  TTFT, TPOT, latency percentiles) on the
+  :class:`~repro.serve.simulator.Report` base the fleet report shares.
 
 See ``docs/architecture.md`` for the full data-flow picture and
 :mod:`repro.bench.serving` / ``examples/serving_simulation.py`` for
 ready-made FP16-vs-VQ comparisons.
 """
 
-from repro.serve.api import FleetConfig, Report, SchedulerConfig, SimConfig
+from repro.serve.api import FleetConfig, SchedulerConfig, SimConfig
 from repro.serve.costs import StepCostModel
 from repro.serve.events import ARRIVAL, STEP, TRANSFER, EventLoop, EventStats
 from repro.serve.paging import PagedKVAllocator, PagingStats
@@ -62,10 +63,10 @@ from repro.serve.scheduler import (
     kv_codebook_bytes,
 )
 from repro.serve.simulator import (
+    Report,
     RequestRecord,
     ServingReport,
     ServingSimulator,
-    percentile,
 )
 
 __all__ = [
@@ -98,7 +99,6 @@ __all__ = [
     "kv_bytes_per_token",
     "kv_codebook_bytes",
     "multi_turn_chat_trace",
-    "percentile",
     "poisson_trace",
     "replayed_trace",
     "shared_prefix_trace",

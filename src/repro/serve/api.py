@@ -1,69 +1,35 @@
-"""Typed configuration facade and unified report surface.
+"""Typed configuration facade.
 
-The simulator grew one constructor kwarg at a time — by PR 6 a serving
-run threaded six scheduler knobs plus simulator and fleet options
-through every call site.  This module is the stable public surface that
-replaces that sprawl:
+Every simulator option lives in one frozen dataclass:
 
 - :class:`SchedulerConfig` / :class:`SimConfig` / :class:`FleetConfig`
-  are frozen dataclasses describing a scheduler, a single-engine
-  simulation and a fleet simulation.  Each has a ``build`` method that
-  produces the live object; the underlying constructors
+  describe a scheduler, a single-engine simulation and a fleet
+  simulation.  Each has a ``build`` method that produces the live
+  object; the underlying constructors
   (:class:`~repro.serve.scheduler.ContinuousBatchScheduler`,
   :class:`~repro.serve.simulator.ServingSimulator`,
   :class:`~repro.cluster.fleet.FleetSimulator`) also accept
-  ``config=`` directly.
-- Legacy keyword arguments on those constructors still work but emit a
-  :class:`DeprecationWarning` naming the config class to use instead;
-  the two paths are equivalence-tested (``tests/test_serve_api.py``).
-  Positional/keyword *objects* (budget, cost model, replicas) are not
-  deprecated — only the scalar option sprawl is.
-- :class:`Report` is the structural protocol both
-  :class:`~repro.serve.simulator.ServingReport` and
-  :class:`~repro.cluster.fleet.FleetReport` satisfy: ``metrics()``
-  returns the flat JSON-safe dict the experiment orchestrator
-  persists, ``summary()`` the human-readable block.
+  ``config=`` directly, next to the objects a run is built from
+  (budget, cost model, replicas).
 
-Deprecation policy: legacy kwargs are kept working for one PR cycle
-after their replacement lands, warning on every explicit use, and are
-removed only when no in-repo call site needs them.  Configs are frozen
-so they can be shared across replicas and processes (the orchestrator
-pickles them into its worker pool) without aliasing surprises.
+Configs are frozen so they can be shared across replicas and processes
+(the orchestrator pickles them into its worker pool) without aliasing
+surprises.  The reports both simulators return share one base,
+:class:`~repro.serve.simulator.Report`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Optional, Protocol, runtime_checkable
+from typing import Optional
 
 from repro.obs.timeline import TimelineConfig
 
 __all__ = [
     "FleetConfig",
-    "Report",
     "SchedulerConfig",
     "SimConfig",
 ]
-
-
-@runtime_checkable
-class Report(Protocol):
-    """What every simulation report exposes, regardless of layer.
-
-    ``metrics()`` is the flat JSON-safe dict (plain ``int``/``float``
-    values, losslessly serialisable) persisted to the perf trajectory;
-    ``summary()`` is the multi-line human-readable form.  The protocol
-    is structural (``runtime_checkable``): any object with conforming
-    methods counts, which is how :class:`~repro.serve.simulator.
-    ServingReport` and :class:`~repro.cluster.fleet.FleetReport`
-    implement it without a shared base class.
-    """
-
-    def metrics(self) -> dict:  # pragma: no cover - protocol stub
-        ...
-
-    def summary(self) -> str:  # pragma: no cover - protocol stub
-        ...
 
 
 @dataclass(frozen=True)
@@ -115,17 +81,11 @@ class SimConfig:
     #: disable).  Same contract as tracing: reported metrics are
     #: bit-identical on or off.
     timeline: Optional[TimelineConfig] = None
-    #: Arm allocator sanitize mode for the run (threaded down to the
-    #: scheduler config; see :attr:`SchedulerConfig.sanitize`).
-    sanitize: bool = False
 
     def build(self, budget, cost_model) -> "ServingSimulator":
         """A fresh simulator: scheduler over ``budget``, this config."""
         from repro.serve.simulator import ServingSimulator
-        sched_cfg = (replace(self.scheduler, sanitize=True)
-                     if self.sanitize and not self.scheduler.sanitize
-                     else self.scheduler)
-        return ServingSimulator(sched_cfg.build(budget), cost_model,
+        return ServingSimulator(self.scheduler.build(budget), cost_model,
                                 config=self)
 
 
@@ -149,9 +109,6 @@ class FleetConfig:
     #: (:class:`~repro.obs.timeline.TimelineConfig`, or ``None`` to
     #: disable); reported metrics are bit-identical on or off.
     timeline: Optional[TimelineConfig] = None
-    #: Arm allocator sanitize mode on every replica (threaded down to
-    #: the scheduler config; see :attr:`SchedulerConfig.sanitize`).
-    sanitize: bool = False
 
     def with_policy(self, policy) -> "FleetConfig":
         """This config with a different routing policy (stateful
@@ -168,9 +125,6 @@ class FleetConfig:
         """
         from repro.cluster.fleet import FleetSimulator, Replica
         cfg = self if name is None else replace(self, name=name)
-        sched_cfg = (replace(self.scheduler, sanitize=True)
-                     if self.sanitize and not self.scheduler.sanitize
-                     else self.scheduler)
-        replicas = [Replica(i, sched_cfg.build(budget), cost_model)
+        replicas = [Replica(i, self.scheduler.build(budget), cost_model)
                     for i in range(n_replicas)]
         return FleetSimulator(replicas, config=cfg)

@@ -1,18 +1,12 @@
 """Global event heap: the time source of the fast-path simulators.
 
-Before this module, time lived in two places: the single-engine
-simulator kept a ``_Clock`` it bumped per iteration, and the fleet
-simulator kept one clock *per replica* and lockstepped all of them to
-every arrival (``for rep in replicas: rep.advance_to(t)``) so the
-router could inspect consistent state — an O(replicas x arrivals) scan
-that polls mostly-idle replicas.
-
-:class:`EventLoop` replaces both with one ``heapq`` ordered by
-simulated time.  Event kinds:
+:class:`EventLoop` is one ``heapq`` ordered by simulated time, shared
+by the single-engine and the fleet driver.  Event kinds:
 
 - :data:`ARRIVAL` — a request hits the front end;
-- :data:`STEP` — a replica (or the single engine) reaches its next
-  iteration boundary;
+- :data:`STEP` — a fleet replica reaches its next iteration boundary
+  (the single-engine driver advances its one clock directly and
+  pushes none);
 - :data:`TRANSFER` — reserved for cross-replica work movement
   (prefill/decode disaggregation, the ROADMAP item this core exists
   to unlock); no current producer.
@@ -32,13 +26,14 @@ exactly on a window boundary counts in the *next* window.  ``seq`` is
 a monotone tiebreaker so payloads never need comparing.
 
 Because replicas interact only through routing, popping in global time
-order is *bit-identical* to the lockstep schedule: each replica's
-iteration chain is a function of its own submissions and clock, and
-the router still sees every replica advanced to (or past) each arrival
-instant.  What changes is who gets touched — an idle replica simply is
-not in the heap, so sparse-arrival fleets stop paying the
-poll-everyone tax (:class:`EventStats` counts exactly that;
-``tests/test_serve_events.py`` pins the drop and the equivalence).
+order is *bit-identical* to a lockstep schedule that advances every
+replica to each arrival before routing it: each replica's iteration
+chain is a function of its own submissions and clock, and the router
+still sees every replica advanced to (or past) each arrival instant.
+What changes is who gets touched — an idle replica simply is not in
+the heap, so sparse-arrival fleets never pay a poll-everyone tax
+(:class:`EventStats` counts exactly that; ``tests/test_serve_events.py``
+pins the equivalence against a lockstep oracle, and the drop).
 """
 
 from __future__ import annotations
@@ -67,11 +62,10 @@ class EventStats:
     ``n_events`` counts them the same way: a fleet replica may run a
     whole run of identical decode-only iterations on one STEP pop, and
     the driver adds the replayed ones (``Replica.n_wakeups`` counts the
-    pops).  The old lockstep driver additionally polled every replica
-    at every arrival (``replicas x arrivals`` activations, almost all
-    no-ops on sparse traces).  ``n_idle_polls`` counts wakeups that
-    found no runnable work; the heap keeps it at zero by construction,
-    and the regression test holds it there.
+    pops).  The single-engine driver pushes no STEP events, so its
+    ``n_step_events`` is 0.  ``n_idle_polls`` counts wakeups that found
+    no runnable work; the heap keeps it at zero by construction, and
+    the regression test holds it there.
     """
 
     n_events: int = 0

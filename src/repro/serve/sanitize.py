@@ -10,8 +10,8 @@ plus a full-heap audit when a simulation drains.
 
 Activation (either is sufficient):
 
-- ``SchedulerConfig(sanitize=True)`` (or ``SimConfig`` /
-  ``FleetConfig``, which thread it down), or
+- ``SchedulerConfig(sanitize=True)`` (``SimConfig`` / ``FleetConfig``
+  carry it in their ``scheduler`` field), or
 - environment ``REPRO_SANITIZE=1`` — so CI can re-run the entire test
   suite sanitized without touching call sites.
 

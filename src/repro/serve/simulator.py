@@ -11,7 +11,8 @@ loop:
 
 1. admit every request that has arrived by ``now``;
 2. ask the scheduler for an iteration plan (decodes + prefill chunks);
-3. if nothing is runnable, fast-forward the clock to the next arrival;
+3. if nothing is runnable, take the next arrival (only an admitted
+   one moves the clock);
 4. otherwise execute the plan: advance the clock by its modelled
    latency and commit token progress — replaying it, without planning,
    while it would repeat and no event is due
@@ -22,6 +23,12 @@ serving papers report: sustained request/token throughput, time to
 first token (TTFT), time per output token (TPOT), and p50/p95/p99
 end-to-end latency.
 
+Everything but the heap loop is shared with the fleet driver
+(:class:`~repro.cluster.fleet.FleetSimulator`): the engine that runs
+iterations (:class:`ServingEngine`), the run's set-up, arrival intake
+and epilogue (:class:`SimulationRun`), and the report base
+(:class:`Report`).
+
 See ``docs/architecture.md`` for how this sits on top of the analytic
 kernel stack.
 """
@@ -29,35 +36,30 @@ kernel stack.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
-
-import numpy as np
+from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.report import percentile
 from repro.obs.slo import SLOMonitor
 from repro.obs.timeline import TimelineCollector
 from repro.obs.trace import EVT_EVICTED, EVT_REJECTED, NULL_TRACER, Tracer
-from repro.serve.api import SimConfig
+from repro.serve.api import FleetConfig, SimConfig
 from repro.serve.costs import StepCostModel
-from repro.serve.events import ARRIVAL, SAMPLE, EventLoop
+from repro.serve.events import ARRIVAL, SAMPLE, EventLoop, EventStats
 from repro.serve.requests import Request
 from repro.serve.scheduler import (BatchPlan, ContinuousBatchScheduler,
                                    SequenceState)
-
-#: Sentinel distinguishing "kwarg not passed" from any real value.
-_UNSET = object()
 
 
 def observe_request_metrics(registry: MetricsRegistry, records,
                             n_rejected: int = 0) -> None:
     """Emit request-outcome counters and latency histograms.
 
-    Shared by the serving and fleet report builders; runs once at end
-    of run over the completed :class:`RequestRecord` list (never in
-    the hot loop), so registry contents are identical with tracing on
-    or off.
+    Runs once per run, in the shared epilogue
+    (:meth:`SimulationRun.finish`), over the completed
+    :class:`RequestRecord` list (never in the hot loop), so registry
+    contents are identical with tracing on or off.
     """
     registry.counter(
         "requests_completed_total",
@@ -80,16 +82,6 @@ def observe_request_metrics(registry: MetricsRegistry, records,
         if r.output_tokens > 1:
             tpot.observe(r.tpot_s * 1e3)
         latency.observe(r.latency_s)
-
-
-def percentile(values: Sequence[float], q: float) -> float:
-    """Linear-interpolated percentile (q in [0, 100]) of a sequence."""
-    if not 0 <= q <= 100:
-        raise ValueError("q must be in [0, 100]")
-    arr = np.asarray(list(values), dtype=float)
-    if arr.size == 0:
-        raise ValueError("percentile of an empty sequence")
-    return float(np.percentile(arr, q))
 
 
 @dataclass(frozen=True)
@@ -126,32 +118,35 @@ class RequestRecord:
                 / (self.output_tokens - 1))
 
 
-@dataclass
-class ServingReport:
-    """Aggregate metrics of one simulated serving run."""
+@dataclass(kw_only=True)
+class Report:
+    """What a simulation reports, whichever driver ran it.
+
+    The base of :class:`ServingReport` and
+    :class:`~repro.cluster.fleet.FleetReport`: completed-request records
+    over a makespan, rejection, preemption and prefix-cache counters,
+    the run's observability products, throughput and exact latency
+    percentiles.  Each subclass defines ``metrics()`` — the flat
+    JSON-safe dict the experiment orchestrator persists, built by
+    :meth:`_metrics` — and ``summary()``, built by :meth:`_summary`.
+    """
 
     name: str
     records: List[RequestRecord]
     makespan_s: float
-    n_iterations: int
-    peak_seqs: int
-    peak_kv_utilization: float
-    #: Requests whose KV footprint exceeded the budget outright and
-    #: were rejected at arrival (never admitted, not in ``records``).
+    #: Requests whose KV footprint exceeded every engine's budget
+    #: outright and were rejected at arrival (never admitted, not in
+    #: ``records``).
     n_rejected: int = 0
-    #: Admission policy of the scheduler that produced this report.
-    admission: str = "reserve"
-    #: Peak fraction of the KV budget actually resident in HBM (live
-    #: tokens for reserve admission, allocated blocks for paged).
-    peak_kv_occupancy: float = 0.0
     #: Recompute preemptions fired (paged admission only).
     n_preempted: int = 0
-    #: Whether the scheduler shared KV blocks across common prefixes.
+    #: Whether any engine shared KV blocks across common prefixes.
     prefix_caching: bool = False
-    #: Fraction of admissions that matched at least one cached block.
-    prefix_hit_rate: float = 0.0
-    #: Fraction of looked-up prompt tokens served from the cache.
-    cached_token_fraction: float = 0.0
+    #: Prefix-cache counters summed across engines.
+    prefix_lookups: int = 0
+    prefix_lookup_hits: int = 0
+    prefix_hit_tokens: int = 0
+    prefix_miss_tokens: int = 0
     #: Cached blocks reclaimed by LRU eviction over the run.
     n_evicted_blocks: int = 0
     #: Copy-on-write block copies: the prompt's next block was cached
@@ -159,19 +154,18 @@ class ServingReport:
     #: inside it (e.g. a fully cached prompt recomputing its last
     #: block for logits).
     n_cow_copies: int = 0
-    #: Event-loop statistics of the run (:class:`~repro.serve.events.
-    #: EventStats`), surfaced into :meth:`metrics`.
-    event_stats: Optional[object] = None
+    #: Event-loop statistics of the run, surfaced into ``metrics()``.
+    event_stats: Optional[EventStats] = None
     #: The run's :class:`~repro.obs.metrics.MetricsRegistry`; its flat
-    #: dict is merged into :meth:`metrics` and its Prometheus text is
+    #: dict is merged into ``metrics()`` and its Prometheus text is
     #: available via ``registry.to_prometheus()``.
-    registry: Optional[object] = None
+    registry: Optional[MetricsRegistry] = None
     #: The run's :class:`~repro.obs.trace.Tracer` when the simulation
-    #: ran with ``SimConfig(trace=True)``, else ``None``.
-    tracer: Optional[object] = None
+    #: ran with ``trace=True`` in its config, else ``None``.
+    tracer: Optional[Tracer] = None
     #: The run's :class:`~repro.obs.timeline.Timeline` when it ran
-    #: with ``SimConfig(timeline=...)``, else ``None``.  Never merged
-    #: into :meth:`metrics` — windowed series are an observability
+    #: with ``timeline=...`` in its config, else ``None``.  Never
+    #: merged into ``metrics()`` — windowed series are an observability
     #: product, and metrics stay bit-identical with sampling on/off.
     timeline: Optional[object] = None
     #: Evaluated :class:`~repro.obs.slo.SLOReport` when the timeline
@@ -193,35 +187,41 @@ class ServingReport:
         total = sum(r.output_tokens for r in self.records)
         return total / self.makespan_s if self.makespan_s else 0.0
 
+    # -- prefix cache --------------------------------------------------
+    @property
+    def prefix_hit_rate(self) -> float:
+        """Fraction of admissions that matched at least one cached block."""
+        return self.prefix_lookup_hits / max(1, self.prefix_lookups)
+
+    @property
+    def cached_token_fraction(self) -> float:
+        """Fraction of looked-up prompt tokens served from the cache."""
+        total = self.prefix_hit_tokens + self.prefix_miss_tokens
+        return self.prefix_hit_tokens / max(1, total)
+
     # -- latency -------------------------------------------------------
     def ttft_s(self, q: float = 50.0) -> float:
         """TTFT percentile (0.0 when nothing completed)."""
-        if not self.records:
-            return 0.0
-        return percentile([r.ttft_s for r in self.records], q)
+        return _percentile([r.ttft_s for r in self.records], q)
 
     def tpot_s(self, q: float = 50.0) -> float:
         """TPOT percentile over multi-token requests (0.0 if none)."""
-        values = [r.tpot_s for r in self.records if r.output_tokens > 1]
-        if not values:
-            return 0.0
-        return percentile(values, q)
+        return _percentile(
+            [r.tpot_s for r in self.records if r.output_tokens > 1], q)
 
     def latency_s(self, q: float = 50.0) -> float:
         """End-to-end latency percentile (0.0 when nothing completed)."""
-        if not self.records:
-            return 0.0
-        return percentile([r.latency_s for r in self.records], q)
+        return _percentile([r.latency_s for r in self.records], q)
 
-    def metrics(self) -> dict:
-        """Flat JSON-safe metric dict (plain ``int``/``float`` values).
+    # -- export --------------------------------------------------------
+    def _metrics(self, own: dict) -> dict:
+        """The flat JSON-safe metric dict (plain ``int``/``float``
+        values): the keys every report shares, then the subclass's
+        ``own`` keys, then event counters and the registry's flat dict.
 
-        This is the structured form the experiment orchestrator
-        persists to the ``BENCH_<pr>.json`` perf trajectory; keys are
-        shared with :meth:`repro.cluster.fleet.FleetReport.metrics`
-        where the concepts coincide, so trajectory deltas can compare
-        serving and fleet trials uniformly.  Derived quantities are
-        stored exactly as computed (no rounding): JSON round-trips
+        Shared key names let the orchestrator's trajectory deltas
+        compare serving and fleet trials uniformly.  Derived quantities
+        are stored exactly as computed (no rounding): JSON round-trips
         Python floats losslessly, which is what lets golden tests pin
         persisted metrics bit-identical.
         """
@@ -229,7 +229,6 @@ class ServingReport:
             "n_requests": self.n_requests,
             "n_rejected": self.n_rejected,
             "makespan_s": self.makespan_s,
-            "n_iterations": self.n_iterations,
             "throughput_rps": self.throughput_rps,
             "output_tokens_per_s": self.output_tokens_per_s,
             "ttft_p50_ms": self.ttft_s(50) * 1e3,
@@ -237,14 +236,11 @@ class ServingReport:
             "tpot_p50_ms": self.tpot_s(50) * 1e3,
             "latency_p50_s": self.latency_s(50),
             "latency_p99_s": self.latency_s(99),
-            "peak_seqs": self.peak_seqs,
-            "peak_kv_utilization": self.peak_kv_utilization,
-            "peak_kv_occupancy": self.peak_kv_occupancy,
             "n_preempted": self.n_preempted,
             "prefix_hit_rate": self.prefix_hit_rate,
             "cached_token_fraction": self.cached_token_fraction,
             "n_evicted_blocks": self.n_evicted_blocks,
-            "n_cow_copies": self.n_cow_copies,
+            **own,
         }
         if self.event_stats is not None:
             out["n_events"] = self.event_stats.n_events
@@ -257,11 +253,12 @@ class ServingReport:
                 out.setdefault(key, value)
         return out
 
-    def summary(self) -> str:
-        """Multi-line human-readable summary."""
+    def _summary(self, header: str, detail: List[str]) -> str:
+        """Multi-line human-readable summary: ``header``, the shared
+        throughput and latency lines, the subclass's ``detail`` lines,
+        then prefix-cache, rejection and SLO lines when they apply."""
         lines = [
-            f"{self.name}: {self.n_requests} requests in "
-            f"{self.makespan_s:.2f} s ({self.n_iterations} iterations)",
+            header,
             f"  throughput : {self.throughput_rps:6.2f} req/s, "
             f"{self.output_tokens_per_s:8.1f} output tok/s",
             f"  TTFT       : p50 {self.ttft_s(50) * 1e3:8.1f} ms, "
@@ -270,26 +267,65 @@ class ServingReport:
             f"  latency    : p50 {self.latency_s(50):6.2f} s, "
             f"p95 {self.latency_s(95):6.2f} s, "
             f"p99 {self.latency_s(99):6.2f} s",
-            f"  concurrency: peak {self.peak_seqs} seqs, "
-            f"peak KV use {self.peak_kv_utilization:.0%} "
-            f"({self.admission}), "
-            f"occupancy {self.peak_kv_occupancy:.0%}",
+            *detail,
         ]
         if self.prefix_caching:
             lines.append(
                 f"  prefix     : {self.prefix_hit_rate:.0%} admissions "
                 f"hit, {self.cached_token_fraction:.0%} of prompt tokens "
                 f"cached, {self.n_evicted_blocks} blocks evicted")
-        if self.n_preempted:
-            lines.append(f"  preempted  : {self.n_preempted} recompute "
-                         "preemptions")
         if self.n_rejected:
             lines.append(f"  rejected   : {self.n_rejected} requests "
-                         "exceeded the KV budget")
+                         "exceeded every KV budget")
         if self.slo is not None:
             lines.extend("  " + ln for ln in
                          self.slo.summary().splitlines())
         return "\n".join(lines)
+
+
+def _percentile(values: List[float], q: float) -> float:
+    """:func:`~repro.obs.report.percentile`, 0.0 for no values."""
+    return percentile(values, q) if values else 0.0
+
+
+@dataclass
+class ServingReport(Report):
+    """Aggregate metrics of one simulated single-engine serving run."""
+
+    n_iterations: int
+    peak_seqs: int
+    peak_kv_utilization: float
+    #: Admission policy of the scheduler that produced this report.
+    admission: str = "reserve"
+    #: Peak fraction of the KV budget actually resident in HBM (live
+    #: tokens for reserve admission, allocated blocks for paged).
+    peak_kv_occupancy: float = 0.0
+
+    def metrics(self) -> dict:
+        """Flat JSON-safe metric dict (see :meth:`Report._metrics`)."""
+        return self._metrics({
+            "n_iterations": self.n_iterations,
+            "peak_seqs": self.peak_seqs,
+            "peak_kv_utilization": self.peak_kv_utilization,
+            "peak_kv_occupancy": self.peak_kv_occupancy,
+            "n_cow_copies": self.n_cow_copies,
+        })
+
+    def summary(self) -> str:
+        """Multi-line human-readable summary."""
+        detail = [
+            f"  concurrency: peak {self.peak_seqs} seqs, "
+            f"peak KV use {self.peak_kv_utilization:.0%} "
+            f"({self.admission}), "
+            f"occupancy {self.peak_kv_occupancy:.0%}",
+        ]
+        if self.n_preempted:
+            detail.append(f"  preempted  : {self.n_preempted} recompute "
+                          "preemptions")
+        return self._summary(
+            f"{self.name}: {self.n_requests} requests in "
+            f"{self.makespan_s:.2f} s ({self.n_iterations} iterations)",
+            detail)
 
 
 class ServingEngine:
@@ -308,6 +344,8 @@ class ServingEngine:
         self.scheduler = scheduler
         self.cost_model = cost_model
         self.now_s = 0.0
+        #: Requests admitted to this engine.
+        self.n_submitted = 0
         #: Executed iterations, replayed ones included.
         self.iterations = 0
         self.peak_kv = 0.0
@@ -317,6 +355,17 @@ class ServingEngine:
         self.tracer = NULL_TRACER
         #: Eviction count already traced, for delta instants.
         self._last_evicted = 0
+
+    @property
+    def has_work(self) -> bool:
+        return self.scheduler.has_work
+
+    def submit(self, request: Request) -> None:
+        """Admit one request; the clock moves up to its arrival (an idle
+        engine waits for it) but never back."""
+        self.now_s = max(self.now_s, request.arrival_s)
+        self.scheduler.submit(request)
+        self.n_submitted += 1
 
     def execute(self, plan: BatchPlan, horizon_s: float,
                 max_iterations: int) -> List[SequenceState]:
@@ -369,30 +418,176 @@ class ServingEngine:
         return done
 
 
+class SimulationRun:
+    """The set-up, intake and epilogue both drivers share.
+
+    A driver builds one per ``run`` call over its engines, then runs its
+    own heap loop: arrivals popped from :attr:`loop` go to
+    :meth:`arrive`, SAMPLE events to :meth:`sample`.  Once the heap
+    drains, :meth:`finish` audits the engines and returns the
+    :class:`Report` fields every driver fills the same way.
+    """
+
+    def __init__(self, engines: Sequence[ServingEngine],
+                 config: Union[SimConfig, FleetConfig],
+                 trace: Sequence[Request],
+                 max_iterations: Optional[int] = None,
+                 route: Optional[Callable[[Request, List[int]], int]] = None):
+        self.engines = engines
+        self.config = config
+        #: Iteration cap per engine; defaults to the config's.
+        self.max_iterations = (config.max_iterations
+                               if max_iterations is None else max_iterations)
+        #: Picks an engine among those that can hold a request; the
+        #: first one when there is no router.
+        self.route = route
+        self.pending = sorted(trace, key=lambda r: r.arrival_s)
+        if not self.pending:
+            raise ValueError("empty trace")
+        self.arrivals_left = len(self.pending)
+        self.n_rejected = 0
+        #: req_id -> engine index, for every admitted request.
+        self.assignments: Dict[int, int] = {}
+        self.loop = EventLoop()
+        for req in self.pending:
+            self.loop.push(req.arrival_s, ARRIVAL, req)
+        self.tracer = (Tracer(name=config.name) if config.trace
+                       else NULL_TRACER)
+        if self.tracer.enabled:
+            for eng in engines:
+                eng.tracer = eng.scheduler.tracer = self.tracer
+                eng.scheduler.trace_replica = eng.replica_id
+        self.schedulers = tuple(eng.scheduler for eng in engines)
+        self.timeline = (TimelineCollector(config.timeline,
+                                           n_replicas=len(engines),
+                                           name=config.name)
+                         if config.timeline is not None else None)
+        if self.timeline is not None:
+            self.loop.push(self.timeline.next_sample_s, SAMPLE, None)
+
+    def arrive(self, request: Request) -> Optional[int]:
+        """Admit one arrival to an engine that can hold it; return the
+        engine's index, or ``None`` when no budget ever could.
+
+        A request that could never be admitted is rejected up front (a
+        real server returns 4xx) instead of wedging a queue; it moves
+        no clock, and its trace instant and timeline count are pinned
+        to engine 0.
+        """
+        self.arrivals_left -= 1
+        candidates = [i for i, eng in enumerate(self.engines)
+                      if eng.scheduler.fits(request)]
+        if not candidates:
+            self.n_rejected += 1
+            if self.tracer.enabled:
+                self.tracer.event(EVT_REJECTED, request.arrival_s, 0,
+                                  request.req_id)
+            if self.timeline is not None:
+                self.timeline.on_reject(0)
+            return None
+        idx = (self.route(request, candidates) if self.route is not None
+               else candidates[0])
+        self.engines[idx].submit(request)
+        self.assignments[request.req_id] = idx
+        if self.timeline is not None:
+            self.timeline.on_arrival(idx)
+        return idx
+
+    def sample(self, t_s: float) -> None:
+        """Close a telemetry window at a SAMPLE pop, and keep sampling
+        while the run can still produce events (the heap would
+        otherwise never drain).  Never moves a clock, so every metric
+        stays bit-identical with sampling on."""
+        self.timeline.sample(t_s, self.schedulers)
+        if self.arrivals_left or any(eng.has_work for eng in self.engines):
+            self.loop.push(self.timeline.next_sample_s, SAMPLE, None)
+
+    def finish(self, labels: Sequence[dict]) -> dict:
+        """Audit the drained engines and build the shared report fields.
+
+        ``labels[i]`` are the metric labels engine ``i``'s scheduler
+        emits its registry metrics under.
+        """
+        engines = self.engines
+        for eng in engines:
+            alloc = getattr(eng.scheduler, "allocator", None)
+            if alloc is not None and alloc.sanitize:
+                # Full-heap audit at drain: every sequence finished, so
+                # the pool must be back to empty (only reads state;
+                # raises SanitizeError on any broken invariant).
+                alloc.audit_drained()
+        records = [
+            RequestRecord(
+                req_id=s.request.req_id,
+                arrival_s=s.request.arrival_s,
+                first_token_s=s.first_token_s,
+                finished_s=s.finished_s,
+                prompt_tokens=s.request.prompt_tokens,
+                output_tokens=s.request.output_tokens,
+                queued_s=s.admitted_s - s.request.arrival_s,
+                cached_tokens=s.cached_tokens,
+            )
+            for eng in engines for s in eng.finished
+        ]
+        records.sort(key=lambda r: r.req_id)
+        if self.tracer.enabled:
+            for eng in engines:
+                self.tracer.record_sequences(eng.replica_id, eng.finished)
+        registry = MetricsRegistry()
+        for eng, engine_labels in zip(engines, labels):
+            # Duck-typed schedulers (equivalence-test stand-ins) may not
+            # emit; the run still gets event-loop and request metrics.
+            emit = getattr(eng.scheduler, "emit_metrics", None)
+            if emit is not None:
+                emit(registry, **engine_labels)
+        self.loop.stats.emit_metrics(registry)
+        observe_request_metrics(registry, records,
+                                n_rejected=self.n_rejected)
+        prefix = [
+            stats for eng in engines
+            if getattr(eng.scheduler, "prefix_caching", False)
+            and (stats := eng.scheduler.prefix_stats()) is not None
+        ]
+        makespan_s = max(eng.now_s for eng in engines)
+        timeline = slo = None
+        if self.timeline is not None:
+            timeline = self.timeline.finalize(makespan_s, self.schedulers)
+            if self.config.timeline.tracks_slo:
+                slo = SLOMonitor(
+                    target=self.config.timeline.slo_target,
+                ).evaluate(timeline)
+        return dict(
+            name=self.config.name,
+            records=records,
+            makespan_s=makespan_s,
+            n_rejected=self.n_rejected,
+            n_preempted=sum(getattr(eng.scheduler, "n_preemptions", 0)
+                            for eng in engines),
+            prefix_caching=bool(prefix),
+            prefix_lookups=sum(p.n_lookups for p in prefix),
+            prefix_lookup_hits=sum(p.n_lookup_hits for p in prefix),
+            prefix_hit_tokens=sum(p.hit_tokens for p in prefix),
+            prefix_miss_tokens=sum(p.miss_tokens for p in prefix),
+            n_evicted_blocks=sum(p.n_evicted_blocks for p in prefix),
+            n_cow_copies=sum(p.n_cow_copies for p in prefix),
+            event_stats=self.loop.stats,
+            registry=registry,
+            tracer=self.tracer if self.tracer.enabled else None,
+            timeline=timeline,
+            slo=slo,
+        )
+
+
 class ServingSimulator:
     """Drives a trace through scheduler + cost model to a report."""
 
     def __init__(self, scheduler: ContinuousBatchScheduler,
-                 cost_model: StepCostModel, name: str = _UNSET,
+                 cost_model: StepCostModel,
                  config: Optional[SimConfig] = None):
-        if config is not None:
-            if name is not _UNSET:
-                raise TypeError(
-                    "pass either config= or the legacy name= kwarg, "
-                    "not both")
-        else:
-            if name is not _UNSET:
-                warnings.warn(
-                    "passing simulator options as individual kwargs is "
-                    "deprecated; pass config=SimConfig(...) "
-                    "(repro.serve.api)", DeprecationWarning, stacklevel=2)
-                config = SimConfig(name=name)
-            else:
-                config = SimConfig()
-        self.config = config
+        self.config = config if config is not None else SimConfig()
         self.scheduler = scheduler
         self.cost_model = cost_model
-        self.name = config.name
+        self.name = self.config.name
 
     def run(self, trace: Sequence[Request],
             max_iterations: Optional[int] = None) -> ServingReport:
@@ -400,29 +595,11 @@ class ServingSimulator:
 
         ``max_iterations`` defaults to the config's cap.
         """
-        if max_iterations is None:
-            max_iterations = self.config.max_iterations
-        pending = sorted(trace, key=lambda r: r.arrival_s)
-        if not pending:
-            raise ValueError("empty trace")
-        loop = EventLoop()
-        for req in pending:
-            loop.push(req.arrival_s, ARRIVAL, req)
         sched = self.scheduler
         engine = ServingEngine(sched, self.cost_model)
-        tracer = Tracer(name=self.name) if self.config.trace else NULL_TRACER
-        self.tracer = tracer
-        if tracer.enabled:
-            sched.tracer = tracer
-            engine.tracer = tracer
-        timeline = (TimelineCollector(self.config.timeline,
-                                      n_replicas=1, name=self.name)
-                    if self.config.timeline is not None else None)
-        arrivals_left = len(pending)
-        if timeline is not None:
-            loop.push(timeline.next_sample_s, SAMPLE, None)
-
-        rejected: List[Request] = []
+        run = SimulationRun([engine], self.config, trace, max_iterations)
+        loop, timeline = run.loop, run.timeline
+        max_iterations = run.max_iterations
         while True:
             while True:
                 nxt = loop.peek()
@@ -430,57 +607,37 @@ class ServingSimulator:
                     break
                 t_evt, kind, req = loop.pop()
                 if kind == SAMPLE:
-                    # Telemetry boundary: close the window, keep
-                    # sampling while the run can still produce events.
-                    timeline.sample(t_evt, (sched,))
-                    if arrivals_left or sched.has_work:
-                        loop.push(timeline.next_sample_s, SAMPLE, None)
-                    continue
-                arrivals_left -= 1
-                if not sched.fits(req):
-                    # Could never be admitted: reject up front (a real
-                    # server returns 4xx) instead of wedging the queue.
-                    rejected.append(req)
-                    if tracer.enabled:
-                        tracer.event(EVT_REJECTED, req.arrival_s, 0,
-                                     req.req_id)
-                    if timeline is not None:
-                        timeline.on_reject(0)
-                    continue
-                sched.submit(req)
-                if timeline is not None:
-                    timeline.on_arrival(0)
+                    run.sample(t_evt)
+                else:
+                    run.arrive(req)
 
             plan = sched.schedule(engine.now_s)
             if plan.empty:
-                nxt = loop.peek()
+                if sched.has_work:
+                    # The scheduler preempts until a plan makes progress
+                    # whenever two or more sequences run, and a lone
+                    # sequence always fits the pool, so work pending
+                    # under an empty plan is a scheduler bug — fail
+                    # loudly rather than silently drop in-flight
+                    # requests, matching Replica.step in the fleet.
+                    raise RuntimeError(
+                        "scheduler made no progress with work pending "
+                        f"({len(sched.running)} running, "
+                        f"{len(sched.waiting)} waiting, "
+                        f"{len(getattr(sched, 'preempted', ()))} "
+                        "preempted)")
                 while nxt is not None and nxt[1] == SAMPLE:
                     # Idle telemetry boundary: close the window without
-                    # advancing now_s — the clock only follows
-                    # simulation events, so makespan (and every other
-                    # metric) stays bit-identical with sampling on.
-                    t_evt, _, _ = loop.pop()
-                    timeline.sample(t_evt, (sched,))
-                    if arrivals_left:
-                        loop.push(timeline.next_sample_s, SAMPLE, None)
+                    # advancing the clock.
+                    run.sample(loop.pop()[0])
                     nxt = loop.peek()
-                if nxt is not None:
-                    # Idle: fast-forward to the next arrival.
-                    engine.now_s = max(engine.now_s, nxt[0])
-                    continue
-                if not sched.has_work:
+                if nxt is None:
                     break  # drained
-                # The scheduler preempts until a plan makes progress
-                # whenever two or more sequences run, and a lone
-                # sequence always fits the pool, so work pending under
-                # an empty plan is a scheduler bug — fail loudly rather
-                # than silently drop in-flight requests, matching
-                # Replica.step in the fleet layer.
-                raise RuntimeError(
-                    "scheduler made no progress with work pending "
-                    f"({len(sched.running)} running, "
-                    f"{len(sched.waiting)} waiting, "
-                    f"{len(getattr(sched, 'preempted', ()))} preempted)")
+                # Idle: take the next arrival; only an admitted one
+                # moves the clock, so makespan ends at the last
+                # completion.
+                run.arrive(loop.pop()[2])
+                continue
 
             if engine.iterations >= max_iterations:
                 raise RuntimeError(
@@ -493,68 +650,11 @@ class ServingSimulator:
             if timeline is not None and done:
                 timeline.on_complete(0, done, engine.now_s)
 
-        alloc = getattr(sched, "allocator", None)
-        if alloc is not None and alloc.sanitize:
-            # Full-heap audit at drain: every sequence finished, so the
-            # pool must be back to empty (only reads state; raises
-            # SanitizeError on any broken invariant).
-            alloc.audit_drained()
-
-        records = [
-            RequestRecord(
-                req_id=s.request.req_id,
-                arrival_s=s.request.arrival_s,
-                first_token_s=s.first_token_s,
-                finished_s=s.finished_s,
-                prompt_tokens=s.request.prompt_tokens,
-                output_tokens=s.request.output_tokens,
-                queued_s=s.admitted_s - s.request.arrival_s,
-                cached_tokens=s.cached_tokens,
-            )
-            for s in engine.finished
-        ]
-        records.sort(key=lambda r: r.req_id)
-        if tracer.enabled:
-            tracer.record_sequences(0, engine.finished)
-        self.last_event_stats = loop.stats
-        registry = MetricsRegistry()
-        # Duck-typed schedulers (equivalence-test stand-ins) may not
-        # emit; the run still gets event-loop and request metrics.
-        emit = getattr(sched, "emit_metrics", None)
-        if emit is not None:
-            emit(registry)
-        loop.stats.emit_metrics(registry)
-        observe_request_metrics(registry, records,
-                                n_rejected=len(rejected))
-        prefix = (sched.prefix_stats()
-                  if getattr(sched, "prefix_caching", False) else None)
-        timeline_obj = slo_report = None
-        if timeline is not None:
-            timeline_obj = timeline.finalize(engine.now_s, (sched,))
-            if self.config.timeline.tracks_slo:
-                slo_report = SLOMonitor(
-                    target=self.config.timeline.slo_target,
-                ).evaluate(timeline_obj)
         return ServingReport(
-            name=self.name,
-            records=records,
-            makespan_s=engine.now_s,
+            **run.finish([{}]),
             n_iterations=engine.iterations,
             peak_seqs=sched.peak_seqs,
             peak_kv_utilization=engine.peak_kv,
-            n_rejected=len(rejected),
             admission=getattr(sched, "admission", "reserve"),
             peak_kv_occupancy=getattr(sched, "peak_kv_occupancy", 0.0),
-            n_preempted=getattr(sched, "n_preemptions", 0),
-            prefix_caching=prefix is not None,
-            prefix_hit_rate=prefix.hit_rate if prefix else 0.0,
-            cached_token_fraction=(prefix.cached_token_fraction
-                                   if prefix else 0.0),
-            n_evicted_blocks=prefix.n_evicted_blocks if prefix else 0,
-            n_cow_copies=prefix.n_cow_copies if prefix else 0,
-            event_stats=loop.stats,
-            registry=registry,
-            tracer=tracer if tracer.enabled else None,
-            timeline=timeline_obj,
-            slo=slo_report,
         )

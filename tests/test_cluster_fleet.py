@@ -18,6 +18,7 @@ from repro.cluster.fleet import (
     make_policy,
     size_fleet,
 )
+from repro.serve.api import FleetConfig, SchedulerConfig
 from repro.serve.requests import LengthSampler, Request, multi_turn_chat_trace
 from repro.serve.scheduler import ContinuousBatchScheduler, KVBudget
 
@@ -35,40 +36,34 @@ class ConstantCostModel:
         return math.inf  # a constant cost never changes
 
 
-def _replicas(n, max_tokens=100_000, step_us=1000.0, token_budget=512,
-              max_seqs=16):
+def _fleet(n, max_tokens, step_us, config):
     cost = ConstantCostModel(step_us)
     return [
         Replica(i, ContinuousBatchScheduler(
             KVBudget(capacity_bytes=float(max_tokens), bytes_per_token=1.0),
-            token_budget=token_budget, max_seqs=max_seqs), cost)
+            config=config), cost)
         for i in range(n)
     ]
+
+
+def _replicas(n, max_tokens=100_000, step_us=1000.0, token_budget=512,
+              max_seqs=16):
+    return _fleet(n, max_tokens, step_us, SchedulerConfig(
+        token_budget=token_budget, max_seqs=max_seqs))
 
 
 def _paged_replicas(n, max_tokens=300, step_us=1000.0, token_budget=512,
                     max_seqs=32, block_tokens=8):
-    cost = ConstantCostModel(step_us)
-    return [
-        Replica(i, ContinuousBatchScheduler(
-            KVBudget(capacity_bytes=float(max_tokens), bytes_per_token=1.0),
-            token_budget=token_budget, max_seqs=max_seqs,
-            admission="paged", block_tokens=block_tokens), cost)
-        for i in range(n)
-    ]
+    return _fleet(n, max_tokens, step_us, SchedulerConfig(
+        token_budget=token_budget, max_seqs=max_seqs, admission="paged",
+        block_tokens=block_tokens))
 
 
 def _prefix_replicas(n, max_tokens=6000, step_us=1000.0, token_budget=512,
                      max_seqs=16, block_tokens=16):
-    cost = ConstantCostModel(step_us)
-    return [
-        Replica(i, ContinuousBatchScheduler(
-            KVBudget(capacity_bytes=float(max_tokens), bytes_per_token=1.0),
-            token_budget=token_budget, max_seqs=max_seqs,
-            admission="paged", block_tokens=block_tokens,
-            prefix_caching=True), cost)
-        for i in range(n)
-    ]
+    return _fleet(n, max_tokens, step_us, SchedulerConfig(
+        token_budget=token_budget, max_seqs=max_seqs, admission="paged",
+        block_tokens=block_tokens, prefix_caching=True))
 
 
 def _trace(n, prompt=32, output=8, gap=0.0):
@@ -102,20 +97,21 @@ class TestRequestConservation:
     @pytest.mark.parametrize("policy", ["round-robin", "jsq", "least-kv"])
     def test_all_requests_complete_exactly_once(self, policy):
         trace = _trace(30, gap=0.0007)
-        report = FleetSimulator(_replicas(3), policy=policy,
-                                name="unit").run(trace)
+        report = FleetSimulator(_replicas(3), config=FleetConfig(
+            policy=policy, name="unit")).run(trace)
         assert report.n_requests == 30 and report.n_rejected == 0
         assert sorted(r.req_id for r in report.records) == list(range(30))
         assert sorted(report.assignments) == list(range(30))
         # Per-replica routed counts partition the trace.
-        assert sum(routed for routed, *_ in report.replica_stats) == 30
+        assert sum(s.n_requests for s in report.replica_stats) == 30
 
     def test_rejected_plus_completed_covers_the_trace(self):
         trace = _trace(4, prompt=32, output=8)          # 40 tokens each
         trace.append(Request(req_id=4, arrival_s=0.0, prompt_tokens=500,
                              output_tokens=8))          # fits nowhere
-        report = FleetSimulator(_replicas(2, max_tokens=50),
-                                policy="jsq", name="unit").run(trace)
+        report = FleetSimulator(
+            _replicas(2, max_tokens=50),
+            config=FleetConfig(policy="jsq", name="unit")).run(trace)
         assert report.n_requests == 4
         assert report.n_rejected == 1
         assert 4 not in report.assignments
@@ -125,8 +121,8 @@ class TestRequestConservation:
 class TestPolicies:
     def test_round_robin_cycles(self):
         trace = _trace(6)
-        report = FleetSimulator(_replicas(3), policy="round-robin",
-                                name="unit").run(trace)
+        report = FleetSimulator(_replicas(3), config=FleetConfig(
+            policy="round-robin", name="unit")).run(trace)
         assert [report.assignments[i] for i in range(6)] == [0, 1, 2, 0, 1, 2]
 
     def test_jsq_prefers_the_idle_replica(self):
@@ -135,8 +131,8 @@ class TestPolicies:
         replicas[0].submit(Request(req_id=99, arrival_s=0.0,
                                    prompt_tokens=64, output_tokens=32))
         trace = _trace(2)
-        report = FleetSimulator(replicas, policy="jsq",
-                                name="unit").run(trace)
+        report = FleetSimulator(replicas, config=FleetConfig(
+            policy="jsq", name="unit")).run(trace)
         assert report.assignments[0] == 1
         # After the second arrival both queues tie at 1 -> lowest index.
         assert report.assignments[1] == 0
@@ -148,8 +144,8 @@ class TestPolicies:
         replicas[0].submit(big)
         assert replicas[0].kv_pressure == pytest.approx(0.5)
         assert replicas[1].kv_pressure == 0.0
-        report = FleetSimulator(replicas, policy="least-kv",
-                                name="unit").run(_trace(1))
+        report = FleetSimulator(replicas, config=FleetConfig(
+            policy="least-kv", name="unit")).run(_trace(1))
         assert report.assignments[0] == 1
 
     def test_unknown_policy_rejected(self):
@@ -168,8 +164,8 @@ class TestPolicies:
                 return len(replicas) + 7
 
         with pytest.raises(ValueError):
-            FleetSimulator(_replicas(2), policy=Broken(),
-                           name="unit").run(_trace(1))
+            FleetSimulator(_replicas(2), config=FleetConfig(
+                policy=Broken(), name="unit")).run(_trace(1))
 
 
 class TestFleetBehaviour:
@@ -177,9 +173,8 @@ class TestFleetBehaviour:
         """With one-sequence replicas, TTFT scales down with fleet size."""
         trace = _trace(8, prompt=32, output=8)  # simultaneous arrivals
         reports = {
-            n: FleetSimulator(
-                _replicas(n, max_tokens=40), policy="jsq",
-                name=f"n{n}").run(trace)
+            n: FleetSimulator(_replicas(n, max_tokens=40), config=FleetConfig(
+                policy="jsq", name=f"n{n}")).run(trace)
             for n in (1, 2, 4)
         }
         ttfts = [reports[n].ttft_s(95) for n in (1, 2, 4)]
@@ -189,8 +184,8 @@ class TestFleetBehaviour:
 
     def test_single_replica_matches_single_engine_semantics(self):
         """A 1-replica fleet reproduces ServingSimulator's exact timing."""
-        report = FleetSimulator(_replicas(1), policy="round-robin",
-                                name="unit").run(_trace(1, prompt=100,
+        report = FleetSimulator(_replicas(1), config=FleetConfig(
+            policy="round-robin", name="unit")).run(_trace(1, prompt=100,
                                                         output=5))
         rec = report.records[0]
         assert rec.ttft_s == pytest.approx(0.001)
@@ -201,8 +196,9 @@ class TestFleetBehaviour:
         """8 simultaneous requests on one single-sequence replica: each
         takes 8 iterations, so TTFTs are 1, 9, 17, ... ms."""
         trace = _trace(8, prompt=32, output=8)
-        report = FleetSimulator(_replicas(1, max_tokens=40),
-                                policy="jsq", name="unit").run(trace)
+        report = FleetSimulator(
+            _replicas(1, max_tokens=40),
+            config=FleetConfig(policy="jsq", name="unit")).run(trace)
         slo = SLO(ttft_s=0.020)  # the first three requests meet it
         assert report.slo_attainment(slo) == pytest.approx(3 / 8)
         assert report.goodput_rps(slo) == pytest.approx(
@@ -212,22 +208,24 @@ class TestFleetBehaviour:
 
     def test_rejections_fail_compliance(self):
         trace = [Request(0, 0.0, 32, 8), Request(1, 0.0, 500, 8)]
-        report = FleetSimulator(_replicas(1, max_tokens=50),
-                                policy="jsq", name="unit").run(trace)
+        report = FleetSimulator(
+            _replicas(1, max_tokens=50),
+            config=FleetConfig(policy="jsq", name="unit")).run(trace)
         assert not report.meets(SLO(ttft_s=100.0))
         assert report.slo_attainment(SLO(ttft_s=100.0)) == pytest.approx(0.5)
 
     def test_empty_trace_rejected(self):
         with pytest.raises(ValueError):
-            FleetSimulator(_replicas(1), name="unit").run([])
+            FleetSimulator(_replicas(1), config=FleetConfig(
+                name="unit")).run([])
 
     def test_no_replicas_rejected(self):
         with pytest.raises(ValueError):
-            FleetSimulator([], name="unit")
+            FleetSimulator([], config=FleetConfig(name="unit"))
 
     def test_iteration_guard_trips(self):
         with pytest.raises(RuntimeError):
-            FleetSimulator(_replicas(1), name="unit").run(
+            FleetSimulator(_replicas(1), config=FleetConfig(name="unit")).run(
                 _trace(10), max_iterations=3)
 
 
@@ -248,8 +246,8 @@ class TestSizeFleet:
         assert n == 4
         assert report.n_replicas == 4 and report.meets(slo)
         # One fewer replica must miss (minimality).
-        miss = FleetSimulator(factory(3), policy="jsq",
-                              name="unit").run(trace)
+        miss = FleetSimulator(factory(3), config=FleetConfig(
+            policy="jsq", name="unit")).run(trace)
         assert not miss.meets(slo)
 
     def test_returns_none_when_even_max_misses(self):
@@ -270,11 +268,13 @@ class TestPagedFleet:
         """A fleet of paged replicas conserves requests and reports
         per-replica recompute preemption counts."""
         trace = _trace(16, prompt=32, output=24, gap=0.0)
-        report = FleetSimulator(_paged_replicas(2, max_tokens=300),
-                                policy="jsq", name="unit").run(trace)
+        report = FleetSimulator(
+            _paged_replicas(2, max_tokens=300),
+            config=FleetConfig(policy="jsq", name="unit")).run(trace)
         assert report.n_requests == 16 and report.n_rejected == 0
         assert len(report.replica_stats) == 2
-        assert all(len(stats) == 4 for stats in report.replica_stats)
+        assert report.n_preempted == sum(
+            s.n_preemptions for s in report.replica_stats)
         assert report.n_preempted >= 1
         assert "preemption" in report.summary()
 
@@ -299,7 +299,8 @@ class TestPagedFleet:
         reps = _paged_replicas(1, max_tokens=40, block_tokens=8)
         trace = [Request(req_id=0, arrival_s=0.0, prompt_tokens=33,
                          output_tokens=8)]  # 41 tokens -> 6 blocks of 5
-        report = FleetSimulator(reps, policy="jsq", name="unit").run(trace)
+        report = FleetSimulator(reps, config=FleetConfig(
+            policy="jsq", name="unit")).run(trace)
         assert report.n_rejected == 1 and report.n_requests == 0
 
     def test_prefix_metrics_aggregate_across_replicas(self):
@@ -309,8 +310,8 @@ class TestPagedFleet:
             4, 3, rate_rps=50.0, think_s=0.02, system_tokens=32,
             user=LengthSampler(mean=16), output=LengthSampler(mean=8),
             seed=0)
-        report = FleetSimulator(reps, policy="prefix-affinity",
-                                name="unit").run(trace)
+        report = FleetSimulator(reps, config=FleetConfig(
+            policy="prefix-affinity", name="unit")).run(trace)
         assert report.prefix_caching
         assert report.prefix_lookups == 12
         assert 0.0 < report.prefix_hit_rate <= 1.0
@@ -369,9 +370,8 @@ class TestPrefixAffinity:
 
     def test_sessions_stick_to_one_replica(self):
         trace = self._chat_trace()
-        report = FleetSimulator(_prefix_replicas(3),
-                                policy="prefix-affinity",
-                                name="unit").run(trace)
+        report = FleetSimulator(_prefix_replicas(3), config=FleetConfig(
+            policy="prefix-affinity", name="unit")).run(trace)
         by_session = {}
         for req in trace:
             by_session.setdefault(req.session_id, set()).add(
@@ -384,8 +384,8 @@ class TestPrefixAffinity:
         rate beats round-robin's on a sessionized trace."""
         trace = self._chat_trace()
         reports = {
-            policy: FleetSimulator(_prefix_replicas(3), policy=policy,
-                                   name=policy).run(trace)
+            policy: FleetSimulator(_prefix_replicas(3), config=FleetConfig(
+                policy=policy, name=policy)).run(trace)
             for policy in ("round-robin", "prefix-affinity")
         }
         for rep in reports.values():

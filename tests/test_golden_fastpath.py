@@ -1,12 +1,13 @@
 """Golden bit-identical tests guarding the fast-path refactor.
 
 ``tests/data/golden_fastpath.json`` was recorded with
-``tools/record_goldens.py`` on the pre-refactor simulator (per-replica
-lockstep ``advance_to`` loop, unmemoized cost model, object-at-a-time
-scheduler).  These tests recompute the same scenarios through the
-current code and require every reported metric to round-trip *equal* —
-JSON serialises Python floats losslessly, so equality here is
-bit-identity of the simulation output, not a tolerance check.
+``tools/record_goldens.py`` on the pre-refactor simulator (a lockstep
+loop advancing every replica to each arrival, unmemoized cost model,
+object-at-a-time scheduler).  These tests recompute the same scenarios
+through the current code and require every reported metric to
+round-trip *equal* — JSON serialises Python floats losslessly, so
+equality here is bit-identity of the simulation output, not a
+tolerance check.
 
 Covered scenarios (see the recorder for the pinned workloads):
 

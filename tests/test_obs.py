@@ -14,13 +14,12 @@ Two invariants anchor the observability layer:
 """
 
 import math
-import warnings
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster.fleet import FleetReport, FleetSimulator, ReplicaStats
+from repro.cluster.fleet import FleetSimulator
 from repro.core.engine import ComputeEngine
 from repro.gpu.spec import RTX4090
 from repro.llm.config import llama_7b
@@ -280,39 +279,6 @@ def test_fleet_metrics_include_event_stats(engine):
     assert m["n_events"] > 0
     assert m["n_arrivals"] == 24
     assert m["requests_completed_total"] == rep.n_requests
-
-
-# ----------------------------------------------------------------------
-# ReplicaStats dataclass + legacy tuple shim
-# ----------------------------------------------------------------------
-def test_replica_stats_tuple_compatibility():
-    stats = ReplicaStats(n_requests=5, n_iterations=100,
-                         peak_kv_utilization=0.75, n_preemptions=2)
-    assert len(stats) == 4
-    assert tuple(stats) == (5, 100, 0.75, 2)
-    assert stats[0] == 5 and stats[-1] == 2
-    routed, iters, peak, preempted = stats
-    assert (routed, iters, peak, preempted) == (5, 100, 0.75, 2)
-
-
-def test_fleet_report_accepts_legacy_tuples_with_warning():
-    with pytest.warns(DeprecationWarning, match="positional tuples"):
-        report = FleetReport(name="legacy", policy="jsq", n_replicas=2,
-                             records=[], assignments={}, makespan_s=1.0,
-                             replica_stats=[(3, 10, 0.5, 1),
-                                            (2, 8, 0.25, 0)])
-    assert all(isinstance(s, ReplicaStats) for s in report.replica_stats)
-    assert report.replica_stats[0].n_requests == 3
-    assert report.n_preempted == 1
-
-
-def test_fleet_report_replica_stats_no_warning_for_dataclass():
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        report = FleetReport(name="ok", policy="jsq", n_replicas=1,
-                             records=[], assignments={}, makespan_s=1.0,
-                             replica_stats=[ReplicaStats(1, 2, 0.1)])
-    assert report.replica_stats[0].n_iterations == 2
 
 
 # ----------------------------------------------------------------------

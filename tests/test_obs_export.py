@@ -12,7 +12,10 @@ within float tolerance.
 import json
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.engine import ComputeEngine
 from repro.gpu.spec import RTX4090
@@ -160,6 +163,13 @@ def test_percentile_matches_linear_interpolation():
     assert percentile(values, 50) == 3.0  # midpoint of 2 and 4
 
 
+@settings(max_examples=500, deadline=None)
+@given(values=st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=50),
+       q=st.floats(0, 100) | st.sampled_from([50, 95, 99, 37.5]))
+def test_percentile_is_numpy_bit_for_bit(values, q):
+    assert percentile(values, q) == float(np.percentile(values, q))
+
+
 def test_report_reconciles_with_serving_aggregates(tmp_path, traced_report):
     path = tmp_path / "trace.json"
     write_perfetto(path, traced_report.tracer)
@@ -219,15 +229,6 @@ def test_bench_serving_trace_out(tmp_path):
          "--trace-out", str(path)])
     doc = load_trace(path)
     assert doc["traceEvents"]
-
-
-def test_bench_serving_trace_alias_warns():
-    from repro.bench.serving import run
-
-    with pytest.warns(DeprecationWarning, match="deprecated alias"):
-        run(["--modes", "fp16", "--requests", "8", "--rate", "8",
-             "--prompt-mean", "64", "--output-mean", "16",
-             "--trace", "bursty"])
 
 
 def test_orchestrator_trial_trace_matches_untraced(tmp_path):

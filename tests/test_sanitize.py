@@ -49,8 +49,7 @@ def _budget(tokens=4096):
 def _run(trace, *, sanitize, prefix=False, budget_tokens=4096):
     config = SimConfig(
         scheduler=SchedulerConfig(admission="paged", max_seqs=32,
-                                  prefix_caching=prefix),
-        sanitize=sanitize)
+                                  prefix_caching=prefix, sanitize=sanitize))
     sim = config.build(_budget(budget_tokens), ConstantCostModel())
     return sim.run(trace)
 
@@ -65,20 +64,6 @@ class TestActivation:
         assert PagedKVAllocator(8, 4).sanitize
         monkeypatch.setenv("REPRO_SANITIZE", "0")
         assert not PagedKVAllocator(8, 4).sanitize
-
-    def test_sim_config_threads_down(self):
-        trace = poisson_trace(8.0, 8, seed=0)
-        config = SimConfig(scheduler=SchedulerConfig(admission="paged"),
-                           sanitize=True)
-        sim = config.build(_budget(), ConstantCostModel())
-        assert sim.scheduler.allocator.sanitize
-
-    def test_fleet_config_threads_down(self):
-        fleet = FleetConfig(
-            scheduler=SchedulerConfig(admission="paged"),
-            sanitize=True).build(2, _budget(), ConstantCostModel())
-        for rep in fleet.replicas:
-            assert rep.scheduler.allocator.sanitize
 
     def test_flag_or_env(self, monkeypatch):
         monkeypatch.delenv("REPRO_SANITIZE", raising=False)
@@ -115,8 +100,8 @@ class TestTransparency:
 
         def fleet(sanitize):
             return FleetConfig(
-                scheduler=SchedulerConfig(admission="paged", max_seqs=16),
-                sanitize=sanitize).build(
+                scheduler=SchedulerConfig(admission="paged", max_seqs=16,
+                                          sanitize=sanitize)).build(
                     3, _budget(1024), ConstantCostModel()).run(trace)
 
         assert fleet(False).metrics() == fleet(True).metrics()

@@ -4,9 +4,10 @@ The heap driver (:class:`repro.serve.events.EventLoop` under
 :class:`repro.cluster.fleet.FleetSimulator`) claims two things:
 
 1. it is *bit-identical* to the legacy poll-everyone lockstep driver
-   (``Replica.advance_to`` before every arrival) — checked here by a
-   test-local reimplementation of the old loop, property-tested over
-   randomized traces, policies and admission modes;
+   (advance every replica to each arrival before routing it) — checked
+   here by a test-local reimplementation of the old loop
+   (:func:`_lockstep_run`), property-tested over randomized traces,
+   policies and admission modes;
 2. it activates replicas strictly less often — idle replicas are never
    polled — checked by the sparse-trace wakeup regression.
 """
@@ -50,6 +51,14 @@ def _replicas(n, max_tokens=120, step_us=1000.0, token_budget=64,
     ]
 
 
+def _advance_to(rep, t_s):
+    """Run iterations until the replica's clock reaches ``t_s`` or its
+    work runs out, counting one wakeup whether or not it had work."""
+    rep.n_wakeups += 1
+    while rep.has_work and rep.now_s < t_s:
+        rep.step()
+
+
 def _lockstep_run(replicas, policy, trace, max_iterations=100_000):
     """The pre-heap fleet driver, verbatim: advance every replica to
     each arrival, route, then drain replicas one by one."""
@@ -57,7 +66,7 @@ def _lockstep_run(replicas, policy, trace, max_iterations=100_000):
     assignments, rejected = {}, []
     for req in pending:
         for rep in replicas:
-            rep.advance_to(req.arrival_s)
+            _advance_to(rep, req.arrival_s)
         candidates = [i for i, rep in enumerate(replicas)
                       if rep.scheduler.fits(req)]
         if not candidates:
@@ -195,14 +204,14 @@ class TestWakeupRegression:
                          output_tokens=1) for i in range(n_requests)]
 
         heap_reps = _replicas(n_replicas)
-        sim = FleetSimulator(heap_reps,
-                             config=FleetConfig(policy="jsq", name="heap"))
-        sim.run(trace)
+        report = FleetSimulator(
+            heap_reps, config=FleetConfig(policy="jsq", name="heap")
+        ).run(trace)
         heap_wakeups = sum(r.n_wakeups for r in heap_reps)
         # One wakeup per executed iteration, nothing else.
         assert heap_wakeups == sum(r.iterations for r in heap_reps)
-        assert sim.last_event_stats.n_idle_polls == 0
-        assert sim.last_event_stats.n_step_events == heap_wakeups
+        assert report.event_stats.n_idle_polls == 0
+        assert report.event_stats.n_step_events == heap_wakeups
 
         lock_reps = _replicas(n_replicas)
         _lockstep_run(lock_reps, make_policy("jsq"), trace)

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from repro.llm.config import llama_7b
 from repro.obs.trace import EVT_ADMITTED, EVT_PREEMPTED
-from repro.serve.api import SchedulerConfig
+from repro.serve.api import SchedulerConfig, SimConfig
 from repro.serve.paging import PagedKVAllocator
 from repro.serve.requests import Request
 from repro.serve.sanitize import SanitizeError
@@ -55,10 +55,9 @@ def _req(i, prompt=64, output=16, arrival=0.0):
 def _paged(max_tokens=200, token_budget=256, max_seqs=16, block_tokens=8,
            watermark_frac=0.0):
     budget = KVBudget(capacity_bytes=float(max_tokens), bytes_per_token=1.0)
-    return ContinuousBatchScheduler(budget, token_budget=token_budget,
-                                    max_seqs=max_seqs, admission="paged",
-                                    block_tokens=block_tokens,
-                                    watermark_frac=watermark_frac)
+    return ContinuousBatchScheduler(budget, config=SchedulerConfig(
+        token_budget=token_budget, max_seqs=max_seqs, admission="paged",
+        block_tokens=block_tokens, watermark_frac=watermark_frac))
 
 
 class TestPagedKVAllocator:
@@ -160,11 +159,11 @@ class TestPagedScheduling:
         """Paged admission needs prompt blocks only, so it runs more
         concurrent sequences than worst-case reservations allow."""
         budget = KVBudget(capacity_bytes=200.0, bytes_per_token=1.0)
-        reserve = ContinuousBatchScheduler(budget, token_budget=1024,
-                                           max_seqs=16)
-        paged = ContinuousBatchScheduler(budget, token_budget=1024,
-                                         max_seqs=16, admission="paged",
-                                         block_tokens=8, watermark_frac=0.0)
+        reserve = ContinuousBatchScheduler(budget, config=SchedulerConfig(
+            token_budget=1024, max_seqs=16))
+        paged = ContinuousBatchScheduler(budget, config=SchedulerConfig(
+            token_budget=1024, max_seqs=16, admission="paged", block_tokens=8,
+            watermark_frac=0.0))
         for sched in (reserve, paged):
             for i in range(8):
                 sched.submit(_req(i, prompt=16, output=84))  # 100 worst-case
@@ -281,10 +280,10 @@ class TestPagedScheduling:
 
     def test_simulator_run_drains_and_reports(self):
         budget = KVBudget(capacity_bytes=300.0, bytes_per_token=1.0)
-        sched = ContinuousBatchScheduler(budget, token_budget=256,
-                                         max_seqs=32, admission="paged",
-                                         block_tokens=8)
-        sim = ServingSimulator(sched, ConstantCostModel(), name="paged")
+        sched = ContinuousBatchScheduler(budget, config=SchedulerConfig(
+            token_budget=256, max_seqs=32, admission="paged", block_tokens=8))
+        sim = ServingSimulator(sched, ConstantCostModel(), config=SimConfig(
+            name="paged"))
         trace = [_req(i, prompt=32, output=24) for i in range(12)]
         report = sim.run(trace)
         assert report.n_requests == 12
@@ -302,11 +301,11 @@ class TestPagedScheduling:
         trace = [_req(i, prompt=32, output=24) for i in range(12)]
         reports = {}
         for adm in ("reserve", "paged"):
-            sched = ContinuousBatchScheduler(budget, token_budget=256,
-                                             max_seqs=32, admission=adm,
-                                             block_tokens=8)
+            sched = ContinuousBatchScheduler(budget, config=SchedulerConfig(
+                token_budget=256, max_seqs=32, admission=adm, block_tokens=8))
             reports[adm] = ServingSimulator(
-                sched, ConstantCostModel(), name=adm).run(trace)
+                sched, ConstantCostModel(),
+                config=SimConfig(name=adm)).run(trace)
         assert (reports["paged"].peak_kv_occupancy
                 > reports["reserve"].peak_kv_occupancy)
         assert (reports["paged"].makespan_s
@@ -337,13 +336,14 @@ class TestPagedScheduling:
     def test_validation(self):
         budget = KVBudget(capacity_bytes=100.0, bytes_per_token=1.0)
         with pytest.raises(ValueError):
-            ContinuousBatchScheduler(budget, admission="evict")
+            ContinuousBatchScheduler(budget, config=SchedulerConfig(
+                admission="evict"))
         with pytest.raises(ValueError):
-            ContinuousBatchScheduler(budget, admission="paged",
-                                     block_tokens=0)
+            ContinuousBatchScheduler(budget, config=SchedulerConfig(
+                admission="paged", block_tokens=0))
         with pytest.raises(ValueError):
-            ContinuousBatchScheduler(budget, admission="paged",
-                                     watermark_frac=1.0)
+            ContinuousBatchScheduler(budget, config=SchedulerConfig(
+                admission="paged", watermark_frac=1.0))
 
 
 # ----------------------------------------------------------------------
@@ -525,15 +525,15 @@ class TestReserveEquivalence:
         for make in (
             lambda b: LegacyReserveScheduler(b, token_budget=2048,
                                              max_seqs=64),
-            lambda b: ContinuousBatchScheduler(b, token_budget=2048,
-                                               max_seqs=64,
-                                               admission="reserve"),
+            lambda b: ContinuousBatchScheduler(b, config=SchedulerConfig(
+                token_budget=2048, max_seqs=64, admission="reserve")),
         ):
             budget = KVBudget(capacity_bytes=4e9,
                               bytes_per_token=bytes_per_token)
             sched = make(budget)
             reports.append(ServingSimulator(
-                sched, ConstantCostModel(), name="eq").run(trace))
+                sched, ConstantCostModel(),
+                config=SimConfig(name="eq")).run(trace))
         legacy, current = reports
         assert current.records == legacy.records
         assert current.makespan_s == legacy.makespan_s

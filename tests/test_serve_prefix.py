@@ -62,11 +62,10 @@ def _prefix_sched(total_tokens=256, block_tokens=8, token_budget=256,
                   max_seqs=16, watermark_frac=0.0):
     budget = KVBudget(capacity_bytes=float(total_tokens),
                       bytes_per_token=1.0)
-    return ContinuousBatchScheduler(budget, token_budget=token_budget,
-                                    max_seqs=max_seqs, admission="paged",
-                                    block_tokens=block_tokens,
-                                    watermark_frac=watermark_frac,
-                                    prefix_caching=True)
+    return ContinuousBatchScheduler(budget, config=SchedulerConfig(
+        token_budget=token_budget, max_seqs=max_seqs, admission="paged",
+        block_tokens=block_tokens, watermark_frac=watermark_frac,
+        prefix_caching=True))
 
 
 class TestPrefixCache:
@@ -379,8 +378,8 @@ class TestSchedulerIntegration:
         # has finished and committed its blocks (~5 ms at 1 ms/iter).
         trace = [_req(i, _ids(system, range(100 * i, 100 * i + 8)),
                       output=4, arrival=0.05 * i) for i in range(6)]
-        report = ServingSimulator(sched, ConstantCostModel(),
-                                  name="px").run(trace)
+        report = ServingSimulator(sched, ConstantCostModel(), config=SimConfig(
+            name="px")).run(trace)
         assert report.prefix_caching
         assert report.prefix_hit_rate > 0.5
         assert report.cached_token_fraction > 0.4
@@ -404,7 +403,7 @@ class TestSchedulerIntegration:
                  _req(3, _ids(p2, (200, 201)), output=2, arrival=1.0)]
         sim = SimConfig(scheduler=SchedulerConfig(
             admission="paged", prefix_caching=True, block_tokens=1,
-            watermark_frac=0.0), sanitize=True).build(
+            watermark_frac=0.0, sanitize=True)).build(
                 KVBudget(capacity_bytes=30.0, bytes_per_token=1.0),
                 ConstantCostModel())
         report = sim.run(trace)
@@ -426,8 +425,8 @@ class TestSchedulerIntegration:
         spec, config = get_spec("rtx4090"), llama_7b()
         trace = make_trace("chat", 8.0, 250, 256, 96, seed=5)
         sim = SimConfig(scheduler=SchedulerConfig(
-            max_seqs=64, admission="paged", prefix_caching=True),
-            sanitize=True).build(
+            max_seqs=64, admission="paged", prefix_caching=True,
+            sanitize=True)).build(
                 make_kv_budget(config, "fp16", capacity_bytes=1e9,
                                spec=spec),
                 make_cost_model(ComputeEngine(spec), config, "fp16"))
@@ -438,10 +437,11 @@ class TestSchedulerIntegration:
     def test_prefix_requires_paged(self):
         budget = KVBudget(capacity_bytes=100.0, bytes_per_token=1.0)
         with pytest.raises(ValueError):
-            ContinuousBatchScheduler(budget, prefix_caching=True)
+            ContinuousBatchScheduler(budget, config=SchedulerConfig(
+                prefix_caching=True))
         with pytest.raises(ValueError):
-            ContinuousBatchScheduler(budget, admission="reserve",
-                                     prefix_caching=True)
+            ContinuousBatchScheduler(budget, config=SchedulerConfig(
+                admission="reserve", prefix_caching=True))
 
 
 # ----------------------------------------------------------------------
@@ -487,10 +487,10 @@ class TestDefaultPathUnchanged:
         trace = make_trace("poisson", 16.0, 64, 384, 96, seed=0)
         budget = KVBudget(capacity_bytes=4e9,
                           bytes_per_token=self.BYTES_PER_TOKEN[mode])
-        sched = ContinuousBatchScheduler(budget, token_budget=2048,
-                                         max_seqs=64, admission=admission)
-        rep = ServingSimulator(sched, ConstantCostModel(),
-                               name="golden").run(trace)
+        sched = ContinuousBatchScheduler(budget, config=SchedulerConfig(
+            token_budget=2048, max_seqs=64, admission=admission))
+        rep = ServingSimulator(sched, ConstantCostModel(), config=SimConfig(
+            name="golden")).run(trace)
         want = self.GOLDEN[(mode, admission)]
         assert rep.makespan_s == want["makespan_s"]
         assert rep.n_iterations == want["n_iterations"]

@@ -189,6 +189,57 @@ class TestReplayMatchesStepByStep:
         assert 2 * planned[0] <= replayed.n_iterations
 
 
+class TestSingleEngineMatchesOneReplicaFleet:
+    """The single engine and a one-replica fleet share everything but
+    their heap loops, so they must agree on everything but the event
+    counters: the fleet's heap carries one STEP event per iteration,
+    the single engine's none."""
+
+    #: The keys the STEP events move.
+    EVENT_COUNTERS = {"n_events", "events_total", "n_step_events",
+                      "events_steps_total"}
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=_cases(),
+           reject_after=st.sampled_from([None, 0.0, 0.0005, 1.0]))
+    def test_serving_equals_one_replica_fleet(self, engine, case,
+                                              reject_after):
+        config, budget, trace, timeline, _, policy = case
+        if reject_after is not None:
+            # A request no pool can hold, arriving ``reject_after`` past
+            # the last arrival: often after the last completion.
+            trace = trace + [Request(
+                req_id=len(trace), arrival_s=trace[-1].arrival_s
+                + reject_after, prompt_tokens=budget.max_tokens + 1,
+                output_tokens=1)]
+        cost = _cost(StepCostModel, engine)
+        serving_sim = SimConfig(scheduler=config, name="same",
+                                timeline=timeline).build(budget, cost)
+        serving = serving_sim.run(trace)
+        fleet_sim = FleetConfig(scheduler=config, policy=policy,
+                                name="same", timeline=timeline).build(
+                                    1, budget, cost)
+        fleet = fleet_sim.run(trace)
+
+        assert serving.records == fleet.records
+        assert ((serving.timeline and serving.timeline.to_json())
+                == (fleet.timeline and fleet.timeline.to_json()))
+        assert (_allocator_state(serving_sim.scheduler)
+                == _allocator_state(fleet_sim.replicas[0].scheduler))
+        s = serving.metrics()
+        f = {key.replace('{replica="0"}', ""): value
+             for key, value in fleet.metrics().items()}
+        same = (s.keys() & f.keys()) - self.EVENT_COUNTERS
+        assert {k: s[k] for k in same} == {k: f[k] for k in same}
+        # The exact relation between the event counters.
+        assert s["n_step_events"] == s["events_steps_total"] == 0
+        assert s["n_events"] == s["events_total"]
+        assert f["n_step_events"] == f["events_steps_total"] \
+            == s["n_iterations"]
+        assert f["n_events"] == f["events_total"] \
+            == s["n_events"] + s["n_iterations"]
+
+
 class TestReplayBounds:
     def _trace(self):
         return [Request(req_id=0, arrival_s=0.0, prompt_tokens=8,

@@ -13,10 +13,12 @@ from repro.core.engine import ComputeEngine
 from repro.gpu.spec import RTX4090
 from repro.kernels.gemm import GemmShape
 from repro.llm.config import tiny_llama
+from repro.obs import percentile
+from repro.serve.api import SchedulerConfig, SimConfig
 from repro.serve.costs import StepCostModel, bucket_up
 from repro.serve.requests import Request, poisson_trace, LengthSampler
 from repro.serve.scheduler import ContinuousBatchScheduler, KVBudget
-from repro.serve.simulator import ServingSimulator, percentile
+from repro.serve.simulator import ServingSimulator
 
 
 class ConstantCostModel:
@@ -36,8 +38,8 @@ class ConstantCostModel:
 
 def _scheduler(max_tokens=100_000, token_budget=512, max_seqs=16):
     budget = KVBudget(capacity_bytes=float(max_tokens), bytes_per_token=1.0)
-    return ContinuousBatchScheduler(budget, token_budget=token_budget,
-                                    max_seqs=max_seqs)
+    return ContinuousBatchScheduler(budget, config=SchedulerConfig(
+        token_budget=token_budget, max_seqs=max_seqs))
 
 
 def _trace(n, prompt=32, output=8, gap=0.0):
@@ -105,7 +107,7 @@ class TestSimulatorLoop:
         """One request, constant 1 ms steps: every metric is closed-form."""
         sched = _scheduler(token_budget=512)
         cost = ConstantCostModel(step_us=1000.0)
-        sim = ServingSimulator(sched, cost, name="unit")
+        sim = ServingSimulator(sched, cost, config=SimConfig(name="unit"))
         trace = _trace(1, prompt=100, output=5)
         report = sim.run(trace)
         # Iteration 1 prefills all 100 tokens and emits token 1; four
@@ -119,7 +121,8 @@ class TestSimulatorLoop:
 
     def test_all_requests_complete(self):
         sched = _scheduler()
-        sim = ServingSimulator(sched, ConstantCostModel(), name="unit")
+        sim = ServingSimulator(sched, ConstantCostModel(), config=SimConfig(
+            name="unit"))
         report = sim.run(_trace(20, gap=0.0005))
         assert report.n_requests == 20
         assert sorted(r.req_id for r in report.records) == list(range(20))
@@ -127,7 +130,8 @@ class TestSimulatorLoop:
 
     def test_idle_gap_fast_forwards_clock(self):
         sched = _scheduler()
-        sim = ServingSimulator(sched, ConstantCostModel(1000.0), name="unit")
+        sim = ServingSimulator(
+            sched, ConstantCostModel(1000.0), config=SimConfig(name="unit"))
         trace = [Request(0, 0.0, 32, 2), Request(1, 10.0, 32, 2)]
         report = sim.run(trace)
         # The late arrival resets the clock past t=10 instead of the
@@ -135,10 +139,28 @@ class TestSimulatorLoop:
         assert 10.0 < report.makespan_s < 10.1
         assert report.records[1].ttft_s < 0.1
 
+    def test_rejected_arrival_does_not_move_the_clock(self):
+        """A request no budget can hold is rejected without waiting for
+        it: a rejection after the last completion leaves the makespan
+        (and so throughput) at that completion, as in the fleet."""
+        from repro.cluster.fleet import FleetSimulator, Replica
+
+        trace = [Request(0, 0.0, 24, 6), Request(1, 1.0, 500, 6)]
+        report = ServingSimulator(_scheduler(max_tokens=100),
+                                  ConstantCostModel()).run(trace)
+        assert report.n_rejected == 1
+        assert report.makespan_s == report.records[0].finished_s
+        assert report.makespan_s == pytest.approx(0.006)
+        assert report.throughput_rps == 1 / report.makespan_s
+        replica = Replica(0, _scheduler(max_tokens=100), ConstantCostModel())
+        fleet = FleetSimulator([replica]).run(trace)
+        assert fleet.makespan_s == report.makespan_s
+
     def test_queueing_shows_up_in_ttft(self):
         """With memory for one sequence at a time, TTFT grows linearly."""
         sched = _scheduler(max_tokens=40, token_budget=512, max_seqs=16)
-        sim = ServingSimulator(sched, ConstantCostModel(1000.0), name="unit")
+        sim = ServingSimulator(
+            sched, ConstantCostModel(1000.0), config=SimConfig(name="unit"))
         report = sim.run(_trace(4, prompt=32, output=8))  # 40 tokens each
         ttfts = [r.ttft_s for r in report.records]
         assert ttfts == sorted(ttfts)
@@ -146,13 +168,14 @@ class TestSimulatorLoop:
 
     def test_iteration_guard_trips(self):
         sched = _scheduler()
-        sim = ServingSimulator(sched, ConstantCostModel(), name="unit")
+        sim = ServingSimulator(sched, ConstantCostModel(), config=SimConfig(
+            name="unit"))
         with pytest.raises(RuntimeError):
             sim.run(_trace(10), max_iterations=3)
 
     def test_empty_trace_rejected(self):
-        sim = ServingSimulator(_scheduler(), ConstantCostModel(),
-                               name="unit")
+        sim = ServingSimulator(
+            _scheduler(), ConstantCostModel(), config=SimConfig(name="unit"))
         with pytest.raises(ValueError):
             sim.run([])
 
@@ -164,14 +187,15 @@ class TestEndToEndAnalytic:
         cfg = tiny_llama()
         engine = ComputeEngine(RTX4090)
         budget = KVBudget.for_model(cfg, 5e6)
-        sched = ContinuousBatchScheduler(budget, token_budget=1024,
-                                         max_seqs=8)
+        sched = ContinuousBatchScheduler(budget, config=SchedulerConfig(
+            token_budget=1024, max_seqs=8))
         cost = StepCostModel(engine, cfg, seq_bucket=128)
         trace = poisson_trace(50.0, 12,
                               prompt=LengthSampler(64, 0.3, hi=256),
                               output=LengthSampler(16, 0.3, hi=64),
                               seed=2)
-        report = ServingSimulator(sched, cost, name="tiny-fp16").run(trace)
+        report = ServingSimulator(sched, cost, config=SimConfig(
+            name="tiny-fp16")).run(trace)
         assert report.n_requests == 12
         assert report.makespan_s > 0
         assert report.throughput_rps > 0
@@ -222,7 +246,8 @@ class TestReviewRegressions:
 
     def test_oversized_request_rejected_not_crashed(self):
         sched = _scheduler(max_tokens=50, token_budget=512)
-        sim = ServingSimulator(sched, ConstantCostModel(), name="unit")
+        sim = ServingSimulator(sched, ConstantCostModel(), config=SimConfig(
+            name="unit"))
         trace = [Request(0, 0.0, 32, 8),           # fits (40 tokens)
                  Request(1, 0.0, 100, 8),          # cannot ever fit
                  Request(2, 0.1, 32, 8)]           # fits
@@ -233,14 +258,16 @@ class TestReviewRegressions:
 
     def test_single_token_outputs_do_not_crash_summary(self):
         sched = _scheduler()
-        sim = ServingSimulator(sched, ConstantCostModel(), name="unit")
+        sim = ServingSimulator(sched, ConstantCostModel(), config=SimConfig(
+            name="unit"))
         report = sim.run([Request(0, 0.0, 16, 1), Request(1, 0.0, 16, 1)])
         assert report.tpot_s(50) == 0.0
         assert "TPOT" in report.summary()
 
     def test_all_requests_rejected_still_reports(self):
         sched = _scheduler(max_tokens=10, token_budget=512)
-        sim = ServingSimulator(sched, ConstantCostModel(), name="unit")
+        sim = ServingSimulator(sched, ConstantCostModel(), config=SimConfig(
+            name="unit"))
         report = sim.run([Request(0, 0.0, 32, 8)])
         assert report.n_requests == 0 and report.n_rejected == 1
         assert report.ttft_s(50) == 0.0 and report.latency_s(99) == 0.0
