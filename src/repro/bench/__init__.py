@@ -5,7 +5,8 @@
 - :mod:`repro.bench.harness` — result containers and table printers;
 - :mod:`repro.bench.experiments` — one function per paper table/figure
   (the per-experiment index lives in DESIGN.md);
-- :mod:`repro.bench.e2e` — the end-to-end latency ledger (Fig. 17);
+- :mod:`repro.bench.e2e` — the end-to-end latency ledger (Fig. 17),
+  a client of the serving cost model's decode walk;
 - :mod:`repro.bench.serving` — the continuous-batching serving
   experiment (FP16 vs VQ KV caches at equal HBM) over
   :mod:`repro.serve`;

@@ -144,7 +144,12 @@ def tp_scaling(
     context_tokens: int = 1024,
     engine: Optional[ComputeEngine] = None,
 ) -> ExperimentResult:
-    """Decode-iteration latency vs tensor-parallel degree per link."""
+    """Decode-iteration latency vs tensor-parallel degree per link.
+
+    Each cell is one exact (unbucketed) decode step at ``batch`` and
+    ``context_tokens``; step and collective time come from the same
+    :meth:`~repro.serve.costs.StepCostModel.decode_breakdown`.
+    """
     config = config or llama_7b()
     engine = engine or ComputeEngine(spec)
     result = ExperimentResult(
@@ -155,21 +160,21 @@ def tp_scaling(
         columns=("link", "tp", "step_us", "collective_us",
                  "collective_share", "speedup_vs_tp1"),
     )
+
+    def breakdown(tp: int, link: LinkSpec):
+        plan = TensorParallelPlan(config, tp, link)
+        cost = make_sharded_cost_model(engine, config, mode, plan)
+        return cost.decode_breakdown(batch, context_tokens)
+
     for link in links:
         # Anchor the speedup column to an explicit tp=1 evaluation so
         # sweeps that start above 1 (degrees=(2, 4, 8)) stay honest.
-        base_us = make_sharded_cost_model(
-            engine, config, mode,
-            TensorParallelPlan(config, 1, link)).decode_step_us(
-                batch, context_tokens)
+        base_us = breakdown(1, link).total_us
         for tp in degrees:
-            plan = TensorParallelPlan(config, tp, link)
-            cost = make_sharded_cost_model(engine, config, mode, plan)
-            step_us = cost.decode_step_us(batch, context_tokens)
-            coll_us = plan.decode_collective_us(
-                cost._bucket_batch(batch))
-            result.add_row(link.name, tp, step_us, coll_us,
-                           coll_us / step_us, base_us / step_us)
+            step = breakdown(tp, link)
+            result.add_row(link.name, tp, step.total_us, step.collective_us,
+                           step.collective_us / step.total_us,
+                           base_us / step.total_us)
     return result
 
 

@@ -1,8 +1,7 @@
 """End-to-end decode latency ledger (Fig. 17).
 
-Sums modelled kernel latencies over every operator of a decode step
-(enumerated by :func:`repro.llm.model.decode_operator_shapes`) under
-four serving modes:
+Prices decode steps under the four full-stack serving modes of
+:data:`repro.bench.serving.MODES`:
 
 - ``fp16`` — FP16 weights and KV cache;
 - ``qserve`` — AWQ-style INT4 weights + QoQ-style INT4 KV (the paper's
@@ -10,63 +9,35 @@ four serving modes:
 - ``vq4`` — VQ-LLM with QuiP#-4 weights and CQ-4 KV (equivalent 4-bit);
 - ``vq2`` — VQ-LLM with GPTVQ-2 weights and CQ-2 KV (equivalent 2-bit).
 
+Each step is one :meth:`~repro.serve.costs.StepCostModel.
+decode_breakdown` of the mode's serving cost model, so the ledger and
+the serving simulator walk the same operators with the same kernels.
 Generation latency integrates the decode step over the generated tokens
-(the KV cache grows as it generates); element-wise operators (RMSNorm,
-SiLU, RoPE) are costed as bandwidth-bound passes plus launch overhead,
-which lands them at the paper's ~10% (FP16) / ~20% (4-bit) share.
+(the KV cache grows as it generates).  Element-wise operators (RMSNorm,
+SiLU, RoPE) are bandwidth-bound passes plus launch overhead; they come
+to 3.0% (FP16) / 6.7% (vq4) of a step at batch 16 and 1k context on an
+RTX 4090, against the paper's ~10% / ~20%, a known gap.
 """
 
 from __future__ import annotations
 
 import argparse
-from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
 
 from repro.bench.harness import ExperimentResult
-from repro.bench.workloads import attention_sample, weight_sample
+from repro.bench.serving import MODES, make_cost_model
 from repro.core.engine import ComputeEngine
-from repro.gpu.costmodel import LAUNCH_OVERHEAD_S
 from repro.gpu.spec import GPUSpec, get_spec
-from repro.kernels.attention import AttentionShape
-from repro.kernels.gemm import GEMV_MAX_BATCH, GemmShape
 from repro.llm.config import LlamaConfig
-from repro.llm.model import decode_operator_shapes
-
-#: Serving modes and the algorithms they map to.
-MODES = ("fp16", "qserve", "vq4", "vq2")
-_VQ_WEIGHT_ALGO = {"vq4": "quip#-4", "vq2": "gptvq-2"}
-_VQ_KV_ALGO = {"vq4": "cq-4", "vq2": "cq-2"}
-
-#: Kernel launches per layer of the element-wise operators (two norms,
-#: RoPE on Q and K, SiLU, gate multiply, two residual adds).
-ELEMENTWISE_LAUNCHES = 8
-
-
-@dataclass
-class DecodeStepBreakdown:
-    """Latency of one decode step, by operator class (microseconds)."""
-
-    gemv_us: float
-    attention_us: float
-    elementwise_us: float
-
-    @property
-    def total_us(self) -> float:
-        return self.gemv_us + self.attention_us + self.elementwise_us
-
-    @property
-    def elementwise_share(self) -> float:
-        return self.elementwise_us / self.total_us
+from repro.serve.costs import DecodeStepBreakdown, StepCostModel
 
 
 class E2ELedger:
     """Costs decode steps for one (GPU, model) pair.
 
-    Kernel latencies go through the engine's memoized
-    :meth:`~repro.core.engine.ComputeEngine.batch_latency_us`, so
-    repeated decode steps at the same (batch, seq_len) — the common case
-    when integrating over a generation or stepping a serving simulation
-    — cost one dict lookup after the first evaluation.
+    Every mode gets one cost model over the shared engine, whose
+    memoized :meth:`~repro.core.engine.ComputeEngine.batch_latency_us`
+    makes a repeated (batch, seq_len) step a handful of dict lookups.
     """
 
     def __init__(self, spec: GPUSpec, config: LlamaConfig,
@@ -74,62 +45,17 @@ class E2ELedger:
         self.spec = spec
         self.config = config
         self.engine = engine or ComputeEngine(spec)
-        self._step_memo: Dict[tuple, DecodeStepBreakdown] = {}
-
-    def _gemv_us(self, shape: GemmShape, mode: str) -> float:
-        # Past the GEMV kernels' batch cap a decode projection runs as
-        # the same family's GEMM (as StepCostModel prices it).
-        kind = "gemm" if shape.m > GEMV_MAX_BATCH else "gemv"
-        if mode == "fp16":
-            return self.engine.batch_latency_us(kind, shape)
-        if mode == "qserve":
-            return self.engine.batch_latency_us(kind, shape, bits=4)
-        qt = weight_sample(_VQ_WEIGHT_ALGO[mode])
-        return self.engine.batch_latency_us(kind, shape, qt=qt, level="O4")
-
-    def _attention_us(self, shape: AttentionShape, mode: str) -> float:
-        if mode == "fp16":
-            return self.engine.batch_latency_us("attention", shape)
-        if mode == "qserve":
-            return self.engine.batch_latency_us("attention", shape, bits=4)
-        qt_k, qt_v = attention_sample(_VQ_KV_ALGO[mode])
-        return self.engine.batch_latency_us("attention", shape, qt=qt_k,
-                                            qt_v=qt_v, level="O4")
-
-    def _elementwise_us(self, elements: int, quantized: bool) -> float:
-        # Bandwidth-bound read+write pass at FP16, plus launch overheads.
-        bytes_moved = elements * 2 * 2
-        bw = self.spec.dram_bytes_per_s * 0.75
-        extra = 1.3 if quantized else 1.0  # dequant epilogues & scales
-        return (bytes_moved * extra / bw
-                + ELEMENTWISE_LAUNCHES * LAUNCH_OVERHEAD_S) * 1e6
+        self._models: Dict[str, StepCostModel] = {}
 
     def decode_step(self, batch: int, seq_len: int,
                     mode: str) -> DecodeStepBreakdown:
-        """Latency breakdown of one decode step (memoized)."""
+        """Latency breakdown of one decode step, priced exactly."""
         if mode not in MODES:
             raise ValueError(f"unknown mode {mode!r}; expected {MODES}")
-        key = (batch, seq_len, mode)
-        if key in self._step_memo:
-            return self._step_memo[key]
-        gemv_us = attn_us = ew_us = 0.0
-        for op in decode_operator_shapes(self.config, batch, seq_len):
-            if op.kind == "gemv":
-                shape = GemmShape(m=op.m, n=op.n, k=op.k)
-                # The LM head stays FP16 in every serving mode.
-                op_mode = "fp16" if op.name == "lm_head" else mode
-                gemv_us += self._gemv_us(shape, op_mode) * op.count
-            elif op.kind == "attention":
-                shape = AttentionShape(batch=op.batch, heads=op.heads,
-                                       seq_len=op.seq_len,
-                                       head_dim=op.head_dim)
-                attn_us += self._attention_us(shape, mode) * op.count
-            else:
-                ew_us += self._elementwise_us(op.elements,
-                                              mode != "fp16") * op.count
-        breakdown = DecodeStepBreakdown(gemv_us, attn_us, ew_us)
-        self._step_memo[key] = breakdown
-        return breakdown
+        if mode not in self._models:
+            self._models[mode] = make_cost_model(self.engine, self.config,
+                                                 mode)
+        return self._models[mode].decode_breakdown(batch, seq_len)
 
     def generation_us(self, batch: int, prompt_len: int, gen_tokens: int,
                       mode: str, samples: int = 4) -> float:

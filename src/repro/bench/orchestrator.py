@@ -409,25 +409,38 @@ def run_trial(spec: TrialSpec,
             trace=trace_path is not None, timeline=timeline_cfg)
         metrics = report.metrics()
     else:
-        from repro.bench.cluster import make_replicas
-        from repro.bench.serving import make_trace
-        from repro.cluster.fleet import SLO, FleetSimulator
+        from repro.bench.serving import (
+            make_cost_model,
+            make_kv_budget,
+            make_trace,
+        )
+        from repro.cluster.fleet import SLO
+        from repro.core.engine import ComputeEngine
         from repro.gpu.spec import get_spec
-        from repro.serve.api import FleetConfig
+        from repro.llm.config import llama_7b
+        from repro.serve.api import FleetConfig, SchedulerConfig
 
+        gpu, config = get_spec(spec.gpu), llama_7b()
         trace = make_trace(spec.trace_kind, spec.rate_rps, spec.n_requests,
                            spec.prompt_mean, spec.output_mean,
                            seed=spec.trial_seed)
-        replicas = make_replicas(
-            spec.n_replicas, spec.mode, spec=get_spec(spec.gpu),
-            token_budget=spec.token_budget, max_seqs=spec.max_seqs,
-            admission=spec.admission, block_tokens=spec.block_tokens,
-            prefix_caching=spec.prefix_caching)
-        report = FleetSimulator(
-            replicas, config=FleetConfig(
-                policy=spec.policy, name=spec.trial_id,
-                trace=trace_path is not None,
-                timeline=timeline_cfg)).run(trace)
+        # Per-replica budget exactly as simulate_mode builds it: an
+        # explicit kv_hbm_gb, or None to derive it from the GPU.
+        budget = make_kv_budget(
+            config, spec.mode,
+            capacity_bytes=(None if spec.kv_hbm_gb is None
+                            else spec.kv_hbm_gb * 1e9),
+            spec=gpu)
+        fleet_config = FleetConfig(
+            scheduler=SchedulerConfig(
+                token_budget=spec.token_budget, max_seqs=spec.max_seqs,
+                admission=spec.admission, block_tokens=spec.block_tokens,
+                prefix_caching=spec.prefix_caching),
+            policy=spec.policy, name=spec.trial_id,
+            trace=trace_path is not None, timeline=timeline_cfg)
+        cost_model = make_cost_model(ComputeEngine(gpu), config, spec.mode)
+        report = fleet_config.build(spec.n_replicas, budget,
+                                    cost_model).run(trace)
         slo = (SLO(ttft_s=spec.slo_ttft_s)
                if spec.slo_ttft_s is not None else None)
         metrics = report.metrics(slo)

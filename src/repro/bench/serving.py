@@ -1,9 +1,11 @@
 """Serving-level experiment: FP16 vs quantized KV caches at equal HBM.
 
 This wires the kernel-level reproduction into :mod:`repro.serve`: the
-same serving modes as the E2E ledger (:data:`repro.bench.e2e.MODES`)
-are simulated under continuous batching with a *fixed* HBM allowance
-for the KV cache.  Compression changes two things at once:
+serving modes are simulated under continuous batching with a *fixed*
+HBM allowance for the KV cache.  :func:`mode_cost_kwargs` is the one
+map from a mode name to its quantized operands; the Fig. 17 ledger
+(:mod:`repro.bench.e2e`) prices the same :data:`MODES` through
+:func:`make_cost_model`.  Compression changes two things at once:
 
 - decode kernels get cheaper (fused VQ attention reads fewer bytes);
 - bytes-per-token shrinks, so admission control packs 4-8x more
@@ -31,7 +33,6 @@ from __future__ import annotations
 import argparse
 from typing import List, Optional, Sequence
 
-from repro.bench.e2e import _VQ_KV_ALGO, _VQ_WEIGHT_ALGO, MODES
 from repro.bench.harness import ExperimentResult
 from repro.bench.workloads import attention_sample, weight_sample
 from repro.core.engine import ComputeEngine
@@ -53,6 +54,12 @@ from repro.serve.scheduler import ADMISSION_POLICIES, KVBudget
 from repro.serve.simulator import ServingReport
 from repro.vq.algorithms import make_config
 
+
+#: Full-stack serving modes (Fig. 17): weights and KV cache quantized
+#: alike, with the VQ algorithms the two VQ modes map to.
+MODES = ("fp16", "qserve", "vq4", "vq2")
+_VQ_WEIGHT_ALGO = {"vq4": "quip#-4", "vq2": "gptvq-2"}
+_VQ_KV_ALGO = {"vq4": "cq-4", "vq2": "cq-2"}
 
 #: KV-only serving modes: FP16 weights, CQ-compressed KV cache.
 KV_ONLY_MODES = {"kv-cq-4": "cq-4", "kv-cq-2": "cq-2"}

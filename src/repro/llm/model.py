@@ -10,8 +10,10 @@ Two uses:
    quantization schemes.
 
 2. *Latency ledger* — :func:`decode_operator_shapes` enumerates every
-   operator of one decode step at any model scale (7B/65B), which the
-   E2E experiments (Fig. 17 left) cost with the kernel models.
+   operator of one decode step at any model scale (7B/65B);
+   :meth:`repro.serve.costs.StepCostModel.decode_breakdown`, the one
+   walk over it, costs them with the kernel models for the serving
+   simulator and the E2E experiments (Fig. 17 left) alike.
 """
 
 from __future__ import annotations

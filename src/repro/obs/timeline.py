@@ -327,16 +327,14 @@ class TimelineCollector:
 
     # -- window closing -----------------------------------------------
     def _gauge(self, sched) -> Tuple[int, int, float, int, int, int]:
-        queued = len(sched.waiting) + len(getattr(sched, "preempted", ()))
+        queued = len(sched.waiting) + len(sched.preempted)
         running = len(sched.running)
-        occupancy = float(getattr(sched, "kv_occupancy", 0.0))
-        preemptions = int(getattr(sched, "n_preemptions", 0))
+        occupancy = float(sched.kv_occupancy)
+        preemptions = int(sched.n_preemptions)
         lookups = hits = 0
-        if getattr(sched, "prefix_caching", False):
+        if sched.prefix_caching:
             stats = sched.prefix_stats()
-            if stats is not None:
-                lookups = stats.n_lookups
-                hits = stats.n_lookup_hits
+            lookups, hits = stats.n_lookups, stats.n_lookup_hits
         return queued, running, occupancy, preemptions, lookups, hits
 
     def _close(self, boundary_s: float, schedulers: Sequence,

@@ -13,7 +13,15 @@ same kernel models as the per-kernel experiments:
   encoding of new tokens is the < 1 us/token online step the paper
   measures as negligible);
 - element-wise operators (norms, RoPE, activations) as bandwidth-bound
-  passes, as in :mod:`repro.bench.e2e`.
+  passes plus launch overheads.
+
+:meth:`StepCostModel.decode_breakdown` is the one walk of a decode
+step's operators in the repository: it prices exactly the (batch,
+context) it is given and splits the step into GEMV, attention,
+element-wise and collective time.  The serving simulator reaches it
+through the bucketed :meth:`~StepCostModel.decode_step_us`; the Fig. 17
+ledger (:class:`repro.bench.e2e.E2ELedger`) and the TP-scaling table
+(:func:`repro.bench.cluster.tp_scaling`) call it directly.
 
 Batch sizes and context lengths are bucketed (rounded up to a small
 geometric grid) before keying the engine cache, so a simulation of
@@ -50,6 +58,7 @@ from __future__ import annotations
 
 import bisect
 import math
+from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 from repro.core.engine import ComputeEngine
@@ -65,8 +74,8 @@ from repro.serve.scheduler import BatchPlan
 #: Default batch-size buckets (rounded up; extended by doubling).
 BATCH_BUCKETS = (1, 2, 4, 8, 12, 16, 24, 32, 48, 64, 96, 128)
 
-#: Kernel launches per layer of the element-wise operators (as in
-#: :mod:`repro.bench.e2e`).
+#: Kernel launches per layer of the element-wise operators (two norms,
+#: RoPE on Q and K, SiLU, gate multiply, two residual adds).
 ELEMENTWISE_LAUNCHES = 8
 
 
@@ -81,6 +90,28 @@ def bucket_up(value: int, buckets: Sequence[int]) -> int:
     while b < value:
         b *= 2
     return b
+
+
+@dataclass
+class DecodeStepBreakdown:
+    """Latency of one decode step, by operator class (microseconds).
+
+    ``total_us`` is summed in walk order (each operator as
+    :func:`~repro.llm.model.decode_operator_shapes` lists it, then the
+    collective), so it is the exact float
+    :meth:`StepCostModel.decode_step_us` serves; the class fields sum
+    to it up to rounding.
+    """
+
+    gemv_us: float
+    attention_us: float
+    elementwise_us: float
+    collective_us: float
+    total_us: float
+
+    @property
+    def elementwise_share(self) -> float:
+        return self.elementwise_us / self.total_us
 
 
 class StepCostModel:
@@ -186,7 +217,7 @@ class StepCostModel:
         bytes_moved = elements * 2 * 2
         bw = self.engine.spec.dram_bytes_per_s * 0.75
         quantized = not (self.weight_qt is None and self.weight_bits is None)
-        extra = 1.3 if quantized else 1.0
+        extra = 1.3 if quantized else 1.0  # dequant epilogues & scales
         return (bytes_moved * extra / bw
                 + ELEMENTWISE_LAUNCHES * LAUNCH_OVERHEAD_S) * 1e6
 
@@ -211,6 +242,34 @@ class StepCostModel:
         return 0.0
 
     # -- iteration pricing ---------------------------------------------
+    def decode_breakdown(self, batch: int,
+                         seq_len: int) -> DecodeStepBreakdown:
+        """One decode step of ``batch`` sequences at context ``seq_len``,
+        priced exactly as given (no bucketing, no table), by class."""
+        gemv_us = attn_us = ew_us = total = 0.0
+        for op in decode_operator_shapes(self.config, batch, seq_len):
+            if op.kind == "gemv":
+                shape = self._shard_gemm(op.name,
+                                         GemmShape(m=op.m, n=op.n, k=op.k))
+                # The LM head stays FP16 in every serving mode.
+                us = self._gemv_us(
+                    shape, fp16=op.name == "lm_head") * op.count
+                gemv_us += us
+            elif op.kind == "attention":
+                shape = self._shard_attention(
+                    AttentionShape(batch=op.batch, heads=op.heads,
+                                   seq_len=op.seq_len,
+                                   head_dim=op.head_dim))
+                us = self._attention_us(shape) * op.count
+                attn_us += us
+            else:
+                us = self._elementwise_us(op.elements) * op.count
+                ew_us += us
+            total += us
+        collective_us = self._decode_collective_us(batch)
+        return DecodeStepBreakdown(gemv_us, attn_us, ew_us, collective_us,
+                                   total + collective_us)
+
     def decode_step_us(self, batch: int, context_tokens: float) -> float:
         """One decode iteration: ``batch`` sequences, mean context."""
         if batch < 1:
@@ -221,22 +280,7 @@ class StepCostModel:
         if cached is not None:
             self._table_hits += 1
             return cached
-        total = 0.0
-        for op in decode_operator_shapes(self.config, b, s):
-            if op.kind == "gemv":
-                shape = self._shard_gemm(op.name,
-                                         GemmShape(m=op.m, n=op.n, k=op.k))
-                total += self._gemv_us(
-                    shape, fp16=op.name == "lm_head") * op.count
-            elif op.kind == "attention":
-                shape = self._shard_attention(
-                    AttentionShape(batch=op.batch, heads=op.heads,
-                                   seq_len=op.seq_len,
-                                   head_dim=op.head_dim))
-                total += self._attention_us(shape) * op.count
-            else:
-                total += self._elementwise_us(op.elements) * op.count
-        total += self._decode_collective_us(b)
+        total = self.decode_breakdown(b, s).total_us
         self._decode_table[(b, s)] = total
         return total
 

@@ -407,8 +407,8 @@ class ServingEngine:
         if tracer.enabled:
             tracer.step(self.replica_id, t0, step_us, plan,
                         sched.kv_occupancy)
-            evicted = getattr(getattr(sched, "allocator", None),
-                              "n_evicted_blocks", 0)
+            # Only the prefix-caching allocator evicts.
+            evicted = getattr(sched.allocator, "n_evicted_blocks", 0)
             if evicted > self._last_evicted:
                 tracer.event(EVT_EVICTED, t0, self.replica_id, -1,
                              evicted - self._last_evicted)
@@ -510,7 +510,7 @@ class SimulationRun:
         """
         engines = self.engines
         for eng in engines:
-            alloc = getattr(eng.scheduler, "allocator", None)
+            alloc = eng.scheduler.allocator
             if alloc is not None and alloc.sanitize:
                 # Full-heap audit at drain: every sequence finished, so
                 # the pool must be back to empty (only reads state;
@@ -535,18 +535,13 @@ class SimulationRun:
                 self.tracer.record_sequences(eng.replica_id, eng.finished)
         registry = MetricsRegistry()
         for eng, engine_labels in zip(engines, labels):
-            # Duck-typed schedulers (equivalence-test stand-ins) may not
-            # emit; the run still gets event-loop and request metrics.
-            emit = getattr(eng.scheduler, "emit_metrics", None)
-            if emit is not None:
-                emit(registry, **engine_labels)
+            eng.scheduler.emit_metrics(registry, **engine_labels)
         self.loop.stats.emit_metrics(registry)
         observe_request_metrics(registry, records,
                                 n_rejected=self.n_rejected)
         prefix = [
             stats for eng in engines
-            if getattr(eng.scheduler, "prefix_caching", False)
-            and (stats := eng.scheduler.prefix_stats()) is not None
+            if (stats := eng.scheduler.prefix_stats()) is not None
         ]
         makespan_s = max(eng.now_s for eng in engines)
         timeline = slo = None
@@ -561,7 +556,7 @@ class SimulationRun:
             records=records,
             makespan_s=makespan_s,
             n_rejected=self.n_rejected,
-            n_preempted=sum(getattr(eng.scheduler, "n_preemptions", 0)
+            n_preempted=sum(eng.scheduler.n_preemptions
                             for eng in engines),
             prefix_caching=bool(prefix),
             prefix_lookups=sum(p.n_lookups for p in prefix),
@@ -624,7 +619,7 @@ class ServingSimulator:
                         "scheduler made no progress with work pending "
                         f"({len(sched.running)} running, "
                         f"{len(sched.waiting)} waiting, "
-                        f"{len(getattr(sched, 'preempted', ()))} "
+                        f"{len(sched.preempted)} "
                         "preempted)")
                 while nxt is not None and nxt[1] == SAMPLE:
                     # Idle telemetry boundary: close the window without
@@ -655,6 +650,6 @@ class ServingSimulator:
             n_iterations=engine.iterations,
             peak_seqs=sched.peak_seqs,
             peak_kv_utilization=engine.peak_kv,
-            admission=getattr(sched, "admission", "reserve"),
-            peak_kv_occupancy=getattr(sched, "peak_kv_occupancy", 0.0),
+            admission=sched.admission,
+            peak_kv_occupancy=sched.peak_kv_occupancy,
         )

@@ -167,13 +167,24 @@ class TestE2ELedger:
         as the serving cost model prices it."""
         from repro.bench.e2e import run
         from repro.kernels.gemm import GEMV_MAX_BATCH, GemmShape
+        from repro.llm.model import decode_operator_shapes
 
-        big = GemmShape(m=GEMV_MAX_BATCH + 32, n=4096, k=4096)
-        assert (ledger._gemv_us(big, "fp16")
-                == ledger.engine.batch_latency_us("gemm", big))
-        capped = GemmShape(m=GEMV_MAX_BATCH, n=4096, k=4096)
-        assert (ledger._gemv_us(capped, "fp16")
-                == ledger.engine.batch_latency_us("gemv", capped))
+        def projections_us(kind, batch):
+            # The step's GEMV class, re-priced operator by operator in
+            # walk order with one kernel kind.
+            total = 0.0
+            for op in decode_operator_shapes(ledger.config, batch, 128):
+                if op.kind == "gemv":
+                    shape = GemmShape(m=op.m, n=op.n, k=op.k)
+                    total += ledger.engine.batch_latency_us(
+                        kind, shape) * op.count
+            return total
+
+        big = GEMV_MAX_BATCH + 32  # the 96 batch bucket
+        assert (ledger.decode_step(big, 128, "fp16").gemv_us
+                == projections_us("gemm", big))
+        assert (ledger.decode_step(GEMV_MAX_BATCH, 128, "fp16").gemv_us
+                == projections_us("gemv", GEMV_MAX_BATCH))
         result = run(["--batch", "96", "--prompt-len", "128",
                       "--gen-tokens", "8"])
         assert [r[0] for r in result.rows] == list(MODES)
@@ -198,6 +209,59 @@ class TestE2ELedger:
                    for r in result.rows}
         assert by_mode["fp16"]["speedup_vs_fp16"] == pytest.approx(1.0)
         assert by_mode["qserve"]["speedup_vs_fp16"] > 1.0
+
+
+#: Per-class decode-step times (us) at batch 16, 1k context, as the
+#: Fig. 17 ledger priced them before it became a client of
+#: ``StepCostModel.decode_breakdown``: (GEMV, attention, element-wise).
+FIG17_STEP_CLASSES_US = {
+    ("RTX 4090", "fp16"): (18016.712746666664, 9990.895746031747,
+                           872.0253968253969),
+    ("RTX 4090", "qserve"): (7448.2317511111105, 2885.8779225396825,
+                             903.2330158730159),
+    ("RTX 4090", "vq4"): (7306.673991111113, 5197.202773333333,
+                          903.2330158730159),
+    ("RTX 4090", "vq2"): (7193.5983847619045, 4004.156302222222,
+                          903.2330158730159),
+    ("Tesla A40", "fp16"): (25154.810854252875, 14426.538666666667,
+                            918.6574712643678),
+    ("Tesla A40", "qserve"): (9848.734929655173, 4136.512853333333,
+                              963.8547126436782),
+    ("Tesla A40", "vq4"): (9601.957991724139, 7440.914361379311,
+                           963.8547126436782),
+    ("Tesla A40", "vq2"): (8915.170843218391, 5713.053954942529,
+                           963.8547126436782),
+}
+
+
+class TestOneDecodeWalk:
+    """The Fig. 17 ledger and the serving cost model are two clients
+    of one decode walk, so they agree bit for bit on the bucket grid."""
+
+    @pytest.fixture(scope="class", params=[RTX4090, A40],
+                    ids=["rtx4090", "a40"])
+    def ledger(self, request):
+        return E2ELedger(request.param, llama_7b())
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_ledger_step_is_the_serving_step(self, ledger, mode):
+        from repro.bench.serving import make_cost_model
+
+        cost = make_cost_model(ledger.engine, ledger.config, mode)
+        for batch in (1, 16, 64, 96):
+            for seq in (512, 1024, 2048):
+                assert (ledger.decode_step(batch, seq, mode).total_us
+                        == cost.decode_step_us(batch, seq)), (batch, seq)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_fig17_step_classes_pinned(self, ledger, mode):
+        step = ledger.decode_step(16, 1024, mode)
+        assert ((step.gemv_us, step.attention_us, step.elementwise_us)
+                == FIG17_STEP_CLASSES_US[(ledger.spec.name, mode)])
+        assert step.collective_us == 0.0
+        assert step.total_us == pytest.approx(
+            step.gemv_us + step.attention_us + step.elementwise_us,
+            rel=1e-15)
 
 
 class TestServingBench:
@@ -361,6 +425,25 @@ class TestClusterBench:
         speedups = result.column("speedup_vs_tp1")
         assert speedups[0] == pytest.approx(1.0)
         assert speedups[-1] > speedups[0]
+
+    def test_tp_scaling_row_is_one_decode_breakdown(self):
+        """Step and collective time of a row come from one exact
+        decode walk at the requested batch and context."""
+        from repro.bench.cluster import make_sharded_cost_model, tp_scaling
+        from repro.cluster.interconnect import PCIE4
+        from repro.cluster.sharding import TensorParallelPlan
+        from repro.core.engine import ComputeEngine
+        from repro.llm.config import tiny_llama
+
+        engine, config = ComputeEngine(RTX4090), tiny_llama()
+        row = tp_scaling(spec=RTX4090, config=config, degrees=(2,),
+                         links=(PCIE4,), batch=4, context_tokens=300,
+                         engine=engine).as_dicts()[0]
+        step = make_sharded_cost_model(
+            engine, config, "fp16",
+            TensorParallelPlan(config, 2, PCIE4)).decode_breakdown(4, 300)
+        assert row["step_us"] == step.total_us
+        assert row["collective_us"] == step.collective_us > 0.0
 
     def test_routing_comparison_structure(self):
         """Tiny-shape routing table: prefix-affinity must report the

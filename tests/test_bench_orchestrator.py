@@ -202,6 +202,26 @@ class TestRunTrial:
         assert "slo_attainment" in result.metrics
         assert result.metrics["n_requests"] == 12
 
+    def test_fleet_trial_honours_kv_hbm_gb(self):
+        """A fleet replica gets the KV budget a serving trial of the
+        same spec gets: occupancy halves when ``kv_hbm_gb`` doubles,
+        and a one-replica fleet matches the single engine."""
+        from repro.bench.serving import simulate_mode
+
+        load = dict(n_requests=12, prompt_mean=128, output_mean=32,
+                    rate_rps=8.0)
+        occupancy = {}
+        for gb in (1.0, 2.0):
+            spec = TrialSpec(kind="fleet", n_replicas=1, kv_hbm_gb=gb,
+                             **load)
+            metrics = run_trial(spec).metrics
+            occupancy[gb] = metrics['kv_peak_occupancy{replica="0"}']
+        assert occupancy[1.0] == pytest.approx(2 * occupancy[2.0],
+                                               rel=1e-3)
+        direct = simulate_mode("fp16", kv_hbm_gb=1.0,
+                               seed=spec.trial_seed, **load)
+        assert direct.peak_kv_occupancy == occupancy[1.0]
+
     def test_metrics_are_json_safe_scalars(self):
         result = run_trial(TrialSpec(n_requests=8, prompt_mean=64,
                                      output_mean=16))

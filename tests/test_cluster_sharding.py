@@ -187,6 +187,22 @@ class TestShardedStepCostModel:
 
         assert step(NVLINK3) < step(PCIE4)
 
+    def test_decode_breakdown_is_the_step(self, engine):
+        """One walk fills every class: the total is the bucket table's
+        float, the collective is the plan's, and off-grid inputs are
+        priced exactly while the table rounds them up."""
+        cfg = llama_7b()
+        plan = TensorParallelPlan(cfg, 4, PCIE4)
+        model = ShardedStepCostModel(engine, cfg, plan, seq_bucket=512)
+        step = model.decode_breakdown(16, 1024)
+        assert step.total_us == model.decode_step_us(16, 1024)
+        assert step.collective_us == plan.decode_collective_us(16) > 0.0
+        assert step.total_us == pytest.approx(
+            step.gemv_us + step.attention_us + step.elementwise_us
+            + step.collective_us, rel=1e-15)
+        assert model.decode_step_us(13, 700.0) == step.total_us
+        assert model.decode_breakdown(13, 700).total_us < step.total_us
+
     def test_config_mismatch_rejected(self, engine):
         plan = TensorParallelPlan(llama_7b(), 2)
         with pytest.raises(ValueError):

@@ -435,17 +435,39 @@ class TestAllocatorFuzz:
 class LegacyReserveScheduler:
     """Verbatim copy of the PR-1 scheduler loop (worst-case
     reservations, head-first decode order), as the equivalence oracle.
+
+    It also carries the scheduler attributes the simulator reads: the
+    loop never preempts, pages or caches prefixes, and it tracks no
+    occupancy high-water mark or registry metrics.
     """
+
+    allocator = None
+    admission = "reserve"
+    prefix_caching = False
+    n_preemptions = 0
+    peak_kv_occupancy = 0.0
 
     def __init__(self, budget, token_budget=2048, max_seqs=64):
         self.budget = budget
         self.token_budget = token_budget
         self.max_seqs = max_seqs
         self.waiting = deque()
+        self.preempted = deque()
         self.running = []
         self.reserved_tokens = 0
         self.peak_seqs = 0
         self.peak_reserved_tokens = 0
+
+    @property
+    def kv_occupancy(self):
+        return (sum(s.context_tokens for s in self.running)
+                / max(1, self.budget.max_tokens))
+
+    def prefix_stats(self):
+        return None
+
+    def emit_metrics(self, registry, **labels):
+        pass
 
     def fits(self, request):
         return request.total_tokens <= self.budget.max_tokens
