@@ -403,7 +403,8 @@ def run(argv: Optional[Sequence[str]] = None,
     parser.add_argument("--requests", type=int, default=96,
                         help="number of requests in the trace")
     parser.add_argument("--prompt-mean", type=int, default=1024,
-                        help="mean prompt length, tokens")
+                        help="mean prompt length, tokens (the decode "
+                             "context of --experiment tp)")
     parser.add_argument("--output-mean", type=int, default=96,
                         help="mean output length, tokens")
     parser.add_argument("--policy", nargs="+", default=None,
@@ -461,7 +462,8 @@ def run(argv: Optional[Sequence[str]] = None,
     reports = reports if reports is not None else {}
     if args.experiment == "tp":
         table = tp_scaling(spec=spec, config=config, mode=args.modes[0],
-                           degrees=tuple(args.tp), engine=engine)
+                           degrees=tuple(args.tp),
+                           context_tokens=args.prompt_mean, engine=engine)
     elif args.experiment == "routing":
         table = routing_comparison(
             mode=args.modes[0], n_replicas=args.replicas,

@@ -12,13 +12,16 @@ does.  Replicas never interact except through routing, so the event
 loop only has to keep replica clocks consistent with arrival order.
 The driver is the shared global event heap
 (:class:`~repro.serve.events.EventLoop`): arrivals and per-replica
-iteration boundaries pop in simulated-time order, so by the time an
-arrival pops every busy replica has already stepped past (or exactly
-to) the arrival instant — the state the router inspects is identical
-to the old advance-everyone lockstep, but idle replicas are simply not
-in the heap and are never polled (an iteration already in flight may
-overshoot the arrival — the request then waits for the iteration
-boundary, as on a real engine).
+iteration boundaries pop in simulated-time order, and idle replicas
+are simply not in the heap and are never polled.  A replica's run of
+identical decode-only iterations stays in flight across arrivals
+routed to other replicas, and the router reads it through
+:attr:`Replica.queue_depth` and :attr:`Replica.kv_pressure`, which
+report the replica after every iteration that starts before the
+arrival — the state the old advance-everyone lockstep showed.  An
+arrival routed to the replica cuts the run at that point (an iteration
+already in flight may overshoot the arrival — the request then waits
+for the iteration boundary, as on a real engine).
 
 Routing policies:
 
@@ -55,8 +58,8 @@ from repro.serve.costs import StepCostModel
 from repro.serve.events import SAMPLE, STEP
 from repro.serve.requests import Request
 from repro.serve.scheduler import ContinuousBatchScheduler
-from repro.serve.simulator import (Report, RequestRecord, ServingEngine,
-                                   SimulationRun)
+from repro.serve.simulator import (Report, RequestRecord, RunLayout,
+                                   ServingEngine, SimulationRun)
 
 
 @dataclass(frozen=True)
@@ -91,16 +94,24 @@ class SLO:
 
 
 class Replica(ServingEngine):
-    """One serving engine instance with a private simulation clock."""
+    """One serving engine instance with a private simulation clock,
+    which may hold a run of decode iterations in flight (:meth:`step`).
+    """
 
     def __init__(self, replica_id: int,
                  scheduler: ContinuousBatchScheduler,
                  cost_model: StepCostModel):
         super().__init__(scheduler, cost_model, replica_id)
-        #: Times the fleet's heap activated this replica: one per STEP
-        #: pop, which may run a whole replayed run of iterations.  Idle
-        #: replicas are never activated.
+        #: Runs the fleet's heap started on this replica: one per STEP
+        #: pop that plans an iteration, which may lay out a whole run
+        #: of replayed iterations.  Idle replicas are never activated.
         self.n_wakeups = 0
+        #: The run laid out by :meth:`step` and not yet applied (a run
+        #: of one iteration is applied at once).
+        self.run: Optional[RunLayout] = None
+        #: Sorted replays at which :attr:`run` crosses into a new block,
+        #: built at its first paged :attr:`kv_pressure` read.
+        self._crossings: Optional[List[int]] = None
 
     @property
     def queue_depth(self) -> int:
@@ -108,7 +119,9 @@ class Replica(ServingEngine):
 
         Preempted sequences awaiting re-admission count as queued —
         each carries re-prefill work, so a paged replica mid-thrash
-        must not look idle to the ``jsq`` router.
+        must not look idle to the ``jsq`` router.  Inside a run in
+        flight nothing is queued and no sequence finishes before the
+        run's last iteration, so the depth cannot change there.
         """
         s = self.scheduler
         return len(s.waiting) + len(s.preempted) + len(s.running)
@@ -124,23 +137,45 @@ class Replica(ServingEngine):
         admission — a paged replica that has packed many short-context
         sequences reports the blocks it actually holds, not the
         worst-case footprint it never allocated.
+
+        Inside a run in flight, paged pressure adds the blocks that the
+        run's first ``run.k`` iterations cross (nothing is queued, and
+        reservations do not move inside a run).  The integer block sum
+        is divided once, as the scheduler divides it once those
+        iterations are applied, so the float is the same.
         """
-        return self.scheduler.kv_pressure
+        run, alloc = self.run, self.scheduler.allocator
+        if run is None or alloc is None:
+            return self.scheduler.kv_pressure
+        if self._crossings is None:
+            self._crossings = self.scheduler.block_crossings(run.plan,
+                                                             run.n - 1)
+        crossed = bisect.bisect_left(self._crossings, run.k)
+        return (alloc.used_blocks + crossed) / alloc.total_blocks
+
+    @property
+    def next_s(self) -> float:
+        """Start of this replica's next iteration: the end of its run
+        in flight, else its clock."""
+        return self.now_s if self.run is None else self.run.end_s
 
     def step(self, horizon_s: float = -math.inf,
              max_iterations: int = 0) -> list:
-        """Run one scheduler iteration and advance the clock.
+        """Plan one iteration and lay out the run that repeats it
+        (:meth:`~repro.serve.simulator.ServingEngine.lay_out`).
 
-        The fleet driver passes its next ARRIVAL or SAMPLE time as
-        ``horizon_s`` and its iteration cap, and the iteration is then
-        replayed while it repeats (:meth:`~repro.serve.simulator.
-        ServingEngine.execute`).  Other replicas' STEP events need not
-        bound the run: they never read this replica, while the router
-        and the timeline do.  The defaults run exactly one iteration.
+        The fleet driver passes the timeline's next SAMPLE as
+        ``horizon_s`` and its iteration cap.  A run of one iteration is
+        applied at once: everything that could observe it comes after
+        its start.  A longer one stays in flight as :attr:`run`; the
+        driver applies it at its end, at a SAMPLE, or before routing an
+        arrival once all its iterations have started, and
+        :meth:`submit` cuts it.  The defaults run exactly one
+        iteration.
 
         Returns the sequences that completed (also appended to
-        :attr:`finished`), so the fleet driver can feed per-window
-        telemetry without diffing the list.
+        :attr:`finished`; none while a run is in flight), so the fleet
+        driver can feed per-window telemetry without diffing the list.
         """
         plan = self.scheduler.schedule(self.now_s)
         if plan.empty:  # pragma: no cover - has_work implies a plan
@@ -150,7 +185,33 @@ class Replica(ServingEngine):
             # the driver forever.
             raise RuntimeError(f"replica {self.replica_id} made no "
                                "progress with work pending")
-        return self.execute(plan, horizon_s, max_iterations)
+        run = self.lay_out(plan, horizon_s, max_iterations)
+        if run.n == 1:
+            return self.apply(run, 1, run.end_s)
+        self.run, self._crossings = run, None
+        return []
+
+    def apply_run(self) -> list:
+        """Apply the run in flight whole; return its finishers."""
+        run, self.run = self.run, None
+        return self.apply(run, run.n, run.end_s)
+
+    def submit(self, request: Request) -> None:
+        """Admit one request, first cutting a run in flight.
+
+        The new request changes the next plan, so the run is applied up
+        to the iterations that start strictly before the arrival (the
+        one in flight at the arrival included) and the rest is dropped;
+        the clock lands on the next iteration boundary.  The driver
+        applies a run whole once all its iterations have started, so a
+        cut ends before the run's last iteration and finishes nothing.
+        """
+        run = self.run
+        if run is not None:
+            run.seek(request.arrival_s)
+            self.run = None
+            self.apply(run, run.k, run.at_s)
+        super().submit(request)
 
 
 # ----------------------------------------------------------------------
@@ -163,6 +224,13 @@ class RouterPolicy:
     budget can hold the request at all; the policy must return one of
     them.  Policies may keep state (round-robin does), so build a fresh
     instance per simulation run.
+
+    A policy reads a replica only through :attr:`Replica.queue_depth`
+    and :attr:`Replica.kv_pressure`.  A replica may have a decode run in
+    flight (:attr:`Replica.run`: laid out, not yet applied), and these
+    two views report it exactly as step-by-step execution leaves it at
+    the arrival; its scheduler, clock and counters still show the state
+    before the run.
     """
 
     name = "abstract"
@@ -366,10 +434,12 @@ class FleetSimulator:
 
     The driver is the shared event heap: per-replica iteration
     boundaries and request arrivals pop in global simulated-time order
-    (ties break arrivals-first, so a replica advances only while
-    strictly behind an arrival), so the router always inspects every
-    replica advanced to the arrival instant while idle replicas stay
-    out of the heap entirely.
+    (ties break arrivals-first, so only iterations that start strictly
+    before an arrival count as run when it is routed), and idle
+    replicas stay out of the heap entirely.  A run in flight is applied
+    at its end, at a SAMPLE, before routing an arrival once all its
+    iterations have started, or cut by an arrival routed to its
+    replica; the router reads the others in flight.
     """
 
     def __init__(self, replicas: Sequence[Replica],
@@ -398,56 +468,87 @@ class FleetSimulator:
         replicas = self.replicas
         run = SimulationRun(replicas, self.config, trace, max_iterations,
                             route=self._route)
-        loop, pending, timeline = run.loop, run.pending, run.timeline
+        loop, timeline, stats = run.loop, run.timeline, run.loop.stats
         max_iterations = run.max_iterations
-        #: Whether replica i currently owns a STEP event in the heap
-        #: (exactly one while it has work; entries never go stale
-        #: because only step() moves a busy replica's clock).
-        in_heap = [rep.has_work for rep in replicas]
+        ran = sum(rep.iterations for rep in replicas)
+        #: Time of replica i's one live STEP event (None while idle),
+        #: its next iteration boundary.  A cut moves the boundary
+        #: earlier and leaves the old event in the heap, stale; a stale
+        #: event popping at the live one's instant stands in for it,
+        #: and the live one is then stale in turn.
+        due: List[Optional[float]] = [None] * len(replicas)
+
+        def wake(idx: int) -> None:
+            due[idx] = replicas[idx].next_s
+            loop.push(due[idx], STEP, idx)
+
+        def apply_run(idx: int) -> None:
+            rep = replicas[idx]
+            done = rep.apply_run()
+            if timeline is not None and done:
+                timeline.on_complete(idx, done, rep.now_s)
+
         for i, rep in enumerate(replicas):
-            if in_heap[i]:
-                loop.push(rep.now_s, STEP, i)
+            if rep.has_work:
+                wake(i)
 
         while not loop.empty:
             t_s, kind, payload = loop.pop()
             if kind == SAMPLE:
+                # Runs are laid out up to the next SAMPLE: every
+                # iteration of a run in flight has started.
+                for i, rep in enumerate(replicas):
+                    if rep.run is not None:
+                        apply_run(i)
                 run.sample(t_s)
                 continue
             if kind == STEP:
                 idx = payload
+                if t_s != due[idx]:
+                    continue  # left behind by a cut
                 rep = replicas[idx]
+                if rep.run is not None:  # the run in flight ends here
+                    apply_run(idx)
+                if not rep.has_work:
+                    due[idx] = None
+                    continue
                 rep.n_wakeups += 1
                 if rep.iterations >= max_iterations:
                     raise RuntimeError(
                         f"replica {rep.replica_id} exceeded "
                         f"{max_iterations} iterations; the offered load "
                         "likely diverges")
-                # Arrivals pop in ``pending`` order, so the next one is
-                # at a fixed index; with the timeline's next SAMPLE it
-                # bounds a replayed run.
-                arrivals_left = run.arrivals_left
-                horizon_s = (pending[len(pending) - arrivals_left].arrival_s
-                             if arrivals_left else math.inf)
-                if timeline is not None:
-                    horizon_s = min(horizon_s, timeline.next_sample_s)
-                ran = rep.iterations
-                done = rep.step(horizon_s, max_iterations)
-                # Step events count iterations, replayed ones included.
-                replayed = rep.iterations - ran - 1
-                loop.stats.n_step_events += replayed
-                loop.stats.n_events += replayed
+                # Arrivals do not bound a run: the router reads a run
+                # in flight, and an arrival routed here cuts it.
+                done = rep.step(timeline.next_sample_s
+                                if timeline is not None else math.inf,
+                                max_iterations)
                 if timeline is not None and done:
                     timeline.on_complete(idx, done, rep.now_s)
                 if rep.has_work:
-                    loop.push(rep.now_s, STEP, idx)
+                    wake(idx)
                 else:
-                    in_heap[idx] = False
+                    due[idx] = None
                 continue
+            # The router sees each replica after the iterations that
+            # start before the arrival.  A run all of whose iterations
+            # have started is applied whole, so its finishers leave the
+            # queues.
+            for i, rep in enumerate(replicas):
+                if rep.run is not None and rep.run.seek(t_s):
+                    apply_run(i)
             idx = run.arrive(payload)
-            if idx is not None and not in_heap[idx]:
-                loop.push(replicas[idx].now_s, STEP, idx)
-                in_heap[idx] = True
+            if idx is not None and due[idx] != replicas[idx].next_s:
+                # An idle replica wakes, or the arrival cut the run in
+                # flight (Replica.submit) and its boundary moved.
+                wake(idx)
 
+        # STEP pops include stale events and run ends, and a run may
+        # be applied at an ARRIVAL or a SAMPLE: the step counters count
+        # applied iterations.
+        steps = sum(rep.iterations for rep in replicas) - ran
+        stats.n_events += steps - stats.n_step_events
+        stats.n_step_events = steps
         return FleetReport(
             **run.finish([{"replica": str(rep.replica_id)}
                           for rep in replicas]),

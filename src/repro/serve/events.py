@@ -17,23 +17,28 @@ by the single-engine and the fleet driver.  Event kinds:
   bit-identical with sampling on or off.
 
 Ordering is ``(time, kind, seq)``: at equal time an ARRIVAL pops
-before a STEP, which reproduces the lockstep contract exactly — a
-replica advances only while strictly *behind* an arrival
-(``now_s < t``), and an iteration boundary landing exactly on the
-arrival instant waits until after routing.  SAMPLE sorts before both,
+before a STEP, which reproduces the lockstep contract exactly — only
+iterations that start strictly *before* an arrival (``now_s < t``)
+count as run when it is routed, and an iteration boundary landing
+exactly on the arrival instant waits until after routing.  SAMPLE sorts before both,
 so timeline windows are half-open ``[start, end)`` — an arrival landing
 exactly on a window boundary counts in the *next* window.  ``seq`` is
 a monotone tiebreaker so payloads never need comparing.
 
-Because replicas interact only through routing, popping in global time
-order is *bit-identical* to a lockstep schedule that advances every
-replica to each arrival before routing it: each replica's iteration
-chain is a function of its own submissions and clock, and the router
-still sees every replica advanced to (or past) each arrival instant.
-What changes is who gets touched — an idle replica simply is not in
-the heap, so sparse-arrival fleets never pay a poll-everyone tax
+Because replicas interact only through routing, the fleet is
+*bit-identical* to a lockstep schedule that advances every replica to
+each arrival before routing it, though no replica is advanced to every
+arrival any more: each replica's iteration chain is a function of its
+own submissions and clock, and the router reads each replica as of the
+arrival instant.  A replica's replayed decode run stays in flight
+across arrivals routed elsewhere; the router reads it through views
+that add what the run's iterations before the arrival change
+(:class:`~repro.cluster.fleet.RouterPolicy`), and only an arrival
+routed to the replica cuts it.  An idle replica is not in the heap at
+all, so sparse-arrival fleets never pay a poll-everyone tax
 (:class:`EventStats` counts exactly that; ``tests/test_serve_events.py``
-pins the equivalence against a lockstep oracle, and the drop).
+pins the equivalence against a lockstep oracle, read by read, and the
+drop).
 """
 
 from __future__ import annotations
@@ -58,11 +63,14 @@ TRANSFER = 2
 class EventStats:
     """Counters of one event-loop run (wakeup accounting).
 
-    ``n_step_events`` counts the iterations STEP events executed, and
-    ``n_events`` counts them the same way: a fleet replica may run a
-    whole run of identical decode-only iterations on one STEP pop, and
-    the driver adds the replayed ones (``Replica.n_wakeups`` counts the
-    pops).  The single-engine driver pushes no STEP events, so its
+    ``n_step_events`` counts the iterations a fleet's replicas applied,
+    and ``n_events`` counts them the same way, not STEP pops: a replica
+    lays out a whole run of identical decode-only iterations on one
+    STEP pop and may apply it at a later ARRIVAL, SAMPLE or STEP, and a
+    cut leaves a stale STEP in the heap whose pop runs nothing, so the
+    fleet driver sets both from the iterations applied
+    (``Replica.n_wakeups`` counts the STEP pops that plan).  The
+    single-engine driver pushes no STEP events, so its
     ``n_step_events`` is 0.  ``n_idle_polls`` counts wakeups that found
     no runnable work; the heap keeps it at zero by construction, and
     the regression test holds it there.

@@ -900,6 +900,24 @@ class ContinuousBatchScheduler:
                 hi = mid
         return lo
 
+    def block_crossings(self, plan: BatchPlan, k: int) -> List[int]:
+        """The replays of ``plan``, among its first ``k``, at which a
+        decoding sequence crosses into a new block: one entry per block
+        the replays allocate, sorted (paged admission; read before the
+        replays are applied).
+
+        A sequence holding ``slack`` slots past this plan's token first
+        crosses at replay ``slack + 1``, then every ``block_tokens``
+        replays, which is the count :meth:`repeat_room` sums.
+        """
+        bt = self.allocator.block_tokens
+        crossings: List[int] = []
+        for seq in plan.decode:
+            crossings.extend(range(seq.kv_slots - seq.context_tokens,
+                                   k + 1, bt))
+        crossings.sort()
+        return crossings
+
     def repeat(self, plan: BatchPlan, k: int) -> None:
         """Advance through ``k`` replays of ``plan`` (``k`` within
         :meth:`repeat_room`), leaving ``plan`` as the run's last

@@ -328,14 +328,55 @@ class ServingReport(Report):
             detail)
 
 
+class RunLayout:
+    """A planned iteration laid out as a run of ``n`` iterations that
+    plan and price exactly the same batch.
+
+    Iteration ``j`` starts at ``start_s`` plus ``j`` additions of
+    ``dt`` — the float chain step-by-step execution computes — and
+    ``end_s`` is the clock after the last one.  Nothing is applied yet:
+    :meth:`ServingEngine.apply` applies the first ``k`` iterations.
+
+    The cursor (``k``, ``at_s``) counts the iterations known to start
+    before the latest :meth:`seek` time and holds the next one's start
+    (``end_s`` once all ``n`` have started).  The first iteration
+    started at ``start_s``, so the cursor begins at one.
+    """
+
+    __slots__ = ("plan", "step_us", "start_s", "dt", "n", "end_s", "k",
+                 "at_s")
+
+    def __init__(self, plan: BatchPlan, step_us: float, start_s: float,
+                 dt: float, n: int, end_s: float):
+        self.plan = plan
+        self.step_us = step_us
+        self.start_s = start_s
+        self.dt = dt
+        self.n = n
+        self.end_s = end_s
+        self.k = 1
+        self.at_s = start_s + dt
+
+    def seek(self, t_s: float) -> bool:
+        """Move the cursor past every iteration that starts strictly
+        before ``t_s`` (never back); return whether all ``n`` do."""
+        k, at_s, n, dt = self.k, self.at_s, self.n, self.dt
+        while k < n and at_s < t_s:
+            at_s += dt
+            k += 1
+        self.k, self.at_s = k, at_s
+        return k == n
+
+
 class ServingEngine:
     """One serving engine: a scheduler and a cost model behind a
     private clock, plus the counters a report reads.
 
-    Both drivers run iterations through :meth:`execute` — the
-    single-engine :class:`ServingSimulator` on one instance, the fleet
-    on each :class:`~repro.cluster.fleet.Replica` — so pricing,
-    decode-run replay and plan application live in one place.
+    Both drivers run iterations through :meth:`lay_out` and
+    :meth:`apply` — the single-engine :class:`ServingSimulator` on one
+    instance through :meth:`execute`, the fleet on each
+    :class:`~repro.cluster.fleet.Replica` — so pricing, decode-run
+    replay and plan application live in one place.
     """
 
     def __init__(self, scheduler: ContinuousBatchScheduler,
@@ -367,55 +408,76 @@ class ServingEngine:
         self.scheduler.submit(request)
         self.n_submitted += 1
 
-    def execute(self, plan: BatchPlan, horizon_s: float,
-                max_iterations: int) -> List[SequenceState]:
-        """Price and run ``plan``, replaying it while it repeats; return
-        the sequences that finished (also appended to :attr:`finished`).
+    def lay_out(self, plan: BatchPlan, horizon_s: float,
+                max_iterations: int) -> RunLayout:
+        """Price ``plan`` once and lay out the run of iterations that
+        would plan and price it again, without applying any.
 
         After the first iteration, the scheduler's
         :meth:`~ContinuousBatchScheduler.repeat_room` and the cost
         model's ``repeat_room`` bound how many further iterations would
-        plan and price exactly the same batch.  They are replayed
-        without planning while each starts before ``horizon_s`` — the
-        driver's next event that could observe or change this engine —
-        and the engine stays within ``max_iterations``.  The clock
-        repeats the step-by-step float addition, never one
-        multiplication, so every modeled number stays bit-identical.
+        plan and price exactly the same batch.  The run takes them
+        while each starts before ``horizon_s`` — the next event that
+        must see the run applied: the single engine's next arrival or
+        SAMPLE, a fleet replica's next SAMPLE — and the engine stays
+        within ``max_iterations``.  The clock repeats the
+        step-by-step float addition, never one multiplication, so every
+        modeled number stays bit-identical.
         """
-        sched = self.scheduler
-        tracer = self.tracer
-        self.iterations += 1
         step_us = self.cost_model.step_us(plan)
         t0 = self.now_s
         dt = step_us / 1e6
         now_s = t0 + dt
-        if horizon_s > now_s and not tracer.enabled:
+        n = 1
+        if horizon_s > now_s and not self.tracer.enabled:
             room = min(self.cost_model.repeat_room(plan),
-                       max_iterations - self.iterations)
-            room = sched.repeat_room(plan, room)
-            repeats = 0
-            while repeats < room and horizon_s > now_s:
+                       max_iterations - self.iterations - 1)
+            room = self.scheduler.repeat_room(plan, room)
+            while n <= room and horizon_s > now_s:
                 now_s += dt
-                repeats += 1
-            if repeats:
-                sched.repeat(plan, repeats)
-                self.iterations += repeats
+                n += 1
+        return RunLayout(plan, step_us, t0, dt, n, now_s)
+
+    def apply(self, run: RunLayout, k: int,
+              now_s: float) -> List[SequenceState]:
+        """Apply the first ``k`` iterations of ``run``, which end at
+        ``now_s``; return the sequences that finished (also appended to
+        :attr:`finished`).
+
+        Only the run's last iteration can finish a sequence
+        (:meth:`~ContinuousBatchScheduler.repeat_room`), so applying
+        fewer than ``run.n`` finishes none.
+        """
+        sched = self.scheduler
+        plan = run.plan
+        self.iterations += k
+        if k > 1:
+            sched.repeat(plan, k - 1)
         self.now_s = now_s
         # Utilization only grows within a replayed run, so one read
         # after it is the run's maximum.
         self.peak_kv = max(self.peak_kv, sched.kv_utilization)
+        tracer = self.tracer
         if tracer.enabled:
-            tracer.step(self.replica_id, t0, step_us, plan,
+            tracer.step(self.replica_id, run.start_s, run.step_us, plan,
                         sched.kv_occupancy)
             # Only the prefix-caching allocator evicts.
             evicted = getattr(sched.allocator, "n_evicted_blocks", 0)
             if evicted > self._last_evicted:
-                tracer.event(EVT_EVICTED, t0, self.replica_id, -1,
-                             evicted - self._last_evicted)
+                tracer.event(EVT_EVICTED, run.start_s, self.replica_id,
+                             -1, evicted - self._last_evicted)
                 self._last_evicted = evicted
         done = sched.complete(plan, now_s)
         self.finished.extend(done)
         return done
+
+    def execute(self, plan: BatchPlan, horizon_s: float,
+                max_iterations: int) -> List[SequenceState]:
+        """Price and run ``plan``, replaying it while it repeats
+        (:meth:`lay_out`), and apply the whole run; return the
+        sequences that finished."""
+        run = self.lay_out(plan, horizon_s, max_iterations)
+        return self.apply(run, run.n, run.end_s)
 
 
 class SimulationRun:

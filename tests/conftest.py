@@ -8,8 +8,23 @@ quantities that do not depend on tensor size.
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
+
+# When a ``@given`` test fails, hypothesis writes a failure patch with
+# libcst, whose first import warns (DeprecationWarning from
+# ``mypy_extensions.TypedDict``).  ``filterwarnings = error`` turns that
+# warning, raised inside a pytest hook, into an INTERNALERROR that hides
+# the falsifying example and stops the session.  Importing the patch
+# writer here, with the warning silenced, keeps the failure a report.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:  # no libcst: hypothesis skips the patch
+        pass
 
 from repro.gpu.spec import RTX4090
 from repro.llm.model import structured_matrix

@@ -445,6 +445,19 @@ class TestClusterBench:
         assert row["step_us"] == step.total_us
         assert row["collective_us"] == step.collective_us > 0.0
 
+    def test_cluster_cli_tp_prices_the_prompt_mean_context(self, capsys):
+        """``--experiment tp`` prices its decode step at
+        ``--prompt-mean`` tokens of context."""
+        from repro.bench.cluster import run, tp_scaling
+        table = run(["--experiment", "tp", "--tp", "1", "2",
+                     "--prompt-mean", "2048"])
+        out = capsys.readouterr().out
+        assert "context 2048" in out
+        expected = tp_scaling(spec=RTX4090, config=llama_7b(),
+                              degrees=(1, 2), context_tokens=2048)
+        assert table.column("step_us") == expected.column("step_us")
+        assert str(expected) in out
+
     def test_routing_comparison_structure(self):
         """Tiny-shape routing table: prefix-affinity must report the
         highest cached-token fraction on a sessionized trace."""

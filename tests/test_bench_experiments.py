@@ -44,6 +44,31 @@ class TestCheapExperiments:
         metrics = dict(quantization_overhead().rows)
         assert metrics["encode_vs_projection"] > 0
 
+    def test_fig17_note_reads_the_tables_rtx4090_ledger(self, monkeypatch):
+        """One ledger per GPU: the element-wise note reuses the RTX
+        4090 ledger the table built, and reads what a fresh one does."""
+        from repro.bench import experiments
+        from repro.bench.e2e import E2ELedger
+        from repro.gpu.spec import A40, RTX4090
+        from repro.llm.config import llama_7b
+
+        built = []
+
+        class CountingLedger(E2ELedger):
+            def __init__(self, spec, *args, **kwargs):
+                built.append(spec.name)
+                super().__init__(spec, *args, **kwargs)
+
+        monkeypatch.setattr(experiments, "E2ELedger", CountingLedger)
+        result = experiments.fig17_e2e()
+        assert built == [RTX4090.name, A40.name]
+        fresh = E2ELedger(RTX4090, llama_7b())
+        fp16 = fresh.decode_step(16, 1024, "fp16").elementwise_share
+        vq4 = fresh.decode_step(16, 1024, "vq4").elementwise_share
+        assert result.notes == [
+            f"elementwise-op share: fp16 {fp16:.1%}, vq4 {vq4:.1%} "
+            "(paper: ~10% / ~20%)"]
+
 
 class TestCLI:
     def test_main_runs_named_experiment(self, capsys):

@@ -56,6 +56,14 @@ Checks:
    identical decode-only iterations is planned once and replayed, so
    797 calls plan its 7,389 iterations; planning every iteration
    (7,412 calls) fails it deterministically.
+9. Fleet decode runs across arrivals, an exact count rather than a
+   time: in a fixed 8-replica ``fp16`` ``least-kv`` paged fleet on the
+   real cost model (bursty traffic at 24 req/s, 1,000 requests, seed
+   0), ``schedule`` may be called for at most a quarter of the
+   iterations.  An arrival routed to another replica leaves a
+   replica's decode run in flight (the router reads it in place), so
+   2,308 calls plan its 15,460 iterations; ending every run at every
+   arrival (5,338 calls) fails it deterministically.
 
 Run with::
 
@@ -78,6 +86,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
+from repro.bench.cluster import replica_kv_budget  # noqa: E402
 from repro.bench.serving import (make_cost_model, make_kv_budget,  # noqa: E402
                                  make_trace)
 from repro.core.engine import ComputeEngine  # noqa: E402
@@ -85,7 +94,7 @@ from repro.gpu.banks import BankConflictModel  # noqa: E402
 from repro.gpu.spec import RTX4090  # noqa: E402
 from repro.llm.config import llama_7b  # noqa: E402
 from repro.obs.timeline import TimelineConfig  # noqa: E402
-from repro.serve.api import SchedulerConfig, SimConfig  # noqa: E402
+from repro.serve.api import FleetConfig, SchedulerConfig, SimConfig  # noqa: E402
 from repro.serve.costs import BATCH_BUCKETS  # noqa: E402
 from repro.serve.paging import PagedKVAllocator  # noqa: E402
 from repro.serve.prefix import PrefixCache  # noqa: E402
@@ -107,6 +116,9 @@ ENSURE_POOL_TOKENS = 6_000
 
 #: The replay-count run's chat trace: requests at 2 req/s.
 REPLAY_REQUESTS = 300
+
+#: The fleet replay-count run: replicas, and bursty requests at 24 req/s.
+FLEET_REPLICAS, FLEET_REQUESTS = 8, 1_000
 
 
 class _ConstantCostModel:
@@ -203,14 +215,8 @@ def _paged_ensure_counts() -> tuple:
     return idle, chunks, report.n_preempted
 
 
-def _replay_schedule_calls() -> tuple:
-    """``(schedule calls, iterations)`` of one fixed ``kv-cq-4`` paged,
-    prefix-cached chat run on the real cost model."""
-    config = llama_7b()
-    trace = make_trace("chat", 2.0, REPLAY_REQUESTS, 384, 96, seed=0)
-    budget = make_kv_budget(config, "kv-cq-4", capacity_bytes=4e9,
-                            spec=RTX4090)
-    cost = make_cost_model(ComputeEngine(RTX4090), config, "kv-cq-4")
+def _schedule_calls(simulate) -> tuple:
+    """``(schedule calls, report)`` of one ``simulate()`` call."""
     calls = 0
     original = ContinuousBatchScheduler.schedule
 
@@ -221,15 +227,43 @@ def _replay_schedule_calls() -> tuple:
 
     ContinuousBatchScheduler.schedule = counted
     try:
-        sim = SimConfig(scheduler=SchedulerConfig(max_seqs=64,
-                                                  admission="paged",
-                                                  prefix_caching=True),
-                        name="perf-smoke-replay").build(budget, cost)
-        report = sim.run(trace)
+        report = simulate()
     finally:
         ContinuousBatchScheduler.schedule = original
+    return calls, report
+
+
+def _replay_schedule_calls() -> tuple:
+    """``(schedule calls, iterations)`` of one fixed ``kv-cq-4`` paged,
+    prefix-cached chat run on the real cost model."""
+    config = llama_7b()
+    trace = make_trace("chat", 2.0, REPLAY_REQUESTS, 384, 96, seed=0)
+    budget = make_kv_budget(config, "kv-cq-4", capacity_bytes=4e9,
+                            spec=RTX4090)
+    cost = make_cost_model(ComputeEngine(RTX4090), config, "kv-cq-4")
+    sim = SimConfig(scheduler=SchedulerConfig(max_seqs=64,
+                                              admission="paged",
+                                              prefix_caching=True),
+                    name="perf-smoke-replay").build(budget, cost)
+    calls, report = _schedule_calls(lambda: sim.run(trace))
     assert report.n_requests == REPLAY_REQUESTS
     return calls, report.n_iterations
+
+
+def _fleet_schedule_calls() -> tuple:
+    """``(schedule calls, iterations)`` of one fixed ``fp16`` paged
+    fleet behind ``least-kv`` on the real cost model."""
+    config = llama_7b()
+    trace = make_trace("bursty", 24.0, FLEET_REQUESTS, 384, 96, seed=0)
+    budget = replica_kv_budget(config, "fp16", RTX4090)
+    cost = make_cost_model(ComputeEngine(RTX4090), config, "fp16")
+    sim = FleetConfig(scheduler=SchedulerConfig(max_seqs=64,
+                                                admission="paged"),
+                      policy="least-kv", name="perf-smoke-fleet").build(
+                          FLEET_REPLICAS, budget, cost)
+    calls, report = _schedule_calls(lambda: sim.run(trace))
+    assert report.n_requests == FLEET_REQUESTS
+    return calls, sum(s.n_iterations for s in report.replica_stats)
 
 
 def _decode_sweep_degree_calls() -> tuple:
@@ -325,7 +359,16 @@ def main(argv=None) -> int:
     print(f"decode replay: {schedule_calls:,} schedule calls planned "
           f"{iterations:,} iterations (max half)")
 
+    fleet_calls, fleet_iterations = _fleet_schedule_calls()
+    print(f"fleet decode runs: {fleet_calls:,} schedule calls planned "
+          f"{fleet_iterations:,} iterations (max a quarter)")
+
     failed = False
+    if 4 * fleet_calls > fleet_iterations:
+        print(f"PERF REGRESSION: {fleet_calls:,} schedule calls for "
+              f"{fleet_iterations:,} fleet iterations; an arrival routed "
+              f"to another replica should not end a replica's decode run")
+        failed = True
     if 2 * schedule_calls > iterations:
         print(f"PERF REGRESSION: {schedule_calls:,} schedule calls for "
               f"{iterations:,} iterations; runs of identical decode-only "
