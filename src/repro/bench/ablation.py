@@ -96,7 +96,7 @@ def occupancy_floor_sweep(floors=(0.1, 0.25, 0.5, 0.9)):
             slack_module.MIN_OCCUPANCY = floor
             gen = VQLLMCodeGenerator(RTX4090)
             kernel = gen.generate_gemv(shape, qt, level="O2")
-            bounds = kernel.template.boundaries
+            bounds = kernel.knobs.boundaries
             result.add_row(floor, kernel.latency_us(),
                            bounds.n_shared if bounds else 0)
     finally:

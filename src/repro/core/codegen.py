@@ -3,14 +3,21 @@
 ``VQLLMCodeGenerator.generate(...)`` takes a computation (kind + shape),
 a quantized tensor (or KV pair), and a target GPU, and produces a
 :class:`GeneratedKernel`: the adaptive heuristics pick every parameter
-(cache boundaries from slack, dataflow, fusion level), the template is
-assembled, CUDA-like source is emitted, and the result can report
-modelled counters/latency and execute numerically.
+(cache boundaries from slack, dataflow, fusion level), and the result
+can report modelled counters/latency and execute numerically.  Its
+template and CUDA-like source are assembled on first access, because a
+latency needs neither.
 
-A generator owns one :class:`~repro.kernels.vq_fused.CodebookStats`
-memo shared by every kernel it builds, so each tensor's hotness profile
-and each conflict degree is computed once per generator, not once per
-shape and candidate.  The winning candidate's counters are kept on the
+A generator owns two memos, both shared by every kernel it builds:
+
+- one :class:`~repro.kernels.vq_fused.CodebookStats`, so each tensor's
+  hotness profile and each conflict degree is computed once per
+  generator, not once per shape and candidate (the degree itself is
+  counted per distinct entry, see :mod:`repro.gpu.banks`);
+- one :class:`~repro.core.slack.ResourceSlack` per operation, because
+  slack depends on the spec and the operation's base resources only.
+
+The winning candidate's counters are kept on the
 :class:`GeneratedKernel`, which never re-costs its kernel.
 
 Ablation levels (Tbl. IV) are first-class: ``level="GC"`` ...
@@ -22,7 +29,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from functools import cached_property
+from typing import Callable, Dict, Optional
 
 import numpy as np
 
@@ -30,7 +38,7 @@ from repro.core.cache import CacheBoundaries
 from repro.core.emitter import emit_cuda
 from repro.core.heuristics import LEVELS, PlanKnobs, choose_knobs
 from repro.core.hotness import HotnessProfile
-from repro.core.slack import find_slack
+from repro.core.slack import ResourceSlack, find_slack
 from repro.core.template import BASE_RESOURCES, KernelTemplate, build_template
 from repro.gpu.costmodel import CostModel
 from repro.gpu.counters import PerfCounters
@@ -44,25 +52,43 @@ from repro.kernels.vq_fused import (
     VQGemmKernel,
     VQGemvKernel,
 )
+from repro.vq.config import VQConfig
 from repro.vq.quantizer import QuantizedTensor
 
 
 @dataclass
 class GeneratedKernel:
-    """A fused kernel produced by the generator."""
+    """A fused kernel produced by the generator.
 
-    template: KernelTemplate
+    The template and the emitted source are built on first access:
+    costing reads only the counters, so a caller that only wants a
+    latency never pays for them.
+    """
+
+    operation: str
+    config: VQConfig
+    knobs: PlanKnobs
     kernel: object
     spec: GPUSpec
-    source: str
     #: Counters of the selected candidate, occupancy already resolved
     #: by the cost model that ranked it.
     perf: PerfCounters
+    #: Resource slack of the operation's base shape (Fig. 10).
+    slack: ResourceSlack
+
+    @cached_property
+    def template(self) -> KernelTemplate:
+        template = build_template(self.operation, self.config, self.knobs)
+        template.slack = self.slack
+        return template
+
+    @cached_property
+    def source(self) -> str:
+        return emit_cuda(self.template)
 
     @property
     def name(self) -> str:
-        return (f"{self.kernel.name}-{self.template.config.name}-"
-                f"{self.template.knobs.label}")
+        return f"{self.kernel.name}-{self.config.name}-{self.knobs.label}"
 
     def counters(self) -> PerfCounters:
         return self.perf
@@ -88,6 +114,17 @@ class VQLLMCodeGenerator:
         #: Shape-independent codebook statistics of every tensor this
         #: generator has costed (see the module docstring).
         self.stats = CodebookStats()
+        self._slack: Dict[str, ResourceSlack] = {}
+
+    def slack(self, operation: str) -> ResourceSlack:
+        """Resource slack of ``operation``'s base shape, searched once
+        per generator (it depends on the spec and the operation only)."""
+        slack = self._slack.get(operation)
+        if slack is None:
+            base = BASE_RESOURCES[operation]
+            slack = self._slack[operation] = find_slack(
+                self.spec, base["threads"], base["regs"], base["smem"])
+        return slack
 
     @staticmethod
     def _resident_books(operation: str, config, shape,
@@ -124,16 +161,11 @@ class VQLLMCodeGenerator:
         memory) and the full cache (no cold misses, may cost resident
         blocks) and let the generator keep whichever models faster.
         """
-        base = BASE_RESOURCES[operation]
+        slack = self.slack(operation)
         dataflow = level.upper() in ("O3", "O4")
         resident = self._resident_books(operation, config, shape, dataflow)
-        primary = choose_knobs(
-            level, self.spec, config, profile,
-            threads_per_block=base["threads"],
-            regs_per_thread=base["regs"],
-            smem_per_block=base["smem"],
-            resident_books=resident,
-        )
+        primary = choose_knobs(level, config, profile, slack,
+                               resident_books=resident)
         if primary.boundaries is None:
             return [primary]
         candidates = [primary]
@@ -141,13 +173,8 @@ class VQLLMCodeGenerator:
             full = CacheBoundaries(primary.boundaries.n_reg,
                                    config.lookup_entries)
             candidates.append(choose_knobs(
-                level, self.spec, config, profile,
-                threads_per_block=base["threads"],
-                regs_per_thread=base["regs"],
-                smem_per_block=base["smem"],
-                resident_books=resident,
-                boundaries_override=full,
-            ))
+                level, config, profile, slack, resident_books=resident,
+                boundaries_override=full))
         return candidates
 
     def generate_gemm(self, shape: GemmShape, qt: QuantizedTensor,
@@ -209,12 +236,8 @@ class VQLLMCodeGenerator:
             if best is None or us < best[0]:
                 best = (us, knobs, kernel, counters)
         _, knobs, kernel, counters = best
-        template = build_template(operation, config, knobs)
-        base = BASE_RESOURCES[operation]
-        template.slack = find_slack(self.spec, base["threads"],
-                                    base["regs"], base["smem"])
-        return GeneratedKernel(template, kernel, self.spec,
-                               emit_cuda(template), counters)
+        return GeneratedKernel(operation, config, knobs, kernel, self.spec,
+                               counters, self.slack(operation))
 
     def sweep_levels(self, generate_fn, *args, **kwargs) -> dict:
         """Generate one kernel per Tbl. IV level; keyed GC..O4.

@@ -17,9 +17,10 @@ so the spec is an implicit part of every cache key.
 
 Below the latency memo, the engine's generator keeps one
 :class:`~repro.kernels.vq_fused.CodebookStats` memo (hotness profiles
-and bank-conflict degrees per tensor).  Both live and die with the
-engine: a fresh engine costs every kernel family cold, and nothing is
-cached at module level, on disk, or on the tensors.
+and bank-conflict degrees per tensor) and one resource slack per
+operation.  All of them live and die with the engine: a fresh engine
+costs every kernel family cold, and nothing is cached at module level,
+on disk, or on the tensors.
 
 See ``docs/architecture.md`` for where the engine sits in the
 VQConfig -> quantizer -> codegen -> cost model -> engine -> serve flow.
@@ -46,7 +47,6 @@ from repro.kernels.elementwise import (
     ElementwiseGemvKernel,
 )
 from repro.kernels.gemm import FP16GemmKernel, FP16GemvKernel, GemmShape
-from repro.kernels.vq_fused import CodebookStats
 from repro.vq.quantizer import QuantizedTensor
 
 #: Operations understood by :meth:`ComputeEngine.batch_latency_us`.
@@ -264,7 +264,7 @@ class ComputeEngine:
         }
 
     def memo_clear(self) -> None:
-        """Drop every cached latency and codebook statistic (tests use
-        this for isolation)."""
+        """Drop every cached latency, and the generator's codebook
+        statistics and slack with it (tests use this for isolation)."""
         self._memo.clear()
-        self.generator.stats = CodebookStats()
+        self.generator = VQLLMCodeGenerator(self.spec)

@@ -19,8 +19,7 @@ from typing import Optional
 from repro.core.cache import CacheBoundaries, plan_boundaries
 from repro.core.fusion import SHUFFLE_THRESHOLD
 from repro.core.hotness import HotnessProfile
-from repro.core.slack import ResourceSlack, find_slack
-from repro.gpu.spec import GPUSpec
+from repro.core.slack import ResourceSlack
 from repro.vq.config import VQConfig
 
 #: Ablation levels of Tbl. IV, in cumulative order.
@@ -77,12 +76,9 @@ class HeuristicReport:
 
 def choose_knobs(
     level: str,
-    spec: GPUSpec,
     config: VQConfig,
     profile: HotnessProfile,
-    threads_per_block: int,
-    regs_per_thread: int,
-    smem_per_block: int,
+    slack: ResourceSlack,
     resident_books: int = 1,
     boundaries_override: Optional[CacheBoundaries] = None,
 ) -> PlanKnobs:
@@ -90,10 +86,10 @@ def choose_knobs(
 
     ``level`` is one of GC / SC / O1 / O2 / O3 / O4 (Tbl. IV); ``O4``
     is the complete VQ-LLM configuration the generator uses by default.
-    The base resource demands are those of the computation *without*
-    the codebook, which is what slack is measured against;
-    ``resident_books`` is how many codebooks one block keeps resident
-    simultaneously (CQ: one per channel group of the head).
+    ``slack`` is the :func:`~repro.core.slack.find_slack` result for
+    the computation's base resources, those it needs *without* the
+    codebook; ``resident_books`` is how many codebooks one block keeps
+    resident simultaneously (CQ: one per channel group of the head).
     """
     level = level.upper()
     if level not in LEVELS:
@@ -104,8 +100,6 @@ def choose_knobs(
     if level == "SC":
         return PlanKnobs(label="SC", placement="shared_all")
 
-    slack = find_slack(spec, threads_per_block, regs_per_thread,
-                       smem_per_block)
     if boundaries_override is not None:
         bounds = boundaries_override
     else:
@@ -135,14 +129,12 @@ def choose_knobs(
                      dataflow_adaptive=True, register_fusion=True)
 
 
-def knobs_for_all_levels(spec, config, profile, threads_per_block,
-                         regs_per_thread, smem_per_block,
+def knobs_for_all_levels(config, profile, slack: ResourceSlack,
                          resident_books: int = 1) -> dict:
     """Knobs for every Tbl. IV level, keyed by label."""
     return {
-        level: choose_knobs(level, spec, config, profile,
-                            threads_per_block, regs_per_thread,
-                            smem_per_block, resident_books=resident_books)
+        level: choose_knobs(level, config, profile, slack,
+                            resident_books=resident_books)
         for level in LEVELS
     }
 

@@ -63,7 +63,8 @@ def find_slack(
         # Kernel cannot launch as configured; no slack to speak of.
         return ResourceSlack(0, 0, 0, 0)
 
-    warps_per_block = max(1, threads_per_block // spec.warp_size)
+    # Rounded up, as the occupancy rule counts a partial warp.
+    warps_per_block = base.warps_per_sm // base.blocks_per_sm
     target = min(min_occupancy, base.occupancy)
     floor_blocks = 1
     for blocks in range(base.blocks_per_sm, 0, -1):

@@ -16,6 +16,14 @@ Because the index stream comes from real quantized data (k-means cluster
 assignments, which are naturally skewed), the model reproduces the
 observation that register-caching the few hottest entries removes most of
 the conflicts (optimization O2).
+
+:func:`warp_conflict_degree` counts word by word and is the reference.
+:meth:`BankConflictModel.average_degree` counts at the entry level:
+distinct entries own disjoint words, so it deduplicates each sampled
+warp's ``warp_size`` lanes with one sort, counts distinct entries per
+start bank with ``np.bincount``, and spreads each count over the
+entry's ``words_per_entry`` banks.  All counts are integers, so the two
+agree exactly.
 """
 
 from __future__ import annotations
@@ -137,36 +145,42 @@ class BankConflictModel:
 
         # Vectorized replica of the per-warp
         # :func:`warp_conflict_degree` loop: all arithmetic is integer
-        # (word ids, bank ids, distinct counts), so the result is
+        # (entry ids, bank ids, distinct counts), so the result is
         # bit-identical to the scalar path — which remains the
         # reference the property tests compare against.
         banks = self.spec.smem_banks
         wpe = max(1, math.ceil(self.entry_bytes
                                / self.spec.smem_bank_bytes))
-        sub = stream[(np.asarray(chosen)[:, None] * warp
-                      + np.arange(warp))].astype(np.int64)
-        mask = sub >= register_resident
+        entries = stream[:n_warps * warp].reshape(n_warps, warp)[
+            chosen].astype(np.int64, copy=False)
+        mask = entries >= register_resident
         if shared_resident is not None:
-            mask &= sub < shared_resident
+            mask &= entries < shared_resident
         touched = mask.any(axis=1)
         if not touched.any():
             return 0.0
-        n_chosen = sub.shape[0]
-        lanes_flat = warp * wpe
-        words = (sub * wpe)[..., None] + np.arange(wpe)
-        words = words.reshape(n_chosen, lanes_flat)
-        # Masked lanes collapse to sentinel -1, then a row sort makes
-        # duplicate words adjacent so each distinct word counts once.
-        words = np.where(np.repeat(mask, wpe, axis=1), words, -1)
-        words.sort(axis=1)
-        uniq = np.empty((n_chosen, lanes_flat), dtype=bool)
-        uniq[:, 0] = words[:, 0] >= 0
-        uniq[:, 1:] = ((words[:, 1:] != words[:, :-1])
-                       & (words[:, 1:] >= 0))
-        counts = np.zeros((n_chosen, banks), dtype=np.int64)
-        rows = np.broadcast_to(np.arange(n_chosen)[:, None],
-                               (n_chosen, lanes_flat))
-        np.add.at(counts, (rows[uniq], words[uniq] % banks), 1)
+        # Distinct entries own disjoint words, so a warp's distinct
+        # words are the words of its distinct entries.  Deduplicate the
+        # lanes: masked ones collapse to sentinel -1 (``entries`` is a
+        # gathered copy, not a view of the stream), and a row sort makes
+        # duplicates adjacent.
+        entries[~mask] = -1
+        entries.sort(axis=1)
+        uniq = entries >= 0
+        uniq[:, 1:] &= entries[:, 1:] != entries[:, :-1]
+        # Entry ``i``'s words fill ``wpe`` consecutive banks from bank
+        # ``i * wpe % banks``, wrapping around.  Count distinct entries
+        # per start bank (duplicates land in a spare last column), then
+        # sum the ``wpe`` rotations to get distinct words per bank.
+        n_chosen = entries.shape[0]
+        start = np.where(uniq, entries * wpe % banks, banks)
+        start += np.arange(0, n_chosen * (banks + 1), banks + 1)[:, None]
+        per_start = np.bincount(
+            start.ravel(), minlength=n_chosen * (banks + 1)).reshape(
+                n_chosen, banks + 1)[:, :banks]
+        counts = per_start.copy()
+        for shift in range(1, wpe):
+            counts += np.roll(per_start, shift, axis=1)
         return float(np.mean(counts.max(axis=1)[touched]))
 
     def _shared_lanes(

@@ -280,7 +280,7 @@ def replayed_trace(
 def _token_ids(rng: np.random.Generator, n: int,
                vocab: int) -> Tuple[int, ...]:
     """``n`` synthesized token ids drawn uniformly from the vocabulary."""
-    return tuple(int(t) for t in rng.integers(0, vocab, size=n))
+    return tuple(rng.integers(0, vocab, size=n).tolist())
 
 
 def _finish(requests: List[Request]) -> List[Request]:

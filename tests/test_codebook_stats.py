@@ -1,10 +1,10 @@
-"""The generator's codebook-statistics memo.
+"""The generator's codebook-statistics memo, and the slack memo beside it.
 
 A generator computes each tensor's hotness profile and each bank-
-conflict degree once, however many shapes and candidates it costs.
-These tests pin that the memo changes no counter, that it evaluates
-each distinct conflict-degree key exactly once per engine, and that
-nothing it holds outlives the engine.
+conflict degree once, however many shapes and candidates it costs, and
+each operation's resource slack once.  These tests pin that the memos
+change no counter, that each distinct key is evaluated exactly once per
+engine, and that nothing they hold outlives the engine.
 """
 
 import gc
@@ -16,6 +16,8 @@ from dataclasses import fields
 import pytest
 
 from repro.bench.serving import make_cost_model
+from repro.bench.workloads import attention_sample, weight_sample
+from repro.core import codegen
 from repro.core.codegen import VQLLMCodeGenerator
 from repro.core.engine import ComputeEngine
 from repro.core.heuristics import LEVELS
@@ -45,6 +47,21 @@ OTHER_SHAPES = {
 }
 #: Sequence buckets of the decode sweeps below.
 SEQ_BUCKETS = (512, 1024, 2048, 4096)
+#: Every (sample tensor, cache split) conflict-degree key one pass of
+#: the ``sweep-cold`` host benchmark evaluates (frequency-reordered, on
+#: RTX 4090), with its exact degree as the word-by-word count gave it:
+#: (algorithm, tensor, n_reg, n_shared, degree).
+SWEEP_COLD_DEGREES = (
+    ("cq-4", "K", 1, 256, 3.115234375),
+    ("cq-4", "V", 1, 256, 3.1435546875),
+    ("cq-2", "K", 1, 256, 4.30859375),
+    ("cq-2", "V", 1, 256, 4.3310546875),
+    ("quip#-4", "W", 6, 256, 2.7233400402414487),
+    ("gptvq-2", "W", 5, 10, 1.0),
+    ("gptvq-2", "W", 5, 21, 1.0),
+    ("gptvq-2", "W", 5, 130, 2.4458661417322833),
+    ("gptvq-2", "W", 5, 256, 2.9714566929133857),
+)
 
 
 def _generate(gen, op, shape, level, qt_w, qt_kv):
@@ -151,6 +168,46 @@ class TestDegreeEvaluations:
         assert engine.generator.stats.degree_evaluations > 0
         engine.memo_clear()
         assert engine.generator.stats.degree_evaluations == 0
+
+
+class TestSlackSearches:
+    def test_once_per_operation_and_engine(self, monkeypatch, qt_gptvq,
+                                           qt_cq4_kv):
+        searches = []
+        original = codegen.find_slack
+
+        def counted(spec, *base):
+            searches.append(base)
+            return original(spec, *base)
+
+        monkeypatch.setattr(codegen, "find_slack", counted)
+        engine = ComputeEngine(RTX4090)
+        for level in LEVELS:
+            for op, shape in (("gemv", GEMV), ("gemm", GEMM),
+                              ("attention", ATTN)):
+                _generate(engine.generator, op, shape, level, qt_gptvq,
+                          qt_cq4_kv)
+        assert len(searches) == 3  # one per operation, not per kernel
+        engine.memo_clear()
+        _generate(engine.generator, "gemv", GEMV, "O4", qt_gptvq,
+                  qt_cq4_kv)
+        assert len(searches) == 4  # memo_clear dropped the slack too
+        _generate(ComputeEngine(RTX4090).generator, "gemv", GEMV, "O4",
+                  qt_gptvq, qt_cq4_kv)
+        assert len(searches) == 5  # a fresh engine searches again
+
+
+class TestSweepColdDegrees:
+    @pytest.mark.parametrize("algo,tensor,n_reg,n_shared,degree",
+                             SWEEP_COLD_DEGREES)
+    def test_degree_is_exact(self, algo, tensor, n_reg, n_shared, degree):
+        if tensor == "W":
+            qt = weight_sample(algo)
+        else:
+            qt = attention_sample(algo)["KV".index(tensor)]
+        got = CodebookStats().conflict_degree(
+            RTX4090, qt.config.entry_bytes, qt, True, n_reg, n_shared)
+        assert got == degree
 
 
 class TestLifetime:

@@ -5,9 +5,10 @@ import pytest
 
 from repro.core.codegen import VQLLMCodeGenerator
 from repro.core.emitter import emit_cuda
-from repro.core.heuristics import PlanKnobs
-from repro.core.template import build_template
-from repro.gpu.spec import RTX4090
+from repro.core.heuristics import LEVELS, PlanKnobs
+from repro.core.slack import find_slack
+from repro.core.template import BASE_RESOURCES, build_template
+from repro.gpu.spec import PRESETS, RTX4090
 from repro.kernels.attention import AttentionShape
 from repro.kernels.gemm import GemmShape
 from repro.vq.algorithms import make_config
@@ -137,3 +138,37 @@ class TestGeneratedKernels:
         sc = gen.generate_gemv(GEMV, qt_aqlm, level="SC").latency_us()
         o1 = gen.generate_gemv(GEMV, qt_aqlm, level="O1").latency_us()
         assert o1 <= sc * 1.05
+
+
+class TestOnDemandTemplates:
+    """The template and source are built on first access; they must
+    equal what an eager build from the selected knobs gives."""
+
+    @pytest.mark.parametrize("level", LEVELS)
+    @pytest.mark.parametrize("op", ["gemm", "gemv", "attention"])
+    def test_lazy_template_and_source_equal_eager(self, gen, op, level,
+                                                  qt_gptvq, qt_cq4_kv):
+        if op == "attention":
+            k = gen.generate_attention(ATTN, qt_cq4_kv, qt_cq4_kv,
+                                       level=level)
+        else:
+            generate = gen.generate_gemm if op == "gemm" else \
+                gen.generate_gemv
+            k = generate(GEMM if op == "gemm" else GEMV, qt_gptvq,
+                         level=level)
+        eager = build_template(op, k.config, k.knobs)
+        assert k.template.describe() == eager.describe()
+        assert k.source == emit_cuda(eager)
+        assert k.template.slack == gen.slack(op)
+        assert k.name == (f"{k.kernel.name}-{k.template.config.name}-"
+                          f"{k.template.knobs.label}")
+
+    @pytest.mark.parametrize("gpu", sorted(PRESETS))
+    @pytest.mark.parametrize("op", sorted(BASE_RESOURCES))
+    def test_generator_slack_is_find_slack(self, gpu, op):
+        spec = PRESETS[gpu]
+        base = BASE_RESOURCES[op]
+        gen = VQLLMCodeGenerator(spec)
+        assert gen.slack(op) == find_slack(spec, base["threads"],
+                                           base["regs"], base["smem"])
+        assert gen.slack(op) is gen.slack(op)

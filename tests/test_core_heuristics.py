@@ -11,8 +11,12 @@ from repro.core.heuristics import (
     limit_register_entries,
 )
 from repro.core.hotness import profile_hotness
+from repro.core.slack import find_slack
 from repro.gpu.spec import RTX4090
 from repro.vq.algorithms import make_config
+
+#: Slack of the GEMV base shape (256 threads, 52 registers, 8 KiB).
+GEMV_SLACK = find_slack(RTX4090, 256, 52, 8192)
 
 
 @pytest.fixture(scope="module")
@@ -21,9 +25,8 @@ def gptvq_profile(qt_gptvq):
 
 
 def _knobs(level, profile, algo="gptvq-2", books=1):
-    return choose_knobs(level, RTX4090, make_config(algo), profile,
-                        threads_per_block=256, regs_per_thread=52,
-                        smem_per_block=8192, resident_books=books)
+    return choose_knobs(level, make_config(algo), profile, GEMV_SLACK,
+                        resident_books=books)
 
 
 class TestLevels:
@@ -43,8 +46,8 @@ class TestLevels:
 
     def test_o2_adds_register_level_when_hot(self, qt_aqlm):
         profile = profile_hotness(qt_aqlm)
-        knobs = choose_knobs("O2", RTX4090, make_config("aqlm-3"), profile,
-                             256, 52, 8192)
+        knobs = choose_knobs("O2", make_config("aqlm-3"), profile,
+                             GEMV_SLACK)
         if profile.hot_entries() > 0:
             assert knobs.boundaries.n_reg > 0
         assert knobs.boundaries.n_reg <= profile.hot_entries()
@@ -61,8 +64,8 @@ class TestLevels:
         assert knobs.register_fusion
 
     def test_levels_are_cumulative_labels(self, gptvq_profile):
-        all_knobs = knobs_for_all_levels(
-            RTX4090, make_config("gptvq-2"), gptvq_profile, 256, 52, 8192)
+        all_knobs = knobs_for_all_levels(make_config("gptvq-2"),
+                                         gptvq_profile, GEMV_SLACK)
         assert set(all_knobs) == set(LEVELS)
         for level, knobs in all_knobs.items():
             assert knobs.label == level
@@ -79,9 +82,8 @@ class TestLevels:
 
     def test_boundaries_override(self, gptvq_profile):
         override = CacheBoundaries(2, 128)
-        knobs = choose_knobs("O4", RTX4090, make_config("gptvq-2"),
-                             gptvq_profile, 256, 52, 8192,
-                             boundaries_override=override)
+        knobs = choose_knobs("O4", make_config("gptvq-2"), gptvq_profile,
+                             GEMV_SLACK, boundaries_override=override)
         assert knobs.boundaries == override
 
 

@@ -1,5 +1,7 @@
 """Resource-slack tests (Fig. 10 mechanics)."""
 
+import pytest
+
 from repro.core.slack import MIN_OCCUPANCY, ResourceSlack, find_slack
 from repro.gpu.occupancy import occupancy
 from repro.gpu.spec import RTX4090
@@ -55,3 +57,14 @@ class TestFindSlack:
         loose = find_slack(RTX4090, 256, 52, 8192, min_occupancy=0.2)
         tight = find_slack(RTX4090, 256, 52, 8192, min_occupancy=0.8)
         assert tight.smem_bytes <= loose.smem_bytes
+
+    @pytest.mark.parametrize("threads,floor", [(48, 6), (80, 4), (256, 2)])
+    def test_floor_counts_a_partial_warp(self, threads, floor):
+        # The occupancy rule rounds a partial warp up: 48 threads are
+        # two warps and 80 are three.  The floor is the fewest resident
+        # blocks that still hold MIN_OCCUPANCY of the SM's warps.
+        slack = find_slack(RTX4090, threads, 40, 4096)
+        assert slack.floor_blocks_per_sm == floor
+        warps = -(-threads // RTX4090.warp_size)
+        needed = MIN_OCCUPANCY * RTX4090.max_warps_per_sm
+        assert floor * warps >= needed > (floor - 1) * warps

@@ -139,3 +139,25 @@ class TestVectorizedMatchesScalar:
                                    shared_resident, max_warps=max_warps)
         assert got == _scalar_average_degree(
             model, stream, register_resident, shared_resident, max_warps)
+
+
+class TestRealScaleMatchesScalar:
+    """The sampling scale the generator uses: a 131,072-lane skewed
+    stream (4,096 warps) sampled down to 1,024 warps.  Twelve-byte
+    entries are three words, which do not divide the 32 banks, so an
+    entry's words wrap around the bank array at varying offsets."""
+
+    STREAM = np.minimum(
+        np.random.default_rng(17).zipf(1.3, size=131_072) - 1, 255)
+
+    @pytest.mark.parametrize("entry_bytes", [4, 8, 12, 16])
+    @pytest.mark.parametrize("register_resident,shared_resident",
+                             [(0, None), (1, 256), (6, 130), (5, 21)])
+    def test_average_degree_equals_scalar_loop(
+            self, entry_bytes, register_resident, shared_resident):
+        model = BankConflictModel(RTX4090, entry_bytes=entry_bytes)
+        got = model.average_degree(self.STREAM, register_resident,
+                                   shared_resident, max_warps=1024)
+        assert got == _scalar_average_degree(
+            model, self.STREAM, register_resident, shared_resident,
+            max_warps=1024)

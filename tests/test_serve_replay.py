@@ -1,8 +1,12 @@
 """Decode-run replay: replayed and step-by-step execution agree exactly.
 
 Both drivers execute a run of identical decode-only iterations as one
-planned iteration plus replays (:meth:`repro.serve.simulator.
-ServingEngine.execute`).  The reference is the same stack with a cost
+planned iteration plus replays.  The single engine lays a run out and
+applies it at once (:meth:`repro.serve.simulator.ServingEngine.execute`);
+a fleet lays a run out (``ServingEngine.lay_out``) and applies it later
+(``ServingEngine.apply``): whole at its end or at a timeline sample
+(``Replica.apply_run``), or cut by an arrival routed to its replica
+(``Replica.submit``).  The reference is the same stack with a cost
 model whose ``repeat_room`` is 0, so every iteration goes through
 ``schedule``.  Everything observable must be equal: records, the full
 ``metrics()`` (iteration and event counters included), fleet routing,
@@ -274,8 +278,8 @@ class TestReplayBounds:
 
     def test_fleet_counts_replayed_iterations_as_step_events(self):
         """``n_step_events`` counts iterations and ``n_wakeups`` counts
-        STEP pops, so a replaying fleet wakes replicas less often than
-        it runs iterations."""
+        the STEP pops that plan, so a replaying fleet wakes replicas
+        less often than it runs iterations."""
         trace = [Request(req_id=i, arrival_s=0.02 * i, prompt_tokens=16,
                          output_tokens=40) for i in range(12)]
         replicas = [Replica(i, ContinuousBatchScheduler(

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.serve import requests
 from repro.serve.requests import (
     LengthSampler,
     Request,
@@ -165,6 +166,28 @@ class TestRequestIds:
         for r in poisson_trace(4.0, 8, seed=0):
             assert r.prompt_ids is None and r.output_ids is None
             assert r.session_id is None and r.turn == 0
+
+
+class TestTokenIds:
+    """Ids are the generator's draws as Python ints, whatever way the
+    array is converted."""
+
+    @staticmethod
+    def _per_element(rng, n, vocab):
+        return tuple(int(t) for t in rng.integers(0, vocab, size=n))
+
+    @pytest.mark.parametrize("build", [
+        lambda: multi_turn_chat_trace(6, 4, system_tokens=64, seed=5),
+        lambda: shared_prefix_trace(8.0, 24, system_tokens=64, seed=5),
+    ], ids=["chat", "shared_prefix"])
+    def test_ids_equal_per_element_conversion(self, monkeypatch, build):
+        got = build()
+        monkeypatch.setattr(requests, "_token_ids", self._per_element)
+        want = build()
+        assert ([(r.prompt_ids, r.output_ids) for r in got]
+                == [(r.prompt_ids, r.output_ids) for r in want])
+        for r in got:
+            assert all(type(t) is int for t in r.prompt_ids + r.output_ids)
 
 
 class TestSharedPrefixTrace:

@@ -64,6 +64,16 @@ Checks:
    replica's decode run in flight (the router reads it in place), so
    2,308 calls plan its 15,460 iterations; ending every run at every
    arrival (5,338 calls) fails it deterministically.
+10. Cold kernel generation, an exact count rather than a time: the
+    same kv-cq-4 decode sweep as check 5, on a fresh engine, may call
+    :func:`~repro.core.slack.find_slack` at most once per operation it
+    generates, and :func:`~repro.core.template.build_template` and
+    :func:`~repro.core.emitter.emit_cuda` not at all.  Slack depends on
+    the spec and the operation only, and a latency needs no template
+    or source.  The sweep generates 48 attention kernels with 1
+    ``find_slack`` call; a search per candidate plus one per kernel,
+    and an eager template and source per kernel (96, 48 and 48 calls),
+    fail it deterministically.
 
 Run with::
 
@@ -89,7 +99,11 @@ sys.path.insert(0, str(ROOT / "src"))
 from repro.bench.cluster import replica_kv_budget  # noqa: E402
 from repro.bench.serving import (make_cost_model, make_kv_budget,  # noqa: E402
                                  make_trace)
+from repro.core.codegen import VQLLMCodeGenerator  # noqa: E402
+from repro.core.emitter import emit_cuda  # noqa: E402
 from repro.core.engine import ComputeEngine  # noqa: E402
+from repro.core.slack import find_slack  # noqa: E402
+from repro.core.template import build_template  # noqa: E402
 from repro.gpu.banks import BankConflictModel  # noqa: E402
 from repro.gpu.spec import RTX4090  # noqa: E402
 from repro.llm.config import llama_7b  # noqa: E402
@@ -266,6 +280,15 @@ def _fleet_schedule_calls() -> tuple:
     return calls, sum(s.n_iterations for s in report.replica_stats)
 
 
+def _decode_sweep() -> None:
+    """Cost a kv-cq-4 decode step at every batch bucket and four
+    sequence buckets on a fresh engine."""
+    cost = make_cost_model(ComputeEngine(RTX4090), llama_7b(), "kv-cq-4")
+    for batch in BATCH_BUCKETS:
+        for seq in (512, 1024, 2048, 4096):
+            cost.decode_step_us(batch, seq)
+
+
 def _decode_sweep_degree_calls() -> tuple:
     """``(calls, distinct keys)`` of ``average_degree`` in one sweep."""
     calls: Counter = Counter()
@@ -282,14 +305,47 @@ def _decode_sweep_degree_calls() -> tuple:
 
     BankConflictModel.average_degree = counted
     try:
-        cost = make_cost_model(ComputeEngine(RTX4090), llama_7b(),
-                               "kv-cq-4")
-        for batch in BATCH_BUCKETS:
-            for seq in (512, 1024, 2048, 4096):
-                cost.decode_step_us(batch, seq)
+        _decode_sweep()
     finally:
         BankConflictModel.average_degree = original
     return sum(calls.values()), len(calls)
+
+
+def _decode_sweep_codegen_calls() -> tuple:
+    """``(kernels by operation, calls by function)`` of one sweep.
+
+    The functions are counted through every ``repro`` module that binds
+    them, so a call moved to another module is still counted.
+    """
+    generated: Counter = Counter()
+    calls: Counter = Counter()
+    patches = []
+    for attr in ("generate_gemm", "generate_gemv", "generate_attention"):
+        original = VQLLMCodeGenerator.__dict__[attr]
+
+        def generate(self, *args, _attr=attr, _original=original,
+                     **kwargs):
+            generated[_attr.removeprefix("generate_")] += 1
+            return _original(self, *args, **kwargs)
+
+        patches.append((VQLLMCodeGenerator, attr, original, generate))
+    for fn in (find_slack, build_template, emit_cuda):
+        def call(*args, _fn=fn, **kwargs):
+            calls[_fn.__name__] += 1
+            return _fn(*args, **kwargs)
+
+        patches.extend((module, fn.__name__, fn, call)
+                       for name, module in list(sys.modules.items())
+                       if name.startswith("repro.")
+                       and vars(module).get(fn.__name__) is fn)
+    for target, attr, _, replacement in patches:
+        setattr(target, attr, replacement)
+    try:
+        _decode_sweep()
+    finally:
+        for target, attr, original, _ in reversed(patches):
+            setattr(target, attr, original)
+    return generated, calls
 
 
 def main(argv=None) -> int:
@@ -342,6 +398,17 @@ def main(argv=None) -> int:
           f"average_degree calls for {degree_keys} distinct inputs "
           f"(max one per input)")
 
+    generated, codegen_calls = _decode_sweep_codegen_calls()
+    n_kernels = sum(generated.values())
+    slack_calls = codegen_calls["find_slack"]
+    templates = codegen_calls["build_template"]
+    emits = codegen_calls["emit_cuda"]
+    print(f"kernel generation: kv-cq-4 decode sweep generated "
+          f"{n_kernels} kernels of {len(generated)} operation(s) with "
+          f"{slack_calls} find_slack calls, {templates} templates and "
+          f"{emits} emitted sources (max one find_slack per operation, "
+          f"no templates or sources)")
+
     small_s = _evict_s_per_block(EVICT_SMALL)
     large_s = _evict_s_per_block(EVICT_LARGE)
     evict_ratio = large_s / small_s
@@ -364,6 +431,16 @@ def main(argv=None) -> int:
           f"{fleet_iterations:,} iterations (max a quarter)")
 
     failed = False
+    if slack_calls > len(generated):
+        print(f"PERF REGRESSION: {slack_calls} find_slack calls for "
+              f"{len(generated)} generated operation(s); the generator "
+              f"should search each operation's slack once")
+        failed = True
+    if templates or emits:
+        print(f"PERF REGRESSION: {templates} templates and {emits} "
+              f"sources built while costing; a latency needs neither, "
+              f"so both should wait for first access")
+        failed = True
     if 4 * fleet_calls > fleet_iterations:
         print(f"PERF REGRESSION: {fleet_calls:,} schedule calls for "
               f"{fleet_iterations:,} fleet iterations; an arrival routed "
