@@ -15,6 +15,7 @@ and quantified by :meth:`HotnessProfile.block_consistency`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -23,7 +24,13 @@ from repro.vq.quantizer import QuantizedTensor
 
 @dataclass
 class HotnessProfile:
-    """Access-frequency statistics of one quantized tensor's codebooks."""
+    """Access-frequency statistics of one quantized tensor's codebooks.
+
+    The cumulative sorted counts, the mean and the standard deviation
+    are computed once, on first use; :meth:`coverage` and
+    :meth:`hot_entries` answer every later call from them.  ``counts``
+    and ``order`` must not change after that.
+    """
 
     #: Access count per effective lookup index (original numbering).
     counts: np.ndarray
@@ -44,20 +51,31 @@ class HotnessProfile:
         """Counts in descending order (the codebook-cache numbering)."""
         return self.counts[self.order]
 
+    @cached_property
+    def _cumulative(self) -> np.ndarray:
+        """``_cumulative[n]``: accesses served by the ``n`` hottest
+        entries (``[0]`` is 0, ``[-1]`` the total).  Counts are
+        integers, so every prefix sum is exact."""
+        return np.concatenate(([0], np.cumsum(self.sorted_counts)))
+
+    @cached_property
+    def _moments(self) -> tuple:
+        """``(mean, std)`` of the counts, as numpy computes them."""
+        return self.counts.mean(), self.counts.std()
+
     def coverage(self, top_n: int) -> float:
         """Fraction of all accesses served by the ``top_n`` hottest entries."""
         if top_n <= 0:
             return 0.0
-        top_n = min(top_n, self.n_entries)
-        total = self.total_accesses
+        cumulative = self._cumulative
+        total = int(cumulative[-1])
         if total == 0:
             return 0.0
-        return float(self.sorted_counts[:top_n].sum()) / total
+        return float(cumulative[min(top_n, self.n_entries)]) / total
 
     def hot_entries(self, n_sigma: float = 3.0) -> int:
         """Entries above mean + ``n_sigma`` * std (the paper's mu+3sigma)."""
-        mu = self.counts.mean()
-        sigma = self.counts.std()
+        mu, sigma = self._moments
         return int(np.sum(self.counts > mu + n_sigma * sigma))
 
     def below_mean_fraction(self) -> float:

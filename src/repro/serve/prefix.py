@@ -25,8 +25,16 @@ Design:
   cached blocks are a second-class tenant of the pool: resident while
   memory is idle, reclaimed the moment a live sequence needs the block.
   A heap with an entry per unreferenced leaf is kept up to date as
-  leaves appear, so reclaiming ``k`` blocks costs ``k`` heap pops (plus
-  skipped stale entries), not a walk of the whole tree.
+  leaves appear, so reclaiming blocks costs heap pops (plus skipped
+  stale entries), not a walk of the whole tree.  A parent left as an
+  unreferenced leaf older than every heap entry is the next victim, so
+  it is evicted at once without an entry: an unreferenced chain falls
+  for one pop.
+- **Each block's work once.**  An admission walks its prompt once: the
+  path :meth:`PrefixCachingAllocator.lookup` returns for the admission
+  check is the path ``match_and_lock`` touches and locks.  A release
+  commits only the blocks past the owner's locked path; the path itself
+  is stamped, not probed again.
 - **Copy-on-write.**  Only *full* blocks are shared, and at least one
   prompt token must always be recomputed (its logits feed the
   sampler).  When the block holding that tail is itself cached — the
@@ -138,9 +146,11 @@ class PrefixCache:
     at its current ``last_used``.  An entry is pushed whenever a node
     becomes an unreferenced leaf (created as the end of an insert,
     unlocked to ref 0, exposed by evicting its last child) and whenever
-    such a leaf is touched; entries whose node was since evicted,
-    gained a child, got locked or was touched again are stale and are
-    skipped when popped.
+    such a leaf is touched without being locked; entries whose node was
+    since evicted, gained a child, got locked or was touched again are
+    stale and are skipped when popped.  The one exception is a parent
+    that :meth:`evict_lru` exposes and then evicts in the same step
+    because it is older than every live entry; it never needs one.
     """
 
     def __init__(self, block_tokens: int):
@@ -219,12 +229,22 @@ class PrefixCache:
         """Longest cached full-block prefix of ``token_ids`` (deepest
         first ``<= max_blocks`` blocks), LRU-touched but *not* locked."""
         path = self._walk(token_ids, max_blocks)
-        self._tick += 1
-        for node in path:
-            node.last_used = self._tick
+        self.touch(path)
         if path:
             self._push_if_evictable(path[-1])
         return path
+
+    def touch(self, path: Sequence[_RadixNode]) -> None:
+        """Mark a root-down ``path`` used now (one LRU tick).
+
+        Pushes no heap entry: a caller that leaves the path's last node
+        an unreferenced leaf owes it one (:meth:`match`), and a caller
+        that locks the path makes any entry stale at once.
+        """
+        self._tick += 1
+        tick = self._tick
+        for node in path:
+            node.last_used = tick
 
     # -- ref counting --------------------------------------------------
     def lock(self, nodes: Sequence[_RadixNode]) -> None:
@@ -235,33 +255,47 @@ class PrefixCache:
             node.ref += 1
 
     def unlock(self, nodes: Sequence[_RadixNode]) -> None:
-        """Drop one reference from each of ``nodes``."""
+        """Drop one reference from each of ``nodes`` (a root-down path).
+
+        Only the path's last node can become an unreferenced leaf (every
+        other node keeps the next one as a child), so only it may need
+        a heap entry.
+        """
         for node in nodes:
             if node.ref < 1:  # pragma: no cover - internal misuse
                 raise RuntimeError("unlock of an unreferenced block")
             node.ref -= 1
             if node.ref == 0:
                 self._n_referenced -= 1
-                self._push_if_evictable(node)
+        if nodes:
+            self._push_if_evictable(nodes[-1])
 
     # -- insertion -----------------------------------------------------
-    def insert(self, token_ids: Sequence[int],
-               n_blocks: int) -> Tuple[int, int]:
+    def insert(self, token_ids: Sequence[int], n_blocks: int,
+               start: Sequence[_RadixNode] = ()) -> Tuple[int, int]:
         """Ensure the first ``n_blocks`` full blocks of ``token_ids``
         are in the tree.
 
-        Returns ``(created, duplicates)``: blocks newly added (the
-        caller donates one pool block each) and blocks already present
-        beyond the walk the caller knew about (the caller frees its
-        private copies — concurrent requests that missed the same
-        prefix converge on one resident copy).
+        ``start`` is a root-down path already spelling the first
+        ``len(start) <= n_blocks`` blocks (the caller's own locked
+        match); its nodes are stamped with this insert's tick like the
+        rest of the walk, but not probed again.
+
+        Returns ``(created, duplicates)``: blocks past ``start`` newly
+        added (the caller donates one pool block each) and blocks past
+        ``start`` already present (the caller frees its private copies
+        — concurrent requests that missed the same prefix converge on
+        one resident copy).
         """
         bt = self.block_tokens
-        node = self._root
+        self._tick += 1
+        tick = self._tick
+        for node in start:
+            node.last_used = tick
+        node = start[-1] if start else self._root
         created = 0
         dups = 0
-        self._tick += 1
-        for b in range(n_blocks):
+        for b in range(len(start), n_blocks):
             tokens = tuple(token_ids[b * bt:(b + 1) * bt])
             child = node.children.get(tokens)
             if child is None:
@@ -271,7 +305,7 @@ class PrefixCache:
                 created += 1
             else:
                 dups += 1
-            child.last_used = self._tick
+            child.last_used = tick
             node = child
         if node is not self._root:
             self._push_if_evictable(node)
@@ -283,11 +317,21 @@ class PrefixCache:
         first (evicting a leaf may expose its parent).  Returns the
         number of blocks actually reclaimed.
 
-        Pops the LRU heap, skipping stale entries, so reclaiming ``k``
-        blocks costs ``k`` pops plus the stale ones, never a tree walk.
-        No two leaves ever share a ``last_used``: each tick touches one
-        root-down path, and a path holds at most one leaf.  The order
-        is therefore fully determined by ``last_used``.
+        Pops the LRU heap, skipping stale entries, so reclaiming blocks
+        never walks the tree.  No two leaves ever share a ``last_used``:
+        each tick touches one root-down path, and a path holds at most
+        one leaf.  The order is therefore fully determined by
+        ``last_used``.
+
+        A parent that an eviction leaves as an unreferenced leaf is
+        evicted at once, without a heap entry, when it is strictly
+        older than the heap's oldest live entry (stale entries on top
+        are dropped first; they would be skipped anyway) or the heap
+        holds none: it is then exactly the entry the next pop would
+        return, so victims, their order and every tick are unchanged,
+        and a chain of ``k`` unreferenced blocks costs one pop instead
+        of ``k`` pushes and pops.  Otherwise it gets an entry, as every
+        new unreferenced leaf does.
         """
         if n <= 0:
             return 0
@@ -296,19 +340,34 @@ class PrefixCache:
         evicted = 0
         while evicted < n and heap:
             last_used, _, victim = heapq.heappop(heap)
-            parent = victim.parent
-            if (parent is None or victim.children or victim.ref
-                    or victim.last_used != last_used):
+            if _stale(last_used, victim):
                 continue
-            del parent.children[victim.tokens]
-            victim.parent = None
-            self._n_nodes -= 1
-            evicted += 1
-            if parent is not root:
+            while True:
+                parent = victim.parent
+                del parent.children[victim.tokens]
+                victim.parent = None
+                self._n_nodes -= 1
+                evicted += 1
+                if parent is root or parent.children or parent.ref:
+                    break
+                if evicted < n:
+                    while heap and _stale(heap[0][0], heap[0][2]):
+                        heapq.heappop(heap)
+                    if not heap or parent.last_used < heap[0][0]:
+                        victim = parent
+                        continue
                 self._push_if_evictable(parent)
+                break
         if len(heap) > self.lru_heap_bound:
             self._rebuild_lru()
         return evicted
+
+
+def _stale(last_used: int, node: _RadixNode) -> bool:
+    """Whether a heap entry ``(last_used, _, node)`` no longer names an
+    unreferenced leaf at its current ``last_used``."""
+    return (node.parent is None or bool(node.children) or node.ref > 0
+            or node.last_used != last_used)
 
 
 class PrefixCachingAllocator(PagedKVAllocator):
@@ -382,42 +441,60 @@ class PrefixCachingAllocator(PagedKVAllocator):
         # last block from a private copy-on-write copy.
         return max(0, (len(token_ids) - 1) // self.block_tokens)
 
+    def lookup(self, token_ids: Sequence[int]) -> List[_RadixNode]:
+        """The cached path :meth:`match_and_lock` would lock for
+        ``token_ids``, walked once, without touching, locking or
+        counting anything; pass it to ``match_and_lock`` unchanged."""
+        return self.cache._walk(token_ids, self._matchable_blocks(token_ids))
+
     def peek(self, token_ids: Sequence[int]) -> int:
         """Cached-token count a :meth:`match_and_lock` would return,
         without locking or touching the stats (admission feasibility
         checks run every scheduling round; only real admissions should
         count as lookups)."""
-        if not token_ids:
-            return 0
-        path = self.cache._walk(token_ids, self._matchable_blocks(token_ids))
-        return len(path) * self.block_tokens
+        return len(self.lookup(token_ids)) * self.block_tokens
 
-    def match_and_lock(self, owner: int, token_ids: Sequence[int]) -> int:
-        """Match ``token_ids`` against the tree, lock the matched path
-        for ``owner``, and return the cached token count.
+    def match_and_lock(self, owner: int, token_ids: Sequence[int],
+                       path: Optional[List[_RadixNode]] = None) -> int:
+        """Lock the cached prefix of ``token_ids`` for ``owner`` and
+        return the cached token count.
 
-        The owner must hold nothing yet (fresh admission or re-admission
-        after a preemption released everything).
+        ``path`` is the :meth:`lookup` of ``token_ids`` when the caller
+        already has it (admission checks feasibility first); the tree
+        must not have changed since.  Sanitize mode walks the prompt
+        again to check that.  The owner must hold nothing yet (fresh
+        admission or re-admission after a preemption released
+        everything).
         """
         if self.holds(owner) != 0:
             raise RuntimeError(f"owner {owner!r} already holds blocks")
         if not token_ids:
             return 0
-        matchable = self._matchable_blocks(token_ids)
-        path = self.cache.match(token_ids, matchable)
+        if path is None:
+            path = self.lookup(token_ids)
+        elif self.sanitize:
+            check(path == self.lookup(token_ids),
+                  f"match_and_lock({owner!r}) was given a {len(path)}-"
+                  f"block path that is not the tree's cached prefix of "
+                  f"its prompt")
+        cache = self.cache
+        # One tick for the whole path, and no heap entry: the lock
+        # below would make it stale at once.
+        cache.touch(path)
         # Copy-on-write: the prompt diverges (or ends) inside the next
         # block — if that block is cached, a shared copy cannot be
         # extended in place, so the sequence recomputes those tokens
         # into a private copy.
         bt = self.block_tokens
+        matchable = self._matchable_blocks(token_ids)
         if len(path) == matchable:
             # The un-matchable tail is never empty: matchable is capped
             # at (len(token_ids) - 1) // bt.
             tail = tuple(token_ids[matchable * bt:(matchable + 1) * bt])
-            parent = path[-1] if path else self.cache._root
+            parent = path[-1] if path else cache._root
             if tail in parent.children:
                 self.n_cow_copies += 1
-        self.cache.lock(path)
+        cache.lock(path)
         if path:
             self._shared[owner] = path
         if self.sanitize:
@@ -480,14 +557,26 @@ class PrefixCachingAllocator(PagedKVAllocator):
             live = min(len(token_ids), self._used_tokens.get(owner, 0))
             committable = live // bt
             if committable > len(shared):
-                created, dups = self.cache.insert(token_ids, committable)
-                # Committed blocks leave the owner's private count:
-                # created ones transfer into the tree (still resident),
-                # duplicates collapse onto the resident copy (freed).
-                moved = created + max(0, dups - len(shared))
-                moved = min(moved, self._held.get(owner, 0))
+                if self.sanitize:
+                    check(all(node.tokens
+                              == tuple(token_ids[b * bt:(b + 1) * bt])
+                              for b, node in enumerate(shared)),
+                          f"release({owner!r}): the locked path does not "
+                          f"spell the first blocks of the committed ids")
+                created, dups = self.cache.insert(token_ids, committable,
+                                                  shared)
+                # The blocks past the lock leave the owner's private
+                # count: created ones transfer into the tree (still
+                # resident), duplicates collapse onto the resident copy
+                # (freed).  Each was one of the owner's private blocks,
+                # so more means the accounting is broken.
+                moved = created + dups
+                held = self._held.get(owner, 0)
+                check(moved <= held,
+                      f"release({owner!r}) commits {moved} blocks past "
+                      f"its lock but holds only {held} private blocks")
                 if moved:
-                    self._held[owner] = self._held.get(owner, 0) - moved
+                    self._held[owner] = held - moved
                     self._used_blocks -= moved
                 self.n_committed_blocks += created
         self.cache.unlock(shared)

@@ -551,9 +551,9 @@ class ContinuousBatchScheduler:
         already running sequences (``_committed``) too, so a burst of
         admissions cannot promise the same free blocks twice.  Under
         prefix caching, blocks the radix tree already holds for the
-        candidate's prompt are not demanded (a feasibility ``peek``;
-        the blocks are matched and locked only when the candidate is
-        actually admitted).
+        candidate's prompt are not demanded (a feasibility ``lookup``
+        of the cached path; that path is locked only when the candidate
+        is actually admitted, and nothing changes the tree in between).
         """
         alloc = self.allocator
         while (len(self.running) < self.max_seqs
@@ -569,11 +569,11 @@ class ContinuousBatchScheduler:
             else:
                 if self.prefix_caching:
                     known = self._known_ids(req, restart)
-                cached_blocks = 0
+                cached_path = ()
                 if known is not None:
-                    cached_blocks = alloc.peek(known) // alloc.block_tokens
+                    cached_path = alloc.lookup(known)
                 need = max(0, alloc.blocks_for_tokens(
-                    req.prompt_tokens + restart + 1) - cached_blocks)
+                    req.prompt_tokens + restart + 1) - len(cached_path))
                 watermark = self._watermark_blocks if self.running else 0
                 if self._committed + need + watermark > alloc.free_blocks:
                     break
@@ -594,7 +594,8 @@ class ContinuousBatchScheduler:
                     # double-free check.
                     alloc.notify_admitted(req.req_id)
                 if known is not None:
-                    cached = alloc.match_and_lock(req.req_id, known)
+                    cached = alloc.match_and_lock(req.req_id, known,
+                                                  cached_path)
                     seq.prefilled = cached
                     seq.cached_tokens = cached
                 seq.kv_slots = alloc.holds(req.req_id) * alloc.block_tokens

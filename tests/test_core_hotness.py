@@ -54,6 +54,57 @@ class TestProfile:
         assert profile.below_mean_fraction() == 0.0
 
 
+def _direct_coverage(counts, order, top_n):
+    """``HotnessProfile.coverage`` as a fresh numpy reduction."""
+    if top_n <= 0:
+        return 0.0
+    total = int(counts.sum())
+    if total == 0:
+        return 0.0
+    return float(counts[order][:min(top_n, counts.size)].sum()) / total
+
+
+def _direct_hot_entries(counts, n_sigma):
+    """``HotnessProfile.hot_entries`` as a fresh numpy reduction."""
+    return int(np.sum(counts > counts.mean() + n_sigma * counts.std()))
+
+
+class TestStatisticsComputedOnce:
+    """``coverage`` and ``hot_entries`` answer from statistics computed
+    once per profile; every answer must equal the direct formula bit
+    for bit, on every call."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_match_direct_formulas_on_random_counts(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 400))
+        high = (0, 1, 7, 1000, 100_000)[seed % 5]      # 0: zero total
+        counts = rng.integers(0, high + 1, n) ** int(rng.integers(1, 4))
+        order = np.argsort(-counts, kind="stable")
+        profile = HotnessProfile(counts, order)
+        for _ in range(2):                             # cached answers too
+            for top_n in (-3, 0, 1, 2, n // 3, n - 1, n, n + 1, 50 * n):
+                assert (profile.coverage(top_n)
+                        == _direct_coverage(counts, order, top_n))
+            for n_sigma in (-1.0, 0.0, 0.5, 1.0, 3.0, 10.0):
+                assert (profile.hot_entries(n_sigma)
+                        == _direct_hot_entries(counts, n_sigma))
+
+    def test_zero_total(self):
+        profile = HotnessProfile(np.zeros(16, dtype=np.int64),
+                                 np.arange(16))
+        assert profile.coverage(4) == profile.coverage(100) == 0.0
+        assert profile.hot_entries() == 0
+
+    def test_match_direct_formulas_on_a_real_profile(self, qt_aqlm):
+        profile = profile_hotness(qt_aqlm)
+        counts, order = profile.counts, profile.order
+        for top_n in (1, 16, 32, 256, 4096):
+            assert (profile.coverage(top_n)
+                    == _direct_coverage(counts, order, top_n))
+        assert profile.hot_entries(3.0) == _direct_hot_entries(counts, 3.0)
+
+
 class TestPerBlock:
     def test_shape(self, qt_gptvq):
         counts = per_block_counts(qt_gptvq, rows_per_block=32)

@@ -9,8 +9,10 @@ bit-identical, so PR 1-4 results do not shift.
 ``TestIncrementalLRUEquivalence`` drives random operation sequences
 through :class:`PrefixCache` and :class:`LegacyPrefixCache`, a copy of
 the earlier hash-keyed tree's logic that rebuilt its eviction heap from
-a full DFS on every ``evict_lru`` call, and requires identical trees
-after every step.
+a full DFS on every ``evict_lru`` call and re-walked every insert from
+the root, and requires identical trees after every step.
+``TestEachBlockOnce`` counts the work itself: heap pushes per evicted
+chain, and slices of the token ids per admission and per release.
 """
 
 import heapq
@@ -21,9 +23,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.serve import prefix as prefix_module
 from repro.serve.api import SchedulerConfig, SimConfig
 from repro.serve.prefix import PrefixCache, PrefixCachingAllocator
 from repro.serve.requests import Request
+from repro.serve.sanitize import SanitizeError
 from repro.serve.scheduler import ContinuousBatchScheduler, KVBudget
 from repro.serve.simulator import ServingSimulator
 
@@ -642,9 +646,13 @@ def _tree(node):
 #: share stems and matches hit leaves that earlier inserts created.
 _PROMPTS = st.lists(st.lists(st.integers(0, 2), max_size=8).map(tuple),
                     min_size=1, max_size=4)
-#: (kind, prompt index or lock index, block count or evict n).
+#: (kind, prompt index or lock index, block count or evict n).  A
+#: ``lock`` is what ``match_and_lock`` does (walk, touch, lock, no heap
+#: entry); a ``commit`` is what ``release`` does with a lock (insert
+#: from the locked path, then unlock).
 _OP = st.tuples(
-    st.sampled_from(("insert", "match", "lock", "unlock", "evict")),
+    st.sampled_from(("insert", "match", "lock", "commit", "unlock",
+                     "evict")),
     st.integers(0, 4), st.integers(0, 3))
 
 
@@ -663,18 +671,29 @@ class TestIncrementalLRUEquivalence:
             if kind == "insert":
                 assert cache.insert(ids, blocks) == legacy.insert(ids,
                                                                   blocks)
-            elif kind in ("match", "lock"):
+            elif kind == "match":
                 path = cache.match(ids, blocks)
                 legacy_path = legacy.match(ids, blocks)
                 assert ([n.tokens for n in path]
                         == [n.tokens for n in legacy_path])
-                if kind == "lock":
-                    cache.lock(path)
-                    legacy.lock(legacy_path)
-                    locks.append((path, legacy_path))
-            elif kind == "unlock":
+            elif kind == "lock":
+                path = cache._walk(ids, blocks)
+                cache.touch(path)
+                cache.lock(path)
+                legacy_path = legacy.match(ids, blocks)
+                legacy.lock(legacy_path)
+                assert ([n.tokens for n in path]
+                        == [n.tokens for n in legacy_path])
+                locks.append((ids, path, legacy_path))
+            elif kind in ("commit", "unlock"):
                 if locks:
-                    path, legacy_path = locks.pop(i % len(locks))
+                    ids, path, legacy_path = locks.pop(i % len(locks))
+                    if kind == "commit":
+                        n = min(len(path) + k, len(ids) // block_tokens)
+                        created, dups = cache.insert(ids, n, path)
+                        legacy_created, legacy_dups = legacy.insert(ids, n)
+                        assert created == legacy_created
+                        assert dups == legacy_dups - len(path)
                     cache.unlock(path)
                     legacy.unlock(legacy_path)
             else:
@@ -697,3 +716,155 @@ class TestIncrementalLRUEquivalence:
             assert len(cache._lru) <= cache.lru_heap_bound
         assert cache.evict_lru(10) == 3
         assert cache._lru == []
+
+
+class _CountingIds(tuple):
+    """Token ids that count the slices taken of them."""
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            self.slices = getattr(self, "slices", 0) + 1
+        return super().__getitem__(key)
+
+
+class _CountingHeapq:
+    """Stands in for :mod:`heapq` in the prefix module; counts pushes."""
+
+    def __init__(self):
+        self.pushes = 0
+
+    def __getattr__(self, name):
+        return getattr(heapq, name)
+
+    def heappush(self, heap, item):
+        self.pushes += 1
+        heapq.heappush(heap, item)
+
+
+class TestEachBlockOnce:
+    @pytest.fixture(autouse=True)
+    def _unsanitized(self, monkeypatch):
+        """Sanitize mode walks and slices again to check; these tests
+        count the work of a plain run unless they arm it themselves."""
+        monkeypatch.delenv("REPRO_SANITIZE", raising=False)
+
+    @staticmethod
+    def _chains_beside_older_leaves(tree):
+        """Unreferenced chains beside leaves on other branches, one
+        token per block; ``last_used`` ticks in brackets:
+        ``c`` 5[4] → 6[1] → 7[1], ``a`` 0 → 1 → 2 → 3 (all [2]),
+        ``z`` 9[3], ``y`` 20 → 21 (both [5])."""
+        tree.insert((5, 6, 7), 3)
+        tree.insert((0, 1, 2, 3), 4)
+        tree.insert((9,), 1)
+        tree.match((5,), 1)
+        tree.insert((20, 21), 2)
+
+    def test_chains_skip_the_heap_only_when_oldest(self, monkeypatch):
+        """A parent strictly older than every live heap entry, or left
+        with an empty heap, is evicted at once with no entry.  A parent
+        newer than a live entry is pushed, as is one exposed by the
+        last block a call may take.  Victims, order and ticks match the
+        reference after every call."""
+        cache = PrefixCache(block_tokens=1)
+        legacy = LegacyPrefixCache(block_tokens=1)
+        self._chains_beside_older_leaves(cache)
+        self._chains_beside_older_leaves(legacy)
+        counting = _CountingHeapq()
+        monkeypatch.setattr(prefix_module, "heapq", counting)
+        # Block 7 is the one block allowed: 6[1] is pushed.
+        assert cache.evict_lru(1) == legacy.evict_lru(1) == 1
+        assert _tree(cache._root) == _tree(legacy._root)
+        assert counting.pushes == 1
+        # 6[1] pops and exposes 5[4], newer than 3[2]: pushed.  Then
+        # 3, 2, 1, 0 fall for one pop (each [2] < 9[3]), 9 and 5 pop,
+        # and 21 pops and exposes 20 beside an empty heap: no entry.
+        assert cache.evict_lru(9) == legacy.evict_lru(9) == 9
+        assert _tree(cache._root) == _tree(legacy._root) == {}
+        assert counting.pushes == 2
+
+    @settings(max_examples=100, deadline=None)
+    @given(ops=st.lists(st.tuples(st.booleans(), st.integers(0, 3),
+                                  st.integers(1, 5)),
+                        min_size=1, max_size=12))
+    def test_chain_victims_match_the_reference_at_every_cut(self, ops):
+        """Chains on four branches (one token per block), built by
+        inserting branch ``b`` to depth ``d`` or touching its first
+        ``d`` blocks, in random order.  Evicting the first ``n`` blocks
+        leaves the reference's tree for every ``n``, so the order within
+        one call matches too."""
+        def build(tree):
+            for insert, b, d in ops:
+                ids = tuple(range(10 * b, 10 * b + d))
+                if insert:
+                    tree.insert(ids, d)
+                else:
+                    tree.match(ids, d)
+            return tree
+
+        total = build(PrefixCache(block_tokens=1)).n_blocks
+        for n in range(1, total + 1):
+            cache = build(PrefixCache(block_tokens=1))
+            legacy = build(LegacyPrefixCache(block_tokens=1))
+            assert cache.evict_lru(n) == legacy.evict_lru(n) == n
+            assert _tree(cache._root) == _tree(legacy._root)
+
+    def test_release_slices_only_blocks_past_its_lock(self):
+        alloc = PrefixCachingAllocator(total_blocks=32, block_tokens=4)
+        ids = _ids(range(20))
+        alloc.match_and_lock(1, ids[:12])
+        assert alloc.ensure(1, 12)
+        alloc.release(1, token_ids=ids[:12])           # commits 3 blocks
+        assert alloc.match_and_lock(2, ids) == 12      # locks 3 blocks
+        assert alloc.ensure(2, 20)
+        counting = _CountingIds(ids)
+        alloc.release(2, token_ids=counting)
+        assert counting.slices == 2                    # blocks 3 and 4
+        assert alloc.cache.n_blocks == 5
+        assert alloc.n_committed_blocks == 5
+        alloc.check_conservation()
+
+    def test_admission_walks_its_prompt_once(self):
+        sched = _prefix_sched(total_tokens=256, block_tokens=8)
+        system = tuple(range(32))
+        sched.submit(_req(0, _ids(system, [100]), output=4))
+        it = 0
+        while sched.has_work:
+            sched.complete(sched.schedule(float(it)), float(it))
+            it += 1
+        ids = _CountingIds(_ids(system, [110, 111, 112, 113]))
+        sched.submit(Request(req_id=1, arrival_s=float(it),
+                             prompt_tokens=len(ids), output_tokens=4,
+                             prompt_ids=ids))
+        sched.schedule(float(it))
+        (seq,) = sched.running
+        assert seq.cached_tokens == 32
+        # One walk over the 4 matchable blocks, plus the copy-on-write
+        # probe of the block holding the tail.
+        assert ids.slices == 4 + 1
+
+    def test_sanitize_rejects_a_path_the_tree_no_longer_holds(self):
+        alloc = PrefixCachingAllocator(total_blocks=32, block_tokens=4,
+                                       sanitize=True)
+        ids = _ids(range(12))
+        alloc.notify_admitted(1)
+        assert alloc.ensure(1, 12)
+        alloc.release(1, token_ids=ids)                # commits 3 blocks
+        path = alloc.lookup(ids)
+        assert len(path) == 2
+        assert alloc.cache.evict_lru(3) == 3
+        alloc.notify_admitted(2)
+        with pytest.raises(SanitizeError, match="not the tree's cached"):
+            alloc.match_and_lock(2, ids, path)
+
+    def test_release_raises_when_commits_exceed_private_blocks(self):
+        """Blocks committed past the lock were each one of the owner's
+        private blocks; more of them is an accounting bug, and the
+        check holds without sanitize mode."""
+        alloc = PrefixCachingAllocator(total_blocks=32, block_tokens=4)
+        ids = _ids(range(12))
+        assert alloc.ensure(1, 12)
+        alloc._held[1] -= 1                            # lose a block
+        alloc._used_blocks -= 1
+        with pytest.raises(SanitizeError, match="holds only 2 private"):
+            alloc.release(1, token_ids=ids)

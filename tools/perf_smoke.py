@@ -74,6 +74,18 @@ Checks:
     ``find_slack`` call; a search per candidate plus one per kernel,
     and an eager template and source per kernel (96, 48 and 48 calls),
     fail it deterministically.
+11. Prefix-cache work per block, exact counts rather than times, on
+    check 8's fixed chat run.  Each admission walks its prompt once:
+    :meth:`~repro.serve.prefix.PrefixCache._walk` may be called at most
+    once per lookup (an outermost ``PrefixCachingAllocator.lookup`` or
+    ``peek`` call), because ``match_and_lock`` locks the path the
+    admission's lookup walked.  And an unreferenced chain falls for one
+    heap pop: LRU heap pushes may number at most half the evicted
+    blocks, because ``evict_lru`` evicts a parent older than every heap
+    entry at once.  The run walks 300 prompts for 300 lookups and makes
+    1,306 pushes for 9,013 evicted blocks; walking again to lock (600
+    walks) and pushing every exposed parent (9,360 pushes) fail it
+    deterministically.
 
 Run with::
 
@@ -85,6 +97,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import hashlib
+import heapq
 import io
 import random
 import runpy
@@ -108,10 +121,12 @@ from repro.gpu.banks import BankConflictModel  # noqa: E402
 from repro.gpu.spec import RTX4090  # noqa: E402
 from repro.llm.config import llama_7b  # noqa: E402
 from repro.obs.timeline import TimelineConfig  # noqa: E402
+from repro.serve import prefix as prefix_module  # noqa: E402
 from repro.serve.api import FleetConfig, SchedulerConfig, SimConfig  # noqa: E402
 from repro.serve.costs import BATCH_BUCKETS  # noqa: E402
 from repro.serve.paging import PagedKVAllocator  # noqa: E402
-from repro.serve.prefix import PrefixCache  # noqa: E402
+from repro.serve.prefix import (PrefixCache,  # noqa: E402
+                                PrefixCachingAllocator)
 from repro.serve.requests import Request  # noqa: E402
 from repro.serve.scheduler import (ContinuousBatchScheduler,  # noqa: E402
                                    KVBudget)
@@ -247,9 +262,25 @@ def _schedule_calls(simulate) -> tuple:
     return calls, report
 
 
-def _replay_schedule_calls() -> tuple:
-    """``(schedule calls, iterations)`` of one fixed ``kv-cq-4`` paged,
-    prefix-cached chat run on the real cost model."""
+class _CountingHeapq:
+    """Stands in for :mod:`heapq` in the prefix module; counts pushes."""
+
+    def __init__(self):
+        self.pushes = 0
+
+    def __getattr__(self, name):
+        return getattr(heapq, name)
+
+    def heappush(self, heap, item):
+        self.pushes += 1
+        heapq.heappush(heap, item)
+
+
+def _replay_counts() -> dict:
+    """Work counts of one fixed ``kv-cq-4`` paged, prefix-cached chat
+    run on the real cost model: ``schedule`` calls and iterations
+    (check 8); prompt walks, lookups, LRU heap pushes and evicted
+    blocks (check 11)."""
     config = llama_7b()
     trace = make_trace("chat", 2.0, REPLAY_REQUESTS, 384, 96, seed=0)
     budget = make_kv_budget(config, "kv-cq-4", capacity_bytes=4e9,
@@ -259,9 +290,46 @@ def _replay_schedule_calls() -> tuple:
                                               admission="paged",
                                               prefix_caching=True),
                     name="perf-smoke-replay").build(budget, cost)
-    calls, report = _schedule_calls(lambda: sim.run(trace))
+    walks = lookups = depth = 0
+    walk = PrefixCache._walk
+
+    def counted_walk(self, *args):
+        nonlocal walks
+        walks += 1
+        return walk(self, *args)
+
+    def counted_lookup(fn):
+        # Only the outermost lookup counts: ``peek`` goes through
+        # ``lookup``.
+        def counted(*args, **kwargs):
+            nonlocal lookups, depth
+            lookups += depth == 0
+            depth += 1
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                depth -= 1
+
+        return counted
+
+    counting = _CountingHeapq()
+    patches = [(PrefixCache, "_walk", walk, counted_walk),
+               (prefix_module, "heapq", heapq, counting)]
+    patches.extend((PrefixCachingAllocator, name, fn, counted_lookup(fn))
+                   for name, fn in vars(PrefixCachingAllocator).items()
+                   if name in ("lookup", "peek"))
+    for target, attr, _, replacement in patches:
+        setattr(target, attr, replacement)
+    try:
+        calls, report = _schedule_calls(lambda: sim.run(trace))
+    finally:
+        for target, attr, original, _ in reversed(patches):
+            setattr(target, attr, original)
     assert report.n_requests == REPLAY_REQUESTS
-    return calls, report.n_iterations
+    return {"schedule_calls": calls, "iterations": report.n_iterations,
+            "walks": walks, "lookups": lookups,
+            "heap_pushes": counting.pushes,
+            "evicted_blocks": report.n_evicted_blocks}
 
 
 def _fleet_schedule_calls() -> tuple:
@@ -422,15 +490,32 @@ def main(argv=None) -> int:
           f"{chunks:,} prefill chunks ({preempted:,} preemptions; max one "
           f"per chunk)")
 
-    schedule_calls, iterations = _replay_schedule_calls()
+    replay = _replay_counts()
+    schedule_calls, iterations = (replay["schedule_calls"],
+                                  replay["iterations"])
     print(f"decode replay: {schedule_calls:,} schedule calls planned "
           f"{iterations:,} iterations (max half)")
+    walks, lookups = replay["walks"], replay["lookups"]
+    pushes, evicted = replay["heap_pushes"], replay["evicted_blocks"]
+    print(f"prefix work: {walks:,} prompt walks for {lookups:,} lookups "
+          f"(max one each); {pushes:,} LRU heap pushes for {evicted:,} "
+          f"evicted blocks (max half)")
 
     fleet_calls, fleet_iterations = _fleet_schedule_calls()
     print(f"fleet decode runs: {fleet_calls:,} schedule calls planned "
           f"{fleet_iterations:,} iterations (max a quarter)")
 
     failed = False
+    if walks > lookups:
+        print(f"PERF REGRESSION: {walks:,} prompt walks for {lookups:,} "
+              f"lookups; match_and_lock should lock the path the "
+              f"admission's lookup walked")
+        failed = True
+    if 2 * pushes > evicted:
+        print(f"PERF REGRESSION: {pushes:,} LRU heap pushes for "
+              f"{evicted:,} evicted blocks; a parent older than every "
+              f"heap entry should be evicted without one")
+        failed = True
     if slack_calls > len(generated):
         print(f"PERF REGRESSION: {slack_calls} find_slack calls for "
               f"{len(generated)} generated operation(s); the generator "
