@@ -77,11 +77,6 @@ class ThreadMapping:
     def n_shuffles(self) -> int:
         return self.mini_warp_size - 1 if self.mini_warp_size > 1 else 0
 
-    @property
-    def is_identity(self) -> bool:
-        return bool(np.all(self.dequant_thread
-                           == np.arange(self.dequant_thread.size)))
-
 
 def thread_mapping(
     vector_size: int,

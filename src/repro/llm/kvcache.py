@@ -176,10 +176,6 @@ class QuantizedKVCache:
         """
         return self._as_tensor(self._k_codes, self._k_books, batch)
 
-    def value_tensor(self, batch: int) -> QuantizedTensor:
-        """Value-cache analogue of :meth:`key_tensor`."""
-        return self._as_tensor(self._v_codes, self._v_books, batch)
-
     def _as_tensor(self, codes: np.ndarray, books: CodebookSet,
                    batch: int) -> QuantizedTensor:
         t = self.length

@@ -90,12 +90,6 @@ class SLOAlert:
     #: Highest long-window burn rate observed while firing.
     peak_burn_rate: float
 
-    @property
-    def active_s(self) -> Optional[float]:
-        if self.cleared_s is None:
-            return None
-        return self.cleared_s - self.fired_s
-
     def to_json(self) -> dict:
         return {"rule": self.rule, "fired_s": self.fired_s,
                 "cleared_s": self.cleared_s,

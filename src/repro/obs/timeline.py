@@ -35,11 +35,8 @@ wall clock or calls tracer methods (lint rule RPL009 enforces both).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
-
-from repro.obs.report import percentile
 
 __all__ = [
     "Timeline",
@@ -140,14 +137,6 @@ class TimelineWindow:
         """Windowed admission hit rate (0.0 with no lookups)."""
         return self.prefix_hits / self.prefix_lookups \
             if self.prefix_lookups else 0.0
-
-    def ttft_p(self, q: float) -> float:
-        """Windowed TTFT percentile in ms (NaN with no completions)."""
-        return percentile(self.ttft_ms, q) if self.ttft_ms else math.nan
-
-    def tpot_p(self, q: float) -> float:
-        """Windowed TPOT percentile in ms (NaN with no samples)."""
-        return percentile(self.tpot_ms, q) if self.tpot_ms else math.nan
 
     def to_json(self) -> dict:
         """Plain JSON-safe dict (raw samples included)."""

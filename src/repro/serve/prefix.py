@@ -9,12 +9,29 @@ radix attention).
 
 Design:
 
-- **Block identity.**  A cached block is one radix-tree node holding
-  exactly ``block_tokens`` token ids.  A node's children are keyed by
-  their own token tuples, so looking up a prompt is one dict probe per
-  block.  The probe compares token ids exactly, so a hit is never
-  wrong, and a node is reachable only through its parent, so a block's
-  identity is its *full prefix*, not just its own tokens.
+- **Block identity.**  The tree is path-compressed: a node holds a
+  *run* of ``n >= 1`` full blocks (``n * block_tokens`` token ids)
+  that share one ref count and one ``last_used``, and its parent files
+  it under its first block's token tuple.  Looking up a prompt is one
+  dict probe per node plus one comparison of the node's whole run
+  against the matching slice of the prompt; only a divergence inside a
+  run is located block by block.  Comparisons are exact, so a hit is
+  never wrong, and a node is reachable only through its parent, so a
+  block's identity is its *full prefix*, not just its own tokens.
+  Every modeled number equals the one-node-per-block tree's: a run is
+  that tree's chain of blocks, stored once.
+- **Splits.**  An operation that would treat a run's blocks
+  differently — a touch, a lock or an insert that ends inside it, or
+  an insert that diverges inside it — first splits the node: its
+  first blocks move into a new parent, and the tail stays in the
+  original object, so the tail's heap entries, its children and the
+  locked paths that end at it stay valid.  Runs never merge back.
+- **Paths.**  A :class:`PrefixPath` is the end node, the blocks of it
+  the path leaves out (``spare``), and the total block count
+  (``len()``).  Walks, touches, locks and commits follow parent links
+  from the end node, so they cost nodes, not blocks.  A locked path
+  ends at its node's last block (locking splits first), so a later
+  split inside it needs no bookkeeping.
 - **Ref counting.**  Matching a prompt locks the matched path
   (``ref += 1`` on every node); ``release`` unlocks it.  Referenced
   blocks are pinned; because locks are always path prefixes, a
@@ -26,19 +43,20 @@ Design:
   memory is idle, reclaimed the moment a live sequence needs the block.
   A heap with an entry per unreferenced leaf is kept up to date as
   leaves appear, so reclaiming blocks costs heap pops (plus skipped
-  stale entries), not a walk of the whole tree.  A parent left as an
+  stale entries), not a walk of the whole tree.  A victim run loses
+  ``min(needed, n)`` tail blocks in one step, and a parent left as an
   unreferenced leaf older than every heap entry is the next victim, so
   it is evicted at once without an entry: an unreferenced chain falls
   for one pop.
-- **Each block's work once.**  An admission walks its prompt once: the
+- **Each node's work once.**  An admission walks its prompt once: the
   path :meth:`PrefixCachingAllocator.lookup` returns for the admission
   check is the path ``match_and_lock`` touches and locks.  A release
   commits only the blocks past the owner's locked path; the path itself
-  is stamped, not probed again.
+  is stamped, not compared again.
 - **Copy-on-write.**  Only *full* blocks are shared, and at least one
   prompt token must always be recomputed (its logits feed the
   sampler).  When the block holding that tail is itself cached — the
-  prompt's next block matches a tree node exactly, typically because
+  prompt's next block matches a tree block exactly, typically because
   the whole prompt is cached — the sequence cannot extend the shared
   copy in place: it recomputes those tokens into a *private copy* of
   the cached block (``n_cow_copies`` in the stats).  A prompt that
@@ -79,20 +97,49 @@ LRU_HEAP_FACTOR = 2
 
 
 class _RadixNode:
-    """One cached full block: token ids plus tree and LRU bookkeeping.
+    """A run of ``n`` cached full blocks sharing one ``ref`` and one
+    ``last_used``: ``n * block_tokens`` token ids plus tree and LRU
+    bookkeeping.  Its parent files it under its first block.
 
     ``parent`` is ``None`` for the root and for evicted nodes.
     """
 
-    __slots__ = ("tokens", "parent", "children", "ref", "last_used")
+    __slots__ = ("tokens", "n", "parent", "children", "ref", "last_used")
 
-    def __init__(self, tokens: Tuple[int, ...],
+    def __init__(self, tokens: Tuple[int, ...], n: int,
                  parent: Optional["_RadixNode"]):
         self.tokens = tokens
+        self.n = n
         self.parent = parent
         self.children: Dict[Tuple[int, ...], _RadixNode] = {}
         self.ref = 0
         self.last_used = 0
+
+
+class PrefixPath:
+    """A root-down run of cached blocks: every block from the root
+    through ``node``, less ``node``'s last ``spare`` blocks.
+
+    ``len()`` is the block count; the empty path ends at the root.
+    ``spare`` counts from the node's end, so a path that ends at its
+    node's last block (every locked path does) stays valid when a split
+    later moves the node's head into a new parent.
+    """
+
+    __slots__ = ("node", "n_blocks", "spare")
+
+    def __init__(self, node: _RadixNode, n_blocks: int, spare: int = 0):
+        self.node = node
+        self.n_blocks = n_blocks
+        self.spare = spare
+
+    def __len__(self) -> int:
+        return self.n_blocks
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, PrefixPath) and self.node is other.node
+                and self.n_blocks == other.n_blocks
+                and self.spare == other.spare)
 
 
 @dataclass(frozen=True)
@@ -134,41 +181,53 @@ class PrefixStats:
 
 
 class PrefixCache:
-    """Radix tree over full KV blocks with ref counts and LRU eviction.
+    """Path-compressed radix tree over full KV blocks with ref counts
+    and LRU eviction.
 
     Pure tree logic — which blocks exist, which are locked, which to
     evict; pool accounting (how many blocks memory affords) lives in
-    :class:`PrefixCachingAllocator`.  ``block_tokens`` is the node
-    granularity; only exact multiples are ever stored.
+    :class:`PrefixCachingAllocator`.  ``block_tokens`` is the block
+    granularity; a node stores a whole number of blocks.
 
     Eviction order comes from a lazy min-heap of ``(last_used, seq,
     node)`` entries.  Invariant: every unreferenced leaf has an entry
     at its current ``last_used``.  An entry is pushed whenever a node
     becomes an unreferenced leaf (created as the end of an insert,
-    unlocked to ref 0, exposed by evicting its last child) and whenever
-    such a leaf is touched without being locked; entries whose node was
-    since evicted, gained a child, got locked or was touched again are
-    stale and are skipped when popped.  The one exception is a parent
-    that :meth:`evict_lru` exposes and then evicts in the same step
-    because it is older than every live entry; it never needs one.
+    unlocked to ref 0, exposed by evicting its last child, left with
+    blocks by a truncating eviction) and whenever such a leaf is
+    touched without being locked; entries whose node was since evicted,
+    gained a child, got locked or was touched again are stale and are
+    skipped when popped.  The one exception is a parent that
+    :meth:`evict_lru` exposes and then evicts in the same step because
+    it is older than every live entry; it never needs one.  A leaf's
+    last block is the one-node-per-block tree's leaf, so the heap takes
+    exactly that tree's pushes.
+
+    Work counters, for exact gates: ``n_walks`` (prompt walks),
+    ``n_heap_pushes`` (LRU heap pushes) and ``n_nodes_allocated``
+    (nodes created plus nodes split).
     """
 
     def __init__(self, block_tokens: int):
         if block_tokens < 1:
             raise ValueError("block_tokens must be >= 1")
         self.block_tokens = block_tokens
-        self._root = _RadixNode(tokens=(), parent=None)
+        self._root = _RadixNode(tokens=(), n=0, parent=None)
         self._n_nodes = 0
+        self._n_blocks = 0
         self._n_referenced = 0
         self._tick = 0
         self._lru: List[Tuple[int, int, _RadixNode]] = []
         self._seq = itertools.count()
+        self.n_walks = 0
+        self.n_heap_pushes = 0
+        self.n_nodes_allocated = 0
 
     # -- size ----------------------------------------------------------
     @property
     def n_blocks(self) -> int:
         """Resident tree blocks (each occupies one pool block)."""
-        return self._n_nodes
+        return self._n_blocks
 
     @property
     def n_referenced(self) -> int:
@@ -180,7 +239,7 @@ class PrefixCache:
         """Tree blocks reclaimable (transitively: unreferenced subtrees
         fall leaf-by-leaf, and locks are path prefixes, so every
         unreferenced block is eventually evictable)."""
-        return self._n_nodes - self._n_referenced
+        return self._n_blocks - self._n_referenced
 
     @property
     def lru_heap_bound(self) -> int:
@@ -193,6 +252,7 @@ class PrefixCache:
         if node.children or node.ref:
             return
         heapq.heappush(self._lru, (node.last_used, next(self._seq), node))
+        self.n_heap_pushes += 1
         if len(self._lru) > self.lru_heap_bound:
             self._rebuild_lru()
 
@@ -211,31 +271,100 @@ class PrefixCache:
                     heap.append((child.last_used, next(self._seq), child))
         heapq.heapify(heap)
 
+    # -- runs ----------------------------------------------------------
+    def _split(self, node: _RadixNode, k: int) -> _RadixNode:
+        """Move ``node``'s first ``k`` blocks into a new parent, which
+        takes over ``node``'s key, ref and ``last_used``; return it.
+
+        The tail stays in ``node``, so its heap entries, its children
+        and the locked paths that end at it stay valid.
+        """
+        cut = k * self.block_tokens
+        tokens = node.tokens
+        parent = node.parent
+        head = _RadixNode(tokens[:cut], k, parent)
+        head.ref = node.ref
+        head.last_used = node.last_used
+        parent.children[tokens[:self.block_tokens]] = head
+        node.tokens = tokens[cut:]
+        node.n -= k
+        node.parent = head
+        head.children[node.tokens[:self.block_tokens]] = node
+        self._n_nodes += 1
+        self.n_nodes_allocated += 1
+        return head
+
+    def _end_at_node(self, path: PrefixPath) -> _RadixNode:
+        """Split ``path``'s end node where the path ends inside it, so
+        the path ends at its node's last block; return that node."""
+        if path.spare:
+            path.node = self._split(path.node, path.node.n - path.spare)
+            path.spare = 0
+        return path.node
+
+    def _matching_blocks(self, node: _RadixNode, token_ids: Sequence[int],
+                         b: int, limit: int) -> int:
+        """Leading blocks of ``node``'s run, at most ``limit``, that
+        equal ``token_ids``' blocks from block ``b`` on.  The first is
+        known to (the node was found by it); the rest are compared as
+        one slice, and only a divergence is located block by block."""
+        m = min(node.n, limit)
+        if m > 1:
+            bt = self.block_tokens
+            run = node.tokens if m == node.n else node.tokens[:m * bt]
+            ids = tuple(token_ids[b * bt:(b + m) * bt])
+            if ids != run:
+                m = 1
+                while run[m * bt:(m + 1) * bt] == ids[m * bt:(m + 1) * bt]:
+                    m += 1
+        return m
+
+    def path_tokens(self, path: PrefixPath) -> Tuple[int, ...]:
+        """The token ids ``path`` spells, root first: the runs of its
+        nodes joined end to end (walks the parent links; for checks
+        and tests)."""
+        runs = []
+        node = path.node
+        while node.parent is not None:
+            runs.append(node.tokens)
+            node = node.parent
+        ids = tuple(itertools.chain.from_iterable(reversed(runs)))
+        return ids[:len(path) * self.block_tokens]
+
     # -- lookup --------------------------------------------------------
     def _walk(self, token_ids: Sequence[int],
-              max_blocks: int) -> List[_RadixNode]:
+              max_blocks: int) -> PrefixPath:
+        """The longest cached prefix of ``token_ids``' first
+        ``max_blocks`` blocks: per node, one probe for its first block
+        and one comparison of its run."""
+        self.n_walks += 1
         bt = self.block_tokens
         node = self._root
-        path: List[_RadixNode] = []
-        for b in range(max_blocks):
-            node = node.children.get(tuple(token_ids[b * bt:(b + 1) * bt]))
-            if node is None:
+        b = 0
+        while b < max_blocks:
+            child = node.children.get(tuple(token_ids[b * bt:(b + 1) * bt]))
+            if child is None:
                 break
-            path.append(node)
-        return path
+            m = self._matching_blocks(child, token_ids, b, max_blocks - b)
+            b += m
+            if m < child.n:
+                return PrefixPath(child, b, child.n - m)
+            node = child
+        return PrefixPath(node, b)
 
     def match(self, token_ids: Sequence[int],
-              max_blocks: int) -> List[_RadixNode]:
+              max_blocks: int) -> PrefixPath:
         """Longest cached full-block prefix of ``token_ids`` (deepest
         first ``<= max_blocks`` blocks), LRU-touched but *not* locked."""
         path = self._walk(token_ids, max_blocks)
         self.touch(path)
         if path:
-            self._push_if_evictable(path[-1])
+            self._push_if_evictable(path.node)
         return path
 
-    def touch(self, path: Sequence[_RadixNode]) -> None:
-        """Mark a root-down ``path`` used now (one LRU tick).
+    def touch(self, path: PrefixPath) -> None:
+        """Mark a root-down ``path`` used now (one LRU tick), splitting
+        its end node first if the path ends inside it.
 
         Pushes no heap entry: a caller that leaves the path's last node
         an unreferenced leaf owes it one (:meth:`match`), and a caller
@@ -243,43 +372,52 @@ class PrefixCache:
         """
         self._tick += 1
         tick = self._tick
-        for node in path:
+        node = self._end_at_node(path)
+        while node.parent is not None:
             node.last_used = tick
+            node = node.parent
 
     # -- ref counting --------------------------------------------------
-    def lock(self, nodes: Sequence[_RadixNode]) -> None:
-        """Pin ``nodes`` (a root-down path) against eviction."""
-        for node in nodes:
+    def lock(self, path: PrefixPath) -> None:
+        """Pin a root-down ``path`` against eviction, splitting its end
+        node first if the path ends inside it."""
+        node = self._end_at_node(path)
+        while node.parent is not None:
             if node.ref == 0:
-                self._n_referenced += 1
+                self._n_referenced += node.n
             node.ref += 1
+            node = node.parent
 
-    def unlock(self, nodes: Sequence[_RadixNode]) -> None:
-        """Drop one reference from each of ``nodes`` (a root-down path).
+    def unlock(self, path: PrefixPath) -> None:
+        """Drop one reference from each node of a locked ``path``.
 
-        Only the path's last node can become an unreferenced leaf (every
+        Only the path's end node can become an unreferenced leaf (every
         other node keeps the next one as a child), so only it may need
         a heap entry.
         """
-        for node in nodes:
+        end = node = path.node
+        while node.parent is not None:
             if node.ref < 1:  # pragma: no cover - internal misuse
                 raise RuntimeError("unlock of an unreferenced block")
             node.ref -= 1
             if node.ref == 0:
-                self._n_referenced -= 1
-        if nodes:
-            self._push_if_evictable(nodes[-1])
+                self._n_referenced -= node.n
+            node = node.parent
+        if path:
+            self._push_if_evictable(end)
 
     # -- insertion -----------------------------------------------------
     def insert(self, token_ids: Sequence[int], n_blocks: int,
-               start: Sequence[_RadixNode] = ()) -> Tuple[int, int]:
+               start: Optional[PrefixPath] = None) -> Tuple[int, int]:
         """Ensure the first ``n_blocks`` full blocks of ``token_ids``
         are in the tree.
 
-        ``start`` is a root-down path already spelling the first
-        ``len(start) <= n_blocks`` blocks (the caller's own locked
-        match); its nodes are stamped with this insert's tick like the
-        rest of the walk, but not probed again.
+        ``start`` is a locked path already spelling the first
+        ``len(start) <= n_blocks`` blocks (the caller's own match); its
+        nodes are stamped with this insert's tick like the rest of the
+        walk, but not compared again.  Past it, each node's run is
+        compared in one piece, and the blocks no node holds become one
+        new node.
 
         Returns ``(created, duplicates)``: blocks past ``start`` newly
         added (the caller donates one pool block each) and blocks past
@@ -288,34 +426,43 @@ class PrefixCache:
         one resident copy).
         """
         bt = self.block_tokens
-        self._tick += 1
+        if start is None:
+            start = PrefixPath(self._root, 0)
+        self.touch(start)
         tick = self._tick
-        for node in start:
-            node.last_used = tick
-        node = start[-1] if start else self._root
+        node = start.node
+        b = len(start)
         created = 0
         dups = 0
-        for b in range(len(start), n_blocks):
-            tokens = tuple(token_ids[b * bt:(b + 1) * bt])
-            child = node.children.get(tokens)
+        while b < n_blocks:
+            key = tuple(token_ids[b * bt:(b + 1) * bt])
+            child = node.children.get(key)
             if child is None:
-                child = _RadixNode(tokens=tokens, parent=node)
-                node.children[tokens] = child
+                m = n_blocks - b
+                child = _RadixNode(tuple(token_ids[b * bt:n_blocks * bt]),
+                                   m, node)
+                node.children[key] = child
                 self._n_nodes += 1
-                created += 1
+                self._n_blocks += m
+                self.n_nodes_allocated += 1
+                created += m
             else:
-                dups += 1
+                m = self._matching_blocks(child, token_ids, b, n_blocks - b)
+                if m < child.n:
+                    child = self._split(child, m)
+                dups += m
             child.last_used = tick
             node = child
+            b += m
         if node is not self._root:
             self._push_if_evictable(node)
         return created, dups
 
     # -- eviction ------------------------------------------------------
     def evict_lru(self, n: int) -> int:
-        """Evict up to ``n`` unreferenced leaves, least recently used
-        first (evicting a leaf may expose its parent).  Returns the
-        number of blocks actually reclaimed.
+        """Evict up to ``n`` blocks from unreferenced leaves, least
+        recently used first (evicting a leaf may expose its parent).
+        Returns the number of blocks actually reclaimed.
 
         Pops the LRU heap, skipping stale entries, so reclaiming blocks
         never walks the tree.  No two leaves ever share a ``last_used``:
@@ -323,31 +470,46 @@ class PrefixCache:
         one leaf.  The order is therefore fully determined by
         ``last_used``.
 
-        A parent that an eviction leaves as an unreferenced leaf is
-        evicted at once, without a heap entry, when it is strictly
-        older than the heap's oldest live entry (stale entries on top
-        are dropped first; they would be skipped anyway) or the heap
-        holds none: it is then exactly the entry the next pop would
-        return, so victims, their order and every tick are unchanged,
-        and a chain of ``k`` unreferenced blocks costs one pop instead
-        of ``k`` pushes and pops.  Otherwise it gets an entry, as every
-        new unreferenced leaf does.
+        A victim's blocks share its ``last_used``, so the per-block
+        order takes them tail first, back to back: a victim loses as
+        many tail blocks as the call still needs, up to all of them, in
+        one step, and a victim left with blocks stays an unreferenced
+        leaf with a fresh entry (the push the per-block order makes for
+        the block it leaves exposed).  A parent that an eviction leaves as an
+        unreferenced leaf is evicted at once, without a heap entry,
+        when it is strictly older than the heap's oldest live entry
+        (stale entries on top are dropped first; they would be skipped
+        anyway) or the heap holds none: it is then exactly the entry
+        the next pop would return, so victims, their order and every
+        tick are unchanged, and a chain of ``k`` unreferenced nodes
+        costs one pop instead of ``k`` pushes and pops.  Otherwise it
+        gets an entry, as every new unreferenced leaf does.
         """
         if n <= 0:
             return 0
         heap = self._lru
         root = self._root
+        bt = self.block_tokens
         evicted = 0
         while evicted < n and heap:
             last_used, _, victim = heapq.heappop(heap)
             if _stale(last_used, victim):
                 continue
             while True:
+                take = n - evicted
+                if take < victim.n:  # the call ends inside the run
+                    victim.n -= take
+                    victim.tokens = victim.tokens[:victim.n * bt]
+                    self._n_blocks -= take
+                    evicted = n
+                    self._push_if_evictable(victim)
+                    break
                 parent = victim.parent
-                del parent.children[victim.tokens]
+                del parent.children[victim.tokens[:bt]]
                 victim.parent = None
                 self._n_nodes -= 1
-                evicted += 1
+                self._n_blocks -= victim.n
+                evicted += victim.n
                 if parent is root or parent.children or parent.ref:
                     break
                 if evicted < n:
@@ -378,10 +540,10 @@ class PrefixCachingAllocator(PagedKVAllocator):
 
     - *private* blocks — held by exactly one sequence (its uncached
       suffix and generated tokens), tracked by the parent class;
-    - *shared* blocks — tree nodes locked by ``match_and_lock``; they
+    - *shared* blocks — tree blocks locked by ``match_and_lock``; they
       count once in ``used_blocks`` no matter how many sequences hold
       them;
-    - *evictable* blocks — unreferenced tree nodes; counted in
+    - *evictable* blocks — unreferenced tree blocks; counted in
       ``free_blocks`` because :meth:`ensure` reclaims them on demand,
       so admission sees the capacity it can actually get.
 
@@ -395,7 +557,8 @@ class PrefixCachingAllocator(PagedKVAllocator):
         super().__init__(total_blocks, block_tokens, bytes_per_block,
                          sanitize=sanitize)
         self.cache = PrefixCache(block_tokens)
-        self._shared: Dict[int, List[_RadixNode]] = {}
+        #: Each owner's locked path: its end node and block count.
+        self._shared: Dict[int, PrefixPath] = {}
         self.n_lookups = 0
         self.n_lookup_hits = 0
         self.hit_tokens = 0
@@ -441,7 +604,7 @@ class PrefixCachingAllocator(PagedKVAllocator):
         # last block from a private copy-on-write copy.
         return max(0, (len(token_ids) - 1) // self.block_tokens)
 
-    def lookup(self, token_ids: Sequence[int]) -> List[_RadixNode]:
+    def lookup(self, token_ids: Sequence[int]) -> PrefixPath:
         """The cached path :meth:`match_and_lock` would lock for
         ``token_ids``, walked once, without touching, locking or
         counting anything; pass it to ``match_and_lock`` unchanged."""
@@ -455,7 +618,7 @@ class PrefixCachingAllocator(PagedKVAllocator):
         return len(self.lookup(token_ids)) * self.block_tokens
 
     def match_and_lock(self, owner: int, token_ids: Sequence[int],
-                       path: Optional[List[_RadixNode]] = None) -> int:
+                       path: Optional[PrefixPath] = None) -> int:
         """Lock the cached prefix of ``token_ids`` for ``owner`` and
         return the cached token count.
 
@@ -479,7 +642,9 @@ class PrefixCachingAllocator(PagedKVAllocator):
                   f"its prompt")
         cache = self.cache
         # One tick for the whole path, and no heap entry: the lock
-        # below would make it stale at once.
+        # below would make it stale at once.  The touch splits the end
+        # node where the path ends inside it, so the path's next block
+        # is the first block of one of ``path.node``'s children.
         cache.touch(path)
         # Copy-on-write: the prompt diverges (or ends) inside the next
         # block — if that block is cached, a shared copy cannot be
@@ -491,8 +656,7 @@ class PrefixCachingAllocator(PagedKVAllocator):
             # The un-matchable tail is never empty: matchable is capped
             # at (len(token_ids) - 1) // bt.
             tail = tuple(token_ids[matchable * bt:(matchable + 1) * bt])
-            parent = path[-1] if path else cache._root
-            if tail in parent.children:
+            if tail in path.node.children:
                 self.n_cow_copies += 1
         cache.lock(path)
         if path:
@@ -551,16 +715,16 @@ class PrefixCachingAllocator(PagedKVAllocator):
         """
         if self.sanitize:
             self._note_freed(owner)
-        shared = self._shared.pop(owner, [])
+        shared = self._shared.pop(owner, None)
+        n_shared = len(shared) if shared else 0
         if token_ids:
             bt = self.block_tokens
             live = min(len(token_ids), self._used_tokens.get(owner, 0))
             committable = live // bt
-            if committable > len(shared):
-                if self.sanitize:
-                    check(all(node.tokens
-                              == tuple(token_ids[b * bt:(b + 1) * bt])
-                              for b, node in enumerate(shared)),
+            if committable > n_shared:
+                if self.sanitize and shared:
+                    check(self.cache.path_tokens(shared)
+                          == tuple(token_ids[:n_shared * bt]),
                           f"release({owner!r}): the locked path does not "
                           f"spell the first blocks of the committed ids")
                 created, dups = self.cache.insert(token_ids, committable,
@@ -579,7 +743,8 @@ class PrefixCachingAllocator(PagedKVAllocator):
                     self._held[owner] = held - moved
                     self._used_blocks -= moved
                 self.n_committed_blocks += created
-        self.cache.unlock(shared)
+        if shared:
+            self.cache.unlock(shared)
         self._used_tokens.pop(owner, None)
         freed = self._held.pop(owner, 0)
         self._used_blocks -= freed
@@ -597,7 +762,7 @@ class PrefixCachingAllocator(PagedKVAllocator):
         ``used_blocks`` even when several owners report them in their
         token counts, so live slots are each owner's *private* tokens
         (tokens beyond its shared prefix) plus one full block per
-        referenced tree node — keeping ``fragmentation`` in [0, 1].
+        referenced tree block — keeping ``fragmentation`` in [0, 1].
         """
         bt = self.block_tokens
         private_live = sum(
@@ -668,45 +833,57 @@ class PrefixCachingAllocator(PagedKVAllocator):
     def audit(self) -> None:
         """Base-pool audit plus a full radix-tree consistency sweep.
 
-        The tree walk verifies, for every node: its tokens equal the key
-        its parent's children map files it under, parent/child links are
-        mutual, blocks are exactly ``block_tokens`` wide, refs are
-        non-negative, every referenced node has a referenced parent
-        (locks are path prefixes), and every unreferenced leaf has an
-        LRU heap entry at its current ``last_used`` (a leaf without one
-        still counts in ``free_blocks`` but :meth:`ensure` could never
-        reclaim it).  Tallies (``n_nodes``, ``n_referenced``) and the
-        sum of per-node refs are re-derived and compared against the
-        O(1) counters and the locks live sequences hold, and the heap
-        must be within its rebuild bound.
+        The tree walk verifies, for every node: its parent's children
+        map files it under its first block, parent/child links are
+        mutual, its tokens are exactly ``n`` full ``block_tokens``-wide
+        blocks (``n >= 1``), refs are non-negative, its parent was used
+        no earlier than it (every touch stamps a whole root-down path),
+        every referenced node has a referenced parent (locks are path
+        prefixes), and every unreferenced leaf has an LRU heap entry at
+        its current ``last_used`` (a leaf without one still counts in
+        ``free_blocks`` but :meth:`ensure` could never reclaim it).
+        Tallies (nodes, blocks, referenced blocks) and the blocks the
+        refs cover (``ref * n`` summed) are re-derived and compared
+        against the O(1) counters and the blocks live sequences hold
+        locked; each owner's end node must reach the root through
+        referenced nodes holding exactly its path's block count, and
+        the heap must be within its rebuild bound.
         """
         super().audit()
         cache = self.cache
+        bt = self.block_tokens
+        root = cache._root
         heap_entries = {(node, last_used)
                         for last_used, _, node in cache._lru}
         n_nodes = 0
+        n_blocks = 0
         n_ref = 0
-        ref_sum = 0
-        stack = [cache._root]
+        ref_blocks = 0
+        stack = [root]
         while stack:
             node = stack.pop()
             for key, child in node.children.items():
                 n_nodes += 1
+                n_blocks += child.n
                 check(child.parent is node,
                       f"node {key} has a stale parent link")
-                check(child.tokens == key,
-                      f"node filed under {key} holds tokens "
-                      f"{child.tokens}: the node's tokens no longer "
+                check(child.tokens[:bt] == key,
+                      f"node filed under {key} starts with tokens "
+                      f"{child.tokens[:bt]}: the node's tokens no longer "
                       f"match its lookup key")
-                check(len(child.tokens) == self.block_tokens,
-                      f"node {key} stores {len(child.tokens)} "
-                      f"tokens; only full {self.block_tokens}-token "
-                      f"blocks may be cached")
+                check(child.n >= 1 and len(child.tokens) == child.n * bt,
+                      f"node {key} stores {len(child.tokens)} tokens for "
+                      f"{child.n} blocks; a node holds a run of whole "
+                      f"{bt}-token blocks")
                 check(child.ref >= 0,
                       f"node {key} has negative ref {child.ref}")
+                check(node is root or node.last_used >= child.last_used,
+                      f"node {key} was used at tick {child.last_used}, "
+                      f"after its parent at {node.last_used}; every touch "
+                      f"stamps a whole root-down path")
                 if child.ref > 0:
-                    n_ref += 1
-                    check(node is cache._root or node.ref > 0,
+                    n_ref += child.n
+                    check(node is root or node.ref > 0,
                           f"node {key} is referenced but its "
                           f"parent is not; locks must be path prefixes")
                 elif not child.children:
@@ -714,31 +891,39 @@ class PrefixCachingAllocator(PagedKVAllocator):
                           f"unreferenced leaf {key} has no LRU heap "
                           f"entry at its last_used {child.last_used}: "
                           f"ensure could never reclaim it")
-                ref_sum += child.ref
+                ref_blocks += child.ref * child.n
                 stack.append(child)
         check(n_nodes == cache._n_nodes,
               f"tree holds {n_nodes} nodes but the n_nodes tally says "
               f"{cache._n_nodes}")
-        check(n_ref == cache._n_referenced,
-              f"{n_ref} nodes are referenced but the n_referenced "
-              f"tally says {cache._n_referenced}")
+        check(n_blocks == cache.n_blocks,
+              f"tree nodes hold {n_blocks} blocks but the n_blocks tally "
+              f"says {cache.n_blocks}")
+        check(n_ref == cache.n_referenced,
+              f"{n_ref} blocks are referenced but the n_referenced "
+              f"tally says {cache.n_referenced}")
         check(len(cache._lru) <= cache.lru_heap_bound,
               f"LRU heap holds {len(cache._lru)} entries, above its "
               f"rebuild bound {cache.lru_heap_bound}")
-        lock_sum = sum(len(path) for path in self._shared.values())
-        check(ref_sum == lock_sum,
-              f"node refs sum to {ref_sum} but live sequences hold "
-              f"{lock_sum} locks (refcount leak)")
         for owner, path in self._shared.items():
-            prev = cache._root
-            for node in path:
-                check(node.parent is prev,
-                      f"owner {owner!r}'s locked path is not a "
-                      f"root-down path")
+            blocks = 0
+            node = path.node
+            while node.parent is not None:
                 check(node.ref >= 1,
-                      f"owner {owner!r} locks node {node.tokens} whose "
-                      f"ref is {node.ref}")
-                prev = node
+                      f"owner {owner!r} locks node {node.tokens[:bt]} "
+                      f"whose ref is {node.ref}")
+                blocks += node.n
+                node = node.parent
+            check(node is root and path.spare == 0
+                  and blocks == len(path),
+                  f"owner {owner!r}'s locked path holds {len(path)} "
+                  f"blocks, but its end node reaches "
+                  f"{'the root' if node is root else 'an evicted node'} "
+                  f"with {blocks} blocks, {path.spare} of them spare")
+        lock_sum = sum(len(path) for path in self._shared.values())
+        check(ref_blocks == lock_sum,
+              f"node refs cover {ref_blocks} blocks but live sequences "
+              f"hold {lock_sum} blocks locked (refcount leak)")
         check(self._used_blocks + cache.n_blocks + self.raw_free_blocks
               == self.total_blocks,
               f"pool partition broken: private {self._used_blocks} + "

@@ -7,10 +7,11 @@ Two promises are under test:
    the same trace (checked on paged, prefix-caching and fleet runs,
    including a 10k-request soak).
 2. **Sensitivity** — injected corruption (double-free, refcount
-   decrement, counter drift, tree rewiring, a leaf dropped from the
-   LRU heap) raises :class:`SanitizeError` instead of silently skewing
-   results; a hypothesis property test drives random op sequences and
-   corruption kinds.
+   decrement, counter drift, tree rewiring, a node's run length, a
+   child used after its parent, a locked path's block count, a leaf
+   dropped from the LRU heap) raises :class:`SanitizeError` instead of
+   silently skewing results; a hypothesis property test drives random
+   op sequences and corruption kinds.
 """
 
 import math
@@ -170,6 +171,9 @@ class TestSensitivity:
             alloc.audit_drained()
 
     def _warm_prefix(self):
+        """Owner 1 commits 3 blocks as one node; owner 2 locks the
+        first 2, which splits them off into a referenced parent of the
+        unreferenced third."""
         alloc = PrefixCachingAllocator(64, 4, sanitize=True)
         ids = tuple(range(12))
         alloc.notify_admitted(1)
@@ -178,6 +182,14 @@ class TestSensitivity:
         alloc.notify_admitted(2)
         assert alloc.match_and_lock(2, ids) == 8
         return alloc, ids
+
+    @staticmethod
+    def _head_and_tail(alloc):
+        """The locked 2-block head and its unreferenced 1-block tail."""
+        (head,) = alloc.cache._root.children.values()
+        (tail,) = head.children.values()
+        assert (head.n, head.ref, tail.n, tail.ref) == (2, 1, 1, 0)
+        return head, tail
 
     def test_refcount_decrement_caught(self):
         alloc, ids = self._warm_prefix()
@@ -204,7 +216,7 @@ class TestSensitivity:
         """A leaf without a heap entry counts as free but can never be
         reclaimed, so admission would promise unallocatable blocks."""
         alloc, ids = self._warm_prefix()
-        leaf = alloc.cache._walk(ids, 3)[-1]
+        leaf = alloc.cache._walk(ids, 3).node
         assert leaf.ref == 0 and not leaf.children
         alloc.cache._lru[:] = [e for e in alloc.cache._lru
                                if e[2] is not leaf]  # drop its entry
@@ -217,6 +229,49 @@ class TestSensitivity:
         cache._lru.extend([cache._lru[-1]] * (cache.lru_heap_bound + 1))
         with pytest.raises(SanitizeError, match="rebuild bound"):
             alloc.audit()
+
+    def test_run_length_mismatch_caught(self):
+        alloc, _ = self._warm_prefix()
+        head, _ = self._head_and_tail(alloc)
+        head.n += 1  # tokens now short of n full blocks
+        with pytest.raises(SanitizeError, match="a run of whole"):
+            alloc.audit()
+
+    def test_child_used_after_parent_caught(self):
+        alloc, _ = self._warm_prefix()
+        head, tail = self._head_and_tail(alloc)
+        head.last_used = tail.last_used - 1  # a touch that skipped it
+        with pytest.raises(SanitizeError, match="after its parent"):
+            alloc.audit()
+
+    def test_block_tally_drift_caught(self):
+        alloc, _ = self._warm_prefix()
+        alloc.cache._n_blocks += 1
+        with pytest.raises(SanitizeError, match="n_blocks tally"):
+            alloc.audit()
+
+    def test_refs_beyond_the_locked_blocks_caught(self):
+        alloc, _ = self._warm_prefix()
+        head, _ = self._head_and_tail(alloc)
+        head.ref += 1  # still referenced, so the tallies hold
+        with pytest.raises(SanitizeError, match="refcount leak"):
+            alloc.audit()
+
+    def test_locked_path_block_count_caught(self):
+        alloc, _ = self._warm_prefix()
+        alloc._shared[2].n_blocks += 1
+        with pytest.raises(SanitizeError, match="end node reaches"):
+            alloc.audit()
+
+    def test_release_of_a_respelled_locked_path_caught(self):
+        """The locked runs, joined end to end, must spell the first
+        blocks of the ids a release commits."""
+        alloc, ids = self._warm_prefix()
+        head, _ = self._head_and_tail(alloc)
+        head.tokens = head.tokens[:4] + (99, 98, 97, 96)  # key intact
+        assert alloc.ensure(2, len(ids))
+        with pytest.raises(SanitizeError, match="does not spell"):
+            alloc.release(2, token_ids=ids)
 
     def test_lock_leak_at_drain_caught(self):
         alloc, _ = self._warm_prefix()

@@ -8,11 +8,14 @@ bit-identical, so PR 1-4 results do not shift.
 
 ``TestIncrementalLRUEquivalence`` drives random operation sequences
 through :class:`PrefixCache` and :class:`LegacyPrefixCache`, a copy of
-the earlier hash-keyed tree's logic that rebuilt its eviction heap from
-a full DFS on every ``evict_lru`` call and re-walked every insert from
-the root, and requires identical trees after every step.
-``TestEachBlockOnce`` counts the work itself: heap pushes per evicted
-chain, and slices of the token ids per admission and per release.
+the earlier hash-keyed tree's logic with one node per block, that
+rebuilt its eviction heap from a full DFS on every ``evict_lru`` call
+and re-walked every insert from the root, and requires identical trees
+after every step.  The path-compressed tree is compared through a
+per-block view: each node expands into its blocks, each with the
+node's ``ref`` and ``last_used``.  ``TestEachBlockOnce`` counts the
+work itself: heap pushes per evicted chain, and slices of the token
+ids per admission and per release.
 """
 
 import heapq
@@ -82,7 +85,7 @@ class TestPrefixCache:
         assert len(cache.match(ids, 3)) == 3
         assert len(cache.match(ids, 2)) == 2          # cap respected
         assert len(cache.match(_ids(range(8), [99, 98, 97, 96]), 3)) == 2
-        assert cache.match(tuple(range(100, 112)), 3) == []
+        assert len(cache.match(tuple(range(100, 112)), 3)) == 0
 
     def test_insert_is_idempotent(self):
         cache = PrefixCache(block_tokens=4)
@@ -141,7 +144,7 @@ class TestPrefixCache:
                 cache.unlock(path)
             assert cache.evict_lru(1) == 1
             assert len(cache.match(a, 1)) == 1
-            assert cache.match(b, 1) == []
+            assert len(cache.match(b, 1)) == 0
 
     def test_partial_lock_leaves_tail_evictable(self):
         cache = PrefixCache(block_tokens=2)
@@ -152,6 +155,54 @@ class TestPrefixCache:
         assert cache.n_evictable == 2
         assert cache.evict_lru(10) == 2                # tail falls
         assert cache.n_blocks == 1 and cache.n_referenced == 1
+
+    def test_a_run_is_one_node_until_split(self):
+        """An insert stores its new blocks as one node; a touch that
+        ends inside it splits it once, and a lock that ends where a
+        touch already split needs no split of its own."""
+        cache = PrefixCache(block_tokens=2)
+        ids = _ids(range(20))
+        assert cache.insert(ids, 10) == (10, 0)
+        assert cache.n_nodes_allocated == 1
+        head = cache.match(ids, 4)
+        assert len(head) == 4 and head.node.n == 4
+        assert cache.n_nodes_allocated == 2            # one split
+        cache.lock(head)
+        assert cache.n_nodes_allocated == 2
+        assert cache.n_referenced == 4 and cache.n_evictable == 6
+        # Commit past the lock: the last 6 blocks are already there.
+        assert cache.insert(ids, 10, head) == (0, 6)
+        cache.unlock(head)
+        assert cache.n_referenced == 0
+        assert cache.n_nodes_allocated == 2
+
+    def test_a_split_inside_a_locked_path_keeps_its_end(self):
+        cache = PrefixCache(block_tokens=1)
+        ids = _ids(range(8))
+        cache.insert(ids, 8)
+        path = cache._walk(ids, 8)
+        cache.touch(path)
+        cache.lock(path)
+        end = path.node
+        cache.match(ids, 3)                            # splits the run
+        assert path.node is end and end.n == 5
+        assert cache.path_tokens(path) == ids
+        cache.unlock(path)
+        assert cache.n_referenced == 0
+        assert cache.evict_lru(8) == 8
+
+    def test_eviction_cuts_a_run_from_its_tail(self):
+        """The last block a call may take falls inside a run: the run
+        keeps its head as an unreferenced leaf with a fresh entry."""
+        cache = PrefixCache(block_tokens=2)
+        ids = _ids(range(12))
+        cache.insert(ids, 6)
+        pushes = cache.n_heap_pushes
+        assert cache.evict_lru(2) == 2
+        assert cache.n_blocks == 4
+        assert cache.n_heap_pushes == pushes + 1
+        assert len(cache.match(ids, 6)) == 4
+        assert cache.evict_lru(10) == 4
 
 
 class TestPrefixCachingAllocator:
@@ -636,10 +687,29 @@ class LegacyPrefixCache:
         return evicted
 
 
-def _tree(node):
-    """Nested ``{tokens: (ref, last_used, subtree)}`` view of a tree."""
-    return {child.tokens: (child.ref, child.last_used, _tree(child))
-            for child in node.children.values()}
+def _tree(cache):
+    """Nested ``{block tokens: (ref, last_used, subtree)}`` view of a
+    tree, one entry per block: a node holding a run of blocks expands
+    into a chain of blocks that share its ``ref`` and ``last_used``."""
+    return _blocks(cache._root, cache.block_tokens)
+
+
+def _blocks(node, bt):
+    out = {}
+    for child in node.children.values():
+        sub = _blocks(child, bt)
+        for b in reversed(range(len(child.tokens) // bt)):
+            sub = {child.tokens[b * bt:(b + 1) * bt]:
+                   (child.ref, child.last_used, sub)}
+        out.update(sub)
+    return out
+
+
+def _same_path(cache, path, legacy_path):
+    """Whether ``path`` spells the blocks of the reference's node list."""
+    return (len(path) == len(legacy_path)
+            and cache.path_tokens(path)
+            == sum((node.tokens for node in legacy_path), ()))
 
 
 #: A few prompts over a 3-symbol alphabet: ops reuse them, so siblings
@@ -654,6 +724,26 @@ _OP = st.tuples(
     st.sampled_from(("insert", "match", "lock", "commit", "unlock",
                      "evict")),
     st.integers(0, 4), st.integers(0, 3))
+
+
+#: Prompts long enough for one node to hold many blocks: each keeps a
+#: random share of one stem and then goes its own way, so runs end and
+#: diverge at every depth.
+_LONG_PROMPTS = st.tuples(
+    st.lists(st.integers(0, 2), min_size=12, max_size=40),
+    st.lists(st.tuples(st.integers(0, 40),
+                       st.lists(st.integers(0, 2), max_size=12)),
+             min_size=1, max_size=4),
+).map(lambda drawn: [tuple(drawn[0][:cut] + tail)[:40]
+                     for cut, tail in drawn[1]])
+#: (kind, prompt index or lock index, block count).  ``touch`` is a
+#: bare match; ``lock`` is what ``match_and_lock`` does (walk, touch,
+#: lock); ``pin`` locks a walked path without touching it; an
+#: ``evict`` takes the count modulo 6, mostly less than a run.
+_LONG_OP = st.tuples(
+    st.sampled_from(("insert", "touch", "lock", "pin", "commit",
+                     "unlock", "evict")),
+    st.integers(0, 3), st.integers(0, 40))
 
 
 class TestIncrementalLRUEquivalence:
@@ -674,16 +764,14 @@ class TestIncrementalLRUEquivalence:
             elif kind == "match":
                 path = cache.match(ids, blocks)
                 legacy_path = legacy.match(ids, blocks)
-                assert ([n.tokens for n in path]
-                        == [n.tokens for n in legacy_path])
+                assert _same_path(cache, path, legacy_path)
             elif kind == "lock":
                 path = cache._walk(ids, blocks)
                 cache.touch(path)
                 cache.lock(path)
                 legacy_path = legacy.match(ids, blocks)
                 legacy.lock(legacy_path)
-                assert ([n.tokens for n in path]
-                        == [n.tokens for n in legacy_path])
+                assert _same_path(cache, path, legacy_path)
                 locks.append((ids, path, legacy_path))
             elif kind in ("commit", "unlock"):
                 if locks:
@@ -698,7 +786,60 @@ class TestIncrementalLRUEquivalence:
                     legacy.unlock(legacy_path)
             else:
                 assert cache.evict_lru(k) == legacy.evict_lru(k)
-            assert _tree(cache._root) == _tree(legacy._root)
+            assert _tree(cache) == _tree(legacy)
+            assert cache.n_blocks == legacy.n_blocks
+            assert cache.n_referenced == legacy.n_referenced
+            assert len(cache._lru) <= cache.lru_heap_bound
+
+    @settings(max_examples=200, deadline=None)
+    @given(block_tokens=st.integers(1, 3), prompts=_LONG_PROMPTS,
+           ops=st.lists(_LONG_OP, min_size=1, max_size=40))
+    def test_runs_match_the_per_block_reference(
+            self, block_tokens, prompts, ops):
+        """Nodes span many blocks here: partial touches and locks,
+        commits from a lock and inserts that end or diverge inside a
+        run split it, and evictions cut runs short.  The per-block
+        trees, the counts and the victims match the reference after
+        every op."""
+        cache = PrefixCache(block_tokens)
+        legacy = LegacyPrefixCache(block_tokens)
+        for ids in prompts:  # start from long runs
+            full = len(ids) // block_tokens
+            assert cache.insert(ids, full) == legacy.insert(ids, full)
+        locks = []
+        for kind, i, k in ops:
+            ids = prompts[i % len(prompts)]
+            blocks = min(k, len(ids) // block_tokens)
+            if kind == "insert":
+                assert cache.insert(ids, blocks) == legacy.insert(ids,
+                                                                  blocks)
+            elif kind == "touch":
+                assert _same_path(cache, cache.match(ids, blocks),
+                                  legacy.match(ids, blocks))
+            elif kind in ("lock", "pin"):
+                path = cache._walk(ids, blocks)
+                if kind == "lock":
+                    cache.touch(path)
+                    legacy_path = legacy.match(ids, blocks)
+                else:
+                    legacy_path = legacy._walk(ids, blocks)
+                cache.lock(path)
+                legacy.lock(legacy_path)
+                assert _same_path(cache, path, legacy_path)
+                locks.append((ids, path, legacy_path))
+            elif kind in ("commit", "unlock"):
+                if locks:
+                    ids, path, legacy_path = locks.pop(i % len(locks))
+                    if kind == "commit":
+                        n = min(len(path) + k, len(ids) // block_tokens)
+                        created, dups = cache.insert(ids, n, path)
+                        assert ((created, dups + len(path))
+                                == legacy.insert(ids, n))
+                    cache.unlock(path)
+                    legacy.unlock(legacy_path)
+            else:
+                assert cache.evict_lru(k % 6) == legacy.evict_lru(k % 6)
+            assert _tree(cache) == _tree(legacy)
             assert cache.n_blocks == legacy.n_blocks
             assert cache.n_referenced == legacy.n_referenced
             assert len(cache._lru) <= cache.lru_heap_bound
@@ -772,16 +913,18 @@ class TestEachBlockOnce:
         self._chains_beside_older_leaves(legacy)
         counting = _CountingHeapq()
         monkeypatch.setattr(prefix_module, "heapq", counting)
+        pushes_before = cache.n_heap_pushes
         # Block 7 is the one block allowed: 6[1] is pushed.
         assert cache.evict_lru(1) == legacy.evict_lru(1) == 1
-        assert _tree(cache._root) == _tree(legacy._root)
+        assert _tree(cache) == _tree(legacy)
         assert counting.pushes == 1
         # 6[1] pops and exposes 5[4], newer than 3[2]: pushed.  Then
         # 3, 2, 1, 0 fall for one pop (each [2] < 9[3]), 9 and 5 pop,
         # and 21 pops and exposes 20 beside an empty heap: no entry.
         assert cache.evict_lru(9) == legacy.evict_lru(9) == 9
-        assert _tree(cache._root) == _tree(legacy._root) == {}
+        assert _tree(cache) == _tree(legacy) == {}
         assert counting.pushes == 2
+        assert cache.n_heap_pushes - pushes_before == 2
 
     @settings(max_examples=100, deadline=None)
     @given(ops=st.lists(st.tuples(st.booleans(), st.integers(0, 3),
@@ -807,7 +950,7 @@ class TestEachBlockOnce:
             cache = build(PrefixCache(block_tokens=1))
             legacy = build(LegacyPrefixCache(block_tokens=1))
             assert cache.evict_lru(n) == legacy.evict_lru(n) == n
-            assert _tree(cache._root) == _tree(legacy._root)
+            assert _tree(cache) == _tree(legacy)
 
     def test_release_slices_only_blocks_past_its_lock(self):
         alloc = PrefixCachingAllocator(total_blocks=32, block_tokens=4)
@@ -818,8 +961,11 @@ class TestEachBlockOnce:
         assert alloc.match_and_lock(2, ids) == 12      # locks 3 blocks
         assert alloc.ensure(2, 20)
         counting = _CountingIds(ids)
+        allocated = alloc.cache.n_nodes_allocated
         alloc.release(2, token_ids=counting)
-        assert counting.slices == 2                    # blocks 3 and 4
+        # Block 3's key, then blocks 3-4 as one new node's run.
+        assert counting.slices == 2
+        assert alloc.cache.n_nodes_allocated == allocated + 1
         assert alloc.cache.n_blocks == 5
         assert alloc.n_committed_blocks == 5
         alloc.check_conservation()
@@ -836,12 +982,16 @@ class TestEachBlockOnce:
         sched.submit(Request(req_id=1, arrival_s=float(it),
                              prompt_tokens=len(ids), output_tokens=4,
                              prompt_ids=ids))
+        walks = sched.allocator.cache.n_walks
         sched.schedule(float(it))
         (seq,) = sched.running
         assert seq.cached_tokens == 32
-        # One walk over the 4 matchable blocks, plus the copy-on-write
-        # probe of the block holding the tail.
-        assert ids.slices == 4 + 1
+        # One walk over the 4 matchable blocks, which the first request
+        # committed as one node: its first block's key and its whole
+        # run.  Then the copy-on-write probe of the block holding the
+        # tail.
+        assert ids.slices == 2 + 1
+        assert sched.allocator.cache.n_walks == walks + 1
 
     def test_sanitize_rejects_a_path_the_tree_no_longer_holds(self):
         alloc = PrefixCachingAllocator(total_blocks=32, block_tokens=4,

@@ -108,13 +108,17 @@ def _cases(draw):
     return config, budget, trace, timeline, n_replicas, policy
 
 
-def _tree(node, prefix=()):
-    """Every radix node as ``(path, ref, last_used)``, in key order."""
+def _tree(node, bt, prefix=()):
+    """Every cached block as ``(path, ref, last_used)``, in key order; a
+    radix node holding a run of blocks gives one entry per block."""
     out = []
     for key in sorted(node.children):
         child = node.children[key]
-        out.append((prefix + key, child.ref, child.last_used))
-        out.extend(_tree(child, prefix + key))
+        path = prefix
+        for b in range(len(child.tokens) // bt):
+            path += child.tokens[b * bt:(b + 1) * bt]
+            out.append((path, child.ref, child.last_used))
+        out.extend(_tree(child, bt, path))
     return out
 
 
@@ -126,7 +130,7 @@ def _allocator_state(sched):
              "used_tokens": dict(alloc._used_tokens)}
     if sched.prefix_caching:
         state.update(prefix=alloc.prefix_stats(),
-                     tree=_tree(alloc.cache._root))
+                     tree=_tree(alloc.cache._root, alloc.block_tokens))
     return state
 
 

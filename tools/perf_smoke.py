@@ -75,17 +75,26 @@ Checks:
     and an eager template and source per kernel (96, 48 and 48 calls),
     fail it deterministically.
 11. Prefix-cache work per block, exact counts rather than times, on
-    check 8's fixed chat run.  Each admission walks its prompt once:
-    :meth:`~repro.serve.prefix.PrefixCache._walk` may be called at most
-    once per lookup (an outermost ``PrefixCachingAllocator.lookup`` or
-    ``peek`` call), because ``match_and_lock`` locks the path the
-    admission's lookup walked.  And an unreferenced chain falls for one
-    heap pop: LRU heap pushes may number at most half the evicted
-    blocks, because ``evict_lru`` evicts a parent older than every heap
-    entry at once.  The run walks 300 prompts for 300 lookups and makes
-    1,306 pushes for 9,013 evicted blocks; walking again to lock (600
-    walks) and pushing every exposed parent (9,360 pushes) fail it
+    check 8's fixed chat run, read from the
+    :class:`~repro.serve.prefix.PrefixCache` work counters.  Each
+    admission walks its prompt once: ``n_walks`` may be at most one per
+    lookup (an outermost ``PrefixCachingAllocator.lookup`` or ``peek``
+    call), because ``match_and_lock`` locks the path the admission's
+    lookup walked.  And an unreferenced chain falls for one heap pop:
+    ``n_heap_pushes`` may be at most half the evicted blocks, because
+    ``evict_lru`` evicts a parent older than every heap entry at once.
+    The run walks 300 prompts for 300 lookups and makes 1,306 pushes
+    for 9,013 evicted blocks; walking again to lock (600 walks) and
+    pushing every exposed parent (9,360 pushes) fail it
     deterministically.
+12. Radix nodes per committed block, an exact count rather than a
+    time, on the same run: ``n_nodes_allocated`` (nodes created plus
+    nodes split) may be at most a quarter of the blocks committed into
+    the tree.  The tree is path-compressed, so a release stores the
+    blocks past its lock as one node, and only a touch, lock or insert
+    that ends or diverges inside a node splits it.  The run allocates
+    301 nodes for 10,855 committed blocks; one node per block (10,855)
+    fails it deterministically.
 
 Run with::
 
@@ -97,7 +106,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import hashlib
-import heapq
 import io
 import random
 import runpy
@@ -121,7 +129,6 @@ from repro.gpu.banks import BankConflictModel  # noqa: E402
 from repro.gpu.spec import RTX4090  # noqa: E402
 from repro.llm.config import llama_7b  # noqa: E402
 from repro.obs.timeline import TimelineConfig  # noqa: E402
-from repro.serve import prefix as prefix_module  # noqa: E402
 from repro.serve.api import FleetConfig, SchedulerConfig, SimConfig  # noqa: E402
 from repro.serve.costs import BATCH_BUCKETS  # noqa: E402
 from repro.serve.paging import PagedKVAllocator  # noqa: E402
@@ -262,25 +269,12 @@ def _schedule_calls(simulate) -> tuple:
     return calls, report
 
 
-class _CountingHeapq:
-    """Stands in for :mod:`heapq` in the prefix module; counts pushes."""
-
-    def __init__(self):
-        self.pushes = 0
-
-    def __getattr__(self, name):
-        return getattr(heapq, name)
-
-    def heappush(self, heap, item):
-        self.pushes += 1
-        heapq.heappush(heap, item)
-
-
 def _replay_counts() -> dict:
     """Work counts of one fixed ``kv-cq-4`` paged, prefix-cached chat
     run on the real cost model: ``schedule`` calls and iterations
     (check 8); prompt walks, lookups, LRU heap pushes and evicted
-    blocks (check 11)."""
+    blocks (check 11); radix nodes allocated and blocks committed
+    (check 12)."""
     config = llama_7b()
     trace = make_trace("chat", 2.0, REPLAY_REQUESTS, 384, 96, seed=0)
     budget = make_kv_budget(config, "kv-cq-4", capacity_bytes=4e9,
@@ -290,13 +284,7 @@ def _replay_counts() -> dict:
                                               admission="paged",
                                               prefix_caching=True),
                     name="perf-smoke-replay").build(budget, cost)
-    walks = lookups = depth = 0
-    walk = PrefixCache._walk
-
-    def counted_walk(self, *args):
-        nonlocal walks
-        walks += 1
-        return walk(self, *args)
+    lookups = depth = 0
 
     def counted_lookup(fn):
         # Only the outermost lookup counts: ``peek`` goes through
@@ -312,12 +300,9 @@ def _replay_counts() -> dict:
 
         return counted
 
-    counting = _CountingHeapq()
-    patches = [(PrefixCache, "_walk", walk, counted_walk),
-               (prefix_module, "heapq", heapq, counting)]
-    patches.extend((PrefixCachingAllocator, name, fn, counted_lookup(fn))
-                   for name, fn in vars(PrefixCachingAllocator).items()
-                   if name in ("lookup", "peek"))
+    patches = [(PrefixCachingAllocator, name, fn, counted_lookup(fn))
+               for name, fn in vars(PrefixCachingAllocator).items()
+               if name in ("lookup", "peek")]
     for target, attr, _, replacement in patches:
         setattr(target, attr, replacement)
     try:
@@ -326,10 +311,13 @@ def _replay_counts() -> dict:
         for target, attr, original, _ in reversed(patches):
             setattr(target, attr, original)
     assert report.n_requests == REPLAY_REQUESTS
+    alloc = sim.scheduler.allocator
     return {"schedule_calls": calls, "iterations": report.n_iterations,
-            "walks": walks, "lookups": lookups,
-            "heap_pushes": counting.pushes,
-            "evicted_blocks": report.n_evicted_blocks}
+            "walks": alloc.cache.n_walks, "lookups": lookups,
+            "heap_pushes": alloc.cache.n_heap_pushes,
+            "evicted_blocks": report.n_evicted_blocks,
+            "nodes_allocated": alloc.cache.n_nodes_allocated,
+            "committed_blocks": alloc.n_committed_blocks}
 
 
 def _fleet_schedule_calls() -> tuple:
@@ -500,12 +488,20 @@ def main(argv=None) -> int:
     print(f"prefix work: {walks:,} prompt walks for {lookups:,} lookups "
           f"(max one each); {pushes:,} LRU heap pushes for {evicted:,} "
           f"evicted blocks (max half)")
+    nodes, committed = replay["nodes_allocated"], replay["committed_blocks"]
+    print(f"prefix nodes: {nodes:,} radix nodes allocated for "
+          f"{committed:,} committed blocks (max a quarter)")
 
     fleet_calls, fleet_iterations = _fleet_schedule_calls()
     print(f"fleet decode runs: {fleet_calls:,} schedule calls planned "
           f"{fleet_iterations:,} iterations (max a quarter)")
 
     failed = False
+    if 4 * nodes > committed:
+        print(f"PERF REGRESSION: {nodes:,} radix nodes allocated for "
+              f"{committed:,} committed blocks; a commit should store "
+              f"its new blocks as one node")
+        failed = True
     if walks > lookups:
         print(f"PERF REGRESSION: {walks:,} prompt walks for {lookups:,} "
               f"lookups; match_and_lock should lock the path the "
