@@ -136,7 +136,9 @@ class Replica(ServingEngine):
         *observed block usage* plus queued prompts' blocks under paged
         admission — a paged replica that has packed many short-context
         sequences reports the blocks it actually holds, not the
-        worst-case footprint it never allocated.
+        worst-case footprint it never allocated.  The scheduler keeps
+        the queued part as one integer, so a read is O(1) however long
+        the queues grow.
 
         Inside a run in flight, paged pressure adds the blocks that the
         run's first ``run.k`` iterations cross (nothing is queued, and

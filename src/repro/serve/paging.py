@@ -12,10 +12,18 @@ preempts a sequence and recomputes it later.
 :class:`PagedKVAllocator` is the memory-manager half of that design:
 a free-list of interchangeable blocks (the simulator never needs block
 *identities*, only counts — a block table adds nothing to an analytic
-model), per-owner block accounting, and fragmentation statistics.  The
-scheduling half — who gets blocks, who gets preempted — lives in
+model) and per-owner block accounting.  The pool counts blocks and
+nothing else.  The scheduling half — who gets blocks, who gets
+preempted — lives in
 :class:`~repro.serve.scheduler.ContinuousBatchScheduler` under
-``admission="paged"``.
+``admission="paged"``, and so does the token ledger: each sequence
+owns its token count (``context_tokens``) and the slots its blocks back
+(``kv_slots``), and the scheduler calls the pool only when a token
+crosses into a block the sequence does not hold yet, as vLLM's block
+manager does.  Internal fragmentation (the unused tail of each
+sequence's last block) is therefore derived and exported by the
+scheduler
+(:attr:`~repro.serve.scheduler.ContinuousBatchScheduler.kv_fragmentation`).
 
 Compression composes multiplicatively with paging: the bytes one block
 occupies is ``block_tokens *`` the scheme's
@@ -35,13 +43,12 @@ from repro.serve.sanitize import check, sanitize_enabled
 
 @dataclass(frozen=True)
 class PagingStats:
-    """Point-in-time snapshot of a :class:`PagedKVAllocator`.
+    """Point-in-time snapshot of a :class:`PagedKVAllocator`, in blocks.
 
-    ``fragmentation`` is *internal* fragmentation: the fraction of
-    allocated token slots not backing a live token (the unused tail of
-    each sequence's last block).  External fragmentation is structurally
-    zero — blocks are interchangeable, so any free block serves any
-    request.
+    Token counts are the scheduler's (internal fragmentation is
+    :attr:`~repro.serve.scheduler.ContinuousBatchScheduler.kv_fragmentation`).
+    External fragmentation is structurally zero — blocks are
+    interchangeable, so any free block serves any request.
     """
 
     total_blocks: int
@@ -50,18 +57,10 @@ class PagingStats:
     block_tokens: int
     peak_used_blocks: int
     n_owners: int
-    used_tokens: int
 
     @property
     def used_fraction(self) -> float:
         return self.used_blocks / max(1, self.total_blocks)
-
-    @property
-    def fragmentation(self) -> float:
-        slots = self.used_blocks * self.block_tokens
-        if slots == 0:
-            return 0.0
-        return 1.0 - self.used_tokens / slots
 
 
 class PagedKVAllocator:
@@ -79,10 +78,15 @@ class PagedKVAllocator:
         reporting only — allocation is counted in blocks.
 
     Owners are opaque hashable keys (the scheduler uses request ids).
-    The allocator tracks, per owner, how many blocks it holds and how
-    many token slots are live, which is what the fragmentation and
-    occupancy statistics derive from.  Invariant (tested):
+    The allocator counts, per owner, the blocks it holds — nothing per
+    token: the caller owns the token count and calls :meth:`ensure`
+    only to change a block count.  Invariant (tested):
     ``used_blocks + free_blocks == total_blocks`` at all times.
+
+    Work counters (plain ints, outside every metric export):
+    ``n_ensure_calls`` counts :meth:`ensure` calls and
+    ``n_idle_ensures`` the ones among them that allocated nothing and
+    did not fail — a caller that keeps its own token count makes none.
 
     ``sanitize=True`` (or env ``REPRO_SANITIZE=1``) arms O(1) invariant
     checks on every operation plus :meth:`audit` /
@@ -101,9 +105,10 @@ class PagedKVAllocator:
         self.block_tokens = block_tokens
         self.bytes_per_block = bytes_per_block
         self._held: Dict[int, int] = {}
-        self._used_tokens: Dict[int, int] = {}
         self._used_blocks = 0
         self.peak_used_blocks = 0
+        self.n_ensure_calls = 0
+        self.n_idle_ensures = 0
         self.sanitize = sanitize_enabled(sanitize)
         #: Sanitize-mode shadow state: owners that currently hold an
         #: allocation, and owners whose allocation was already freed —
@@ -164,7 +169,7 @@ class PagedKVAllocator:
 
     # -- allocation ----------------------------------------------------
     def ensure(self, owner: int, tokens: int) -> bool:
-        """Grow ``owner``'s allocation to cover ``tokens`` live tokens.
+        """Grow ``owner``'s allocation to back ``tokens`` token slots.
 
         Allocates the missing blocks from the free list and returns
         ``True``; returns ``False`` (allocating nothing) when the free
@@ -172,46 +177,29 @@ class PagedKVAllocator:
         waits.  Shrinking never happens here: blocks are returned only
         by :meth:`release`.
         """
-        need = self.blocks_for_tokens(tokens) - self.holds(owner)
-        if need > self.free_blocks:
+        self.n_ensure_calls += 1
+        held = self._held.get(owner, 0)
+        need = self.blocks_for_tokens(tokens) - held
+        if need > self.total_blocks - self._used_blocks:
             return False
         if need > 0:
-            self._held[owner] = self.holds(owner) + need
+            self._held[owner] = held + need
             self._used_blocks += need
-            self.peak_used_blocks = max(self.peak_used_blocks,
-                                        self._used_blocks)
-        if tokens > self._used_tokens.get(owner, 0):
-            self._used_tokens[owner] = tokens
+            if self._used_blocks > self.peak_used_blocks:
+                self.peak_used_blocks = self._used_blocks
+        else:
+            self.n_idle_ensures += 1
         if self.sanitize:
             self._note_live(owner)
             check(0 <= self._used_blocks <= self.total_blocks,
                   f"used_blocks counter {self._used_blocks} outside "
                   f"[0, {self.total_blocks}] after ensure({owner!r})")
-            check(self._used_tokens.get(owner, 0)
-                  <= self.holds(owner) * self.block_tokens,
-                  f"owner {owner!r} accounts "
-                  f"{self._used_tokens.get(owner, 0)} tokens but holds "
-                  f"only {self.holds(owner)} blocks")
         return True
-
-    def note_tokens(self, owner: int, tokens: int) -> None:
-        """Record ``tokens`` live tokens for ``owner`` inside the blocks
-        it already holds — what :meth:`ensure` does when no block is
-        missing, without the growth check.  The caller guarantees the
-        fit (a decode that crosses no block boundary); sanitize mode
-        checks it, as :meth:`ensure` does."""
-        if tokens > self._used_tokens.get(owner, 0):
-            self._used_tokens[owner] = tokens
-        if self.sanitize:
-            check(tokens <= self.holds(owner) * self.block_tokens,
-                  f"owner {owner!r} noted {tokens} tokens but holds "
-                  f"only {self.holds(owner)} blocks")
 
     def release(self, owner: int) -> int:
         """Return all of ``owner``'s blocks to the free list."""
         if self.sanitize:
             self._note_freed(owner)
-        self._used_tokens.pop(owner, None)
         freed = self._held.pop(owner, 0)
         self._used_blocks -= freed
         if self.sanitize:
@@ -258,10 +246,6 @@ class PagedKVAllocator:
             check(blocks > 0,
                   f"owner {owner!r} holds a non-positive block count "
                   f"{blocks}")
-        for owner, tokens in self._used_tokens.items():
-            check(tokens <= self.holds(owner) * self.block_tokens,
-                  f"owner {owner!r} accounts {tokens} tokens but holds "
-                  f"only {self.holds(owner)} blocks")
         check(self.used_blocks + self.free_blocks == self.total_blocks,
               f"conservation broken: used {self.used_blocks} + free "
               f"{self.free_blocks} != total {self.total_blocks}")
@@ -271,14 +255,11 @@ class PagedKVAllocator:
 
     def audit_drained(self) -> None:
         """:meth:`audit` plus drained-pool checks: after every sequence
-        finished, no owner may hold blocks or token accounting."""
+        finished, no owner may hold blocks."""
         self.audit()
         check(not self._held,
               f"{len(self._held)} owner(s) still hold blocks after "
               f"drain: {sorted(self._held)[:5]}")
-        check(not self._used_tokens,
-              f"{len(self._used_tokens)} owner(s) still account tokens "
-              f"after drain: {sorted(self._used_tokens)[:5]}")
         check(self._used_blocks == 0,
               f"used_blocks is {self._used_blocks} after drain")
 
@@ -291,7 +272,6 @@ class PagedKVAllocator:
             block_tokens=self.block_tokens,
             peak_used_blocks=self.peak_used_blocks,
             n_owners=len(self._held),
-            used_tokens=sum(self._used_tokens.values()),
         )
 
     def emit_metrics(self, registry, **labels) -> None:
@@ -308,7 +288,3 @@ class PagedKVAllocator:
         registry.gauge(
             "kv_block_tokens", "Token slots per KV block",
             **labels).set(snap.block_tokens)
-        registry.gauge(
-            "kv_fragmentation",
-            "Internal fragmentation of allocated blocks at run end",
-            **labels).set(snap.fragmentation)

@@ -669,14 +669,13 @@ class PrefixCachingAllocator(PagedKVAllocator):
             self.n_lookup_hits += 1
         self.hit_tokens += cached
         self.miss_tokens += len(token_ids) - cached
-        if cached > 0:
-            self._used_tokens[owner] = cached
         return cached
 
     # -- allocation override -------------------------------------------
     def ensure(self, owner: int, tokens: int) -> bool:
-        """Grow ``owner`` to ``tokens`` live tokens, evicting
+        """Grow ``owner`` to back ``tokens`` token slots, evicting
         unreferenced cached blocks LRU when the free list runs short."""
+        self.n_ensure_calls += 1
         need = self.blocks_for_tokens(tokens) - self.holds(owner)
         if need > self.raw_free_blocks:
             evicted = self.cache.evict_lru(need - self.raw_free_blocks)
@@ -688,18 +687,13 @@ class PrefixCachingAllocator(PagedKVAllocator):
             self._used_blocks += need
             self.peak_used_blocks = max(self.peak_used_blocks,
                                         self.used_blocks)
-        if tokens > self._used_tokens.get(owner, 0):
-            self._used_tokens[owner] = tokens
+        else:
+            self.n_idle_ensures += 1
         if self.sanitize:
             self._note_live(owner)
             check(self.raw_free_blocks >= 0,
                   f"free list overdrawn: raw_free_blocks is "
                   f"{self.raw_free_blocks} after ensure({owner!r})")
-            check(self._used_tokens.get(owner, 0)
-                  <= self.holds(owner) * self.block_tokens,
-                  f"owner {owner!r} accounts "
-                  f"{self._used_tokens.get(owner, 0)} tokens but holds "
-                  f"only {self.holds(owner)} blocks (private + shared)")
         return True
 
     # -- release / commit ----------------------------------------------
@@ -710,6 +704,12 @@ class PrefixCachingAllocator(PagedKVAllocator):
         (``token_ids`` = the ids of the owner's resident tokens, prompt
         first) into the tree, where it stays resident as cached.
 
+        The ids the owner's blocks back are committed: the first
+        ``min(len(token_ids), holds * block_tokens)`` of them, in whole
+        blocks, where ``holds`` counts the private and the locked
+        blocks.  The caller's ids end at its token count, so the pool
+        needs no count of its own.
+
         Returns the number of blocks returned to the free list (blocks
         that became cached are resident, not free).
         """
@@ -717,10 +717,10 @@ class PrefixCachingAllocator(PagedKVAllocator):
             self._note_freed(owner)
         shared = self._shared.pop(owner, None)
         n_shared = len(shared) if shared else 0
+        held = self._held.get(owner, 0)
         if token_ids:
             bt = self.block_tokens
-            live = min(len(token_ids), self._used_tokens.get(owner, 0))
-            committable = live // bt
+            committable = min(len(token_ids), (held + n_shared) * bt) // bt
             if committable > n_shared:
                 if self.sanitize and shared:
                     check(self.cache.path_tokens(shared)
@@ -735,7 +735,6 @@ class PrefixCachingAllocator(PagedKVAllocator):
                 # (freed).  Each was one of the owner's private blocks,
                 # so more means the accounting is broken.
                 moved = created + dups
-                held = self._held.get(owner, 0)
                 check(moved <= held,
                       f"release({owner!r}) commits {moved} blocks past "
                       f"its lock but holds only {held} private blocks")
@@ -745,7 +744,6 @@ class PrefixCachingAllocator(PagedKVAllocator):
                 self.n_committed_blocks += created
         if shared:
             self.cache.unlock(shared)
-        self._used_tokens.pop(owner, None)
         freed = self._held.pop(owner, 0)
         self._used_blocks -= freed
         if self.sanitize:
@@ -756,26 +754,15 @@ class PrefixCachingAllocator(PagedKVAllocator):
 
     # -- stats ---------------------------------------------------------
     def stats(self) -> PagingStats:
-        """Snapshot with sharing-aware token accounting.
-
-        Shared blocks are full by construction and counted once in
-        ``used_blocks`` even when several owners report them in their
-        token counts, so live slots are each owner's *private* tokens
-        (tokens beyond its shared prefix) plus one full block per
-        referenced tree block — keeping ``fragmentation`` in [0, 1].
-        """
-        bt = self.block_tokens
-        private_live = sum(
-            max(0, tokens - len(self._shared.get(owner, ())) * bt)
-            for owner, tokens in self._used_tokens.items())
+        """Snapshot in which shared blocks count once in ``used_blocks``
+        and an owner holding only locked blocks still counts."""
         return PagingStats(
             total_blocks=self.total_blocks,
             used_blocks=self.used_blocks,
             free_blocks=self.free_blocks,
-            block_tokens=bt,
+            block_tokens=self.block_tokens,
             peak_used_blocks=self.peak_used_blocks,
             n_owners=len(set(self._held) | set(self._shared)),
-            used_tokens=private_live + self.cache.n_referenced * bt,
         )
 
     def prefix_stats(self) -> PrefixStats:

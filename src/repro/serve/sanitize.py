@@ -26,8 +26,10 @@ What is caught:
 - refcount corruption: per-node radix refs disagreeing with the
   ``n_referenced`` tally or with the locks live sequences hold;
 - accounting drift: ``used_blocks`` counter vs the per-owner dict,
-  token counts exceeding backing blocks, pool conservation
-  (used + free == total);
+  pool conservation (used + free == total), and the scheduler's token
+  ledger vs the pool — a sequence's ``kv_slots`` must equal the blocks
+  the pool holds for it at every growth and release, and a granted
+  decode's token must fit them;
 - tree corruption: a node whose tokens differ from the key its parent
   files it under, broken parent/child links, wrong-size blocks, an
   unreferenced leaf missing from the LRU eviction heap;

@@ -55,6 +55,7 @@ from repro.serve.api import SchedulerConfig
 from repro.serve.paging import PagedKVAllocator
 from repro.serve.prefix import PrefixCachingAllocator, PrefixStats
 from repro.serve.requests import Request
+from repro.serve.sanitize import check
 
 #: Admission policies :class:`ContinuousBatchScheduler` understands.
 ADMISSION_POLICIES = ("reserve", "paged")
@@ -196,7 +197,9 @@ class SequenceState:
     finished_s: Optional[float] = None
     #: Token slots this sequence's KV blocks back under paged admission
     #: (``holds × block_tokens``; scheduler bookkeeping, refreshed at
-    #: admission and after every allocation).
+    #: admission and after every allocation).  With
+    #: :attr:`context_tokens` it is the paged token ledger: the pool
+    #: counts blocks only.
     kv_slots: int = 0
 
     @property
@@ -256,6 +259,13 @@ class BatchPlan:
     #: arithmetic either way, so the stamped value is bit-identical to
     #: the derived one.
     cached_mean_context: Optional[float] = None
+    #: Stamped by the paged decode grant, which visits every granted
+    #: sequence anyway: each decode's slot slack (``kv_slots`` past
+    #: this plan's token, in ``decode`` order) and the fewest output
+    #: tokens any decode has left before this plan.  ``None`` means
+    #: "derive from ``decode``" (reserve plans, hand-built plans).
+    decode_slack: Optional[List[int]] = None
+    min_outputs_left: Optional[int] = None
 
     @property
     def prefill_tokens(self) -> int:
@@ -289,6 +299,20 @@ class BatchPlan:
         if not self.decode:
             return 0.0
         return sum(s.context_tokens for s in self.decode) / len(self.decode)
+
+    def slack(self) -> List[int]:
+        """Each decode's token slots past this plan's token (paged)."""
+        if self.decode_slack is not None:
+            return self.decode_slack
+        return [s.kv_slots - s.context_tokens - 1 for s in self.decode]
+
+    def outputs_left(self) -> int:
+        """The fewest output tokens any decode has left before this
+        plan is applied (the plan must decode something)."""
+        if self.min_outputs_left is not None:
+            return self.min_outputs_left
+        return min(s.request.output_tokens - s.generated
+                   for s in self.decode)
 
 
 class ContinuousBatchScheduler:
@@ -391,10 +415,22 @@ class ContinuousBatchScheduler:
         self._decode_ctx_sum = 0
         self._running_ctx_sum = 0
         self._committed = 0
+        #: Queued demand, the integer :attr:`kv_pressure` adds to what
+        #: is held: under paged admission the blocks for each waiting
+        #: request's prompt plus sampled token and for each preempted
+        #: sequence's ``prefill_target`` plus one; under reserve
+        #: admission each waiting request's ``total_tokens``.  Updated
+        #: at :meth:`submit`, admission and preemption, so a router's
+        #: read is O(1) and equals the re-sum over the queues exactly.
+        self._queued_demand = 0
         #: ``budget.max_tokens`` is a derived property; hot paths read
         #: it every iteration, so cache it (budgets are never mutated
         #: after scheduler construction).
         self._max_tokens = budget.max_tokens
+        #: Largest ``total_tokens`` :meth:`fits` accepts: the pool's
+        #: whole blocks under paged admission, the budget otherwise.
+        self._fit_tokens = (self._max_tokens if self.allocator is None
+                            else self.allocator.total_blocks * block_tokens)
         self._admission_counter = 0
         #: Round-robin start offset for decode-slot priority.
         self._decode_offset = 0
@@ -403,6 +439,9 @@ class ContinuousBatchScheduler:
         self.peak_reserved_tokens = 0
         self.peak_kv_occupancy = 0.0
         self.n_preemptions = 0
+        #: Work counter (a plain int, outside :meth:`emit_metrics`):
+        #: :meth:`schedule` calls, which replayed iterations skip.
+        self.n_schedule_calls = 0
         #: Observability hooks (:mod:`repro.obs`): the default
         #: :data:`~repro.obs.trace.NULL_TRACER` makes every
         #: ``if tracer.enabled:`` recording guard near-free.  The
@@ -417,14 +456,13 @@ class ContinuousBatchScheduler:
 
     # -- queue management ----------------------------------------------
     def fits(self, request: Request) -> bool:
-        """Whether this request could ever complete under the budget."""
-        if self.allocator is not None:
-            return (self.allocator.blocks_for_tokens(request.total_tokens)
-                    <= self.allocator.total_blocks)
-        return request.total_tokens <= self._max_tokens
+        """Whether this request could ever complete under the budget
+        (under paged admission: whether its blocks fit the pool)."""
+        return request.total_tokens <= self._fit_tokens
 
     def submit(self, request: Request) -> None:
-        """Enqueue an arrived request (FCFS)."""
+        """Enqueue an arrived request (FCFS) and add its demand to the
+        queued total :attr:`kv_pressure` reads."""
         if not self.fits(request):
             if self.allocator is not None:
                 raise ValueError(
@@ -436,6 +474,10 @@ class ContinuousBatchScheduler:
                 f"request {request.req_id} needs {request.total_tokens} "
                 f"KV tokens but the budget holds {self.budget.max_tokens}")
         self.waiting.append(request)
+        alloc = self.allocator
+        self._queued_demand += (
+            request.total_tokens if alloc is None
+            else alloc.blocks_for_tokens(request.prompt_tokens + 1))
 
     @property
     def has_work(self) -> bool:
@@ -461,8 +503,8 @@ class ContinuousBatchScheduler:
         below :attr:`kv_utilization`, because worst-case reservations
         sit idle until the tokens materialise.  Paged mode: allocated
         blocks over the pool (blocks are resident bytes; the gap to
-        live tokens is the internal fragmentation the allocator's
-        :meth:`~repro.serve.paging.PagedKVAllocator.stats` reports).
+        live tokens is the internal fragmentation
+        :attr:`kv_fragmentation` derives).
         Prefix caching adds the cached-but-unreferenced tree blocks —
         they hold bytes until evicted.
         """
@@ -483,7 +525,8 @@ class ContinuousBatchScheduler:
         """Emit scheduler counters and high-water marks into a
         :class:`~repro.obs.metrics.MetricsRegistry` (end-of-run only,
         so the same run yields the same registry with tracing on or
-        off).  Delegates to the allocator for pool-level metrics."""
+        off).  Delegates to the allocator for pool-level metrics; the
+        pool counts no tokens, so ``kv_fragmentation`` comes from here."""
         registry.counter(
             "sched_admissions_total", "First-time sequence admissions",
             **labels).inc(self._admission_counter)
@@ -503,6 +546,10 @@ class ContinuousBatchScheduler:
             **labels).set(self.peak_kv_occupancy)
         if self.allocator is not None:
             self.allocator.emit_metrics(registry, **labels)
+            registry.gauge(
+                "kv_fragmentation",
+                "Internal fragmentation of allocated blocks at run end",
+                **labels).set(self.kv_fragmentation)
 
     @property
     def kv_pressure(self) -> float:
@@ -511,29 +558,42 @@ class ContinuousBatchScheduler:
         Unlike :attr:`kv_utilization` this includes what *queued* work
         will need — worst-case reservations in reserve mode, observed
         block usage plus queued prompts' blocks in paged mode — so a
-        router sees pressure build before admission does.
+        router sees pressure build before admission does.  The queued
+        part is one maintained integer (``_queued_demand``), so a read
+        is O(1) and divides the same integer sum a re-sum would.
         """
-        if self.allocator is not None:
-            alloc = self.allocator
-            queued = sum(alloc.blocks_for_tokens(s.prefill_target + 1)
-                         for s in self.preempted)
-            queued += sum(alloc.blocks_for_tokens(r.prompt_tokens + 1)
-                          for r in self.waiting)
-            return (alloc.used_blocks + queued) / alloc.total_blocks
-        demand = (self.reserved_tokens
-                  + sum(r.total_tokens for r in self.waiting))
-        return demand / max(1, self._max_tokens)
+        alloc = self.allocator
+        if alloc is not None:
+            return ((alloc.used_blocks + self._queued_demand)
+                    / alloc.total_blocks)
+        return ((self.reserved_tokens + self._queued_demand)
+                / max(1, self._max_tokens))
 
     @property
     def kv_fragmentation(self) -> float:
-        """Internal fragmentation of the paged pool (0.0 for reserve).
+        """Internal fragmentation of the paged pool: the fraction of
+        allocated token slots backing no live token (0.0 for reserve).
 
-        Single source of truth is the allocator's own stats — the
-        scheduler does not keep a second, subtly different tally.
+        The scheduler is the token ledger, so this derives from the
+        running sequences: each backs ``min(context_tokens, kv_slots)``
+        live tokens (a prompt completed in the pool's last slot defers
+        its sampled token's slot).  Under prefix caching a locked block
+        is shared and counts once in ``used_blocks``, so each sequence's
+        locked blocks come off its tokens and every referenced tree
+        block counts as ``block_tokens`` live tokens.
         """
-        if self.allocator is None:
+        alloc = self.allocator
+        if alloc is None:
             return 0.0
-        return self.allocator.stats().fragmentation
+        bt = alloc.block_tokens
+        slots = alloc.used_blocks * bt
+        if slots == 0:
+            return 0.0
+        live = sum(min(s.context_tokens, s.kv_slots) for s in self.running)
+        if self.prefix_caching:
+            live += bt * (alloc.cache.n_referenced - sum(
+                alloc.shared_blocks(s.request.req_id) for s in self.running))
+        return 1.0 - live / slots
 
     # -- admission -----------------------------------------------------
     def _admit(self, now_s: float) -> None:
@@ -554,7 +614,10 @@ class ContinuousBatchScheduler:
         candidate's prompt are not demanded (a feasibility ``lookup``
         of the cached path; that path is locked only when the candidate
         is actually admitted, and nothing changes the tree in between).
+        An admission takes its demand off ``_queued_demand``.
         """
+        if not (self.preempted or self.waiting):
+            return
         alloc = self.allocator
         while (len(self.running) < self.max_seqs
                and (self.preempted or self.waiting)):
@@ -563,8 +626,8 @@ class ContinuousBatchScheduler:
             restart = 0 if seq is None else seq.restart_tokens
             known = None
             if alloc is None:
-                if (self.reserved_tokens + req.total_tokens
-                        > self._max_tokens):
+                demand = req.total_tokens
+                if self.reserved_tokens + demand > self._max_tokens:
                     break
             else:
                 if self.prefix_caching:
@@ -572,11 +635,13 @@ class ContinuousBatchScheduler:
                 cached_path = ()
                 if known is not None:
                     cached_path = alloc.lookup(known)
-                need = max(0, alloc.blocks_for_tokens(
-                    req.prompt_tokens + restart + 1) - len(cached_path))
+                demand = alloc.blocks_for_tokens(
+                    req.prompt_tokens + restart + 1)
+                need = max(0, demand - len(cached_path))
                 watermark = self._watermark_blocks if self.running else 0
                 if self._committed + need + watermark > alloc.free_blocks:
                     break
+            self._queued_demand -= demand
             if seq is None:
                 seq = self._new_sequence(self.waiting.popleft(), now_s)
             else:
@@ -619,17 +684,41 @@ class ContinuousBatchScheduler:
                    - seq.kv_slots // alloc.block_tokens)
 
     def _ensure(self, seq: SequenceState, tokens: int) -> bool:
-        """Grow ``seq``'s blocks to ``tokens`` slots; on success refresh
-        its ``kv_slots`` and its share of ``_committed``."""
+        """Grow ``seq``'s blocks to back ``tokens`` slots; on success
+        refresh its ``kv_slots`` and its share of ``_committed``.
+
+        The missing blocks come from ``kv_slots``, so the pool is called
+        only when a block is missing, and only to change its count.
+        """
+        alloc = self.allocator
+        bt = alloc.block_tokens
+        held = seq.kv_slots // bt
+        need = -(-tokens // bt) - held
+        if need <= 0:
+            return True
+        if alloc.sanitize:
+            self._check_slots(seq, "before growing")
+        if not alloc.ensure(seq.request.req_id, tokens):
+            return False
+        # The growth pays the sequence's prefill debt first (none stays
+        # none), so one debt computation updates ``_committed``.
+        owed = -(-(seq.prefill_target + 1) // bt) - held
+        if owed > 0:
+            self._committed -= min(need, owed)
+        seq.kv_slots = (held + need) * bt
+        if alloc.sanitize:
+            self._check_slots(seq, "after growing")
+        return True
+
+    def _check_slots(self, seq: SequenceState, when: str) -> None:
+        """Sanitize mode: ``seq``'s ``kv_slots`` is the pool's count of
+        its blocks in slots."""
         alloc = self.allocator
         rid = seq.request.req_id
-        if not alloc.ensure(rid, tokens):
-            return False
-        owed = self._owed_blocks(seq)
-        seq.kv_slots = alloc.holds(rid) * alloc.block_tokens
-        if owed:  # growth only shrinks a debt; none stays none
-            self._committed += self._owed_blocks(seq) - owed
-        return True
+        check(seq.kv_slots == alloc.holds(rid) * alloc.block_tokens,
+              f"request {rid} has {seq.kv_slots} KV slots {when}, but "
+              f"the pool holds {alloc.holds(rid)} blocks of "
+              f"{alloc.block_tokens} slots for it")
 
     @staticmethod
     def _known_ids(request: Request, generated: int):
@@ -654,6 +743,8 @@ class ContinuousBatchScheduler:
     def _release_blocks(self, seq: SequenceState) -> None:
         """Free ``seq``'s blocks — committing them to the prefix tree
         first when prefix caching is on and the ids are known."""
+        if self.allocator.sanitize:
+            self._check_slots(seq, "at release")
         if self.prefix_caching:
             self.allocator.release(seq.request.req_id,
                                    token_ids=self._resident_ids(seq))
@@ -695,6 +786,8 @@ class ContinuousBatchScheduler:
         victim.prefilled = 0
         victim.restart_tokens = victim.generated
         victim.preemptions += 1
+        self._queued_demand += self.allocator.blocks_for_tokens(
+            victim.prefill_target + 1)
         # Insert by first-admission rank: victims of one iteration fall
         # youngest-first, and a victim of a *later* iteration may be
         # older or younger than what is already queued — either way
@@ -735,12 +828,16 @@ class ContinuousBatchScheduler:
         """Paged decode grant: give each sequence of ``rotation`` its
         next token slot while ``budget`` lasts.
 
-        A decode that stays inside the blocks it holds only records the
-        token with the allocator; one that crosses into a new block
-        goes through :meth:`_grow_for_decode`.
+        A decode that stays inside the blocks it holds touches nothing
+        but the plan: the sequence is the token ledger.  One that
+        crosses into a new block goes through :meth:`_grow_for_decode`.
+        The same pass stamps the plan's slot slacks and fewest outputs
+        left, which :meth:`repeat_room` and :meth:`block_crossings`
+        read instead of walking the batch again.
         """
-        note = self.allocator.note_tokens
         decode = plan.decode
+        slack: List[int] = []
+        left = None
         #: Sequences preempted while building *this* plan — an id set,
         #: so skipping them costs O(1) per candidate.
         evicted_ids: set = set()
@@ -750,12 +847,25 @@ class ContinuousBatchScheduler:
             if evicted_ids and id(seq) in evicted_ids:
                 continue  # preempted as a victim earlier this plan
             tokens = seq.context_tokens + 1
-            if tokens <= seq.kv_slots:
-                note(seq.request.req_id, tokens)
-            elif not self._grow_for_decode(seq, tokens, plan, evicted_ids):
-                continue
+            slots = seq.kv_slots
+            if tokens > slots:
+                if not self._grow_for_decode(seq, tokens, plan,
+                                             evicted_ids):
+                    continue
+                slots = seq.kv_slots
             decode.append(seq)
+            slack.append(slots - tokens)
+            outputs = seq.request.output_tokens - seq.generated
+            if left is None or outputs < left:
+                left = outputs
             budget -= 1
+        plan.decode_slack = slack
+        plan.min_outputs_left = left
+        if self.allocator.sanitize:
+            # Each granted token fits its slots by construction, so it
+            # fits the pool's blocks if the slots match them.
+            for seq in decode:
+                self._check_slots(seq, "at decode")
 
     def _grow_for_decode(self, seq: SequenceState, tokens: int,
                          plan: BatchPlan, evicted_ids: set) -> bool:
@@ -809,6 +919,7 @@ class ContinuousBatchScheduler:
         progress within a bounded number of iterations instead of the
         head of ``running`` draining first while the tail starves.
         """
+        self.n_schedule_calls += 1
         if self.tracer.enabled:
             self._trace_now_s = now_s
         self._admit(now_s)
@@ -874,16 +985,14 @@ class ContinuousBatchScheduler:
         if (limit <= 0 or plan.prefill or plan.cached_mean_context is None
                 or self._prefilling or self.waiting or self.preempted):
             return 0
-        decode = plan.decode
-        room = min(limit, min(s.request.output_tokens - s.generated
-                              for s in decode) - 1)
+        room = min(limit, plan.outputs_left() - 1)
         alloc = self.allocator
         if room <= 0 or alloc is None:
             return max(0, room)
         # A sequence holding ``slack`` slots past this plan's token
         # crosses ceil((k - slack) / block_tokens) blocks in k replays.
         bt = alloc.block_tokens
-        slacks = [s.kv_slots - s.context_tokens - 1 for s in decode]
+        slacks = plan.slack()
         free = alloc.free_blocks
 
         def fits(k: int) -> bool:
@@ -913,9 +1022,8 @@ class ContinuousBatchScheduler:
         """
         bt = self.allocator.block_tokens
         crossings: List[int] = []
-        for seq in plan.decode:
-            crossings.extend(range(seq.kv_slots - seq.context_tokens,
-                                   k + 1, bt))
+        for slack in plan.slack():
+            crossings.extend(range(slack + 1, k + 1, bt))
         crossings.sort()
         return crossings
 
@@ -928,23 +1036,26 @@ class ContinuousBatchScheduler:
         KV grows straight to the last iteration's token: one ``ensure``
         per sequence that crosses a block (evictions batch exactly,
         since decodes never touch the radix tree and LRU order is fixed
-        by ``last_used``), a noted token for the rest.  :meth:`complete`
+        by ``last_used``), nothing for the rest.  :meth:`complete`
         then applies the last token, so finishers and peak occupancy —
         which only grows within a run — come out as step-by-step
-        execution leaves them.
+        execution leaves them.  A sequence crosses a block iff ``k``
+        exceeds its slot slack.  The plan's stamps are dropped (derived
+        again if read).
         """
-        alloc = self.allocator
-        for seq in plan.decode:
-            seq.generated += k
-            if alloc is None:
-                continue
-            tokens = seq.context_tokens + 1
-            if tokens <= seq.kv_slots:
-                alloc.note_tokens(seq.request.req_id, tokens)
-            elif not self._ensure(seq, tokens):  # pragma: no cover
-                raise RuntimeError(
-                    f"replayed decode of request {seq.request.req_id} "
-                    "found no free block; repeat_room bounds the run")
+        decode = plan.decode
+        if self.allocator is None:
+            for seq in decode:
+                seq.generated += k
+        else:
+            for seq, slack in zip(decode, plan.slack()):
+                seq.generated += k
+                if k > slack and not self._ensure(seq,
+                                                  seq.context_tokens + 1):
+                    raise RuntimeError(  # pragma: no cover
+                        f"replayed decode of request {seq.request.req_id} "
+                        "found no free block; repeat_room bounds the run")
+            plan.decode_slack = plan.min_outputs_left = None
         grown = k * len(plan.decode)
         self._running_ctx_sum += grown
         self._decode_ctx_sum += grown

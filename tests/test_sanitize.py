@@ -9,9 +9,10 @@ Two promises are under test:
 2. **Sensitivity** — injected corruption (double-free, refcount
    decrement, counter drift, tree rewiring, a node's run length, a
    child used after its parent, a locked path's block count, a leaf
-   dropped from the LRU heap) raises :class:`SanitizeError` instead of
-   silently skewing results; a hypothesis property test drives random
-   op sequences and corruption kinds.
+   dropped from the LRU heap, a block's worth of a sequence's
+   ``kv_slots`` gained or lost) raises :class:`SanitizeError` instead
+   of silently skewing results; a hypothesis property test drives
+   random op sequences and corruption kinds.
 """
 
 import math
@@ -25,11 +26,12 @@ from repro.serve.api import FleetConfig, SchedulerConfig, SimConfig
 from repro.serve.paging import PagedKVAllocator
 from repro.serve.prefix import PrefixCachingAllocator
 from repro.serve.requests import (
+    Request,
     multi_turn_chat_trace,
     poisson_trace,
 )
 from repro.serve.sanitize import SanitizeError, sanitize_enabled
-from repro.serve.scheduler import KVBudget
+from repro.serve.scheduler import ContinuousBatchScheduler, KVBudget
 
 
 class ConstantCostModel:
@@ -157,12 +159,48 @@ class TestSensitivity:
         with pytest.raises(SanitizeError, match="used_blocks counter"):
             alloc.audit()
 
-    def test_token_overrun_caught(self):
-        alloc = self._armed()
-        assert alloc.ensure(1, 10)
-        alloc._used_tokens[1] = 999  # more tokens than blocks back
-        with pytest.raises(SanitizeError, match="accounts"):
-            alloc.audit()
+    @pytest.mark.parametrize("prefix", [False, True],
+                             ids=["paged", "prefix"])
+    @pytest.mark.parametrize("blocks", [1, -1],
+                             ids=["block_gained", "block_lost"])
+    def test_kv_slots_drift_caught(self, prefix, blocks):
+        """The scheduler is the token ledger: sanitize mode checks each
+        sequence's ``kv_slots`` against the pool's block count at every
+        growth, granted decode and release, so a block's worth of slots
+        gained or lost raises before the run drains."""
+        bt = 4
+        sched = ContinuousBatchScheduler(
+            KVBudget(capacity_bytes=256.0, bytes_per_token=1.0),
+            config=SchedulerConfig(admission="paged", block_tokens=bt,
+                                   prefix_caching=prefix, sanitize=True))
+        for i, prompt in enumerate((9, 14, 6)):
+            sched.submit(Request(req_id=i, arrival_s=0.0,
+                                 prompt_tokens=prompt, output_tokens=12,
+                                 prompt_ids=tuple(range(prompt))))
+        for it in range(2):
+            sched.complete(sched.schedule(float(it)), float(it))
+        sched.running[1].kv_slots += blocks * bt
+        with pytest.raises(SanitizeError, match="KV slots"):
+            for it in range(2, 100):
+                sched.complete(sched.schedule(float(it)), float(it))
+
+    def test_kv_slots_drift_caught_at_release(self):
+        """Slots that drift after the last decode was granted are
+        caught when the finished sequence releases its blocks."""
+        sched = ContinuousBatchScheduler(
+            KVBudget(capacity_bytes=256.0, bytes_per_token=1.0),
+            config=SchedulerConfig(admission="paged", block_tokens=4,
+                                   sanitize=True))
+        sched.submit(Request(req_id=0, arrival_s=0.0, prompt_tokens=9,
+                             output_tokens=3))
+        for it in range(2):
+            sched.complete(sched.schedule(float(it)), float(it))
+        plan = sched.schedule(2.0)  # the last token, inside block 3
+        seq = sched.running[0]
+        assert (seq.context_tokens, seq.kv_slots) == (11, 12)
+        seq.kv_slots += 4
+        with pytest.raises(SanitizeError, match="KV slots at release"):
+            sched.complete(plan, 2.0)
 
     def test_leak_at_drain_caught(self):
         alloc = self._armed()
@@ -293,7 +331,6 @@ _CORRUPTIONS = [
                                         a._used_blocks + 1)),
     ("counter_down", lambda a, o: setattr(a, "_used_blocks",
                                           a._used_blocks - 1)),
-    ("token_overrun", lambda a, o: a._used_tokens.__setitem__(o, 10_000)),
     ("phantom_hold", lambda a, o: a._held.__setitem__(99_999, 0)),
 ]
 
@@ -318,8 +355,8 @@ class TestPropertySanitizer:
         alloc.audit()  # uncorrupted state must audit green
         victim = live[0] if live else None
         name, corrupt = _CORRUPTIONS[kind]
-        if victim is None and name in ("double_free", "token_overrun"):
-            return  # these need a live owner to corrupt
+        if victim is None and name == "double_free":
+            return  # it needs a live owner to corrupt
         with pytest.raises(SanitizeError):
             corrupt(alloc, victim)
             alloc.audit()

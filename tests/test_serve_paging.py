@@ -8,7 +8,10 @@ guarantees, each verified against a verbatim copy of the older code:
 scheduler's ``ServingReport`` on the PR-1 seed scenario, and the
 incremental scheduler reproduces the object-path scheduler
 (``LegacyPagedScheduler``) iteration by iteration on random traces in
-both admission modes.
+both admission modes.  The oracle also keeps the per-owner token
+ledger the pool used to keep, and re-sums the queues for
+``kv_pressure``, so the scheduler's derived fragmentation and its
+queued-demand counter are checked against them.
 """
 
 import math
@@ -58,6 +61,31 @@ def _paged(max_tokens=200, token_budget=256, max_seqs=16, block_tokens=8,
     return ContinuousBatchScheduler(budget, config=SchedulerConfig(
         token_budget=token_budget, max_seqs=max_seqs, admission="paged",
         block_tokens=block_tokens, watermark_frac=watermark_frac))
+
+
+def _record_pool_calls(alloc, monkeypatch):
+    """Record every outside call of a public :class:`PagedKVAllocator`
+    method on ``alloc``, by name (the pool's calls to itself are not
+    recorded)."""
+    calls = []
+    depth = 0
+    for name, attr in vars(PagedKVAllocator).items():
+        if name.startswith("_") or not callable(attr):
+            continue
+
+        def recorded(*args, _name=name, _method=getattr(alloc, name),
+                     **kwargs):
+            nonlocal depth
+            if depth == 0:
+                calls.append(_name)
+            depth += 1
+            try:
+                return _method(*args, **kwargs)
+            finally:
+                depth -= 1
+
+        monkeypatch.setattr(alloc, name, recorded)
+    return calls
 
 
 class TestPagedKVAllocator:
@@ -118,34 +146,52 @@ class TestPagedKVAllocator:
         assert alloc.ensure(0, 16)
         assert alloc.free_blocks == 0
 
-    def test_note_tokens_matches_ensure_within_held_blocks(self):
-        noted = PagedKVAllocator(total_blocks=8, block_tokens=4,
-                                 sanitize=True)
-        ensured = PagedKVAllocator(total_blocks=8, block_tokens=4)
-        for alloc in (noted, ensured):
-            assert alloc.ensure(0, 5)  # 2 blocks, 8 slots
-        for tokens in (6, 8, 7):
-            noted.note_tokens(0, tokens)
-            assert ensured.ensure(0, tokens)
-            assert noted._used_tokens == ensured._used_tokens
-            assert noted.holds(0) == ensured.holds(0) == 2
-        assert noted.stats() == ensured.stats()
-        # Past the held blocks it is a caller bug, caught when sanitized.
-        with pytest.raises(SanitizeError):
-            noted.note_tokens(0, 9)
+    def test_decode_inside_its_blocks_calls_no_pool_method(
+            self, monkeypatch):
+        """The sequence is the token ledger: a decode whose token lands
+        in a block it holds touches the pool not at all.  (Sanitize mode
+        reads the pool to check the ledger, so it is switched off.)"""
+        monkeypatch.delenv("REPRO_SANITIZE", raising=False)
+        sched = _paged(max_tokens=128, block_tokens=16)
+        sched.submit(_req(0, prompt=17, output=8))  # 2 blocks, 32 slots
+        sched.complete(sched.schedule(), 0.0)
+        calls = _record_pool_calls(sched.allocator, monkeypatch)
+        for it in range(1, 4):
+            plan = sched.schedule(float(it))
+            assert [s.request.req_id for s in plan.decode] == [0]
+            sched.complete(plan, float(it))
+        assert sched.running[0].context_tokens == 21
+        assert calls == []
+
+    def test_decode_crossing_a_block_makes_one_ensure(self, monkeypatch):
+        """A decode whose token crosses into a new block calls the pool
+        once, to change the block count."""
+        monkeypatch.delenv("REPRO_SANITIZE", raising=False)
+        sched = _paged(max_tokens=128, block_tokens=16)
+        sched.submit(_req(0, prompt=15, output=8))  # 16 tokens: 1 block
+        sched.complete(sched.schedule(), 0.0)
+        calls = _record_pool_calls(sched.allocator, monkeypatch)
+        sched.complete(sched.schedule(1.0), 1.0)  # token 17: block 2
+        assert calls == ["ensure"]
+        assert sched.running[0].kv_slots == 32
+        assert sched.allocator.holds(0) == 2
 
     def test_stats_and_fragmentation(self):
-        alloc = PagedKVAllocator(total_blocks=8, block_tokens=16)
-        alloc.ensure(0, 17)  # 2 blocks, 32 slots, 17 live
+        """Pool stats count blocks; fragmentation is the scheduler's,
+        from its own token ledger."""
+        sched = _paged(max_tokens=128, block_tokens=16)
+        alloc = sched.allocator
+        sched.submit(_req(0, prompt=16, output=2))
+        sched.complete(sched.schedule(), 0.0)  # 2 blocks, 32 slots, 17 live
         stats = alloc.stats()
         assert stats.used_blocks == 2 and stats.free_blocks == 6
-        assert stats.used_fraction == pytest.approx(0.25)
-        assert stats.fragmentation == pytest.approx(1 - 17 / 32)
+        assert stats.used_fraction == 0.25
         assert stats.peak_used_blocks == 2
-        alloc.release(0)
-        empty = alloc.stats()
-        assert empty.fragmentation == 0.0
-        assert empty.peak_used_blocks == 2  # high-water mark survives
+        assert sched.kv_fragmentation == 1 - 17 / 32
+        assert [s.request.req_id
+                for s in sched.complete(sched.schedule(1.0), 1.0)] == [0]
+        assert alloc.used_blocks == 0 and sched.kv_fragmentation == 0.0
+        assert alloc.stats().peak_used_blocks == 2  # high-water mark survives
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -329,9 +375,9 @@ class TestPagedScheduling:
     def test_fragmentation_visible(self):
         sched = _paged(max_tokens=160, token_budget=64, max_seqs=8,
                        block_tokens=16)
-        sched.submit(_req(0, prompt=17, output=8))  # 2 blocks, 15 slack
+        sched.submit(_req(0, prompt=17, output=8))  # 2 blocks, 14 slack
         sched.complete(sched.schedule(), 0.0)
-        assert 0.0 < sched.kv_fragmentation < 1.0
+        assert sched.kv_fragmentation == 1 - 18 / 32
 
     def test_validation(self):
         budget = KVBudget(capacity_bytes=100.0, bytes_per_token=1.0)
@@ -358,7 +404,6 @@ class TestAllocatorFuzz:
         assert alloc.used_blocks + alloc.free_blocks == alloc.total_blocks
         assert alloc.used_blocks == sum(alloc.holds(o) for o in live_owners)
         assert set(alloc._held) <= live_owners
-        assert set(alloc._used_tokens) <= live_owners
         for owner in live_owners:
             assert alloc.holds(owner) >= 0
 
@@ -390,7 +435,7 @@ class TestAllocatorFuzz:
                 alloc.release(owner)
             assert alloc.used_blocks == 0
             assert alloc.free_blocks == alloc.total_blocks
-            assert not alloc._held and not alloc._used_tokens
+            assert not alloc._held
 
     def test_scheduler_lifecycle_fuzz_with_preemptions(self):
         """Random traces through the paged scheduler — including forced
@@ -426,7 +471,7 @@ class TestAllocatorFuzz:
                 it += 1
                 assert it < 5000, "fuzz trace failed to drain"
             assert alloc.used_blocks == 0
-            assert not alloc._held and not alloc._used_tokens
+            assert not alloc._held
 
 
 # ----------------------------------------------------------------------
@@ -583,9 +628,68 @@ class LegacyPagedScheduler(ContinuousBatchScheduler):
     and scanned all of ``running`` for finishers.  Reserve admission
     runs the same object path (no block growth; a reservation is
     released instead of blocks), as it did before the scheduler kept
-    incremental batch state.  Queueing, gauges, metrics and block
-    release are inherited.
+    incremental batch state.
+
+    It keeps the per-owner token ledger the pool kept before the
+    scheduler became the only one: the tokens of every ``ensure`` it
+    makes, the cached count at lock, popped at release.  A release
+    commits only the ids that ledger covers, and fragmentation is
+    computed from it the old way.  ``kv_pressure`` re-sums the queues
+    (its admission and preemption bypass the queued counter).
+    Queueing, gauges and metrics are inherited.
     """
+
+    def __init__(self, budget, config=None):
+        super().__init__(budget, config=config)
+        #: owner -> live tokens, as the pool's ledger kept them.
+        self._ledger = {}
+
+    @property
+    def kv_pressure(self):
+        if self.allocator is not None:
+            alloc = self.allocator
+            queued = sum(alloc.blocks_for_tokens(s.prefill_target + 1)
+                         for s in self.preempted)
+            queued += sum(alloc.blocks_for_tokens(r.prompt_tokens + 1)
+                          for r in self.waiting)
+            return (alloc.used_blocks + queued) / alloc.total_blocks
+        demand = (self.reserved_tokens
+                  + sum(r.total_tokens for r in self.waiting))
+        return demand / max(1, self._max_tokens)
+
+    @property
+    def kv_fragmentation(self):
+        alloc = self.allocator
+        if alloc is None:
+            return 0.0
+        bt = alloc.block_tokens
+        if self.prefix_caching:
+            live = sum(max(0, tokens - alloc.shared_blocks(owner) * bt)
+                       for owner, tokens in self._ledger.items())
+            live += alloc.cache.n_referenced * bt
+        else:
+            live = sum(self._ledger.values())
+        slots = alloc.used_blocks * bt
+        if slots == 0:
+            return 0.0
+        return 1.0 - live / slots
+
+    def _ensure_tokens(self, rid, tokens):
+        if not self.allocator.ensure(rid, tokens):
+            return False
+        if tokens > self._ledger.get(rid, 0):
+            self._ledger[rid] = tokens
+        return True
+
+    def _release_blocks(self, seq):
+        rid = seq.request.req_id
+        live = self._ledger.pop(rid, 0)
+        if self.prefix_caching:
+            ids = self._resident_ids(seq)
+            self.allocator.release(
+                rid, token_ids=None if ids is None else ids[:live])
+        else:
+            self.allocator.release(rid)
 
     @property
     def kv_occupancy(self):
@@ -654,6 +758,8 @@ class LegacyPagedScheduler(ContinuousBatchScheduler):
                 cached = alloc.match_and_lock(req.req_id, known)
                 seq.prefilled = cached
                 seq.cached_tokens = cached
+                if cached > 0:
+                    self._ledger[req.req_id] = cached
             self.running.append(seq)
             committed += need
 
@@ -687,9 +793,8 @@ class LegacyPagedScheduler(ContinuousBatchScheduler):
         return victim
 
     def _grow_for_decode(self, seq, plan, evicted_ids):
-        alloc = self.allocator
         rid = seq.request.req_id
-        while not alloc.ensure(rid, seq.context_tokens + 1):
+        while not self._ensure_tokens(rid, seq.context_tokens + 1):
             victim = self._pick_victim(plan)
             if victim is None:
                 return False
@@ -710,7 +815,7 @@ class LegacyPagedScheduler(ContinuousBatchScheduler):
         target = kv + chunk
         if chunk == seq.prefill_remaining and chunk + 1 <= avail:
             target += 1
-        if not alloc.ensure(rid, target):
+        if not self._ensure_tokens(rid, target):
             return 0
         return chunk
 
@@ -843,6 +948,8 @@ def _scheduler_state(sched):
                      s.first_token_s) for s in sched.running],
         "reserved_tokens": sched.reserved_tokens,
         "kv_occupancy": sched.kv_occupancy,
+        "kv_fragmentation": sched.kv_fragmentation,
+        "kv_pressure": sched.kv_pressure,
         "peak_kv_occupancy": sched.peak_kv_occupancy,
         "peak_seqs": sched.peak_seqs,
         "n_preemptions": sched.n_preemptions,
@@ -851,7 +958,6 @@ def _scheduler_state(sched):
     if alloc is not None:
         owners = set(alloc._held) | set(getattr(alloc, "_shared", ()))
         state.update(holds={o: alloc.holds(o) for o in owners},
-                     used_tokens=dict(alloc._used_tokens),
                      free_blocks=alloc.free_blocks,
                      stats=alloc.stats())
         if sched.prefix_caching:
@@ -877,6 +983,13 @@ def _assert_incremental_state(sched):
             for s, h in zip(running, holds))
         assert [s.kv_slots for s in running] == [
             h * alloc.block_tokens for h in holds]
+        queued = sum(alloc.blocks_for_tokens(s.prefill_target + 1)
+                     for s in sched.preempted)
+        queued += sum(alloc.blocks_for_tokens(r.prompt_tokens + 1)
+                      for r in sched.waiting)
+    else:
+        queued = sum(r.total_tokens for r in sched.waiting)
+    assert sched._queued_demand == queued
 
 
 def _run_lockstep(config, budget, trace, budgets):

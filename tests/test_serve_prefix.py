@@ -316,17 +316,21 @@ class TestPrefixCachingAllocator:
         alloc.check_conservation()
 
     def test_stats_fragmentation_stays_in_bounds(self):
-        alloc = self._alloc()
-        ids = _ids(range(16))
-        alloc.match_and_lock(1, ids)
-        alloc.ensure(1, 16)
-        alloc.release(1, token_ids=ids)
-        for owner in (2, 3):
-            alloc.match_and_lock(owner, _ids(range(16), [owner]))
-            alloc.ensure(owner, 17)
-        stats = alloc.stats()
-        assert 0.0 <= stats.fragmentation <= 1.0
-        assert stats.used_blocks == 4 + 2              # shared once + tails
+        """Two sequences lock one cached 4-block prefix and each holds
+        one private block: 6 blocks (24 slots) back the 16 shared tokens
+        once plus 2 private tokens each, so the scheduler's
+        fragmentation counts the shared blocks once."""
+        sched = _prefix_sched(total_tokens=128, block_tokens=4)
+        sched.submit(_req(0, _ids(range(16)), output=1))
+        sched.complete(sched.schedule(), 0.0)  # commits 4 blocks
+        for owner in (1, 2):
+            sched.submit(_req(owner, _ids(range(16), [owner]), output=4))
+        sched.complete(sched.schedule(1.0), 1.0)
+        alloc = sched.allocator
+        assert [s.context_tokens for s in sched.running] == [18, 18]
+        assert [alloc.shared_blocks(o) for o in (1, 2)] == [4, 4]
+        assert alloc.stats().used_blocks == 4 + 2      # shared once + tails
+        assert sched.kv_fragmentation == 1 - 20 / 24
 
 
 class TestSchedulerIntegration:
@@ -1009,12 +1013,17 @@ class TestEachBlockOnce:
 
     def test_release_raises_when_commits_exceed_private_blocks(self):
         """Blocks committed past the lock were each one of the owner's
-        private blocks; more of them is an accounting bug, and the
-        check holds without sanitize mode."""
+        private blocks; a commit that moves more of them is an
+        accounting bug, and the check holds without sanitize mode."""
         alloc = PrefixCachingAllocator(total_blocks=32, block_tokens=4)
         ids = _ids(range(12))
         assert alloc.ensure(1, 12)
-        alloc._held[1] -= 1                            # lose a block
-        alloc._used_blocks -= 1
-        with pytest.raises(SanitizeError, match="holds only 2 private"):
+        insert = alloc.cache.insert
+
+        def one_dup_too_many(*args):
+            created, dups = insert(*args)
+            return created, dups + 1
+
+        alloc.cache.insert = one_dup_too_many
+        with pytest.raises(SanitizeError, match="holds only 3 private"):
             alloc.release(1, token_ids=ids)

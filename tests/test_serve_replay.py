@@ -127,7 +127,7 @@ def _allocator_state(sched):
     if alloc is None:
         return sched.reserved_tokens
     state = {"stats": alloc.stats(), "held": dict(alloc._held),
-             "used_tokens": dict(alloc._used_tokens)}
+             "kv_fragmentation": sched.kv_fragmentation}
     if sched.prefix_caching:
         state.update(prefix=alloc.prefix_stats(),
                      tree=_tree(alloc.cache._root, alloc.block_tokens))
@@ -299,6 +299,53 @@ class TestReplayBounds:
         assert (report.event_stats.n_events
                 == iterations + report.event_stats.n_arrivals)
         assert sum(rep.n_wakeups for rep in replicas) < iterations
+
+
+class StepByStepConstantCostModel(ConstantCostModel):
+    """The constant-cost stub with replay off."""
+
+    def repeat_room(self, plan):
+        return 0
+
+
+class TestReplayGuard:
+    """``repeat_room`` allows no replay while requests are queued, and
+    a fleet depends on it: a run in flight reports its blocks to the
+    router but not the queued demand, so a replay past queued requests
+    would change ``least-kv`` routing."""
+
+    def _observe(self, cost_model):
+        config = SchedulerConfig(admission="paged", block_tokens=4,
+                                 watermark_frac=0.0)
+        # Replica 1's 64-token pool cannot hold the two long requests,
+        # so both land on replica 0, where the second waits for the
+        # first's blocks; the short ones go by pressure.
+        replicas = [Replica(i, ContinuousBatchScheduler(
+            KVBudget(capacity_bytes=float(tokens), bytes_per_token=1.0),
+            config=config), cost_model)
+            for i, tokens in enumerate((400, 64))]
+        trace = [Request(req_id=0, arrival_s=0.0, prompt_tokens=200,
+                         output_tokens=150),
+                 Request(req_id=1, arrival_s=0.0005, prompt_tokens=200,
+                         output_tokens=20)]
+        trace += [Request(req_id=2 + i, arrival_s=0.002 + 0.003 * i,
+                          prompt_tokens=4, output_tokens=30)
+                  for i in range(12)]
+        report = FleetSimulator(replicas, config=FleetConfig(
+            policy="least-kv")).run(trace)
+        return report.records, report.metrics(), report.assignments
+
+    def test_queued_requests_keep_runs_from_replaying(self):
+        replayed = self._observe(ConstantCostModel())
+        stepped = self._observe(StepByStepConstantCostModel())
+        assert replayed == stepped
+        records, _, assignments = stepped
+        # Request 1 sat queued behind a full pool through request 0's
+        # decodes, while short requests were routed to both replicas.
+        (queued,) = [r.queued_s for r in records if r.req_id == 1]
+        assert queued > 0.1
+        short = [assignments[i] for i in range(2, 14)]
+        assert short.count(0) >= 3 and short.count(1) >= 3
 
 
 class TestRepeatRoom:
