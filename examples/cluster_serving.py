@@ -28,6 +28,7 @@ from repro.cluster.fleet import SLO
 from repro.core.engine import ComputeEngine
 from repro.gpu.spec import RTX4090
 from repro.llm.config import llama_7b
+from repro.serve.scheduler import hbm_walk
 
 #: Shared workload: 96 requests offered at 24 req/s, ~1024-token
 #: prompts and ~96-token outputs — prompt-heavy traffic that stresses
@@ -44,7 +45,7 @@ def main():
     spec, config = RTX4090, llama_7b()
     engine = ComputeEngine(spec)
 
-    weights_gb = 2.0 * config.param_count / 1e9
+    weights_gb = hbm_walk(config, spec).weights / 1e9
     print(f"{config.name} on {spec.name} fleets "
           f"({spec.dram_gb:.0f} GB/GPU, ~{weights_gb:.1f} GB FP16 "
           f"weights resident per replica)")

@@ -29,9 +29,9 @@ from repro.bench.serving import (
     SERVING_MODES,
     TRACE_KINDS,
     make_cost_model,
+    make_kv_budget,
     make_trace,
     mode_cost_kwargs,
-    mode_kv_scheme,
 )
 from repro.cluster.costs import ShardedStepCostModel
 from repro.cluster.fleet import (
@@ -68,23 +68,10 @@ def replica_kv_budget(
     mode: str,
     spec: GPUSpec,
     tp_degree: int = 1,
-    link: LinkSpec = NVLINK3,
-    reserve_fraction: float = 0.1,
 ) -> KVBudget:
-    """Per-replica KV budget at equal per-GPU HBM.
-
-    Capacity comes from the spec's DRAM minus the per-GPU weight shard
-    and a reserve margin; the mode sets bytes-per-token (and, for VQ,
-    the replicated-codebook overhead).
-    """
-    scheme = mode_kv_scheme(mode)
-    if tp_degree == 1:
-        return KVBudget.for_gpu(config, spec,
-                                reserve_fraction=reserve_fraction, **scheme)
-    plan = TensorParallelPlan(config, tp_degree, link)
-    capacity = KVBudget.gpu_kv_capacity(spec, plan.weight_bytes_per_gpu(),
-                                        reserve_fraction)
-    return plan.kv_budget(capacity, **scheme)
+    """Per-GPU KV budget of one ``tp_degree``-GPU replica at equal
+    per-GPU HBM: the spec-derived :func:`make_kv_budget`."""
+    return make_kv_budget(config, mode, spec=spec, tp_degree=tp_degree)
 
 
 def make_replicas(
@@ -97,7 +84,6 @@ def make_replicas(
     link: LinkSpec = NVLINK3,
     token_budget: int = 2048,
     max_seqs: int = 128,
-    reserve_fraction: float = 0.1,
     admission: str = "reserve",
     block_tokens: int = 16,
     prefix_caching: bool = False,
@@ -118,8 +104,7 @@ def make_replicas(
     """
     config = config or llama_7b()
     engine = engine or ComputeEngine(spec)
-    budget = replica_kv_budget(config, mode, spec, tp_degree, link,
-                               reserve_fraction)
+    budget = replica_kv_budget(config, mode, spec, tp_degree)
     if tp_degree == 1:
         cost = make_cost_model(engine, config, mode)
     else:

@@ -2,8 +2,8 @@
 
 This wires the kernel-level reproduction into :mod:`repro.serve`: the
 serving modes are simulated under continuous batching with a *fixed*
-HBM allowance for the KV cache.  :func:`mode_cost_kwargs` is the one
-map from a mode name to its quantized operands; the Fig. 17 ledger
+HBM allowance for the KV cache.  :data:`MODE_FORMATS` is the one map
+from a mode name to its weight and KV formats; the Fig. 17 ledger
 (:mod:`repro.bench.e2e`) prices the same :data:`MODES` through
 :func:`make_cost_model`.  Compression changes two things at once:
 
@@ -55,17 +55,23 @@ from repro.serve.simulator import ServingReport
 from repro.vq.algorithms import make_config
 
 
-#: Full-stack serving modes (Fig. 17): weights and KV cache quantized
-#: alike, with the VQ algorithms the two VQ modes map to.
-MODES = ("fp16", "qserve", "vq4", "vq2")
-_VQ_WEIGHT_ALGO = {"vq4": "quip#-4", "vq2": "gptvq-2"}
-_VQ_KV_ALGO = {"vq4": "cq-4", "vq2": "cq-2"}
-
-#: KV-only serving modes: FP16 weights, CQ-compressed KV cache.
-KV_ONLY_MODES = {"kv-cq-4": "cq-4", "kv-cq-2": "cq-2"}
+#: Every serving mode's (weight format, KV-cache format): ``None`` is
+#: FP16, an int is element-wise INT-``n`` (qServe), and a name is a VQ
+#: algorithm (:func:`repro.vq.algorithms.make_config`).
+MODE_FORMATS = {
+    "fp16": (None, None),
+    "qserve": (4, 4),
+    "vq4": ("quip#-4", "cq-4"),
+    "vq2": ("gptvq-2", "cq-2"),
+    "kv-cq-4": (None, "cq-4"),
+    "kv-cq-2": (None, "cq-2"),
+}
 
 #: All serving modes this experiment understands.
-SERVING_MODES = tuple(MODES) + tuple(KV_ONLY_MODES)
+SERVING_MODES = tuple(MODE_FORMATS)
+
+#: Full-stack serving modes (Fig. 17): weights and KV quantized alike.
+MODES = ("fp16", "qserve", "vq4", "vq2")
 
 #: Arrival processes :func:`make_trace` understands.  The session-aware
 #: kinds (``shared_prefix``, ``chat``) synthesize token ids, so they
@@ -73,37 +79,44 @@ SERVING_MODES = tuple(MODES) + tuple(KV_ONLY_MODES)
 TRACE_KINDS = ("poisson", "bursty", "shared_prefix", "chat")
 
 
-def mode_kv_scheme(mode: str) -> dict:
-    """The ``vq=`` / ``bits=`` KV-cache scheme of one serving mode."""
-    if mode == "fp16":
+def _mode_formats(mode: str) -> tuple:
+    if mode not in MODE_FORMATS:
+        raise ValueError(f"unknown mode {mode!r}; "
+                         f"expected one of {SERVING_MODES}")
+    return MODE_FORMATS[mode]
+
+
+def _format_kwargs(fmt, bits_key: str, vq_key: str, resolve) -> dict:
+    """A format as ``{bits_key: n}``, ``{vq_key: resolve(name)}`` or ``{}``."""
+    if fmt is None:
         return {}
-    if mode == "qserve":
-        return {"bits": 4}
-    if mode in KV_ONLY_MODES:
-        return {"vq": make_config(KV_ONLY_MODES[mode])}
-    if mode in _VQ_KV_ALGO:
-        return {"vq": make_config(_VQ_KV_ALGO[mode])}
-    raise ValueError(f"unknown mode {mode!r}; "
-                     f"expected one of {SERVING_MODES}")
+    if isinstance(fmt, int):
+        return {bits_key: fmt}
+    return {vq_key: resolve(fmt)}
 
 
 def make_kv_budget(config: LlamaConfig, mode: str,
                    capacity_bytes: Optional[float] = None,
-                   spec: Optional[GPUSpec] = None) -> KVBudget:
+                   spec: Optional[GPUSpec] = None,
+                   tp_degree: int = 1) -> KVBudget:
     """KV budget for one serving mode.
 
-    With ``capacity_bytes`` the allowance is explicit (the PR-1
-    behaviour); with ``spec`` instead, the budget derives from the
-    chip's ``dram_bytes`` minus FP16 weights and a reserve margin
-    (:meth:`~repro.serve.scheduler.KVBudget.for_gpu`), so callers no
-    longer thread ad-hoc byte counts.
+    With ``capacity_bytes`` the allowance is explicit; with ``spec``
+    it is one GPU's share of a ``tp_degree``-GPU replica after the
+    reserve, the mode's own weights and the codebooks
+    (:meth:`~repro.serve.scheduler.KVBudget.for_gpu`).
     """
-    scheme = mode_kv_scheme(mode)
+    weights, kv = _mode_formats(mode)
+    kv_scheme = _format_kwargs(kv, "bits", "vq", make_config)
     if capacity_bytes is not None:
-        return KVBudget.for_model(config, capacity_bytes, **scheme)
+        if tp_degree != 1:
+            raise ValueError("tp_degree applies to a spec-derived budget")
+        return KVBudget.for_model(config, capacity_bytes, **kv_scheme)
     if spec is None:
         raise ValueError("pass capacity_bytes or a GPUSpec")
-    return KVBudget.for_gpu(config, spec, **scheme)
+    return KVBudget.for_gpu(config, spec, tp_degree=tp_degree, **kv_scheme,
+                            **_format_kwargs(weights, "weight_bits",
+                                             "weight_vq", make_config))
 
 
 def make_trace(
@@ -159,17 +172,10 @@ def mode_cost_kwargs(mode: str) -> dict:
     (:mod:`repro.bench.cluster`), which passes the same operands to
     :class:`~repro.cluster.costs.ShardedStepCostModel`.
     """
-    if mode not in SERVING_MODES:
-        raise ValueError(f"unknown mode {mode!r}; "
-                         f"expected one of {SERVING_MODES}")
-    if mode == "fp16":
-        return {}
-    if mode == "qserve":
-        return {"weight_bits": 4, "kv_bits": 4}
-    if mode in KV_ONLY_MODES:
-        return {"kv_qt": attention_sample(KV_ONLY_MODES[mode])}
-    return {"weight_qt": weight_sample(_VQ_WEIGHT_ALGO[mode]),
-            "kv_qt": attention_sample(_VQ_KV_ALGO[mode])}
+    weights, kv = _mode_formats(mode)
+    return {**_format_kwargs(weights, "weight_bits", "weight_qt",
+                             weight_sample),
+            **_format_kwargs(kv, "kv_bits", "kv_qt", attention_sample)}
 
 
 def make_cost_model(engine: ComputeEngine, config: LlamaConfig, mode: str,
@@ -203,8 +209,8 @@ def simulate_mode(
     """Simulate one serving mode on an open-loop trace.
 
     ``kv_hbm_gb=None`` derives the KV allowance from the GPU spec's
-    DRAM capacity (minus FP16 weights and a reserve margin) instead of
-    a fixed byte count.  ``admission`` selects worst-case reservations
+    DRAM capacity (minus the mode's own weights and a reserve) instead
+    of a fixed byte count.  ``admission`` selects worst-case reservations
     (``"reserve"``) or paged block allocation with recompute preemption
     (``"paged"``, pool carved into ``block_tokens``-token blocks).
     ``prefix_caching=True`` (paged only) shares KV blocks across
@@ -249,7 +255,8 @@ def serving_comparison(
     reports: Optional[dict] = None,
     **kwargs,
 ) -> ExperimentResult:
-    """Compare serving modes at an equal KV-cache HBM budget.
+    """Compare serving modes at equal HBM: one explicit KV budget, or
+    (``kv_hbm_gb=None``) one GPU shared with each mode's own weights.
 
     Extra keyword arguments go to :func:`simulate_mode`; every mode
     shares one engine (and thus one latency memo) and the same trace.
@@ -261,7 +268,7 @@ def serving_comparison(
     result = ExperimentResult(
         experiment_id="serving",
         title=f"Continuous-batching serving on {spec.name} "
-              f"({config.name}, equal KV HBM budget)",
+              f"({config.name}, equal HBM budget)",
         columns=("mode", "req/s", "tok/s", "ttft_p50_ms", "tpot_p50_ms",
                  "latency_p99_s", "peak_seqs"),
     )
@@ -279,7 +286,7 @@ def serving_comparison(
             if mode != "fp16":
                 result.notes.append(
                     f"{mode} sustains {rep.throughput_rps / base:.2f}x "
-                    f"the FP16 request throughput at equal KV memory")
+                    f"the FP16 request throughput at equal HBM")
     return result
 
 
@@ -292,7 +299,7 @@ def admission_comparison(
     reports: Optional[dict] = None,
     **kwargs,
 ) -> ExperimentResult:
-    """Reserve vs paged admission per compression mode, equal KV HBM.
+    """Reserve vs paged admission per compression mode, equal HBM.
 
     The comparison the paging subsystem exists for: worst-case
     reservations leave the cache *admission-bound* (peak occupancy well
@@ -310,7 +317,7 @@ def admission_comparison(
     result = ExperimentResult(
         experiment_id="serving_admission",
         title=f"Reserve vs paged KV admission on {spec.name} "
-              f"({config.name}, equal KV HBM budget)",
+              f"({config.name}, equal HBM budget)",
         columns=("mode", "admission", "req/s", "ttft_p50_ms",
                  "peak_seqs", "peak_kv_occ", "preemptions"),
     )
@@ -359,7 +366,7 @@ def prefix_comparison(
     result = ExperimentResult(
         experiment_id="serving_prefix",
         title=f"Prefix caching on {spec.name} ({config.name}, "
-              f"{trace_kind} trace, equal KV HBM budget)",
+              f"{trace_kind} trace, equal HBM budget)",
         columns=("mode", "prefix", "req/s", "ttft_p50_ms", "hit_rate",
                  "cached_frac", "evicted"),
     )
@@ -444,7 +451,7 @@ def run(argv: Optional[Sequence[str]] = None,
     parser.add_argument("--kv-gb", type=float, default=None,
                         help="KV-cache HBM allowance in GB (default: "
                              "derive from the GPU's DRAM capacity minus "
-                             "FP16 weights)")
+                             "the mode's own weights)")
     parser.add_argument("--token-budget", type=int, default=2048,
                         help="max tokens per scheduler iteration")
     parser.add_argument("--max-seqs", type=int, default=64,

@@ -26,8 +26,8 @@ Two VQ-specific notes the cluster layer must get right:
   per-token KV footprint by ``tp_degree``, but CQ's per-channel-group
   codebooks are *replicated* on every shard (each GPU must decode its
   own slice, and group boundaries do not align with shard boundaries in
-  general), so the codebook-cache pressure — the resident-overhead term
-  of :class:`~repro.serve.scheduler.KVBudget` — stays per-GPU.
+  general), so the codebook-cache pressure stays per-GPU, as
+  :func:`repro.serve.scheduler.hbm_walk` charges it.
 - FLOPs are exactly conserved: every sharded GEMM divides one free
   dimension by ``tp_degree`` and attention divides heads, so per-shard
   work times ``tp_degree`` equals the unsharded work (tested).
@@ -36,13 +36,10 @@ Two VQ-specific notes the cluster layer must get right:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional
 
 from repro.kernels.attention import AttentionShape
 from repro.kernels.gemm import GemmShape
 from repro.llm.config import LlamaConfig
-from repro.serve.scheduler import KVBudget, kv_bytes_per_token, kv_codebook_bytes
-from repro.vq.config import VQConfig
 
 from repro.cluster.interconnect import (
     LinkSpec,
@@ -151,35 +148,3 @@ class TensorParallelPlan:
         :meth:`repro.serve.costs.StepCostModel.first_token_us`).
         """
         return self.allgather_us(batch * self.config.vocab * _FP16)
-
-    # -- memory accounting ---------------------------------------------
-    def weight_bytes_per_gpu(self) -> float:
-        """FP16 model weights resident on one shard.
-
-        Projection and MLP weights divide by ``tp_degree``; embeddings
-        and norms are small enough that we keep them replicated (an
-        upper bound on the real per-shard footprint).
-        """
-        cfg, tp = self.config, self.tp_degree
-        per_layer = (4 * cfg.hidden * cfg.hidden
-                     + 3 * cfg.hidden * cfg.intermediate)
-        sharded = cfg.n_layers * per_layer + cfg.vocab * cfg.hidden  # lm head
-        replicated = cfg.vocab * cfg.hidden + (2 * cfg.n_layers + 1) * cfg.hidden
-        return _FP16 * (sharded / tp + replicated)
-
-    def kv_budget(self, capacity_bytes_per_gpu: float,
-                  vq: Optional[VQConfig] = None,
-                  bits: Optional[int] = None) -> KVBudget:
-        """Per-GPU KV budget of one TP replica.
-
-        Head sharding divides the per-token bytes by ``tp_degree``;
-        codebooks are replicated per shard, so the VQ overhead term is
-        *not* divided.  The budget's ``max_tokens`` is then the number
-        of tokens the whole replica can hold, gated by the tightest
-        (identical) shard.
-        """
-        per_token = kv_bytes_per_token(self.config, vq, bits) / self.tp_degree
-        overhead = kv_codebook_bytes(self.config, vq) if vq is not None else 0.0
-        return KVBudget(capacity_bytes=capacity_bytes_per_gpu,
-                        bytes_per_token=per_token,
-                        overhead_bytes=overhead)

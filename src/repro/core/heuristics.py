@@ -13,7 +13,7 @@ breakdown study (Tbl. IV): GC, SC, O1, O2, O3, O4.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.cache import CacheBoundaries, plan_boundaries
@@ -127,22 +127,3 @@ def choose_knobs(
     return PlanKnobs(label="O4", placement="hierarchical",
                      boundaries=bounds, dataflow=True,
                      dataflow_adaptive=True, register_fusion=True)
-
-
-def knobs_for_all_levels(config, profile, slack: ResourceSlack,
-                         resident_books: int = 1) -> dict:
-    """Knobs for every Tbl. IV level, keyed by label."""
-    return {
-        level: choose_knobs(level, config, profile, slack,
-                            resident_books=resident_books)
-        for level in LEVELS
-    }
-
-
-def limit_register_entries(knobs: PlanKnobs, max_entries: int) -> PlanKnobs:
-    """Clamp the register-resident entry count (engine-side reservation)."""
-    if knobs.boundaries is None:
-        return knobs
-    b = knobs.boundaries
-    n_reg = min(b.n_reg, max_entries)
-    return replace(knobs, boundaries=CacheBoundaries(n_reg, b.n_shared))

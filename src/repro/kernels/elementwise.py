@@ -28,9 +28,15 @@ from repro.kernels.gemm import GEMM_TILE, GEMV_TILE, GemmShape, gemv_split_k
 from repro.vq.elementwise import ElementwiseQuantized
 
 
-def _quant_payload_bytes(n_elements: float, bits: int,
-                         group_size: int) -> float:
-    """Codes + FP16 scale and zero per group."""
+#: Elements per FP16 scale and zero: AWQ weights, QoQ KV cache.
+WEIGHT_GROUP_SIZE = 128
+KV_GROUP_SIZE = 64
+
+
+def quant_payload_bytes(n_elements: float, bits: int,
+                        group_size: int) -> float:
+    """Codes + FP16 scale and zero per group: what the kernels read and
+    what an element-wise KV cache or weight occupies."""
     return n_elements * bits / 8.0 + (n_elements / group_size) * 2 * FP16
 
 
@@ -40,7 +46,6 @@ class ElementwiseGemmKernel(KernelBase):
 
     shape: GemmShape
     bits: int = 4
-    group_size: int = 128
     a: Optional[np.ndarray] = None
     quantized: Optional[ElementwiseQuantized] = None
 
@@ -51,8 +56,8 @@ class ElementwiseGemmKernel(KernelBase):
         m_tiles = math.ceil(s.m / t.block_m)
         n_tiles = math.ceil(s.n / t.block_n)
         a_bytes = s.m * s.k * FP16 * n_tiles
-        w_bytes = _quant_payload_bytes(s.k * s.n, self.bits,
-                                       self.group_size) * m_tiles
+        w_bytes = quant_payload_bytes(s.k * s.n, self.bits,
+                                      WEIGHT_GROUP_SIZE) * m_tiles
         smem_reads = s.m * s.n * s.k * (1 / t.block_m + 1 / t.block_n) * FP16
         return PerfCounters(
             dram_bytes=a_bytes + w_bytes + s.output_bytes,
@@ -80,7 +85,6 @@ class ElementwiseGemvKernel(KernelBase):
 
     shape: GemmShape
     bits: int = 4
-    group_size: int = 128
     a: Optional[np.ndarray] = None
     quantized: Optional[ElementwiseQuantized] = None
 
@@ -90,7 +94,8 @@ class ElementwiseGemvKernel(KernelBase):
         s, t = self.shape, GEMV_TILE
         split_k = gemv_split_k(s, spec, t)
         n_blocks = math.ceil(s.n / t.block_n)
-        w_bytes = _quant_payload_bytes(s.k * s.n, self.bits, self.group_size)
+        w_bytes = quant_payload_bytes(s.k * s.n, self.bits,
+                                      WEIGHT_GROUP_SIZE)
         a_bytes = s.m * s.k * FP16 * n_blocks
         reduction = (split_k * s.m * s.n * FP32 * 2) if split_k > 1 else 0.0
         return PerfCounters(
@@ -121,7 +126,6 @@ class ElementwiseAttentionKernel(KernelBase):
 
     shape: AttentionShape
     bits: int = 4
-    group_size: int = 64
     q: Optional[np.ndarray] = None
     k_quant: Optional[ElementwiseQuantized] = None
     v_quant: Optional[ElementwiseQuantized] = None
@@ -136,7 +140,7 @@ class ElementwiseAttentionKernel(KernelBase):
             max_chunks, math.ceil(2 * spec.sm_count / bh))
         grid = bh * chunks
         n_kv = 2.0 * s.batch * s.heads * s.seq_len * s.head_dim
-        kv_bytes = _quant_payload_bytes(n_kv, self.bits, self.group_size)
+        kv_bytes = quant_payload_bytes(n_kv, self.bits, KV_GROUP_SIZE)
         q_bytes = grid * s.head_dim * FP16
         reduction = (grid * (s.head_dim + 2) * FP32 * 2) if chunks > 1 else 0.0
         smem = 2 * BLOCK_TOKENS * s.head_dim * FP16

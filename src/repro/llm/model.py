@@ -227,10 +227,6 @@ class LlamaModel:
         x = rms_norm(x, self.final_norm, cfg.norm_eps)
         return (x @ self.lm_head)[:, 0]
 
-    def greedy_next(self, logits: np.ndarray) -> np.ndarray:
-        """Greedy next-token choice from logits (B, vocab)."""
-        return np.argmax(logits, axis=-1)
-
     @staticmethod
     def _weight_getter(layer_index, layer, override):
         def get(name):

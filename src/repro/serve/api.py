@@ -110,11 +110,6 @@ class FleetConfig:
     #: disable); reported metrics are bit-identical on or off.
     timeline: Optional[TimelineConfig] = None
 
-    def with_policy(self, policy) -> "FleetConfig":
-        """This config with a different routing policy (stateful
-        policies must be fresh per run, hence the helper)."""
-        return replace(self, policy=policy)
-
     def build(self, n_replicas: int, budget, cost_model,
               name: Optional[str] = None) -> "FleetSimulator":
         """A fleet of ``n_replicas`` identical fresh replicas.

@@ -235,13 +235,6 @@ class PrefixCache:
         return self._n_referenced
 
     @property
-    def n_evictable(self) -> int:
-        """Tree blocks reclaimable (transitively: unreferenced subtrees
-        fall leaf-by-leaf, and locks are path prefixes, so every
-        unreferenced block is eventually evictable)."""
-        return self._n_blocks - self._n_referenced
-
-    @property
     def lru_heap_bound(self) -> int:
         """Most entries the LRU heap may hold before it is rebuilt."""
         return LRU_HEAP_FACTOR * self._n_nodes

@@ -35,7 +35,8 @@ stores 12.5% of FP16), minus a one-off resident-codebook overhead
 (:func:`kv_codebook_bytes`).  At an equal HBM budget a VQ cache
 therefore admits ~4-8x more concurrent sequences — and under paged
 admission it also packs ~4-8x more *blocks*, which is what the
-simulator turns into sustained-throughput numbers.
+simulator turns into sustained-throughput numbers.  A budget derived
+from a GPU is what :func:`hbm_walk` leaves after the mode's own weights.
 
 See ``docs/architecture.md`` for how the scheduler plugs into the
 simulator and cost model.
@@ -47,8 +48,11 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, List, Optional, Tuple
 
+from repro.kernels.elementwise import (KV_GROUP_SIZE, WEIGHT_GROUP_SIZE,
+                                      quant_payload_bytes)
 from repro.llm.config import LlamaConfig
-from repro.vq.config import VQConfig
+from repro.llm.model import decode_operator_shapes
+from repro.vq.config import FP16_BYTES, VQConfig
 
 from repro.obs.trace import EVT_ADMITTED, EVT_PREEMPTED, NULL_TRACER
 from repro.serve.api import SchedulerConfig
@@ -60,6 +64,10 @@ from repro.serve.sanitize import check
 #: Admission policies :class:`ContinuousBatchScheduler` understands.
 ADMISSION_POLICIES = ("reserve", "paged")
 
+#: DRAM share kept for activations, the CUDA context and fragmentation.
+HBM_RESERVE = 0.1
+
+
 def kv_bytes_per_token(config: LlamaConfig,
                        vq: Optional[VQConfig] = None,
                        bits: Optional[int] = None) -> float:
@@ -68,7 +76,8 @@ def kv_bytes_per_token(config: LlamaConfig,
     ``vq`` scales the FP16 footprint by the codes-only compression ratio
     (codebooks are accounted separately — they are shared across tokens,
     see :func:`kv_codebook_bytes`).  ``bits`` models an element-wise
-    quantized cache (e.g. qServe's INT4) at ``bits/16`` of FP16.
+    quantized cache (e.g. qServe's INT4), per-group scales included
+    (:func:`~repro.kernels.elementwise.quant_payload_bytes`).
     """
     if vq is not None and bits is not None:
         raise ValueError("vq and bits are mutually exclusive")
@@ -78,7 +87,7 @@ def kv_bytes_per_token(config: LlamaConfig,
     if bits is not None:
         if not 1 <= bits <= 16:
             raise ValueError("bits must be in [1, 16]")
-        return fp16 * bits / 16.0
+        return quant_payload_bytes(fp16 / FP16_BYTES, bits, KV_GROUP_SIZE)
     return fp16
 
 
@@ -92,6 +101,75 @@ def kv_codebook_bytes(config: LlamaConfig, vq: VQConfig) -> float:
     groups = config.hidden // vq.vector_size
     per_side = groups * vq.residuals * vq.codebook_bytes
     return float(2 * per_side * config.n_layers)
+
+
+@dataclass(frozen=True)
+class HBMWalk:
+    """One GPU's DRAM in bytes (:func:`hbm_walk`).  Past the reserve,
+    the ``weights``, ``weight_codebooks``, ``kv_codebooks`` and ``kv``
+    sum to ``dram_bytes * (1 - HBM_RESERVE)``; ``kv_capacity`` is the
+    last two, a :class:`KVBudget`'s ``capacity_bytes``."""
+
+    weights: float
+    weight_codebooks: float
+    kv_codebooks: float
+    kv_capacity: float
+
+    @property
+    def kv(self) -> float:
+        """The remainder, the KV cache itself."""
+        return self.kv_capacity - self.kv_codebooks
+
+
+def hbm_walk(config: LlamaConfig, spec,
+             weight_vq: Optional[VQConfig] = None,
+             weight_bits: Optional[int] = None,
+             kv_vq: Optional[VQConfig] = None,
+             tp_degree: int = 1) -> HBMWalk:
+    """Walk one GPU's DRAM for a ``tp_degree``-GPU replica of ``config``.
+
+    The weights of the decode GEMVs
+    (:func:`~repro.llm.model.decode_operator_shapes`) shard over the
+    GPUs, stored as FP16, ``weight_vq`` codes or ``weight_bits``-bit
+    element-wise payload; the LM head stays FP16, as in the cost model.
+    The FP16 embedding and norms and every weight and KV codebook are
+    replicated on each shard, an upper bound.  KV takes the rest.
+    """
+    if getattr(spec, "dram_bytes", 0.0) <= 0:
+        raise ValueError(
+            f"{getattr(spec, 'name', spec)!r} has no dram_bytes set; "
+            "pass an explicit capacity via for_model instead")
+    if weight_vq is not None and weight_bits is not None:
+        raise ValueError("weight_vq and weight_bits are mutually exclusive")
+    if tp_degree < 1 or config.n_heads % tp_degree:
+        raise ValueError(f"tp_degree={tp_degree} does not shard "
+                         f"{config.name}'s {config.n_heads} heads")
+    gemv = lm_head = 0  # elements
+    weight_codebooks = 0.0
+    for op in decode_operator_shapes(config, batch=1, seq_len=1):
+        if op.name == "lm_head":
+            lm_head += op.n * op.k * op.count
+        elif op.kind == "gemv":
+            gemv += op.n * op.k * op.count
+            if weight_vq is not None:
+                weight_codebooks += (
+                    op.count * weight_vq.codebook_storage_bytes(op.k, op.n))
+    if weight_vq is not None:
+        gemv_bytes = weight_vq.quantized_bytes(gemv)
+    elif weight_bits is not None:
+        gemv_bytes = quant_payload_bytes(gemv, weight_bits,
+                                         WEIGHT_GROUP_SIZE)
+    else:
+        gemv_bytes = FP16_BYTES * gemv
+    replicated = (config.vocab + 2 * config.n_layers + 1) * config.hidden
+    weights = ((gemv_bytes + FP16_BYTES * lm_head) / tp_degree
+               + FP16_BYTES * replicated)
+    return HBMWalk(
+        weights=weights, weight_codebooks=weight_codebooks,
+        kv_codebooks=(kv_codebook_bytes(config, kv_vq)
+                      if kv_vq is not None else 0.0),
+        kv_capacity=(spec.dram_bytes * (1 - HBM_RESERVE) - weights
+                     - weight_codebooks))
 
 
 @dataclass
@@ -123,46 +201,29 @@ class KVBudget:
                    bytes_per_token=kv_bytes_per_token(config, vq, bits),
                    overhead_bytes=overhead)
 
-    @staticmethod
-    def gpu_kv_capacity(spec, weight_bytes: float,
-                        reserve_fraction: float = 0.1) -> float:
-        """KV pool left on one GPU: DRAM minus margin minus weights.
-
-        Shared by :meth:`for_gpu` and the cluster layer's per-shard
-        budgets (:func:`repro.bench.cluster.replica_kv_budget`), so the
-        reserve semantics cannot drift between them.
-        """
-        if getattr(spec, "dram_bytes", 0.0) <= 0:
-            raise ValueError(
-                f"{getattr(spec, 'name', spec)!r} has no dram_bytes set; "
-                "pass an explicit capacity via for_model instead")
-        if not 0 <= reserve_fraction < 1:
-            raise ValueError("reserve_fraction must be in [0, 1)")
-        capacity = spec.dram_bytes * (1 - reserve_fraction) - weight_bytes
-        if capacity <= 0:
-            raise ValueError(
-                f"resident weights ({weight_bytes / 1e9:.1f} GB) do not "
-                f"leave KV room on {spec.name} ({spec.dram_gb:.0f} GB)")
-        return capacity
-
     @classmethod
     def for_gpu(cls, config: LlamaConfig, spec,
                 vq: Optional[VQConfig] = None,
                 bits: Optional[int] = None,
-                weight_bytes: Optional[float] = None,
-                reserve_fraction: float = 0.1) -> "KVBudget":
-        """Budget derived from a :class:`~repro.gpu.spec.GPUSpec`.
-
-        The KV pool is what remains of the chip's ``dram_bytes`` after
-        a ``reserve_fraction`` margin (activations, CUDA context,
-        fragmentation) and the resident model weights — FP16 weights
-        (``2 * param_count``) unless ``weight_bytes`` overrides, e.g.
-        for quantized weights or a tensor-parallel shard.
-        """
-        if weight_bytes is None:
-            weight_bytes = 2.0 * config.param_count
-        capacity = cls.gpu_kv_capacity(spec, weight_bytes, reserve_fraction)
-        return cls.for_model(config, capacity, vq=vq, bits=bits)
+                weight_vq: Optional[VQConfig] = None,
+                weight_bits: Optional[int] = None,
+                tp_degree: int = 1) -> "KVBudget":
+        """Per-GPU budget of a ``tp_degree``-GPU replica on a
+        :class:`~repro.gpu.spec.GPUSpec`: the KV capacity of
+        :func:`hbm_walk`.  Heads shard the per-token bytes but not the
+        KV codebooks, so ``max_tokens`` counts the whole replica."""
+        walk = hbm_walk(config, spec, weight_vq=weight_vq,
+                        weight_bits=weight_bits, kv_vq=vq,
+                        tp_degree=tp_degree)
+        if walk.kv <= 0:
+            raise ValueError(
+                f"{config.name} weights ({walk.weights / 1e9:.1f} GB "
+                f"per GPU at TP {tp_degree}) leave no KV room on "
+                f"{spec.name} ({spec.dram_gb:.0f} GB)")
+        return cls(capacity_bytes=walk.kv_capacity,
+                   bytes_per_token=(kv_bytes_per_token(config, vq, bits)
+                                    / tp_degree),
+                   overhead_bytes=walk.kv_codebooks)
 
     @property
     def max_tokens(self) -> int:

@@ -124,6 +124,18 @@ class VQConfig:
         n_codes = n_elements / self.vector_size
         return n_codes * self.residuals * self.index_bits / 8.0
 
+    def codebook_storage_bytes(self, rows: int, cols: int) -> int:
+        """Storage for the codebooks of one ``(rows, cols)`` tensor: one
+        per residual level per scope group of
+        :meth:`repro.vq.quantizer.VectorQuantizer.group_map`."""
+        tile_r, tile_c = self.tile_shape
+        groups = 1
+        if self.scope == "channel_group":
+            groups = self.codes_per_row(cols)
+        elif self.scope == "tile":
+            groups = -(-rows // tile_r) * -(-cols // tile_c)
+        return groups * self.residuals * self.codebook_bytes
+
     def spec_string(self) -> str:
         """Render as the paper's VQ<x,y,z> notation."""
         return f"VQ<{self.vector_size},{self.index_bits},{self.residuals}>"

@@ -18,6 +18,49 @@ from repro.gpu.spec import A40, RTX4090
 from repro.llm.config import llama_7b, llama_65b
 
 
+#: ``replica_kv_budget`` of Llama-7B for the FP16-weight modes:
+#: (GPU, mode, TP degree) -> (capacity_bytes, bytes_per_token,
+#: overhead_bytes, max_tokens).
+_FP16_WEIGHT_BUDGETS = {
+    ("rtx4090", "fp16", 1): (8123168768.0, 524288.0, 0.0, 15493),
+    ("rtx4090", "fp16", 2): (14730246144.0, 262144.0, 0.0, 56191),
+    ("rtx4090", "fp16", 4): (18033784832.0, 131072.0, 0.0, 137586),
+    ("rtx4090", "fp16", 8): (19685554176.0, 65536.0, 0.0, 300377),
+    ("rtx4090", "kv-cq-4", 1): (8123168768.0, 131072.0, 134217728.0, 60950),
+    ("rtx4090", "kv-cq-4", 2): (14730246144.0, 65536.0, 134217728.0, 222717),
+    ("rtx4090", "kv-cq-4", 4): (18033784832.0, 32768.0, 134217728.0, 546251),
+    ("rtx4090", "kv-cq-4", 8): (19685554176.0, 16384.0, 134217728.0, 1193318),
+    ("rtx4090", "kv-cq-2", 1): (8123168768.0, 65536.0, 134217728.0, 121901),
+    ("rtx4090", "kv-cq-2", 2): (14730246144.0, 32768.0, 134217728.0, 445435),
+    ("rtx4090", "kv-cq-2", 4): (18033784832.0, 16384.0, 134217728.0, 1092502),
+    ("rtx4090", "kv-cq-2", 8): (19685554176.0, 8192.0, 134217728.0, 2386637),
+    ("a40", "fp16", 1): (29723168768.0, 524288.0, 0.0, 56692),
+    ("a40", "fp16", 2): (36330246144.0, 262144.0, 0.0, 138588),
+    ("a40", "fp16", 4): (39633784832.0, 131072.0, 0.0, 302381),
+    ("a40", "fp16", 8): (41285554176.0, 65536.0, 0.0, 629967),
+    ("a40", "kv-cq-4", 1): (29723168768.0, 131072.0, 134217728.0, 225745),
+    ("a40", "kv-cq-4", 2): (36330246144.0, 65536.0, 134217728.0, 552307),
+    ("a40", "kv-cq-4", 4): (39633784832.0, 32768.0, 134217728.0, 1205431),
+    ("a40", "kv-cq-4", 8): (41285554176.0, 16384.0, 134217728.0, 2511678),
+    ("a40", "kv-cq-2", 1): (29723168768.0, 65536.0, 134217728.0, 451491),
+    ("a40", "kv-cq-2", 2): (36330246144.0, 32768.0, 134217728.0, 1104615),
+    ("a40", "kv-cq-2", 4): (39633784832.0, 16384.0, 134217728.0, 2410862),
+    ("a40", "kv-cq-2", 8): (41285554176.0, 8192.0, 134217728.0, 5023356),
+    ("a100", "fp16", 1): (58523168768.0, 524288.0, 0.0, 111624),
+    ("a100", "fp16", 2): (65130246144.0, 262144.0, 0.0, 248452),
+    ("a100", "fp16", 4): (68433784832.0, 131072.0, 0.0, 522108),
+    ("a100", "fp16", 8): (70085554176.0, 65536.0, 0.0, 1069420),
+    ("a100", "kv-cq-4", 1): (58523168768.0, 131072.0, 134217728.0, 445472),
+    ("a100", "kv-cq-4", 2): (65130246144.0, 65536.0, 134217728.0, 991760),
+    ("a100", "kv-cq-4", 4): (68433784832.0, 32768.0, 134217728.0, 2084337),
+    ("a100", "kv-cq-4", 8): (70085554176.0, 16384.0, 134217728.0, 4269490),
+    ("a100", "kv-cq-2", 1): (58523168768.0, 65536.0, 134217728.0, 890944),
+    ("a100", "kv-cq-2", 2): (65130246144.0, 32768.0, 134217728.0, 1983521),
+    ("a100", "kv-cq-2", 4): (68433784832.0, 16384.0, 134217728.0, 4168674),
+    ("a100", "kv-cq-2", 8): (70085554176.0, 8192.0, 134217728.0, 8538981),
+}
+
+
 class TestHarness:
     def test_add_row_validates_width(self):
         r = ExperimentResult("x", "t", columns=("a", "b"))
@@ -285,9 +328,11 @@ class TestServingBench:
         cfg = llama_7b()
         vq4 = make_kv_budget(cfg, "vq4", 4e9)
         qserve = make_kv_budget(cfg, "qserve", 4e9)
-        # CQ-4 codes and INT4 both store 25% of FP16; only the VQ mode
-        # additionally pays resident codebooks.
-        assert vq4.bytes_per_token == pytest.approx(qserve.bytes_per_token)
+        # CQ-4 codes and INT4 both store 25% of FP16.  INT4 adds an FP16
+        # scale and zero per 64 elements (1/8 more); the VQ mode instead
+        # pays resident codebooks once.
+        assert qserve.bytes_per_token == pytest.approx(
+            vq4.bytes_per_token * 1.125)
         assert vq4.overhead_bytes > 0 and qserve.overhead_bytes == 0
 
     def test_unknown_mode_rejected(self):
@@ -305,6 +350,58 @@ class TestServingBench:
         assert derived.capacity_bytes > explicit.capacity_bytes  # ~8 GB
         with pytest.raises(ValueError):  # neither capacity nor spec
             make_kv_budget(cfg, "fp16")
+        with pytest.raises(ValueError):  # TP shards a derived budget
+            make_kv_budget(cfg, "fp16", 4e9, tp_degree=2)
+
+    def test_derived_budgets_charge_each_modes_weights(self):
+        """Quantized weights leave more than twice FP16's KV capacity on
+        an RTX 4090; KV-only modes keep FP16 weights, so FP16's."""
+        from repro.bench.serving import make_kv_budget
+        cfg = llama_7b()
+        fp16 = make_kv_budget(cfg, "fp16", spec=RTX4090).capacity_bytes
+        for mode in ("vq4", "vq2", "qserve"):
+            assert (make_kv_budget(cfg, mode, spec=RTX4090).capacity_bytes
+                    > 2 * fp16)
+        for mode in ("kv-cq-4", "kv-cq-2"):
+            assert (make_kv_budget(cfg, mode, spec=RTX4090).capacity_bytes
+                    == fp16)
+
+    @pytest.mark.parametrize("model", [llama_7b, llama_65b])
+    def test_walk_fills_usable_dram(self, model):
+        """For every mode, preset and TP degree, the walk's terms sum to
+        the DRAM past the reserve, and the mode's derived budget is the
+        walk's KV: built where the KV has room, refused where not."""
+        from repro.bench.serving import MODE_FORMATS, make_kv_budget
+        from repro.gpu.spec import PRESETS
+        from repro.serve.scheduler import HBM_RESERVE, hbm_walk
+        from repro.vq.algorithms import make_config
+        cfg = model()
+        fits = 0
+        for mode, (weights, kv) in MODE_FORMATS.items():
+            formats = dict(
+                weight_vq=(make_config(weights)
+                           if isinstance(weights, str) else None),
+                weight_bits=weights if isinstance(weights, int) else None,
+                kv_vq=make_config(kv) if isinstance(kv, str) else None)
+            for spec in PRESETS.values():
+                for tp in (1, 2, 4, 8):
+                    walk = hbm_walk(cfg, spec, tp_degree=tp, **formats)
+                    assert (walk.weights + walk.weight_codebooks
+                            + walk.kv_codebooks + walk.kv
+                            == pytest.approx(
+                                spec.dram_bytes * (1 - HBM_RESERVE),
+                                rel=1e-12))
+                    if walk.kv <= 0:
+                        with pytest.raises(ValueError):
+                            make_kv_budget(cfg, mode, spec=spec,
+                                           tp_degree=tp)
+                        continue
+                    fits += 1
+                    budget = make_kv_budget(cfg, mode, spec=spec,
+                                            tp_degree=tp)
+                    assert budget.capacity_bytes == walk.kv_capacity
+                    assert budget.overhead_bytes == walk.kv_codebooks
+        assert fits > 0
 
     def test_make_trace_kinds(self):
         from repro.bench.serving import make_trace
@@ -388,6 +485,30 @@ class TestClusterBench:
         cq4 = replica_kv_budget(cfg, "kv-cq-4", RTX4090)
         assert fp16.capacity_bytes == pytest.approx(cq4.capacity_bytes)
         assert cq4.max_tokens > 3.5 * fp16.max_tokens
+
+    def test_replica_kv_budget_pins_fp16_and_kv_only_modes(self):
+        """The modes with FP16 weights keep these exact budgets: the HBM
+        walk may move only the budgets of weight-quantized modes."""
+        from repro.bench.cluster import replica_kv_budget
+        from repro.gpu.spec import get_spec
+        cfg = llama_7b()
+        for (gpu, mode, tp), pinned in _FP16_WEIGHT_BUDGETS.items():
+            budget = replica_kv_budget(cfg, mode, get_spec(gpu),
+                                       tp_degree=tp)
+            assert (budget.capacity_bytes, budget.bytes_per_token,
+                    budget.overhead_bytes, budget.max_tokens) == pinned
+
+    def test_quantized_weights_fit_one_gpu(self):
+        """Llama-65B in QuiP#-4 fits one A40 with ~9.8 GB of KV; its
+        130.6 GB of FP16 weights do not, even over two GPUs."""
+        from repro.bench.cluster import replica_kv_budget
+        cfg = llama_65b()
+        vq4 = replica_kv_budget(cfg, "vq4", A40)
+        assert vq4.capacity_bytes == pytest.approx(9.77e9, rel=1e-3)
+        assert vq4.max_tokens > 10_000
+        for tp in (1, 2):
+            with pytest.raises(ValueError):
+                replica_kv_budget(cfg, "fp16", A40, tp_degree=tp)
 
     def test_tp_replicas_gain_kv_headroom(self):
         """Sharding frees weight memory and splits KV bytes, so a TP-2

@@ -12,7 +12,7 @@ from repro.kernels.gemm import GemmShape
 from repro.llm.config import llama_7b, tiny_llama
 from repro.llm.model import decode_operator_shapes
 from repro.serve.costs import StepCostModel
-from repro.serve.scheduler import KVBudget, kv_codebook_bytes
+from repro.serve.scheduler import KVBudget, hbm_walk, kv_codebook_bytes
 from repro.vq.algorithms import make_config
 
 
@@ -120,10 +120,9 @@ class TestKVBudgetSharding:
     def test_kv_bytes_shard_but_codebooks_replicate(self):
         cfg = llama_7b()
         vq = make_config("cq-4")
-        single = KVBudget.for_model(cfg, 8e9, vq=vq)
+        single = KVBudget.for_gpu(cfg, RTX4090, vq=vq)
         for tp in (2, 4):
-            plan = TensorParallelPlan(cfg, tp)
-            shard = plan.kv_budget(8e9, vq=vq)
+            shard = KVBudget.for_gpu(cfg, RTX4090, vq=vq, tp_degree=tp)
             assert shard.bytes_per_token == pytest.approx(
                 single.bytes_per_token / tp)
             # Replicated codebooks: the per-GPU overhead does not shrink.
@@ -132,12 +131,23 @@ class TestKVBudgetSharding:
 
     def test_weight_bytes_shrink_with_degree(self):
         cfg = llama_7b()
-        sizes = [TensorParallelPlan(cfg, tp).weight_bytes_per_gpu()
-                 for tp in (1, 2, 4, 8)]
-        assert sizes == sorted(sizes, reverse=True)
-        # tp=1 matches the full FP16 footprint to within the replicated
-        # embedding/norm bookkeeping.
-        assert sizes[0] == pytest.approx(2.0 * cfg.param_count, rel=0.01)
+        quip = make_config("quip#-4")
+        for weights in ({}, {"weight_vq": quip}, {"weight_bits": 4}):
+            walks = [hbm_walk(cfg, RTX4090, tp_degree=tp, **weights)
+                     for tp in (1, 2, 4, 8)]
+            sizes = [w.weights for w in walks]
+            assert sizes == sorted(sizes, reverse=True)
+            # Weight codebooks replicate on every shard.
+            assert len({w.weight_codebooks for w in walks}) == 1
+        # tp=1 FP16 is exactly two bytes per parameter: the GEMV
+        # operators, the embedding and the norms cover the model.
+        fp16 = hbm_walk(cfg, RTX4090)
+        assert fp16.weights == 2.0 * cfg.param_count
+        # At tp=8 all that stays whole per GPU is the embedding and norms.
+        replicated = 2.0 * (cfg.vocab + 2 * cfg.n_layers + 1) * cfg.hidden
+        tp8 = hbm_walk(cfg, RTX4090, tp_degree=8).weights
+        assert tp8 == pytest.approx(
+            (fp16.weights - replicated) / 8 + replicated)
 
 
 class TestShardedStepCostModel:

@@ -7,8 +7,6 @@ from repro.core.heuristics import (
     LEVELS,
     PlanKnobs,
     choose_knobs,
-    knobs_for_all_levels,
-    limit_register_entries,
 )
 from repro.core.hotness import profile_hotness
 from repro.core.slack import find_slack
@@ -64,10 +62,9 @@ class TestLevels:
         assert knobs.register_fusion
 
     def test_levels_are_cumulative_labels(self, gptvq_profile):
-        all_knobs = knobs_for_all_levels(make_config("gptvq-2"),
-                                         gptvq_profile, GEMV_SLACK)
-        assert set(all_knobs) == set(LEVELS)
-        for level, knobs in all_knobs.items():
+        for level in LEVELS:
+            knobs = choose_knobs(level, make_config("gptvq-2"),
+                                 gptvq_profile, GEMV_SLACK)
             assert knobs.label == level
 
     def test_unknown_level_rejected(self, gptvq_profile):
@@ -95,14 +92,3 @@ class TestPlanKnobs:
     def test_unknown_placement_rejected(self):
         with pytest.raises(ValueError):
             PlanKnobs(label="x", placement="l2")
-
-    def test_limit_register_entries(self):
-        knobs = PlanKnobs(label="x", placement="hierarchical",
-                          boundaries=CacheBoundaries(16, 128))
-        clamped = limit_register_entries(knobs, 4)
-        assert clamped.boundaries.n_reg == 4
-        assert clamped.boundaries.n_shared == 128
-
-    def test_limit_register_entries_noop_for_gc(self):
-        knobs = PlanKnobs(label="GC", placement="global")
-        assert limit_register_entries(knobs, 4) is knobs

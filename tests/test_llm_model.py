@@ -91,12 +91,6 @@ class TestModel:
         assert ppl > 1.0
         assert np.isfinite(ppl)
 
-    def test_greedy_next(self, model):
-        logits = np.zeros((2, model.config.vocab))
-        logits[0, 5] = 1.0
-        logits[1, 7] = 1.0
-        assert np.array_equal(model.greedy_next(logits), [5, 7])
-
 
 class TestOperatorShapes:
     def test_decode_ledger_covers_all_projections(self):

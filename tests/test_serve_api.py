@@ -5,6 +5,7 @@ The ``repro.serve.api`` configs are the one construction surface of
 schedulers and simulators.
 """
 
+import dataclasses
 import math
 
 import pytest
@@ -68,7 +69,7 @@ class TestFleetConfig:
     def test_build_and_with_policy(self):
         cfg = FleetConfig(scheduler=SchedulerConfig(max_seqs=4),
                           name="fleet")
-        sim = cfg.with_policy("round-robin").build(
+        sim = dataclasses.replace(cfg, policy="round-robin").build(
             3, _budget(), ConstantCostModel(), name="fleet-3")
         assert sim.name == "fleet-3"
         assert sim.policy.name == "round-robin"

@@ -6,8 +6,10 @@ from repro.llm.config import llama_7b, tiny_llama
 from repro.serve.api import SchedulerConfig
 from repro.serve.requests import Request
 from repro.serve.scheduler import (
+    HBM_RESERVE,
     ContinuousBatchScheduler,
     KVBudget,
+    hbm_walk,
     kv_bytes_per_token,
     kv_codebook_bytes,
 )
@@ -36,7 +38,9 @@ class TestKVAccounting:
         cfg = llama_7b()
         cq2 = make_config("cq-2")  # 12.5% of FP16
         assert kv_bytes_per_token(cfg, vq=cq2) == pytest.approx(65_536)
-        assert kv_bytes_per_token(cfg, bits=4) == pytest.approx(131_072)
+        # INT4 codes are 25% of FP16, plus an FP16 scale and zero per
+        # 64 elements: 131,072 + 16,384 B.
+        assert kv_bytes_per_token(cfg, bits=4) == pytest.approx(147_456)
 
     def test_vq_and_bits_are_exclusive(self):
         with pytest.raises(ValueError):
@@ -82,13 +86,90 @@ class TestKVAccounting:
             KVBudget.for_gpu(cfg, RTX4090.with_dram(0.0))
         with pytest.raises(ValueError):  # weights exceed the chip
             KVBudget.for_gpu(cfg, RTX4090.with_dram(10.0))
-        with pytest.raises(ValueError):
-            KVBudget.for_gpu(cfg, RTX4090, reserve_fraction=1.0)
+        with pytest.raises(ValueError):  # one weight format at a time
+            KVBudget.for_gpu(cfg, RTX4090, weight_vq=make_config("quip#-4"),
+                             weight_bits=4)
+        with pytest.raises(ValueError):  # heads do not shard three ways
+            KVBudget.for_gpu(cfg, RTX4090, tp_degree=3)
         # Quantized weights free memory for the cache.
-        int4 = KVBudget.for_gpu(cfg, RTX4090,
-                                weight_bytes=0.5 * cfg.param_count)
+        int4 = KVBudget.for_gpu(cfg, RTX4090, weight_bits=4)
         assert int4.capacity_bytes > KVBudget.for_gpu(
             cfg, RTX4090).capacity_bytes
+        # A 10 GB chip refuses FP16 weights but holds INT4 ones.
+        assert KVBudget.for_gpu(cfg, RTX4090.with_dram(10.0),
+                                weight_bits=4).max_tokens > 0
+
+
+class TestHBMWalk:
+    """One GPU's DRAM, term by term (:func:`hbm_walk`)."""
+
+    def test_fp16_weights_are_two_bytes_per_parameter(self):
+        from repro.gpu.spec import A100
+        from repro.llm.config import llama_65b
+        for cfg in (tiny_llama(), llama_7b(), llama_65b()):
+            walk = hbm_walk(cfg, A100)
+            assert walk.weights == 2 * cfg.param_count
+            assert walk.weight_codebooks == 0.0
+            assert walk.kv_codebooks == 0.0
+
+    def test_weight_formats(self):
+        """Quantized GEMV weights, FP16 LM head, embedding and norms."""
+        from repro.gpu.spec import RTX4090
+        from repro.kernels.elementwise import quant_payload_bytes
+        cfg = llama_7b()
+        h = cfg.hidden
+        gemv = cfg.n_layers * (4 * h * h + 3 * h * cfg.intermediate)
+        fp16_rest = 2.0 * (2 * cfg.vocab + 2 * cfg.n_layers + 1) * h
+        quip, gptvq = make_config("quip#-4"), make_config("gptvq-2")
+        vq4 = hbm_walk(cfg, RTX4090, weight_vq=quip)
+        assert vq4.weights == pytest.approx(gemv / 2 + fp16_rest)
+        assert vq4.weights == pytest.approx(3.763e9, rel=1e-3)
+        # One lattice codebook pair per projection per layer.
+        assert vq4.weight_codebooks == 4 * cfg.n_layers * 2 * 2048
+        vq2 = hbm_walk(cfg, RTX4090, weight_vq=gptvq)
+        assert vq2.weights == pytest.approx(gemv / 4 + fp16_rest)
+        # One 2 KB codebook per 256x256 tile: ~0.2 GB.
+        assert vq2.weight_codebooks == gemv / 65536 * 2048
+        int4 = hbm_walk(cfg, RTX4090, weight_bits=4)
+        assert int4.weights == pytest.approx(
+            quant_payload_bytes(gemv, 4, 128) + fp16_rest)
+
+    def test_kv_takes_the_remainder(self):
+        from repro.gpu.spec import RTX4090
+        cfg = llama_7b()
+        walk = hbm_walk(cfg, RTX4090, weight_vq=make_config("gptvq-2"),
+                        kv_vq=make_config("cq-2"))
+        assert walk.kv_codebooks == kv_codebook_bytes(
+            cfg, make_config("cq-2"))
+        assert (walk.weights + walk.weight_codebooks
+                + walk.kv_codebooks + walk.kv
+                == pytest.approx(RTX4090.dram_bytes * (1 - HBM_RESERVE),
+                                 rel=1e-15))
+        budget = KVBudget.for_gpu(cfg, RTX4090, vq=make_config("cq-2"),
+                                  weight_vq=make_config("gptvq-2"))
+        assert budget.capacity_bytes == walk.kv_capacity
+        assert budget.overhead_bytes == walk.kv_codebooks
+
+    def test_codebook_storage_matches_quantized_tensors(self):
+        """The walk's codebook formula agrees with the codebooks the
+        quantizer actually trains, for every scope."""
+        from repro.bench.workloads import attention_sample, weight_sample
+        for qt in (weight_sample("quip#-4"), weight_sample("gptvq-2"),
+                   attention_sample("cq-2")[0]):
+            assert (qt.config.codebook_storage_bytes(*qt.shape)
+                    == qt.codebooks.nbytes)
+
+    def test_int4_cache_bytes_match_its_attention_kernel(self):
+        """The INT4 budget charges what QoQ attention reads per token."""
+        from repro.gpu.spec import RTX4090
+        from repro.kernels.attention import AttentionShape
+        from repro.kernels.elementwise import ElementwiseAttentionKernel
+        cfg = llama_7b()
+        shape = AttentionShape(1, cfg.n_heads, 1024, cfg.head_dim)
+        kernel = ElementwiseAttentionKernel(shape, bits=4)
+        layer_bytes = kernel.counters(RTX4090).global_to_shared_bytes
+        assert (kv_bytes_per_token(cfg, bits=4) * 1024
+                == cfg.n_layers * layer_bytes)
 
 
 class TestScheduling:
