@@ -28,7 +28,6 @@ from repro.bench.harness import ExperimentResult
 from repro.bench.serving import (
     SERVING_MODES,
     TRACE_KINDS,
-    make_cost_model,
     make_kv_budget,
     make_trace,
     mode_cost_kwargs,
@@ -49,18 +48,6 @@ from repro.gpu.spec import GPUSpec, RTX4090
 from repro.llm.config import LlamaConfig, llama_7b
 from repro.serve.api import FleetConfig, SchedulerConfig
 from repro.serve.scheduler import KVBudget
-
-
-def make_sharded_cost_model(
-    engine: ComputeEngine,
-    config: LlamaConfig,
-    mode: str,
-    plan: TensorParallelPlan,
-    seq_bucket: int = 512,
-) -> ShardedStepCostModel:
-    """TP-aware cost model for one serving mode (sample tensors)."""
-    return ShardedStepCostModel(engine, config, plan, seq_bucket=seq_bucket,
-                                **mode_cost_kwargs(mode))
 
 
 def replica_kv_budget(
@@ -105,11 +92,9 @@ def make_replicas(
     config = config or llama_7b()
     engine = engine or ComputeEngine(spec)
     budget = replica_kv_budget(config, mode, spec, tp_degree)
-    if tp_degree == 1:
-        cost = make_cost_model(engine, config, mode)
-    else:
-        plan = TensorParallelPlan(config, tp_degree, link)
-        cost = make_sharded_cost_model(engine, config, mode, plan)
+    cost = ShardedStepCostModel(engine, config,
+                                TensorParallelPlan(config, tp_degree, link),
+                                **mode_cost_kwargs(mode))
     sched_config = SchedulerConfig(token_budget=token_budget,
                                    max_seqs=max_seqs,
                                    admission=admission,
@@ -147,8 +132,9 @@ def tp_scaling(
     )
 
     def breakdown(tp: int, link: LinkSpec):
-        plan = TensorParallelPlan(config, tp, link)
-        cost = make_sharded_cost_model(engine, config, mode, plan)
+        cost = ShardedStepCostModel(engine, config,
+                                    TensorParallelPlan(config, tp, link),
+                                    **mode_cost_kwargs(mode))
         return cost.decode_breakdown(batch, context_tokens)
 
     for link in links:

@@ -178,11 +178,10 @@ def mode_cost_kwargs(mode: str) -> dict:
             **_format_kwargs(kv, "kv_bits", "kv_qt", attention_sample)}
 
 
-def make_cost_model(engine: ComputeEngine, config: LlamaConfig, mode: str,
-                    seq_bucket: int = 512) -> StepCostModel:
+def make_cost_model(engine: ComputeEngine, config: LlamaConfig,
+                    mode: str) -> StepCostModel:
     """Step cost model for one serving mode, using the sample tensors."""
-    return StepCostModel(engine, config, seq_bucket=seq_bucket,
-                         **mode_cost_kwargs(mode))
+    return StepCostModel(engine, config, **mode_cost_kwargs(mode))
 
 
 def simulate_mode(

@@ -14,11 +14,14 @@ Megatron-style tensor parallelism splits each transformer layer across
 - the LM head is column-parallel over the vocabulary with one ring
   all-gather of the logits.
 
-The plan maps each operator of
-:func:`repro.llm.model.decode_operator_shapes` to its per-shard shape —
-priced through the same memoized kernel models as the single-GPU path —
-plus the per-iteration collective cost from
-:mod:`repro.cluster.interconnect`.
+The plan maps each operator of the :mod:`repro.llm.model` operator
+lists to its per-shard shape — priced through the same memoized kernel
+models as the single-GPU path — and prices two collective terms from
+:mod:`repro.cluster.interconnect`: every layer's all-reduces
+(:meth:`~TensorParallelPlan.prefill_collective_us`) and the logits
+all-gather (:meth:`~TensorParallelPlan.sample_collective_us`).  A
+decode step pays both, a prefill chunk the first and a first-token
+sample the second.
 
 Two VQ-specific notes the cluster layer must get right:
 
@@ -110,41 +113,20 @@ class TensorParallelPlan:
         """One ring all-gather across the TP group."""
         return ring_all_gather_us(nbytes, self.tp_degree, self.link)
 
-    def layer_collective_us(self, tokens: int) -> float:
-        """Per-layer communication for ``tokens`` activation rows.
+    def prefill_collective_us(self, tokens: int) -> float:
+        """Every layer's all-reduces over ``tokens`` activation rows.
 
-        Two all-reduces (post-attention, post-MLP) over the full hidden
-        activations — row-parallel outputs are partial sums.
+        Two per layer (post-attention, post-MLP) over the full hidden
+        activations — row-parallel outputs are partial sums.  A prefill
+        chunk pays this term alone (the LM head does not run during
+        prefill); a decode step pays it at its batch plus
+        :meth:`sample_collective_us`.
         """
         nbytes = tokens * self.config.hidden * _FP16
-        return 2.0 * self.allreduce_us(nbytes)
-
-    def decode_collective_us(self, batch: int) -> float:
-        """All collectives of one decode iteration at ``batch`` tokens.
-
-        Every layer pays :meth:`layer_collective_us`; the column-
-        parallel LM head all-gathers the full logits once per step.
-        """
-        cfg = self.config
-        per_layer = self.layer_collective_us(batch)
-        logits = self.allgather_us(batch * cfg.vocab * _FP16)
-        return cfg.n_layers * per_layer + logits
-
-    def prefill_collective_us(self, new_tokens: int) -> float:
-        """All collectives of prefilling a chunk of ``new_tokens``.
-
-        The LM head does not run during prefill (matching
-        :meth:`repro.serve.costs.StepCostModel.prefill_us`), so this is
-        the per-layer term only — the prompt-completing iteration's
-        logits all-gather is :meth:`sample_collective_us`.
-        """
-        return self.config.n_layers * self.layer_collective_us(new_tokens)
+        return self.config.n_layers * (2.0 * self.allreduce_us(nbytes))
 
     def sample_collective_us(self, batch: int) -> float:
-        """Logits all-gather for sampling ``batch`` first tokens.
-
-        The column-parallel LM head of prompt-completing prefills needs
-        the same full-vocab all-gather a decode step pays (matching
-        :meth:`repro.serve.costs.StepCostModel.first_token_us`).
-        """
+        """The column-parallel LM head's logits all-gather for ``batch``
+        rows: paid by a decode step and by the first-token sample of
+        prompt-completing prefills alike."""
         return self.allgather_us(batch * self.config.vocab * _FP16)

@@ -40,7 +40,7 @@ from repro.core.fusion import (
     n_shuffles,
     thread_mapping,
 )
-from repro.core.heuristics import HeuristicReport, PlanKnobs, choose_knobs
+from repro.core.heuristics import PlanKnobs, choose_knobs
 from repro.core.hotness import HotnessProfile, profile_hotness
 from repro.core.slack import ResourceSlack, find_slack
 
@@ -72,7 +72,6 @@ __all__ = [
     "DataflowPlan",
     "FusionDecision",
     "GeneratedKernel",
-    "HeuristicReport",
     "HotnessProfile",
     "PlanKnobs",
     "ResourceSlack",

@@ -60,20 +60,6 @@ class PlanKnobs:
             raise ValueError("hierarchical placement requires boundaries")
 
 
-@dataclass(frozen=True)
-class HeuristicReport:
-    """The per-configuration factors of Tbl. V, for one kernel plan."""
-
-    algorithm: str
-    operation: str
-    codebook_per_block_bytes: float
-    hot_entries: int
-    output_per_block_bytes: float
-    n_shuffles: int
-    slack: ResourceSlack
-    boundaries: CacheBoundaries
-
-
 def choose_knobs(
     level: str,
     config: VQConfig,

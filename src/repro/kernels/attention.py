@@ -156,7 +156,8 @@ class PagedFlashAttentionKernel(_DecodeAttentionBase):
 
 
 class FlashPrefillKernel(KernelBase):
-    """FP16 causal prefill attention (used by the E2E prefill ledger)."""
+    """FP16 causal prefill attention (serving prices prefill chunks
+    with it, see :meth:`repro.serve.costs.StepCostModel.prefill_us`)."""
 
     name = "flash-prefill"
 

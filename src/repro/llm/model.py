@@ -9,11 +9,14 @@ Two uses:
    proxy experiments (Fig. 17 right) compare its outputs across
    quantization schemes.
 
-2. *Latency ledger* — :func:`decode_operator_shapes` enumerates every
-   operator of one decode step at any model scale (7B/65B);
-   :meth:`repro.serve.costs.StepCostModel.decode_breakdown`, the one
-   walk over it, costs them with the kernel models for the serving
-   simulator and the E2E experiments (Fig. 17 left) alike.
+2. *Latency ledger* — :func:`decode_operator_shapes`,
+   :func:`prefill_operator_shapes` and
+   :func:`first_token_operator_shapes` enumerate every operator of a
+   decode step, a prefill chunk and a first-token sample at any model
+   scale (7B/65B); this module is the one place the Llama operator set
+   is spelled.  :class:`repro.serve.costs.StepCostModel` costs all
+   three lists with one walk through the kernel models, for the
+   serving simulator and the E2E experiments (Fig. 17 left) alike.
 """
 
 from __future__ import annotations
@@ -249,16 +252,21 @@ class LlamaModel:
 
 
 # ----------------------------------------------------------------------
-# Operator-shape enumeration for the E2E latency ledger
+# Operator lists for the latency ledger
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class OperatorShape:
-    """One operator invocation in a decode step.
+    """One operator invocation in a decode step, prefill chunk or
+    first-token sample.
 
     ``kind`` is one of ``gemv`` (weight x activations; M=batch),
-    ``attention`` (decode attention over the KV cache) or ``elementwise``
-    (norms, activations, RoPE — bandwidth-bound passes over ``elements``).
-    ``count`` aggregates identical invocations across layers.
+    ``gemm`` (weight x a prefill chunk's M tokens), ``attention``
+    (decode attention over the KV cache), ``prefill_attention`` (causal
+    attention of a prefill chunk: the prompt's cost through ``seq_len``
+    tokens minus its cost through the ``context`` tokens earlier chunks
+    paid for) or ``elementwise`` (norms, activations, RoPE —
+    bandwidth-bound passes over ``elements``).  ``count`` aggregates
+    identical invocations across layers.
     """
 
     kind: str
@@ -269,31 +277,76 @@ class OperatorShape:
     batch: int = 0
     heads: int = 0
     seq_len: int = 0
+    context: int = 0
     head_dim: int = 0
     elements: int = 0
     count: int = 1
+
+
+def _layer_operators(config: LlamaConfig, kind: str, rows: int,
+                     count: int) -> tuple:
+    """One layer's four projections (``kind`` ``gemv`` or ``gemm`` over
+    ``rows`` tokens) and its element-wise pass, each ``count`` times."""
+    h, inter = config.hidden, config.intermediate
+    return (
+        OperatorShape(kind, "qkv_proj", m=rows, n=3 * h, k=h, count=count),
+        OperatorShape(kind, "o_proj", m=rows, n=h, k=h, count=count),
+        OperatorShape(kind, "gate_up_proj", m=rows, n=2 * inter, k=h,
+                      count=count),
+        OperatorShape(kind, "down_proj", m=rows, n=h, k=inter,
+                      count=count),
+        # Norms (x2), RoPE, SiLU-mul and residual adds per layer.
+        OperatorShape("elementwise", "norms_rope_act",
+                      elements=rows * (4 * h + 2 * inter), count=count),
+    )
+
+
+def _lm_head(config: LlamaConfig, batch: int) -> OperatorShape:
+    return OperatorShape("gemv", "lm_head", m=batch, n=config.vocab,
+                         k=config.hidden)
 
 
 def decode_operator_shapes(
     config: LlamaConfig, batch: int, seq_len: int
 ) -> List[OperatorShape]:
     """Every operator of one decode step, aggregated across layers."""
-    h, inter, layers = config.hidden, config.intermediate, config.n_layers
-    shapes = [
-        OperatorShape("gemv", "qkv_proj", m=batch, n=3 * h, k=h,
-                      count=layers),
-        OperatorShape("attention", "decode_attention", batch=batch,
-                      heads=config.n_heads, seq_len=seq_len,
-                      head_dim=config.head_dim, count=layers),
-        OperatorShape("gemv", "o_proj", m=batch, n=h, k=h, count=layers),
-        OperatorShape("gemv", "gate_up_proj", m=batch, n=2 * inter, k=h,
-                      count=layers),
-        OperatorShape("gemv", "down_proj", m=batch, n=h, k=inter,
-                      count=layers),
-        OperatorShape("gemv", "lm_head", m=batch, n=config.vocab, k=h,
-                      count=1),
-        # Norms (x2), RoPE, SiLU-mul and residual adds per layer.
-        OperatorShape("elementwise", "norms_rope_act",
-                      elements=batch * (4 * h + 2 * inter), count=layers),
-    ]
-    return shapes
+    qkv, o, gate_up, down, elementwise = _layer_operators(
+        config, "gemv", batch, config.n_layers)
+    attention = OperatorShape(
+        "attention", "decode_attention", batch=batch, heads=config.n_heads,
+        seq_len=seq_len, head_dim=config.head_dim, count=config.n_layers)
+    return [qkv, attention, o, gate_up, down, _lm_head(config, batch),
+            elementwise]
+
+
+def prefill_operator_shapes(
+    config: LlamaConfig, tokens: int, context: int, seq_len: int
+) -> List[OperatorShape]:
+    """One layer of a prefill chunk of ``tokens`` prompt tokens.
+
+    The projections run as GEMMs over the chunk.  Attention charges the
+    chunk's queries over the span from ``context`` (the tokens earlier
+    chunks or the prefix cache hold) to ``seq_len`` (``context +
+    tokens``; a caller that buckets passes each end bucketed), so
+    however a prompt is chunked its attention charges sum to the whole
+    prompt's.  The LM head does not run during prefill: the first
+    sampled token is :func:`first_token_operator_shapes`.
+    """
+    qkv, o, gate_up, down, elementwise = _layer_operators(
+        config, "gemm", tokens, 1)
+    attention = OperatorShape(
+        "prefill_attention", "prefill_attention", batch=1,
+        heads=config.n_heads, seq_len=seq_len, context=context,
+        head_dim=config.head_dim)
+    return [qkv, o, gate_up, down, attention, elementwise]
+
+
+def first_token_operator_shapes(
+    config: LlamaConfig, batch: int
+) -> List[OperatorShape]:
+    """Sampling the first output token of ``batch`` completed prompts:
+    the LM head over their final hidden states, then a sampler pass
+    (the final norm and a read of the logits)."""
+    return [_lm_head(config, batch),
+            OperatorShape("elementwise", "sampler",
+                          elements=batch * (config.hidden + config.vocab))]

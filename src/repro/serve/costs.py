@@ -2,31 +2,35 @@
 
 :class:`StepCostModel` prices one scheduler iteration
 (:class:`~repro.serve.scheduler.BatchPlan`) in microseconds using the
-same kernel models as the per-kernel experiments:
+same kernel models as the per-kernel experiments, from three operator
+lists of :mod:`repro.llm.model`: a decode step at the batch size and
+(bucketed) mean context length; one layer of each prefill chunk —
+GEMMs over the chunk's tokens plus FP16 causal flash-prefill attention
+(prefill *writes* the cache; VQ encoding of new tokens is the
+< 1 us/token online step the paper measures as negligible) — times the
+layer count; and the first-token sample of the sequences whose prompt
+completes (the FP16 LM head and a sampler pass).  Element-wise
+operators (norms, RoPE, activations) are bandwidth-bound passes plus
+launch overheads.
 
-- decode tokens are costed as one decode step of
-  :func:`repro.llm.model.decode_operator_shapes` at the batch size and
-  (bucketed) mean context length, through the engine's memoized
-  :meth:`~repro.core.engine.ComputeEngine.batch_latency_us`;
-- prefill chunks are costed as GEMMs over the chunk's tokens plus FP16
-  causal flash-prefill attention (prefill *writes* the cache; VQ
-  encoding of new tokens is the < 1 us/token online step the paper
-  measures as negligible);
-- element-wise operators (norms, RoPE, activations) as bandwidth-bound
-  passes plus launch overheads.
-
-:meth:`StepCostModel.decode_breakdown` is the one walk of a decode
-step's operators in the repository: it prices exactly the (batch,
-context) it is given and splits the step into GEMV, attention,
-element-wise and collective time.  The serving simulator reaches it
-through the bucketed :meth:`~StepCostModel.decode_step_us`; the Fig. 17
-ledger (:class:`repro.bench.e2e.E2ELedger`) and the TP-scaling table
+One private walk prices every list in order through one per-operator
+pricer, whose engine keywords for the weights and the KV cache are
+fixed at construction.  :meth:`StepCostModel.decode_breakdown` prices
+exactly the (batch, context) it is given and splits the step into
+GEMV, attention, element-wise and collective time; the serving
+simulator reaches it through the bucketed
+:meth:`~StepCostModel.decode_step_us`, and the Fig. 17 ledger
+(:class:`repro.bench.e2e.E2ELedger`) and the TP-scaling table
 (:func:`repro.bench.cluster.tp_scaling`) call it directly.
+:meth:`~StepCostModel.prefill_us` and
+:meth:`~StepCostModel.first_token_us` read the same walk, whose
+per-kind sums they do not report yet.
 
-Batch sizes and context lengths are bucketed (rounded up to a small
-geometric grid) before keying the engine cache, so a simulation of
-thousands of iterations evaluates only a few dozen distinct kernels —
-everything else is a cache hit.  Bucketing rounds *up*, making the
+Batch sizes (:data:`BATCH_BUCKETS`, doubling past its end) and context
+lengths and prefill chunks (multiples of ``seq_bucket`` tokens, 512 by
+default) are bucketed before keying the engine cache, so a simulation
+of thousands of iterations evaluates only a few dozen distinct kernels
+— everything else is a cache hit.  Bucketing rounds *up*, making the
 model slightly conservative rather than optimistic.
 
 On the simulator hot path even a cache *hit* used to be expensive:
@@ -36,13 +40,12 @@ bucket tables — plain dicts keyed by the bucketed inputs, holding the
 finished per-iteration totals for :meth:`~StepCostModel.decode_step_us`
 (``(batch_bucket, seq_bucket)``), :meth:`~StepCostModel.prefill_us`
 (chunk/total/context buckets) and :meth:`~StepCostModel.first_token_us`
-(batch bucket).  The first evaluation of a bucket runs the full
-operator walk; every later iteration in the same bucket is a single
-dict lookup returning the *identical* float, so the tables are
-invisible to the golden bit-identity tests.  Subclasses that reshape
-operators (:class:`repro.cluster.costs.ShardedStepCostModel`) inherit
-the tables per instance, with their collective terms memoized inside
-the totals.
+(batch bucket).  The first evaluation of a bucket runs the walk; every
+later iteration in the same bucket is a single dict lookup returning
+the *identical* float, so the tables are invisible to the golden
+bit-identity tests.  Subclasses that reshape operators
+(:class:`repro.cluster.costs.ShardedStepCostModel`) inherit the tables
+per instance, with their collective terms memoized inside the totals.
 
 Prefix caching needs no special handling here: the scheduler credits
 cached prompt tokens as already prefilled, so :meth:`~StepCostModel.
@@ -58,20 +61,25 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.core.engine import ComputeEngine
 from repro.gpu.costmodel import LAUNCH_OVERHEAD_S
 from repro.kernels.attention import AttentionShape
 from repro.kernels.gemm import GEMV_MAX_BATCH, GemmShape
 from repro.llm.config import LlamaConfig
-from repro.llm.model import decode_operator_shapes
+from repro.llm.model import (
+    OperatorShape,
+    decode_operator_shapes,
+    first_token_operator_shapes,
+    prefill_operator_shapes,
+)
 from repro.vq.quantizer import QuantizedTensor
 
 from repro.serve.scheduler import BatchPlan
 
-#: Default batch-size buckets (rounded up; extended by doubling).
+#: Batch-size buckets (rounded up; extended by doubling).
 BATCH_BUCKETS = (1, 2, 4, 8, 12, 16, 24, 32, 48, 64, 96, 128)
 
 #: Kernel launches per layer of the element-wise operators (two norms,
@@ -137,8 +145,7 @@ class StepCostModel:
         kv_qt: Optional[Tuple[QuantizedTensor, QuantizedTensor]] = None,
         kv_bits: Optional[int] = None,
         level: str = "O4",
-        seq_bucket: int = 256,
-        batch_buckets: Sequence[int] = BATCH_BUCKETS,
+        seq_bucket: int = 512,
     ):
         if weight_qt is not None and weight_bits is not None:
             raise ValueError("weight_qt and weight_bits are exclusive")
@@ -148,13 +155,19 @@ class StepCostModel:
             raise ValueError("seq_bucket must be >= 1")
         self.engine = engine
         self.config = config
-        self.weight_qt = weight_qt
-        self.weight_bits = weight_bits
-        self.kv_qt = kv_qt
-        self.kv_bits = kv_bits
-        self.level = level
         self.seq_bucket = seq_bucket
-        self.batch_buckets = tuple(sorted(batch_buckets))
+        # Engine keywords of the weight and KV operands (none is FP16);
+        # ``level`` only goes with a tensor, as the engine memo keys it.
+        self._weight_kw: dict = {}
+        if weight_qt is not None:
+            self._weight_kw = {"qt": weight_qt, "level": level}
+        elif weight_bits is not None:
+            self._weight_kw = {"bits": weight_bits}
+        self._kv_kw: dict = {}
+        if kv_qt is not None:
+            self._kv_kw = {"qt": kv_qt[0], "qt_v": kv_qt[1], "level": level}
+        elif kv_bits is not None:
+            self._kv_kw = {"bits": kv_bits}
         #: Precomputed bucket tables (see module docstring): finished
         #: per-iteration totals keyed by bucketed inputs, so the hot
         #: path is one dict hit instead of an operator walk.
@@ -164,9 +177,6 @@ class StepCostModel:
         self._table_hits = 0
 
     # -- bucketing -----------------------------------------------------
-    def _bucket_batch(self, batch: int) -> int:
-        return bucket_up(batch, self.batch_buckets)
-
     def _bucket_seq(self, tokens: float) -> int:
         # Ceil the fractional mean context *before* the ceil-div: the
         # module contract is that bucketing rounds up (conservative),
@@ -176,64 +186,69 @@ class StepCostModel:
         t = math.ceil(max(1.0, tokens))
         return max(b, -(-t // b) * b)
 
-    # -- operator pricing ----------------------------------------------
-    def _gemv_us(self, shape: GemmShape, fp16: bool = False) -> float:
-        if shape.m > GEMV_MAX_BATCH:
-            # Past the GEMV kernels' batch cap a decode projection runs
-            # as the same family's GEMM.
-            return self._gemm_us(shape, fp16)
-        if fp16 or (self.weight_qt is None and self.weight_bits is None):
-            return self.engine.batch_latency_us("gemv", shape)
-        if self.weight_bits is not None:
-            return self.engine.batch_latency_us("gemv", shape,
-                                                bits=self.weight_bits)
-        return self.engine.batch_latency_us("gemv", shape,
-                                            qt=self.weight_qt,
-                                            level=self.level)
-
-    def _gemm_us(self, shape: GemmShape, fp16: bool = False) -> float:
-        if fp16 or (self.weight_qt is None and self.weight_bits is None):
-            return self.engine.batch_latency_us("gemm", shape)
-        if self.weight_bits is not None:
-            return self.engine.batch_latency_us("gemm", shape,
-                                                bits=self.weight_bits)
-        return self.engine.batch_latency_us("gemm", shape,
-                                            qt=self.weight_qt,
-                                            level=self.level)
-
-    def _attention_us(self, shape: AttentionShape) -> float:
-        if self.kv_qt is not None:
-            qt_k, qt_v = self.kv_qt
+    # -- the operator walk ---------------------------------------------
+    def _op_us(self, op: OperatorShape) -> float:
+        """One invocation of ``op`` on one GPU (of a TP group)."""
+        kind = op.kind
+        if kind == "elementwise":
+            return self._elementwise_us(op.elements)
+        if kind in ("gemv", "gemm"):
+            shape = self._shard_gemm(op.name,
+                                     GemmShape(m=op.m, n=op.n, k=op.k))
+            if shape.m > GEMV_MAX_BATCH:
+                # Past the GEMV kernels' batch cap a decode projection
+                # runs as the same family's GEMM.
+                kind = "gemm"
+            # The LM head stays FP16 in every serving mode.
+            return self.engine.batch_latency_us(
+                kind, shape, **({} if op.name == "lm_head"
+                                else self._weight_kw))
+        shape = self._shard_attention(
+            AttentionShape(batch=op.batch, heads=op.heads,
+                           seq_len=op.seq_len, head_dim=op.head_dim))
+        if kind == "attention":
             return self.engine.batch_latency_us("attention", shape,
-                                                qt=qt_k, qt_v=qt_v,
-                                                level=self.level)
-        if self.kv_bits is not None:
-            return self.engine.batch_latency_us("attention", shape,
-                                                bits=self.kv_bits)
-        return self.engine.batch_latency_us("attention", shape)
+                                                **self._kv_kw)
+        # Causal prefill is FP16 flash attention, charged as the
+        # increment of the cumulative curve over the chunk's span (0
+        # below one token), so chunk charges telescope to the prompt's.
+        cum_us = self.engine.batch_latency_us("prefill_attention", shape)
+        if op.context >= 1:
+            cum_us -= self.engine.batch_latency_us(
+                "prefill_attention", replace(shape, seq_len=op.context))
+        return max(0.0, cum_us)
+
+    def _walk(self, ops: Sequence[OperatorShape]
+              ) -> Tuple[float, Dict[str, float]]:
+        """Price ``ops`` in order: the running total of ``us * count``
+        and the same sum per operator kind."""
+        total = 0.0
+        by_kind: Dict[str, float] = {}
+        for op in ops:
+            us = self._op_us(op) * op.count
+            by_kind[op.kind] = by_kind.get(op.kind, 0.0) + us
+            total += us
+        return total, by_kind
 
     def _elementwise_us(self, elements: int) -> float:
         """Bandwidth-bound read+write pass plus launch overheads."""
         bytes_moved = elements * 2 * 2
         bw = self.engine.spec.dram_bytes_per_s * 0.75
-        quantized = not (self.weight_qt is None and self.weight_bits is None)
-        extra = 1.3 if quantized else 1.0  # dequant epilogues & scales
+        extra = 1.3 if self._weight_kw else 1.0  # dequant epilogues & scales
         return (bytes_moved * extra / bw
                 + ELEMENTWISE_LAUNCHES * LAUNCH_OVERHEAD_S) * 1e6
 
     # -- sharding hooks (identity on one GPU) --------------------------
     # A tensor-parallel subclass (repro.cluster.costs) reshapes each
-    # operator for one shard and adds collective time per iteration;
-    # keeping the hooks here lets the pricing loops below stay the
-    # single source of truth for *what* an iteration runs.
+    # operator for one shard and adds the two collective terms: every
+    # layer's all-reduces over an iteration's token rows, and the LM
+    # head's logits all-gather.  Keeping the hooks here lets the walk
+    # stay the single source of truth for *what* an iteration runs.
     def _shard_gemm(self, name: str, shape: GemmShape) -> GemmShape:
         return shape
 
     def _shard_attention(self, shape: AttentionShape) -> AttentionShape:
         return shape
-
-    def _decode_collective_us(self, batch: int) -> float:
-        return 0.0
 
     def _prefill_collective_us(self, tokens: int) -> float:
         return 0.0
@@ -246,35 +261,21 @@ class StepCostModel:
                          seq_len: int) -> DecodeStepBreakdown:
         """One decode step of ``batch`` sequences at context ``seq_len``,
         priced exactly as given (no bucketing, no table), by class."""
-        gemv_us = attn_us = ew_us = total = 0.0
-        for op in decode_operator_shapes(self.config, batch, seq_len):
-            if op.kind == "gemv":
-                shape = self._shard_gemm(op.name,
-                                         GemmShape(m=op.m, n=op.n, k=op.k))
-                # The LM head stays FP16 in every serving mode.
-                us = self._gemv_us(
-                    shape, fp16=op.name == "lm_head") * op.count
-                gemv_us += us
-            elif op.kind == "attention":
-                shape = self._shard_attention(
-                    AttentionShape(batch=op.batch, heads=op.heads,
-                                   seq_len=op.seq_len,
-                                   head_dim=op.head_dim))
-                us = self._attention_us(shape) * op.count
-                attn_us += us
-            else:
-                us = self._elementwise_us(op.elements) * op.count
-                ew_us += us
-            total += us
-        collective_us = self._decode_collective_us(batch)
-        return DecodeStepBreakdown(gemv_us, attn_us, ew_us, collective_us,
+        total, by_kind = self._walk(
+            decode_operator_shapes(self.config, batch, seq_len))
+        # A decode step pays both collective terms: every layer's
+        # all-reduces over its ``batch`` rows and the logits all-gather.
+        collective_us = (self._prefill_collective_us(batch)
+                         + self._sample_collective_us(batch))
+        return DecodeStepBreakdown(by_kind["gemv"], by_kind["attention"],
+                                   by_kind["elementwise"], collective_us,
                                    total + collective_us)
 
     def decode_step_us(self, batch: int, context_tokens: float) -> float:
         """One decode iteration: ``batch`` sequences, mean context."""
         if batch < 1:
             return 0.0
-        b = self._bucket_batch(batch)
+        b = bucket_up(batch, BATCH_BUCKETS)
         s = self._bucket_seq(context_tokens)
         cached = self._decode_table.get((b, s))
         if cached is not None:
@@ -283,23 +284,6 @@ class StepCostModel:
         total = self.decode_breakdown(b, s).total_us
         self._decode_table[(b, s)] = total
         return total
-
-    def _prefill_attn_cum_us(self, tokens: float) -> float:
-        """Cumulative causal-attention cost of prefilling ``tokens``.
-
-        FP16 flash-prefill over the (bucketed) first ``tokens`` of the
-        prompt; 0 for an empty prefix.  Chunk costs are differences of
-        this cumulative curve, so they telescope: however a prompt is
-        chunked, the attention charges sum to the whole-prompt cost.
-        """
-        if tokens < 1:
-            return 0.0
-        cfg = self.config
-        shape = self._shard_attention(
-            AttentionShape(batch=1, heads=cfg.n_heads,
-                           seq_len=self._bucket_seq(tokens),
-                           head_dim=cfg.head_dim))
-        return self.engine.batch_latency_us("prefill_attention", shape)
 
     def prefill_us(self, new_tokens: int,
                    context_tokens: float = 0.0) -> float:
@@ -312,38 +296,29 @@ class StepCostModel:
         prompt cost the same (the chunk's queries are new, the cached
         keys were paid for when their own chunk ran).  The LM head is
         not applied during prefill — the first sampled token is costed
-        with the iteration that completes the prompt.
+        with the iteration that completes the prompt.  The walk prices
+        one layer; the chunk is that times ``n_layers``, plus the
+        layers' all-reduces.
         """
         if new_tokens < 1:
             return 0.0
-        cfg = self.config
         t = self._bucket_seq(new_tokens)
-        # The attention term depends only on the bucketed cumulative
-        # token counts, so the finished total is memoizable on the
+        # The attention term depends only on the bucketed ends of the
+        # chunk's span, so the finished total is memoizable on the
         # bucket triple (0 stands for "no context": the cumulative
         # curve is 0.0 below one token, before any bucketing).
         total_tokens = context_tokens + new_tokens
-        key = (t,
-               self._bucket_seq(total_tokens) if total_tokens >= 1 else 0,
-               self._bucket_seq(context_tokens) if context_tokens >= 1
-               else 0)
+        end = self._bucket_seq(total_tokens) if total_tokens >= 1 else 0
+        start = (self._bucket_seq(context_tokens) if context_tokens >= 1
+                 else 0)
+        key = (t, end, start)
         cached = self._prefill_table.get(key)
         if cached is not None:
             self._table_hits += 1
             return cached
-        h, inter = cfg.hidden, cfg.intermediate
-        gemm_us = 0.0
-        for name, n, k in (("qkv_proj", 3 * h, h),
-                           ("o_proj", h, h),
-                           ("gate_up_proj", 2 * inter, h),
-                           ("down_proj", h, inter)):
-            gemm_us += self._gemm_us(
-                self._shard_gemm(name, GemmShape(m=t, n=n, k=k)))
-        attn_us = (self._prefill_attn_cum_us(context_tokens + new_tokens)
-                   - self._prefill_attn_cum_us(context_tokens))
-        attn_us = max(0.0, attn_us)
-        ew_us = self._elementwise_us(t * (4 * h + 2 * inter))
-        total = ((gemm_us + attn_us + ew_us) * cfg.n_layers
+        layer_us, _ = self._walk(prefill_operator_shapes(
+            self.config, t, context=start, seq_len=end))
+        total = (layer_us * self.config.n_layers
                  + self._prefill_collective_us(t))
         self._prefill_table[key] = total
         return total
@@ -355,21 +330,19 @@ class StepCostModel:
         first sampled token is costed with the iteration that completes
         the prompt.  This is that charge: one FP16 LM-head GEMV over
         the completing sequences' final hidden states plus an
-        element-wise sampler pass (final norm + a read of the logits).
+        element-wise sampler pass (final norm + a read of the logits),
+        and the logits all-gather.
         """
         if n_completing < 1:
             return 0.0
-        cfg = self.config
-        b = self._bucket_batch(n_completing)
+        b = bucket_up(n_completing, BATCH_BUCKETS)
         cached = self._first_token_table.get(b)
         if cached is not None:
             self._table_hits += 1
             return cached
-        shape = self._shard_gemm("lm_head",
-                                 GemmShape(m=b, n=cfg.vocab, k=cfg.hidden))
-        total = (self._gemv_us(shape, fp16=True)
-                 + self._elementwise_us(b * (cfg.hidden + cfg.vocab))
-                 + self._sample_collective_us(b))
+        sample_us, _ = self._walk(
+            first_token_operator_shapes(self.config, b))
+        total = sample_us + self._sample_collective_us(b)
         self._first_token_table[b] = total
         return total
 

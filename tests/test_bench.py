@@ -550,7 +550,8 @@ class TestClusterBench:
     def test_tp_scaling_row_is_one_decode_breakdown(self):
         """Step and collective time of a row come from one exact
         decode walk at the requested batch and context."""
-        from repro.bench.cluster import make_sharded_cost_model, tp_scaling
+        from repro.bench.cluster import tp_scaling
+        from repro.cluster.costs import ShardedStepCostModel
         from repro.cluster.interconnect import PCIE4
         from repro.cluster.sharding import TensorParallelPlan
         from repro.core.engine import ComputeEngine
@@ -560,8 +561,8 @@ class TestClusterBench:
         row = tp_scaling(spec=RTX4090, config=config, degrees=(2,),
                          links=(PCIE4,), batch=4, context_tokens=300,
                          engine=engine).as_dicts()[0]
-        step = make_sharded_cost_model(
-            engine, config, "fp16",
+        step = ShardedStepCostModel(
+            engine, config,
             TensorParallelPlan(config, 2, PCIE4)).decode_breakdown(4, 300)
         assert row["step_us"] == step.total_us
         assert row["collective_us"] == step.collective_us > 0.0

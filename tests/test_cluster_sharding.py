@@ -10,7 +10,8 @@ from repro.gpu.spec import RTX4090
 from repro.kernels.attention import AttentionShape
 from repro.kernels.gemm import GemmShape
 from repro.llm.config import llama_7b, tiny_llama
-from repro.llm.model import decode_operator_shapes
+from repro.llm.model import decode_operator_shapes, prefill_operator_shapes
+from repro.bench.serving import SERVING_MODES, mode_cost_kwargs
 from repro.serve.costs import StepCostModel
 from repro.serve.scheduler import KVBudget, hbm_walk, kv_codebook_bytes
 from repro.vq.algorithms import make_config
@@ -19,6 +20,12 @@ from repro.vq.algorithms import make_config
 @pytest.fixture(scope="module")
 def engine():
     return ComputeEngine(RTX4090)
+
+
+def _decode_collective_us(engine, plan, batch):
+    """The collective term of one decode step priced under ``plan``."""
+    model = ShardedStepCostModel(engine, plan.config, plan)
+    return model.decode_breakdown(batch, 512).collective_us
 
 
 class TestPlanValidation:
@@ -41,8 +48,8 @@ class TestPlanValidation:
         a = AttentionShape(batch=4, heads=32, seq_len=512, head_dim=128)
         assert plan.shard_gemm("qkv_proj", g) == g
         assert plan.shard_attention(a) == a
-        assert plan.decode_collective_us(16) == 0.0
         assert plan.prefill_collective_us(512) == 0.0
+        assert plan.sample_collective_us(16) == 0.0
 
 
 class TestFlopConservation:
@@ -68,13 +75,13 @@ class TestFlopConservation:
     def test_prefill_gemms_conserve_flops(self, tp):
         cfg = llama_7b()
         plan = TensorParallelPlan(cfg, tp)
-        h, inter = cfg.hidden, cfg.intermediate
-        for name, n, k in (("qkv_proj", 3 * h, h), ("o_proj", h, h),
-                           ("gate_up_proj", 2 * inter, h),
-                           ("down_proj", h, inter)):
-            full = GemmShape(m=256, n=n, k=k)
-            shard = plan.shard_gemm(name, full)
-            assert shard.flops * tp == full.flops, name
+        gemms = [op for op in prefill_operator_shapes(cfg, 256, 0, 256)
+                 if op.kind == "gemm"]
+        assert len(gemms) == 4
+        for op in gemms:
+            full = GemmShape(m=op.m, n=op.n, k=op.k)
+            shard = plan.shard_gemm(op.name, full)
+            assert shard.flops * tp == full.flops, op.name
 
     def test_row_and_column_parallel_split_different_dims(self):
         plan = TensorParallelPlan(llama_7b(), 4)
@@ -86,23 +93,24 @@ class TestFlopConservation:
 
 
 class TestCollectiveAccounting:
-    def test_decode_collectives_monotone_in_degree(self):
+    def test_decode_collectives_monotone_in_degree(self, engine):
         cfg = llama_7b()
-        costs = [TensorParallelPlan(cfg, tp, NVLINK3).decode_collective_us(16)
+        costs = [_decode_collective_us(
+                     engine, TensorParallelPlan(cfg, tp, NVLINK3), 16)
                  for tp in (1, 2, 4, 8)]
         assert costs == sorted(costs)
         assert costs[0] == 0.0 and costs[-1] > 0.0
 
-    def test_decode_collectives_monotone_in_batch(self):
+    def test_decode_collectives_monotone_in_batch(self, engine):
         plan = TensorParallelPlan(llama_7b(), 4, NVLINK3)
-        costs = [plan.decode_collective_us(b) for b in (1, 8, 64)]
+        costs = [_decode_collective_us(engine, plan, b) for b in (1, 8, 64)]
         assert costs == sorted(costs) and costs[0] < costs[-1]
 
-    def test_prefill_skips_the_lm_head_gather(self):
+    def test_prefill_skips_the_lm_head_gather(self, engine):
         """Per token, prefill communicates less than decode (no logits)."""
         plan = TensorParallelPlan(llama_7b(), 4, NVLINK3)
         assert (plan.prefill_collective_us(16)
-                < plan.decode_collective_us(16))
+                < _decode_collective_us(engine, plan, 16))
 
     def test_sample_collective_prices_the_logits_gather(self):
         """The prompt-completing iteration's first tokens pay the same
@@ -152,18 +160,27 @@ class TestKVBudgetSharding:
 
 class TestShardedStepCostModel:
     def test_tp1_equals_base_model_exactly(self, engine):
+        """In every serving mode a TP-1 plan prices float for float as
+        the base model, so ``make_replicas`` needs no single-GPU
+        branch."""
         cfg = llama_7b()
-        base = StepCostModel(engine, cfg, seq_bucket=512)
         plan = TensorParallelPlan(cfg, 1, PCIE4)
-        sharded = ShardedStepCostModel(engine, cfg, plan, seq_bucket=512)
-        for batch, ctx in ((1, 128), (16, 1024), (64, 4096)):
-            assert sharded.decode_step_us(batch, ctx) == pytest.approx(
-                base.decode_step_us(batch, ctx), rel=1e-12)
-        for tokens, ctx in ((256, 0), (512, 1024)):
-            assert sharded.prefill_us(tokens, ctx) == pytest.approx(
-                base.prefill_us(tokens, ctx), rel=1e-12)
-        assert sharded.first_token_us(4) == pytest.approx(
-            base.first_token_us(4), rel=1e-12)
+        for mode in SERVING_MODES:
+            kwargs = mode_cost_kwargs(mode)
+            base = StepCostModel(engine, cfg, seq_bucket=512, **kwargs)
+            sharded = ShardedStepCostModel(engine, cfg, plan,
+                                           seq_bucket=512, **kwargs)
+            for batch, ctx in ((1, 128), (16, 1024), (64, 4096), (96, 700)):
+                assert (sharded.decode_breakdown(batch, ctx)
+                        == base.decode_breakdown(batch, ctx)), mode
+                assert (sharded.decode_step_us(batch, ctx)
+                        == base.decode_step_us(batch, ctx)), mode
+            for tokens, ctx in ((256, 0), (512, 1024), (700, 300)):
+                assert (sharded.prefill_us(tokens, ctx)
+                        == base.prefill_us(tokens, ctx)), mode
+            for batch in (4, 65):
+                assert (sharded.first_token_us(batch)
+                        == base.first_token_us(batch)), mode
 
     def test_first_token_includes_logits_gather_under_tp(self, engine):
         """Regression: under TP the first sampled token's LM-head
@@ -206,7 +223,8 @@ class TestShardedStepCostModel:
         model = ShardedStepCostModel(engine, cfg, plan, seq_bucket=512)
         step = model.decode_breakdown(16, 1024)
         assert step.total_us == model.decode_step_us(16, 1024)
-        assert step.collective_us == plan.decode_collective_us(16) > 0.0
+        assert step.collective_us == (plan.prefill_collective_us(16)
+                                      + plan.sample_collective_us(16)) > 0.0
         assert step.total_us == pytest.approx(
             step.gemv_us + step.attention_us + step.elementwise_us
             + step.collective_us, rel=1e-15)

@@ -8,6 +8,8 @@ from repro.llm.kvcache import KVCache
 from repro.llm.model import (
     LlamaModel,
     decode_operator_shapes,
+    first_token_operator_shapes,
+    prefill_operator_shapes,
     structured_matrix,
 )
 
@@ -114,3 +116,25 @@ class TestOperatorShapes:
         assert attn.seq_len == 2048
         assert attn.heads == 32
         assert attn.count == 32
+
+    def test_prefill_layer_runs_the_decode_projections_as_gemms(self):
+        cfg = llama_7b()
+        decode = {s.name: (s.n, s.k)
+                  for s in decode_operator_shapes(cfg, batch=4, seq_len=128)
+                  if s.kind == "gemv" and s.name != "lm_head"}
+        shapes = prefill_operator_shapes(cfg, 256, context=512, seq_len=768)
+        assert {s.name: (s.n, s.k) for s in shapes
+                if s.kind == "gemm"} == decode
+        assert {s.m for s in shapes if s.kind == "gemm"} == {256}
+        attn, = [s for s in shapes if s.kind == "prefill_attention"]
+        assert (attn.context, attn.seq_len, attn.heads) == (512, 768, 32)
+        # One layer, and no LM head: prefill samples nothing.
+        assert all(s.count == 1 for s in shapes)
+        assert "lm_head" not in {s.name for s in shapes}
+
+    def test_first_token_samples_through_the_lm_head(self):
+        cfg = llama_7b()
+        head, sampler = first_token_operator_shapes(cfg, batch=8)
+        assert (head.kind, head.name, head.m, head.n, head.k) == (
+            "gemv", "lm_head", 8, cfg.vocab, cfg.hidden)
+        assert sampler.elements == 8 * (cfg.hidden + cfg.vocab)

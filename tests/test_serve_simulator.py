@@ -6,6 +6,7 @@ analytic stack end-to-end on tiny-Llama.
 """
 
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -13,6 +14,7 @@ from repro.core.engine import ComputeEngine
 from repro.gpu.spec import RTX4090
 from repro.kernels.gemm import GemmShape
 from repro.llm.config import tiny_llama
+from repro.llm.model import OperatorShape, prefill_operator_shapes
 from repro.obs import percentile
 from repro.serve.api import SchedulerConfig, SimConfig
 from repro.serve.costs import StepCostModel, bucket_up
@@ -226,11 +228,15 @@ class TestReviewRegressions:
         at lower efficiency, and each chunk pays its own launches.)"""
         cfg = tiny_llama()
         cost = StepCostModel(ComputeEngine(RTX4090), cfg, seq_bucket=128)
-        whole_attn = cost._prefill_attn_cum_us(2048)
-        chunk_attn = sum(
-            cost._prefill_attn_cum_us(ctx + 256)
-            - cost._prefill_attn_cum_us(ctx)
-            for ctx in range(0, 2048, 256))
+
+        def attn_us(tokens, context):
+            op, = [op for op in prefill_operator_shapes(
+                       cfg, tokens, context, context + tokens)
+                   if op.kind == "prefill_attention"]
+            return cost._op_us(op)
+
+        whole_attn = attn_us(2048, 0)
+        chunk_attn = sum(attn_us(256, ctx) for ctx in range(0, 2048, 256))
         assert chunk_attn == pytest.approx(whole_attn, rel=1e-12)
 
     def test_chunked_prefill_overhead_is_bounded(self):
@@ -313,6 +319,7 @@ class TestDecodeBatchPastGemvCap:
     ``ValueError: GEMV kernel expects a small batch dimension``."""
 
     SHAPE = GemmShape(m=96, n=4096, k=4096)
+    PROJ = OperatorShape("gemv", "o_proj", m=96, n=4096, k=4096)
 
     @pytest.mark.parametrize("family", ["fp16", "elementwise", "vq"])
     def test_gemv_past_cap_is_the_family_gemm(self, family, qt_gptvq):
@@ -320,8 +327,10 @@ class TestDecodeBatchPastGemvCap:
                   "vq": {"weight_qt": qt_gptvq}}[family]
         engine = ComputeEngine(RTX4090)
         cost = StepCostModel(engine, tiny_llama(), **kwargs)
-        assert cost._gemv_us(self.SHAPE) == cost._gemm_us(self.SHAPE)
-        assert (cost._gemv_us(self.SHAPE, fp16=True)
+        assert cost._op_us(self.PROJ) == cost._op_us(
+            replace(self.PROJ, kind="gemm"))
+        # The LM head stays FP16.
+        assert (cost._op_us(replace(self.PROJ, name="lm_head"))
                 == engine.batch_latency_us("gemm", self.SHAPE))
         for batch in (65, 96, 128):
             assert cost.decode_step_us(batch, 512) > 0
@@ -330,8 +339,8 @@ class TestDecodeBatchPastGemvCap:
         engine = ComputeEngine(RTX4090)
         cost = StepCostModel(engine, tiny_llama())
         shape = GemmShape(m=64, n=4096, k=4096)
-        assert cost._gemv_us(shape) == engine.batch_latency_us("gemv",
-                                                               shape)
+        assert cost._op_us(replace(self.PROJ, m=64)) == (
+            engine.batch_latency_us("gemv", shape))
 
     def test_default_fleet_serves_bursty_kv_cq4(self):
         """``FleetConfig()`` allows 128 sequences per replica, so a
