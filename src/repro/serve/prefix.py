@@ -12,14 +12,25 @@ Design:
 - **Block identity.**  The tree is path-compressed: a node holds a
   *run* of ``n >= 1`` full blocks (``n * block_tokens`` token ids)
   that share one ref count and one ``last_used``, and its parent files
-  it under its first block's token tuple.  Looking up a prompt is one
-  dict probe per node plus one comparison of the node's whole run
-  against the matching slice of the prompt; only a divergence inside a
-  run is located block by block.  Comparisons are exact, so a hit is
-  never wrong, and a node is reachable only through its parent, so a
+  it under its first block's ids.  Looking up a prompt is one dict
+  probe per node plus one comparison of the node's whole run against
+  the matching slice of the prompt; only a divergence inside a run is
+  located block by block.  Comparisons are exact, so a hit is never
+  wrong, and a node is reachable only through its parent, so a
   block's identity is its *full prefix*, not just its own tokens.
   Every modeled number equals the one-node-per-block tree's: a run is
   that tree's chain of blocks, stored once.
+- **Ids.**  The tree holds token ids in the one format of
+  :mod:`repro.serve.requests`: a packed ``str``, one code point per
+  id.  Keys, runs and the slices compared against them are slices of
+  that string, so a probe hashes and a comparison scans contiguous
+  memory, and a run costs two bytes per id below 65,536.  The public
+  entry points (the tree's ``insert`` and ``match``; the allocator's
+  ``lookup``, ``peek``, ``match_and_lock`` and ``release``) pack any
+  other int sequence first, so a tuple finds what its string finds.
+  ``str`` hashes are salted per process, so nothing here iterates a
+  hashed container into an order: children dicts keep insertion
+  order, and the LRU heap orders by tick.
 - **Splits.**  An operation that would treat a run's blocks
   differently — a touch, a lock or an insert that ends inside it, or
   an insert that diverges inside it — first splits the node: its
@@ -88,6 +99,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.serve.paging import PagedKVAllocator, PagingStats
+from repro.serve.requests import pack_ids, unpack_ids
 from repro.serve.sanitize import check
 
 #: The LRU heap is rebuilt from the tree once it holds more than this
@@ -98,20 +110,20 @@ LRU_HEAP_FACTOR = 2
 
 class _RadixNode:
     """A run of ``n`` cached full blocks sharing one ``ref`` and one
-    ``last_used``: ``n * block_tokens`` token ids plus tree and LRU
-    bookkeeping.  Its parent files it under its first block.
+    ``last_used``: ``n * block_tokens`` packed token ids plus tree and
+    LRU bookkeeping.  Its parent files it under its first block.
 
     ``parent`` is ``None`` for the root and for evicted nodes.
     """
 
     __slots__ = ("tokens", "n", "parent", "children", "ref", "last_used")
 
-    def __init__(self, tokens: Tuple[int, ...], n: int,
+    def __init__(self, tokens: str, n: int,
                  parent: Optional["_RadixNode"]):
         self.tokens = tokens
         self.n = n
         self.parent = parent
-        self.children: Dict[Tuple[int, ...], _RadixNode] = {}
+        self.children: Dict[str, _RadixNode] = {}
         self.ref = 0
         self.last_used = 0
 
@@ -212,7 +224,7 @@ class PrefixCache:
         if block_tokens < 1:
             raise ValueError("block_tokens must be >= 1")
         self.block_tokens = block_tokens
-        self._root = _RadixNode(tokens=(), n=0, parent=None)
+        self._root = _RadixNode(tokens="", n=0, parent=None)
         self._n_nodes = 0
         self._n_blocks = 0
         self._n_referenced = 0
@@ -295,7 +307,7 @@ class PrefixCache:
             path.spare = 0
         return path.node
 
-    def _matching_blocks(self, node: _RadixNode, token_ids: Sequence[int],
+    def _matching_blocks(self, node: _RadixNode, token_ids: str,
                          b: int, limit: int) -> int:
         """Leading blocks of ``node``'s run, at most ``limit``, that
         equal ``token_ids``' blocks from block ``b`` on.  The first is
@@ -305,37 +317,37 @@ class PrefixCache:
         if m > 1:
             bt = self.block_tokens
             run = node.tokens if m == node.n else node.tokens[:m * bt]
-            ids = tuple(token_ids[b * bt:(b + m) * bt])
+            ids = token_ids[b * bt:(b + m) * bt]
             if ids != run:
                 m = 1
                 while run[m * bt:(m + 1) * bt] == ids[m * bt:(m + 1) * bt]:
                     m += 1
         return m
 
-    def path_tokens(self, path: PrefixPath) -> Tuple[int, ...]:
-        """The token ids ``path`` spells, root first: the runs of its
-        nodes joined end to end (walks the parent links; for checks
-        and tests)."""
+    def path_tokens(self, path: PrefixPath) -> str:
+        """The packed token ids ``path`` spells, root first: the runs
+        of its nodes joined end to end (walks the parent links; for
+        checks and tests)."""
         runs = []
         node = path.node
         while node.parent is not None:
             runs.append(node.tokens)
             node = node.parent
-        ids = tuple(itertools.chain.from_iterable(reversed(runs)))
-        return ids[:len(path) * self.block_tokens]
+        return "".join(reversed(runs))[:len(path) * self.block_tokens]
 
     # -- lookup --------------------------------------------------------
     def _walk(self, token_ids: Sequence[int],
               max_blocks: int) -> PrefixPath:
         """The longest cached prefix of ``token_ids``' first
         ``max_blocks`` blocks: per node, one probe for its first block
-        and one comparison of its run."""
+        and one comparison of its run.  Every walk packs its ids here."""
         self.n_walks += 1
+        token_ids = pack_ids(token_ids)
         bt = self.block_tokens
         node = self._root
         b = 0
         while b < max_blocks:
-            child = node.children.get(tuple(token_ids[b * bt:(b + 1) * bt]))
+            child = node.children.get(token_ids[b * bt:(b + 1) * bt])
             if child is None:
                 break
             m = self._matching_blocks(child, token_ids, b, max_blocks - b)
@@ -419,6 +431,7 @@ class PrefixCache:
         one resident copy).
         """
         bt = self.block_tokens
+        token_ids = pack_ids(token_ids)
         if start is None:
             start = PrefixPath(self._root, 0)
         self.touch(start)
@@ -428,12 +441,11 @@ class PrefixCache:
         created = 0
         dups = 0
         while b < n_blocks:
-            key = tuple(token_ids[b * bt:(b + 1) * bt])
+            key = token_ids[b * bt:(b + 1) * bt]
             child = node.children.get(key)
             if child is None:
                 m = n_blocks - b
-                child = _RadixNode(tuple(token_ids[b * bt:n_blocks * bt]),
-                                   m, node)
+                child = _RadixNode(token_ids[b * bt:n_blocks * bt], m, node)
                 node.children[key] = child
                 self._n_nodes += 1
                 self._n_blocks += m
@@ -559,6 +571,9 @@ class PrefixCachingAllocator(PagedKVAllocator):
         self.n_evicted_blocks = 0
         self.n_cow_copies = 0
         self.n_committed_blocks = 0
+        #: :meth:`lookup` calls (``peek`` and an unwalked
+        #: ``match_and_lock`` go through it): a work counter.
+        self.n_lookup_calls = 0
 
     # -- accounting overrides ------------------------------------------
     @property
@@ -600,7 +615,9 @@ class PrefixCachingAllocator(PagedKVAllocator):
     def lookup(self, token_ids: Sequence[int]) -> PrefixPath:
         """The cached path :meth:`match_and_lock` would lock for
         ``token_ids``, walked once, without touching, locking or
-        counting anything; pass it to ``match_and_lock`` unchanged."""
+        counting anything but the call; pass it to ``match_and_lock``
+        unchanged."""
+        self.n_lookup_calls += 1
         return self.cache._walk(token_ids, self._matchable_blocks(token_ids))
 
     def peek(self, token_ids: Sequence[int]) -> int:
@@ -624,6 +641,7 @@ class PrefixCachingAllocator(PagedKVAllocator):
         """
         if self.holds(owner) != 0:
             raise RuntimeError(f"owner {owner!r} already holds blocks")
+        token_ids = pack_ids(token_ids)
         if not token_ids:
             return 0
         if path is None:
@@ -648,7 +666,7 @@ class PrefixCachingAllocator(PagedKVAllocator):
         if len(path) == matchable:
             # The un-matchable tail is never empty: matchable is capped
             # at (len(token_ids) - 1) // bt.
-            tail = tuple(token_ids[matchable * bt:(matchable + 1) * bt])
+            tail = token_ids[matchable * bt:(matchable + 1) * bt]
             if tail in path.node.children:
                 self.n_cow_copies += 1
         cache.lock(path)
@@ -706,6 +724,8 @@ class PrefixCachingAllocator(PagedKVAllocator):
         Returns the number of blocks returned to the free list (blocks
         that became cached are resident, not free).
         """
+        if token_ids is not None:
+            token_ids = pack_ids(token_ids)
         if self.sanitize:
             self._note_freed(owner)
         shared = self._shared.pop(owner, None)
@@ -717,7 +737,7 @@ class PrefixCachingAllocator(PagedKVAllocator):
             if committable > n_shared:
                 if self.sanitize and shared:
                     check(self.cache.path_tokens(shared)
-                          == tuple(token_ids[:n_shared * bt]),
+                          == token_ids[:n_shared * bt],
                           f"release({owner!r}): the locked path does not "
                           f"spell the first blocks of the committed ids")
                 created, dups = self.cache.insert(token_ids, committable,
@@ -842,15 +862,16 @@ class PrefixCachingAllocator(PagedKVAllocator):
         stack = [root]
         while stack:
             node = stack.pop()
-            for key, child in node.children.items():
+            for packed, child in node.children.items():
+                key = unpack_ids(packed)
                 n_nodes += 1
                 n_blocks += child.n
                 check(child.parent is node,
                       f"node {key} has a stale parent link")
-                check(child.tokens[:bt] == key,
+                check(child.tokens[:bt] == packed,
                       f"node filed under {key} starts with tokens "
-                      f"{child.tokens[:bt]}: the node's tokens no longer "
-                      f"match its lookup key")
+                      f"{unpack_ids(child.tokens[:bt])}: the node's tokens "
+                      f"no longer match its lookup key")
                 check(child.n >= 1 and len(child.tokens) == child.n * bt,
                       f"node {key} stores {len(child.tokens)} tokens for "
                       f"{child.n} blocks; a node holds a run of whole "
@@ -890,7 +911,8 @@ class PrefixCachingAllocator(PagedKVAllocator):
             node = path.node
             while node.parent is not None:
                 check(node.ref >= 1,
-                      f"owner {owner!r} locks node {node.tokens[:bt]} "
+                      f"owner {owner!r} locks node "
+                      f"{unpack_ids(node.tokens[:bt])} "
                       f"whose ref is {node.ref}")
                 blocks += node.n
                 node = node.parent

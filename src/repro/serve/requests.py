@@ -29,9 +29,19 @@ heavy-tailed — most prompts are short, a few are near the context
 limit — and the tail is what stresses KV-cache capacity.
 
 The session-aware generators synthesize deterministic *token ids*
-(``Request.prompt_ids`` / ``Request.output_ids``) so block hashing in
+(``Request.prompt_ids`` / ``Request.output_ids``) so block identity in
 :mod:`repro.serve.prefix` is meaningful; the classic generators leave
 them ``None`` and behave exactly as before.
+
+Token ids have one format: a packed ``str`` whose *i*-th code point is
+the *i*-th id, built by :func:`pack_ids` (``Request`` packs whatever
+int sequence it is given).  A ``str`` is immutable and hashable, so a
+slice of it keys the radix tree directly; it is sliced, compared and
+concatenated by token in C; and CPython stores it at the width of its
+largest code point, so ids below 65,536 (every vocabulary here) cost
+two bytes each, where a tuple costs an 8-byte slot plus an int object
+per id.  Every id in ``[0, 0x110000)`` round-trips exactly, surrogate
+code points included; :func:`unpack_ids` gives the ints back.
 
 Everything is deterministic given a seed.
 """
@@ -43,6 +53,34 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
+
+#: One past the largest token id a packed id string can hold (the
+#: number of Unicode code points).
+ID_LIMIT = 0x110000
+
+
+def pack_ids(ids: Sequence[int]) -> str:
+    """Token ids as one ``str`` whose *i*-th code point is ``ids[i]``.
+
+    A ``str`` is returned as it is (it already is packed ids).  Any
+    other sequence must hold integers in ``[0, ID_LIMIT)``, else
+    ``ValueError``; surrogate code points pass through the codec too.
+    """
+    if isinstance(ids, str):
+        return ids
+    arr = np.asarray(ids)
+    if arr.size == 0:
+        return ""
+    if (arr.ndim != 1 or arr.dtype.kind not in "iu" or arr.min() < 0
+            or arr.max() >= ID_LIMIT):
+        raise ValueError(
+            f"token ids must be integers in [0, {ID_LIMIT:#x})")
+    return arr.astype("<u4").tobytes().decode("utf-32-le", "surrogatepass")
+
+
+def unpack_ids(packed: str) -> Tuple[int, ...]:
+    """The ids a :func:`pack_ids` string holds, as ints."""
+    return tuple(map(ord, packed))
 
 
 @dataclass(frozen=True)
@@ -58,11 +96,13 @@ class Request:
     output_tokens: int
     #: Synthesized prompt token ids (``len == prompt_tokens``), only
     #: set by the session-aware generators; ``None`` disables prefix
-    #: caching for this request.
-    prompt_ids: Optional[Tuple[int, ...]] = None
+    #: caching for this request.  Any int sequence is packed
+    #: (:func:`pack_ids`).
+    prompt_ids: Optional[str] = None
     #: Synthesized output token ids (``len == output_tokens``), so a
-    #: later turn's prompt can embed this turn's generated history.
-    output_ids: Optional[Tuple[int, ...]] = None
+    #: later turn's prompt can embed this turn's generated history;
+    #: packed like ``prompt_ids``.
+    output_ids: Optional[str] = None
     #: Chat-session identity (``None`` for standalone requests); the
     #: ``prefix-affinity`` fleet router hashes on it.
     session_id: Optional[int] = None
@@ -76,6 +116,10 @@ class Request:
             raise ValueError("output_tokens must be >= 1")
         if self.arrival_s < 0:
             raise ValueError("arrival_s must be >= 0")
+        for name in ("prompt_ids", "output_ids"):
+            ids = getattr(self, name)
+            if ids is not None:
+                object.__setattr__(self, name, pack_ids(ids))
         if (self.prompt_ids is not None
                 and len(self.prompt_ids) != self.prompt_tokens):
             raise ValueError("prompt_ids must have prompt_tokens entries")
@@ -277,10 +321,15 @@ def replayed_trace(
     return _build(arrivals, list(prompt_tokens), list(output_tokens))
 
 
-def _token_ids(rng: np.random.Generator, n: int,
-               vocab: int) -> Tuple[int, ...]:
-    """``n`` synthesized token ids drawn uniformly from the vocabulary."""
-    return tuple(rng.integers(0, vocab, size=n).tolist())
+def _token_ids(rng: np.random.Generator, n: int, vocab: int) -> str:
+    """``n`` synthesized token ids drawn uniformly from the vocabulary,
+    packed."""
+    return pack_ids(rng.integers(0, vocab, size=n))
+
+
+def _check_vocab(vocab: int) -> None:
+    if not 2 <= vocab <= ID_LIMIT:
+        raise ValueError(f"vocab must be in [2, {ID_LIMIT:#x}]")
 
 
 def _finish(requests: List[Request]) -> List[Request]:
@@ -322,8 +371,7 @@ def shared_prefix_trace(
         raise ValueError("n_requests must be >= 1")
     if system_tokens < 1:
         raise ValueError("system_tokens must be >= 1")
-    if vocab < 2:
-        raise ValueError("vocab must be >= 2")
+    _check_vocab(vocab)
     rng = np.random.default_rng(seed)
     gaps = rng.exponential(1.0 / rate_rps, size=n_requests)
     arrivals = np.cumsum(gaps) - gaps[0]
@@ -382,8 +430,7 @@ def multi_turn_chat_trace(
         raise ValueError("think_s must be positive")
     if system_tokens < 1:
         raise ValueError("system_tokens must be >= 1")
-    if vocab < 2:
-        raise ValueError("vocab must be >= 2")
+    _check_vocab(vocab)
     rng = np.random.default_rng(seed)
     gaps = rng.exponential(1.0 / rate_rps, size=n_sessions)
     opens = np.cumsum(gaps) - gaps[0]

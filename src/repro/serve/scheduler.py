@@ -783,8 +783,9 @@ class ContinuousBatchScheduler:
 
     @staticmethod
     def _known_ids(request: Request, generated: int):
-        """Token ids resident after (re-)prefilling ``request`` with
-        ``generated`` recompute tokens — ``None`` when the request
+        """Packed token ids resident after (re-)prefilling ``request``
+        with ``generated`` recompute tokens: the prompt's string and the
+        outputs' prefix, concatenated — ``None`` when the request
         carries no ids (prefix caching is then a per-request no-op)."""
         if request.prompt_ids is None:
             return None

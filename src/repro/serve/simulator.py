@@ -35,6 +35,7 @@ kernel stack.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Union
@@ -48,6 +49,7 @@ from repro.serve.api import FleetConfig, SimConfig
 from repro.serve.costs import StepCostModel
 from repro.serve.events import ARRIVAL, SAMPLE, EventLoop, EventStats
 from repro.serve.requests import Request
+from repro.serve.sanitize import SanitizeError
 from repro.serve.scheduler import (BatchPlan, ContinuousBatchScheduler,
                                    SequenceState)
 
@@ -486,8 +488,9 @@ class SimulationRun:
     A driver builds one per ``run`` call over its engines, then runs its
     own heap loop: arrivals popped from :attr:`loop` go to
     :meth:`arrive`, SAMPLE events to :meth:`sample`.  Once the heap
-    drains, :meth:`finish` audits the engines and returns the
-    :class:`Report` fields every driver fills the same way.
+    drains, :meth:`finish` audits the engines, balances the run ledger
+    and returns the :class:`Report` fields every driver fills the same
+    way.
     """
 
     def __init__(self, engines: Sequence[ServingEngine],
@@ -508,6 +511,9 @@ class SimulationRun:
             raise ValueError("empty trace")
         self.arrivals_left = len(self.pending)
         self.n_rejected = 0
+        #: Requests the engines were given before this run (a caller
+        #: may preload one), for the run ledger.
+        self._submitted_before = sum(eng.n_submitted for eng in engines)
         #: req_id -> engine index, for every admitted request.
         self.assignments: Dict[int, int] = {}
         self.loop = EventLoop()
@@ -565,7 +571,8 @@ class SimulationRun:
             self.loop.push(self.timeline.next_sample_s, SAMPLE, None)
 
     def finish(self, labels: Sequence[dict]) -> dict:
-        """Audit the drained engines and build the shared report fields.
+        """Audit the drained engines, balance the run ledger
+        (:func:`check_ledger`), and build the shared report fields.
 
         ``labels[i]`` are the metric labels engine ``i``'s scheduler
         emits its registry metrics under.
@@ -578,6 +585,8 @@ class SimulationRun:
                 # the pool must be back to empty (only reads state;
                 # raises SanitizeError on any broken invariant).
                 alloc.audit_drained()
+        check_ledger(engines, len(self.pending) - self.n_rejected,
+                     self._submitted_before)
         records = [
             RequestRecord(
                 req_id=s.request.req_id,
@@ -633,6 +642,50 @@ class SimulationRun:
             timeline=timeline,
             slo=slo,
         )
+
+
+def check_ledger(engines: Sequence[ServingEngine], n_accepted: int,
+                 submitted_before: int) -> None:
+    """The run ledger, always on, in O(finished sequences): raise
+    :class:`~repro.serve.sanitize.SanitizeError` unless
+
+    - every arrival ended exactly once: the run gave its engines the
+      ``n_accepted`` arrivals it did not reject, and each engine
+      finished exactly the requests it was given (on fresh engines,
+      finished plus rejected requests are the trace);
+    - every finished sequence generated exactly its ``output_tokens``;
+    - every finished sequence is causal: arrival <= first admission
+      <= first token <= finish.
+
+    ``submitted_before`` counts the requests the engines were given
+    before the run.
+    """
+    submitted = sum(eng.n_submitted for eng in engines)
+    if submitted - submitted_before != n_accepted:
+        raise SanitizeError(
+            f"run ledger: the engines were given "
+            f"{submitted - submitted_before} requests for {n_accepted} "
+            f"accepted arrivals")
+    for eng in engines:
+        if len(eng.finished) != eng.n_submitted:
+            raise SanitizeError(
+                f"run ledger: engine {eng.replica_id} finished "
+                f"{len(eng.finished)} sequences for {eng.n_submitted} "
+                f"requests")
+    for seq in itertools.chain.from_iterable(
+            eng.finished for eng in engines):
+        req = seq.request
+        if seq.generated != req.output_tokens:
+            raise SanitizeError(
+                f"run ledger: request {req.req_id} finished with "
+                f"{seq.generated} of {req.output_tokens} output tokens")
+        first, done = seq.first_token_s, seq.finished_s
+        if (first is None or done is None
+                or not req.arrival_s <= seq.admitted_s <= first <= done):
+            raise SanitizeError(
+                f"run ledger: request {req.req_id} is not causal: arrival "
+                f"{req.arrival_s}, admitted {seq.admitted_s}, first token "
+                f"{first}, finished {done}")
 
 
 class ServingSimulator:

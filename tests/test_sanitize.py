@@ -28,7 +28,9 @@ from repro.serve.prefix import PrefixCachingAllocator
 from repro.serve.requests import (
     Request,
     multi_turn_chat_trace,
+    pack_ids,
     poisson_trace,
+    unpack_ids,
 )
 from repro.serve.sanitize import SanitizeError, sanitize_enabled
 from repro.serve.scheduler import ContinuousBatchScheduler, KVBudget
@@ -245,7 +247,8 @@ class TestSensitivity:
     def test_tree_rewiring_caught(self):
         alloc, _ = self._warm_prefix()
         node = next(iter(alloc.cache._root.children.values()))
-        node.tokens = tuple(t + 1 for t in node.tokens)  # key mismatch
+        # Key mismatch: every id of the run moves up by one.
+        node.tokens = pack_ids([t + 1 for t in unpack_ids(node.tokens)])
         with pytest.raises(SanitizeError,
                            match="no longer match its lookup key"):
             alloc.audit()
@@ -306,7 +309,8 @@ class TestSensitivity:
         blocks of the ids a release commits."""
         alloc, ids = self._warm_prefix()
         head, _ = self._head_and_tail(alloc)
-        head.tokens = head.tokens[:4] + (99, 98, 97, 96)  # key intact
+        # The key (the first block) stays intact; the second block moves.
+        head.tokens = head.tokens[:4] + pack_ids((99, 98, 97, 96))
         assert alloc.ensure(2, len(ids))
         with pytest.raises(SanitizeError, match="does not spell"):
             alloc.release(2, token_ids=ids)

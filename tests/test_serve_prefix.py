@@ -20,7 +20,12 @@ ids per admission and per release.
 
 import heapq
 import itertools
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -29,7 +34,7 @@ from hypothesis import strategies as st
 from repro.serve import prefix as prefix_module
 from repro.serve.api import SchedulerConfig, SimConfig
 from repro.serve.prefix import PrefixCache, PrefixCachingAllocator
-from repro.serve.requests import Request
+from repro.serve.requests import Request, pack_ids, unpack_ids
 from repro.serve.sanitize import SanitizeError
 from repro.serve.scheduler import ContinuousBatchScheduler, KVBudget
 from repro.serve.simulator import ServingSimulator
@@ -187,7 +192,8 @@ class TestPrefixCache:
         end = path.node
         cache.match(ids, 3)                            # splits the run
         assert path.node is end and end.n == 5
-        assert cache.path_tokens(path) == ids
+        assert cache.path_tokens(path) == pack_ids(ids)
+        assert unpack_ids(cache.path_tokens(path)) == ids
         cache.unlock(path)
         assert cache.n_referenced == 0
         assert cache.evict_lru(8) == 8
@@ -332,6 +338,72 @@ class TestPrefixCachingAllocator:
         assert [alloc.shared_blocks(o) for o in (1, 2)] == [4, 4]
         assert alloc.stats().used_blocks == 4 + 2      # shared once + tails
         assert sched.kv_fragmentation == 1 - 20 / 24
+
+
+class TestOneIdFormat:
+    """Every public entry point packs the ids it is given, so a tuple or
+    a list finds the path its packed string finds, and ids no string
+    can hold raise: one tree never mixes id types."""
+
+    #: Four 4-token blocks, the second holding surrogate and four-byte
+    #: code points.
+    IDS = _ids(range(40, 44), [0xD800, 0xDFFF, 0x10000, 0x10FFFF],
+               range(50, 58))
+
+    @pytest.mark.parametrize("inserted", [tuple, list, pack_ids])
+    @pytest.mark.parametrize("matched", [tuple, list, pack_ids])
+    def test_tree_entry_points_agree(self, inserted, matched):
+        cache = PrefixCache(block_tokens=4)
+        assert cache.insert(inserted(self.IDS), 4) == (4, 0)
+        assert cache.insert(matched(self.IDS), 4) == (0, 4)
+        path = cache.match(matched(self.IDS), 4)
+        assert len(path) == 4
+        assert cache.path_tokens(path) == pack_ids(self.IDS)
+        assert cache.n_blocks == 4
+
+    @pytest.mark.parametrize("committed", [tuple, list, pack_ids])
+    @pytest.mark.parametrize("looked_up", [tuple, list, pack_ids])
+    def test_allocator_entry_points_agree(self, committed, looked_up):
+        alloc = PrefixCachingAllocator(total_blocks=32, block_tokens=4)
+        assert alloc.ensure(1, 16)
+        alloc.release(1, token_ids=committed(self.IDS))  # 4 blocks
+        ids = looked_up(self.IDS)
+        path = alloc.lookup(ids)
+        assert len(path) == 3                          # matchable blocks
+        assert path == alloc.lookup(pack_ids(self.IDS))
+        assert alloc.peek(ids) == 12
+        assert alloc.match_and_lock(2, ids) == 12
+        assert alloc.n_cow_copies == 1                 # tail block cached
+        assert alloc.ensure(2, 16)
+        alloc.release(2, token_ids=ids)
+        assert alloc.cache.n_blocks == 4               # one copy, no branch
+        assert alloc.n_committed_blocks == 4
+        alloc.check_conservation()
+
+    @pytest.mark.parametrize("bad", [(40, -1), (40, 0x110000)],
+                             ids=["negative", "past-the-code-points"])
+    def test_ids_no_string_holds_raise(self, bad):
+        cache = PrefixCache(block_tokens=1)
+        alloc = PrefixCachingAllocator(total_blocks=8, block_tokens=1)
+        assert alloc.ensure(0, 2)
+        alloc.release(0, token_ids=(40, 41))            # caches 2 blocks
+        assert alloc.match_and_lock(1, (40, 41, 42)) == 2
+        assert alloc.ensure(1, 3)
+        stats = alloc.prefix_stats()
+        for call in (lambda: cache.insert(bad, 2),
+                     lambda: cache.match(bad, 2),
+                     lambda: alloc.lookup(bad),
+                     lambda: alloc.peek(bad),
+                     lambda: alloc.match_and_lock(2, bad),
+                     lambda: alloc.release(1, token_ids=bad)):
+            with pytest.raises(ValueError, match="token ids"):
+                call()
+        # Each call raised before changing anything: owner 1 still
+        # holds its lock and its private block.
+        assert alloc.holds(1) == 3 and alloc.shared_blocks(1) == 2
+        assert alloc.prefix_stats() == stats
+        assert cache.n_blocks == 0
+        alloc.check_conservation()
 
 
 class TestSchedulerIntegration:
@@ -695,8 +767,14 @@ class LegacyPrefixCache:
 def _tree(cache):
     """Nested ``{block tokens: (ref, last_used, subtree)}`` view of a
     tree, one entry per block: a node holding a run of blocks expands
-    into a chain of blocks that share its ``ref`` and ``last_used``."""
+    into a chain of blocks that share its ``ref`` and ``last_used``.
+    Block tokens are int tuples, whether the tree packs them (the
+    radix tree) or not (the reference)."""
     return _blocks(cache._root, cache.block_tokens)
+
+
+def _as_ints(tokens):
+    return unpack_ids(tokens) if isinstance(tokens, str) else tokens
 
 
 def _blocks(node, bt):
@@ -704,7 +782,7 @@ def _blocks(node, bt):
     for child in node.children.values():
         sub = _blocks(child, bt)
         for b in reversed(range(len(child.tokens) // bt)):
-            sub = {child.tokens[b * bt:(b + 1) * bt]:
+            sub = {_as_ints(child.tokens[b * bt:(b + 1) * bt]):
                    (child.ref, child.last_used, sub)}
         out.update(sub)
     return out
@@ -713,7 +791,7 @@ def _blocks(node, bt):
 def _same_path(cache, path, legacy_path):
     """Whether ``path`` spells the blocks of the reference's node list."""
     return (len(path) == len(legacy_path)
-            and cache.path_tokens(path)
+            and unpack_ids(cache.path_tokens(path))
             == sum((node.tokens for node in legacy_path), ()))
 
 
@@ -864,12 +942,15 @@ class TestIncrementalLRUEquivalence:
         assert cache._lru == []
 
 
-class _CountingIds(tuple):
-    """Token ids that count the slices taken of them."""
+class _CountingIds(str):
+    """Packed token ids that count the slices taken of them.  Being a
+    ``str``, they pass every entry point's packing unchanged."""
+
+    slices = 0
 
     def __getitem__(self, key):
         if isinstance(key, slice):
-            self.slices = getattr(self, "slices", 0) + 1
+            self.slices += 1
         return super().__getitem__(key)
 
 
@@ -965,7 +1046,7 @@ class TestEachBlockOnce:
         alloc.release(1, token_ids=ids[:12])           # commits 3 blocks
         assert alloc.match_and_lock(2, ids) == 12      # locks 3 blocks
         assert alloc.ensure(2, 20)
-        counting = _CountingIds(ids)
+        counting = _CountingIds(pack_ids(ids))
         allocated = alloc.cache.n_nodes_allocated
         alloc.release(2, token_ids=counting)
         # Block 3's key, then blocks 3-4 as one new node's run.
@@ -983,7 +1064,7 @@ class TestEachBlockOnce:
         while sched.has_work:
             sched.complete(sched.schedule(float(it)), float(it))
             it += 1
-        ids = _CountingIds(_ids(system, [110, 111, 112, 113]))
+        ids = _CountingIds(pack_ids(_ids(system, [110, 111, 112, 113])))
         sched.submit(Request(req_id=1, arrival_s=float(it),
                              prompt_tokens=len(ids), output_tokens=4,
                              prompt_ids=ids))
@@ -1028,3 +1109,66 @@ class TestEachBlockOnce:
         alloc.cache.insert = one_dup_too_many
         with pytest.raises(SanitizeError, match="holds only 3 private"):
             alloc.release(1, token_ids=ids)
+
+
+#: A prefix-cached chat run, single engine and a 2-replica
+#: ``prefix-affinity`` fleet, printed as JSON: metrics, per-request
+#: records, and the hash of one packed id string (which must differ
+#: across hash seeds, or the comparison proves nothing).
+_HASH_SEED_SCRIPT = """
+import dataclasses, json, math
+from repro.serve.api import FleetConfig, SchedulerConfig, SimConfig
+from repro.serve.requests import multi_turn_chat_trace, pack_ids
+from repro.serve.scheduler import KVBudget
+
+
+class Cost:
+    def step_us(self, plan):
+        return 500.0 + 2.0 * plan.prefill_tokens + 40.0 * plan.decode_batch
+
+    def repeat_room(self, plan):
+        return math.inf
+
+
+trace = multi_turn_chat_trace(12, 4, rate_rps=6.0, think_s=0.5,
+                              system_tokens=96, seed=3)
+budget = KVBudget(capacity_bytes=3072.0, bytes_per_token=1.0)
+scheduler = SchedulerConfig(token_budget=256, max_seqs=8,
+                            admission="paged", prefix_caching=True)
+single = SimConfig(scheduler=scheduler, name="h").build(budget, Cost())
+fleet = FleetConfig(scheduler=scheduler, policy="prefix-affinity",
+                    name="h").build(2, budget, Cost())
+out = {"hash": hash(pack_ids(range(40, 56)))}
+for label, sim in (("single", single), ("fleet", fleet)):
+    report = sim.run(trace)
+    out[label] = {"metrics": report.metrics(),
+                  "records": [dataclasses.astuple(r)
+                              for r in report.records],
+                  "evicted": report.n_evicted_blocks}
+print(json.dumps(out, sort_keys=True))
+"""
+
+
+class TestHashSeedIndependence:
+    def test_runs_match_across_hash_seeds(self):
+        """``str`` hashes are salted per process; the tree iterates
+        only insertion-ordered dicts and orders eviction by tick, so
+        two processes with different hash seeds give identical runs."""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        outs = []
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            env["PYTHONPATH"] = os.pathsep.join(
+                filter(None, (src, env.get("PYTHONPATH"))))
+            done = subprocess.run([sys.executable, "-c", _HASH_SEED_SCRIPT],
+                                  env=env, capture_output=True, text=True,
+                                  timeout=120, check=True)
+            outs.append(json.loads(done.stdout))
+        one, two = outs
+        assert one.pop("hash") != two.pop("hash")
+        assert one == two
+        for label in ("single", "fleet"):
+            run = one[label]
+            assert len(run["records"]) == 48
+            assert run["metrics"]["prefix_hit_rate"] > 0.9
+            assert run["evicted"] > 0

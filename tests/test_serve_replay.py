@@ -108,8 +108,9 @@ def _cases(draw):
     return config, budget, trace, timeline, n_replicas, policy
 
 
-def _tree(node, bt, prefix=()):
-    """Every cached block as ``(path, ref, last_used)``, in key order; a
+def _tree(node, bt, prefix=""):
+    """Every cached block as ``(path, ref, last_used)``, in key order,
+    where ``path`` is the packed ids from the root through the block; a
     radix node holding a run of blocks gives one entry per block."""
     out = []
     for key in sorted(node.children):

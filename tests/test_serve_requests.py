@@ -1,19 +1,32 @@
 """Request-trace layer tests."""
 
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.serve import requests
 from repro.serve.requests import (
+    ID_LIMIT,
     LengthSampler,
     Request,
     bursty_trace,
     multi_turn_chat_trace,
+    pack_ids,
     poisson_trace,
     replayed_trace,
     shared_prefix_trace,
     trace_stats,
+    unpack_ids,
 )
+
+#: Ids at every boundary of the packed format: the Latin-1, two-byte
+#: and four-byte string widths, the surrogate range, and the last
+#: code point.
+EDGE_IDS = (0, 255, 256, 0xD7FF, 0xD800, 0xDBFF, 0xDC00, 0xDFFF, 0xFFFF,
+            0x10000, 0x10FFFF)
 
 
 class TestRequest:
@@ -169,8 +182,7 @@ class TestRequestIds:
 
 
 class TestTokenIds:
-    """Ids are the generator's draws as Python ints, whatever way the
-    array is converted."""
+    """Packed ids decode to the generator's draws, element by element."""
 
     @staticmethod
     def _per_element(rng, n, vocab):
@@ -181,13 +193,74 @@ class TestTokenIds:
         lambda: shared_prefix_trace(8.0, 24, system_tokens=64, seed=5),
     ], ids=["chat", "shared_prefix"])
     def test_ids_equal_per_element_conversion(self, monkeypatch, build):
+        """The reference draws each id as a Python int and keeps the
+        tuples unpacked; the packed trace decodes to exactly them."""
         got = build()
         monkeypatch.setattr(requests, "_token_ids", self._per_element)
+        monkeypatch.setattr(requests, "pack_ids", tuple)
         want = build()
-        assert ([(r.prompt_ids, r.output_ids) for r in got]
-                == [(r.prompt_ids, r.output_ids) for r in want])
-        for r in got:
-            assert all(type(t) is int for t in r.prompt_ids + r.output_ids)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert type(g.prompt_ids) is str and type(g.output_ids) is str
+            assert type(w.prompt_ids) is tuple
+            assert all(type(t) is int for t in w.prompt_ids + w.output_ids)
+            assert unpack_ids(g.prompt_ids) == w.prompt_ids
+            assert unpack_ids(g.output_ids) == w.output_ids
+            assert (g.req_id, g.arrival_s, g.session_id, g.turn) == (
+                w.req_id, w.arrival_s, w.session_id, w.turn)
+
+
+class TestPackedIds:
+    @settings(max_examples=200, deadline=None)
+    @given(ids=st.lists(st.one_of(st.sampled_from(EDGE_IDS),
+                                  st.integers(0xD800, 0xDFFF),
+                                  st.integers(0, ID_LIMIT - 1)),
+                        max_size=64))
+    def test_round_trip(self, ids):
+        packed = pack_ids(ids)
+        assert type(packed) is str
+        assert len(packed) == len(ids)
+        assert unpack_ids(packed) == tuple(ids)
+        assert pack_ids(np.asarray(ids, dtype=np.int64)) == packed
+        assert pack_ids(packed) is packed
+
+    def test_every_edge_id_round_trips(self):
+        assert unpack_ids(pack_ids(EDGE_IDS)) == EDGE_IDS
+        assert pack_ids([]) == ""
+
+    def test_two_bytes_per_id_below_65536(self):
+        n = 10_000
+        packed = pack_ids(np.arange(256, 256 + n))
+        assert 2 * n <= sys.getsizeof(packed) <= 2 * n + 100
+
+    @pytest.mark.parametrize("ids", [
+        [-1], [ID_LIMIT], [0, ID_LIMIT + 5], [2 ** 32 + 5], [2 ** 70],
+        np.array([-1]), np.array([2 ** 32 + 5]), [1.5], [[1, 2]],
+    ], ids=["minus-one", "limit", "past-limit", "u32-wrap", "huge",
+            "np-minus-one", "np-u32-wrap", "float", "nested"])
+    def test_out_of_range_ids_raise(self, ids):
+        with pytest.raises(ValueError):
+            pack_ids(ids)
+
+    def test_request_packs_any_int_sequence(self):
+        r = Request(0, 0.0, prompt_tokens=3, output_tokens=2,
+                    prompt_ids=[5, 0xD800, 0x10FFFF],
+                    output_ids=np.array([7, 8]))
+        assert r.prompt_ids == pack_ids((5, 0xD800, 0x10FFFF))
+        assert r.output_ids == pack_ids((7, 8))
+        with pytest.raises(ValueError):
+            Request(0, 0.0, prompt_tokens=1, output_tokens=1,
+                    prompt_ids=(-1,))
+
+    @pytest.mark.parametrize("build", [
+        lambda vocab: shared_prefix_trace(8.0, 4, vocab=vocab),
+        lambda vocab: multi_turn_chat_trace(2, 2, vocab=vocab),
+    ], ids=["shared_prefix", "chat"])
+    def test_vocab_past_the_code_points_raises(self, build):
+        with pytest.raises(ValueError, match="vocab"):
+            build(ID_LIMIT + 1)
+        trace = build(ID_LIMIT)
+        assert all(len(r.prompt_ids) == r.prompt_tokens for r in trace)
 
 
 class TestSharedPrefixTrace:

@@ -16,11 +16,12 @@ from repro.kernels.gemm import GemmShape
 from repro.llm.config import tiny_llama
 from repro.llm.model import OperatorShape, prefill_operator_shapes
 from repro.obs import percentile
-from repro.serve.api import SchedulerConfig, SimConfig
+from repro.serve.api import FleetConfig, SchedulerConfig, SimConfig
 from repro.serve.costs import StepCostModel, bucket_up
 from repro.serve.requests import Request, poisson_trace, LengthSampler
 from repro.serve.scheduler import ContinuousBatchScheduler, KVBudget
-from repro.serve.simulator import ServingSimulator
+from repro.serve.sanitize import SanitizeError
+from repro.serve.simulator import ServingSimulator, SimulationRun
 
 
 class ConstantCostModel:
@@ -180,6 +181,77 @@ class TestSimulatorLoop:
             _scheduler(), ConstantCostModel(), config=SimConfig(name="unit"))
         with pytest.raises(ValueError):
             sim.run([])
+
+
+class TestRunLedger:
+    """Every run ends by balancing its ledger, with no option: corrupt
+    the drained run just before the epilogue, and the run raises.  Each
+    law is checked on a single engine and on a two-replica fleet."""
+
+    @staticmethod
+    def _run(monkeypatch, corrupt, fleet):
+        finish = SimulationRun.finish
+
+        def corrupted_finish(self, labels):
+            corrupt(self)
+            return finish(self, labels)
+
+        monkeypatch.setattr(SimulationRun, "finish", corrupted_finish)
+        trace = _trace(6, gap=0.0005)
+        if fleet:
+            budget = KVBudget(capacity_bytes=1e5, bytes_per_token=1.0)
+            sim = FleetConfig(policy="round-robin", name="unit").build(
+                2, budget, ConstantCostModel())
+        else:
+            sim = ServingSimulator(_scheduler(), ConstantCostModel(),
+                                   config=SimConfig(name="unit"))
+        return sim.run(trace)
+
+    @staticmethod
+    def _last_finished(run):
+        return run.engines[0].finished[-1]
+
+    @pytest.mark.parametrize("fleet", [False, True],
+                             ids=["engine", "fleet"])
+    def test_a_clean_run_balances(self, monkeypatch, fleet):
+        report = self._run(monkeypatch, lambda run: None, fleet)
+        assert report.n_requests == 6
+
+    @pytest.mark.parametrize("fleet", [False, True],
+                             ids=["engine", "fleet"])
+    @pytest.mark.parametrize("corrupt, message", [
+        (lambda run: run.engines[0].finished.append(
+            run.engines[0].finished[0]), "engine 0 finished"),
+        (lambda run: run.engines[0].finished.pop(), "engine 0 finished"),
+        (lambda run: setattr(run, "n_rejected", 1), "for 5 accepted"),
+    ], ids=["finished-twice", "never-finished", "rejected-and-run"])
+    def test_every_arrival_ends_exactly_once(self, monkeypatch, fleet,
+                                             corrupt, message):
+        with pytest.raises(SanitizeError, match=f"run ledger: .*{message}"):
+            self._run(monkeypatch, corrupt, fleet)
+
+    @pytest.mark.parametrize("fleet", [False, True],
+                             ids=["engine", "fleet"])
+    def test_output_tokens_are_conserved(self, monkeypatch, fleet):
+        def corrupt(run):
+            self._last_finished(run).generated -= 1
+
+        with pytest.raises(SanitizeError, match="7 of 8 output tokens"):
+            self._run(monkeypatch, corrupt, fleet)
+
+    @pytest.mark.parametrize("fleet", [False, True],
+                             ids=["engine", "fleet"])
+    @pytest.mark.parametrize("corrupt", [
+        lambda seq: setattr(seq, "admitted_s", seq.request.arrival_s - 1),
+        lambda seq: setattr(seq, "first_token_s", seq.admitted_s - 1e-6),
+        lambda seq: setattr(seq, "finished_s", seq.first_token_s - 1e-6),
+        lambda seq: setattr(seq, "first_token_s", None),
+    ], ids=["admitted-before-arrival", "first-token-before-admission",
+            "finished-before-first-token", "no-first-token"])
+    def test_every_request_is_causal(self, monkeypatch, fleet, corrupt):
+        with pytest.raises(SanitizeError, match="is not causal"):
+            self._run(monkeypatch,
+                      lambda run: corrupt(self._last_finished(run)), fleet)
 
 
 class TestEndToEndAnalytic:

@@ -83,17 +83,16 @@ Checks:
     and an eager template and source per kernel (96, 48 and 48 calls),
     fail it deterministically.
 11. Prefix-cache work per block, exact counts rather than times, on
-    check 8's fixed chat run, read from the
-    :class:`~repro.serve.prefix.PrefixCache` work counters.  Each
-    admission walks its prompt once: ``n_walks`` may be at most one per
-    lookup (an outermost ``PrefixCachingAllocator.lookup`` or ``peek``
-    call), because ``match_and_lock`` locks the path the admission's
-    lookup walked.  And an unreferenced chain falls for one heap pop:
-    ``n_heap_pushes`` may be at most half the evicted blocks, because
-    ``evict_lru`` evicts a parent older than every heap entry at once.
-    The run walks 300 prompts for 300 lookups and makes 1,306 pushes
-    for 9,013 evicted blocks; walking again to lock (600 walks) and
-    pushing every exposed parent (9,360 pushes) fail it
+    check 8's fixed chat run, read from work counters.  Each admission
+    walks its prompt once: ``PrefixCache.n_walks`` may be at most one
+    per lookup (``PrefixCachingAllocator.n_lookup_calls``; ``peek``
+    goes through ``lookup``), because ``match_and_lock`` locks the path
+    the admission's lookup walked.  And an unreferenced chain falls for
+    one heap pop: ``n_heap_pushes`` may be at most half the evicted
+    blocks, because ``evict_lru`` evicts a parent older than every heap
+    entry at once.  The run walks 300 prompts for 300 lookups and makes
+    1,306 pushes for 9,013 evicted blocks; walking again to lock (600
+    walks) and pushing every exposed parent (9,360 pushes) fail it
     deterministically.
 12. Radix nodes per committed block, an exact count rather than a
     time, on the same run: ``n_nodes_allocated`` (nodes created plus
@@ -103,6 +102,13 @@ Checks:
     that ends or diverges inside a node splits it.  The run allocates
     301 nodes for 10,855 committed blocks; one node per block (10,855)
     fails it deterministically.
+13. Token-id bytes, an exact count rather than a time, on check 8's
+    fixed chat trace: ``sys.getsizeof`` summed over every request's
+    ``prompt_ids`` and ``output_ids``, over the ids they hold, may be
+    at most 4 bytes per id.  Ids are packed two bytes each below
+    65,536, so the trace reads 2.09 (1,022,878 B for 489,239 ids);
+    tuples of ints (8.05 for their slots alone) fail it
+    deterministically.
 
 Run with::
 
@@ -139,8 +145,7 @@ from repro.llm.config import llama_7b  # noqa: E402
 from repro.obs.timeline import TimelineConfig  # noqa: E402
 from repro.serve.api import FleetConfig, SchedulerConfig, SimConfig  # noqa: E402
 from repro.serve.costs import BATCH_BUCKETS  # noqa: E402
-from repro.serve.prefix import (PrefixCache,  # noqa: E402
-                                PrefixCachingAllocator)
+from repro.serve.prefix import PrefixCache  # noqa: E402
 from repro.serve.requests import Request  # noqa: E402
 from repro.serve.scheduler import KVBudget  # noqa: E402
 
@@ -162,6 +167,9 @@ ENSURE_POOL_TOKENS = 6_000
 
 #: The replay-count run's chat trace: requests at 2 req/s.
 REPLAY_REQUESTS = 300
+
+#: Most bytes per token id the replay-count trace may hold.
+MAX_ID_BYTES = 4
 
 #: The fleet replay-count run: replicas, and bursty requests at 24 req/s.
 FLEET_REPLICAS, FLEET_REQUESTS = 8, 1_000
@@ -267,7 +275,8 @@ def _replay_counts() -> dict:
     run on the real cost model: ``schedule`` calls and iterations
     (check 8); prompt walks, lookups, LRU heap pushes and evicted
     blocks (check 11); radix nodes allocated and blocks committed
-    (check 12).  Every count but the lookups is a work counter."""
+    (check 12), all read from work counters; and the trace's token-id
+    bytes and ids (check 13)."""
     config = llama_7b()
     trace = make_trace("chat", 2.0, REPLAY_REQUESTS, 384, 96, seed=0)
     budget = make_kv_budget(config, "kv-cq-4", capacity_bytes=4e9,
@@ -277,41 +286,19 @@ def _replay_counts() -> dict:
                                               admission="paged",
                                               prefix_caching=True),
                     name="perf-smoke-replay").build(budget, cost)
-    lookups = depth = 0
-
-    def counted_lookup(fn):
-        # Only the outermost lookup counts: ``peek`` goes through
-        # ``lookup``.
-        def counted(*args, **kwargs):
-            nonlocal lookups, depth
-            lookups += depth == 0
-            depth += 1
-            try:
-                return fn(*args, **kwargs)
-            finally:
-                depth -= 1
-
-        return counted
-
-    patches = [(PrefixCachingAllocator, name, fn, counted_lookup(fn))
-               for name, fn in vars(PrefixCachingAllocator).items()
-               if name in ("lookup", "peek")]
-    for target, attr, _, replacement in patches:
-        setattr(target, attr, replacement)
-    try:
-        report = sim.run(trace)
-    finally:
-        for target, attr, original, _ in reversed(patches):
-            setattr(target, attr, original)
+    report = sim.run(trace)
     assert report.n_requests == REPLAY_REQUESTS
     alloc = sim.scheduler.allocator
+    id_seqs = [ids for r in trace for ids in (r.prompt_ids, r.output_ids)]
     return {"schedule_calls": sim.scheduler.n_schedule_calls,
             "iterations": report.n_iterations,
-            "walks": alloc.cache.n_walks, "lookups": lookups,
+            "walks": alloc.cache.n_walks, "lookups": alloc.n_lookup_calls,
             "heap_pushes": alloc.cache.n_heap_pushes,
             "evicted_blocks": report.n_evicted_blocks,
             "nodes_allocated": alloc.cache.n_nodes_allocated,
-            "committed_blocks": alloc.n_committed_blocks}
+            "committed_blocks": alloc.n_committed_blocks,
+            "id_bytes": sum(map(sys.getsizeof, id_seqs)),
+            "ids": sum(map(len, id_seqs))}
 
 
 def _fleet_schedule_calls() -> tuple:
@@ -481,12 +468,19 @@ def main(argv=None) -> int:
     nodes, committed = replay["nodes_allocated"], replay["committed_blocks"]
     print(f"prefix nodes: {nodes:,} radix nodes allocated for "
           f"{committed:,} committed blocks (max a quarter)")
+    id_bytes, n_ids = replay["id_bytes"], replay["ids"]
+    print(f"token ids: {id_bytes:,} B for {n_ids:,} ids "
+          f"({id_bytes / n_ids:.2f} B per id, max {MAX_ID_BYTES})")
 
     fleet_calls, fleet_iterations = _fleet_schedule_calls()
     print(f"fleet decode runs: {fleet_calls:,} schedule calls planned "
           f"{fleet_iterations:,} iterations (max a quarter)")
 
     failed = False
+    if id_bytes > MAX_ID_BYTES * n_ids:
+        print(f"PERF REGRESSION: token ids cost {id_bytes / n_ids:.2f} B "
+              f"each; a trace's ids should be packed two bytes each")
+        failed = True
     if 4 * nodes > committed:
         print(f"PERF REGRESSION: {nodes:,} radix nodes allocated for "
               f"{committed:,} committed blocks; a commit should store "
