@@ -25,7 +25,7 @@ package reproduces it on an analytic GPU model:
   models, Megatron-style tensor-parallel sharding, and a multi-replica
   fleet simulator with routing policies and SLO-based fleet sizing;
 - :mod:`repro.obs` — observability for the serving stack: a
-  zero-cost-when-disabled tracer, a Prometheus-style metrics registry,
+  zero-cost-when-disabled tracer, a counter/gauge/histogram registry,
   and Chrome/Perfetto timeline export with a markdown report CLI.
 
 See ``README.md`` for a guided tour and ``docs/architecture.md`` for

@@ -28,11 +28,10 @@ from repro.bench.harness import ExperimentResult
 from repro.bench.serving import (
     SERVING_MODES,
     TRACE_KINDS,
+    make_cost_model,
     make_kv_budget,
     make_trace,
-    mode_cost_kwargs,
 )
-from repro.cluster.costs import ShardedStepCostModel
 from repro.cluster.fleet import (
     POLICIES,
     SLO,
@@ -92,9 +91,8 @@ def make_replicas(
     config = config or llama_7b()
     engine = engine or ComputeEngine(spec)
     budget = replica_kv_budget(config, mode, spec, tp_degree)
-    cost = ShardedStepCostModel(engine, config,
-                                TensorParallelPlan(config, tp_degree, link),
-                                **mode_cost_kwargs(mode))
+    cost = make_cost_model(engine, config, mode,
+                           TensorParallelPlan(config, tp_degree, link))
     sched_config = SchedulerConfig(token_budget=token_budget,
                                    max_seqs=max_seqs,
                                    admission=admission,
@@ -132,9 +130,8 @@ def tp_scaling(
     )
 
     def breakdown(tp: int, link: LinkSpec):
-        cost = ShardedStepCostModel(engine, config,
-                                    TensorParallelPlan(config, tp, link),
-                                    **mode_cost_kwargs(mode))
+        cost = make_cost_model(engine, config, mode,
+                               TensorParallelPlan(config, tp, link))
         return cost.decode_breakdown(batch, context_tokens)
 
     for link in links:

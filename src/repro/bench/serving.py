@@ -35,6 +35,7 @@ from typing import List, Optional, Sequence
 
 from repro.bench.harness import ExperimentResult
 from repro.bench.workloads import attention_sample, weight_sample
+from repro.cluster.sharding import TensorParallelPlan
 from repro.core.engine import ComputeEngine
 from repro.gpu.spec import GPUSpec, RTX4090, get_spec
 from repro.llm.config import LlamaConfig, llama_7b
@@ -168,9 +169,8 @@ def make_trace(
 def mode_cost_kwargs(mode: str) -> dict:
     """Quantized-operand kwargs of one serving mode's cost model.
 
-    Shared with the TP-aware cluster cost model
-    (:mod:`repro.bench.cluster`), which passes the same operands to
-    :class:`~repro.cluster.costs.ShardedStepCostModel`.
+    :func:`make_cost_model` passes them on; calling this alone loads
+    (and caches) the mode's sample tensors without building a model.
     """
     weights, kv = _mode_formats(mode)
     return {**_format_kwargs(weights, "weight_bits", "weight_qt",
@@ -178,10 +178,12 @@ def mode_cost_kwargs(mode: str) -> dict:
             **_format_kwargs(kv, "kv_bits", "kv_qt", attention_sample)}
 
 
-def make_cost_model(engine: ComputeEngine, config: LlamaConfig,
-                    mode: str) -> StepCostModel:
-    """Step cost model for one serving mode, using the sample tensors."""
-    return StepCostModel(engine, config, **mode_cost_kwargs(mode))
+def make_cost_model(engine: ComputeEngine, config: LlamaConfig, mode: str,
+                    plan: Optional[TensorParallelPlan] = None
+                    ) -> StepCostModel:
+    """Step cost model for one serving mode, using the sample tensors,
+    on the tensor-parallel group ``plan`` (``None`` is one GPU)."""
+    return StepCostModel(engine, config, plan=plan, **mode_cost_kwargs(mode))
 
 
 def simulate_mode(

@@ -12,9 +12,9 @@ offered load.
 - :mod:`repro.cluster.sharding` — the Megatron-style tensor-parallel
   plan: per-shard GEMM/attention shapes (FLOP-conserving), per-layer
   collective costs, per-GPU KV budgets (KV bytes shard by heads,
-  VQ codebooks are replicated per shard);
-- :mod:`repro.cluster.costs` — :class:`ShardedStepCostModel`, the
-  TP-aware extension of :class:`repro.serve.costs.StepCostModel`;
+  VQ codebooks are replicated per shard); a plan passed to
+  :class:`repro.serve.costs.StepCostModel` prices one replica's
+  iterations on its TP group;
 - :mod:`repro.cluster.fleet` — the multi-replica discrete-event
   simulator: N continuous-batching engines behind a router
   (round-robin / join-shortest-queue / least-KV-pressure), fleet
@@ -26,7 +26,6 @@ the FP16-vs-CQ fleet-sizing comparison, and ``docs/architecture.md``
 for how this layer rides the memoized kernel stack.
 """
 
-from repro.cluster.costs import ShardedStepCostModel
 from repro.cluster.fleet import (
     SLO,
     FleetReport,
@@ -49,7 +48,6 @@ from repro.cluster.interconnect import (
     NVLINK4,
     PCIE4,
     PCIE5,
-    get_link,
     ring_all_gather_us,
     ring_all_reduce_us,
 )
@@ -73,9 +71,7 @@ __all__ = [
     "RoundRobinPolicy",
     "RouterPolicy",
     "SLO",
-    "ShardedStepCostModel",
     "TensorParallelPlan",
-    "get_link",
     "make_policy",
     "ring_all_gather_us",
     "ring_all_reduce_us",

@@ -452,6 +452,7 @@ class FleetSimulator:
         self.replicas = list(replicas)
         self.policy = make_policy(self.config.policy)
         self.name = self.config.name
+        self._ran = False
 
     def _route(self, request: Request, candidates: List[int]) -> int:
         idx = self.policy.choose(request, self.replicas, candidates)
@@ -466,7 +467,14 @@ class FleetSimulator:
         """Simulate the full trace; returns the fleet-level report.
 
         ``max_iterations`` (per replica) defaults to the config's cap.
+        A simulator runs once: its replicas and router keep the run's
+        state.
         """
+        if self._ran:
+            raise RuntimeError(
+                "this FleetSimulator has already run; build a fresh one "
+                "from its config (FleetConfig.build)")
+        self._ran = True
         replicas = self.replicas
         run = SimulationRun(replicas, self.config, trace, max_iterations,
                             route=self._route)

@@ -81,16 +81,6 @@ LINKS = {
 }
 
 
-def get_link(name: str) -> LinkSpec:
-    """Look up a link preset by name (case-insensitive, punctuation ignored)."""
-    key = (name.lower().replace(" ", "").replace("-", "")
-           .replace("_", "").replace(".", ""))
-    for canonical, link in LINKS.items():
-        if canonical == key:
-            return link
-    raise KeyError(f"unknown link preset: {name!r}; known: {sorted(LINKS)}")
-
-
 def _validate(nbytes: float, degree: int) -> None:
     if nbytes < 0:
         raise ValueError("nbytes must be >= 0")

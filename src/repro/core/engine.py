@@ -76,13 +76,6 @@ class LevelSweep:
         base = self.latencies_us[baseline]
         return 1.0 - self.best_us / base
 
-    def reduction_of(self, level: str, baseline: str = "GC") -> float:
-        """Latency reduction of one level vs a baseline level.
-
-        Raises :class:`KeyError` if either level was not swept.
-        """
-        return 1.0 - self.latencies_us[level] / self.latencies_us[baseline]
-
 
 class _LatencyMemo:
     """A small LRU cache for modelled latencies.
@@ -115,11 +108,6 @@ class _LatencyMemo:
 
     def __len__(self) -> int:
         return len(self._data)
-
-    def clear(self) -> None:
-        self._data.clear()
-        self.hits = 0
-        self.misses = 0
 
 
 class ComputeEngine:
@@ -262,9 +250,3 @@ class ComputeEngine:
             "currsize": len(self._memo),
             "maxsize": self._memo.maxsize,
         }
-
-    def memo_clear(self) -> None:
-        """Drop every cached latency, and the generator's codebook
-        statistics and slack with it (tests use this for isolation)."""
-        self._memo.clear()
-        self.generator = VQLLMCodeGenerator(self.spec)

@@ -98,13 +98,6 @@ class PerfCounters:
         return (self.global_to_shared_bytes + self.shared_to_reg_bytes
                 + self.reg_to_shared_bytes)
 
-    @property
-    def conflict_rate(self) -> float:
-        """Replayed fraction of shared transactions (0 = conflict-free)."""
-        if self.shared_transactions <= 0:
-            return 0.0
-        return self.bank_conflict_transactions / self.shared_transactions
-
     def as_dict(self) -> dict:
         """Flat dictionary view (notes excluded) for harness tables."""
         out = {}

@@ -97,10 +97,6 @@ class GPUSpec:
         """Return a copy of this spec with a different DRAM bandwidth."""
         return replace(self, dram_bandwidth_gbps=gbps)
 
-    def with_dram(self, gb: float) -> "GPUSpec":
-        """Return a copy of this spec with a different DRAM capacity."""
-        return replace(self, dram_bytes=gb * 1e9)
-
 
 #: NVIDIA RTX 4090 (Ada, AD102).  128 SMs, 1008 GB/s GDDR6X.
 RTX4090 = GPUSpec(

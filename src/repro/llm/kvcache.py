@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.vq.codebook import CodebookSet
 from repro.vq.config import VQConfig
-from repro.vq.quantizer import QuantizedTensor, VectorQuantizer, _assign_nearest
+from repro.vq.quantizer import VectorQuantizer, _assign_nearest
 
 
 class KVCache:
@@ -168,25 +168,6 @@ class QuantizedKVCache:
     def values(self) -> np.ndarray:
         """Dequantized values, shape (B, H, length, C)."""
         return self._decode(self._v_codes[:, :, :self.length], self._v_books)
-
-    def key_tensor(self, batch: int) -> QuantizedTensor:
-        """View one batch element's keys as a QuantizedTensor (T, H*C).
-
-        This is the object the fused attention kernels consume.
-        """
-        return self._as_tensor(self._k_codes, self._k_books, batch)
-
-    def _as_tensor(self, codes: np.ndarray, books: CodebookSet,
-                   batch: int) -> QuantizedTensor:
-        t = self.length
-        flat_codes = codes[batch, :, :t].transpose(1, 0, 2, 3).reshape(
-            t, self.n_heads * self.n_sub, self.config.residuals)
-        group_map = np.broadcast_to(
-            np.arange(self.n_heads * self.n_sub, dtype=np.int64)[None, :],
-            (t, self.n_heads * self.n_sub)).copy()
-        shape = (t, self.n_heads * self.head_dim)
-        return QuantizedTensor(self.config, shape, flat_codes, group_map,
-                               books)
 
     @property
     def nbytes(self) -> float:

@@ -5,9 +5,8 @@ Six pieces (see each module's docs):
 - :mod:`repro.obs.trace` — :class:`Tracer` lifecycle/step recording
   with a near-zero-cost disabled path (:data:`NULL_TRACER`);
 - :mod:`repro.obs.metrics` — :class:`MetricsRegistry` of counters,
-  gauges and log-bucketed histograms with Prometheus-text and
-  flat-dict export (histograms also export estimated
-  ``_p50/_p95/_p99`` quantiles);
+  gauges and log-bucketed histograms with flat-dict export
+  (histograms also export estimated ``_p50/_p95/_p99`` quantiles);
 - :mod:`repro.obs.timeline` — :class:`TimelineCollector` windowed
   time-series telemetry over simulated time (queue depth, KV
   occupancy, per-window latency tails), sampled via SAMPLE events on

@@ -2,9 +2,8 @@
 
 Run-level percentiles say a run's TTFT p99 is high; this module says
 *why*.  From a recorded trace (the ``trace_event`` JSON of
-:mod:`repro.obs.perfetto`, or a live
-:class:`~repro.obs.trace.Tracer`), each completed request's lifetime
-is decomposed into four additive segments:
+:mod:`repro.obs.perfetto`), each completed request's lifetime is
+decomposed into four additive segments:
 
 - **queued** — arrival to first admission (the ``queued`` span);
 - **prefill** — first admission to first output token, *minus* any
@@ -34,8 +33,7 @@ from typing import Dict, List, Optional
 
 from repro.obs.report import percentile
 
-__all__ = ["breakdown_summary", "request_breakdowns",
-           "tracer_breakdowns"]
+__all__ = ["breakdown_summary", "request_breakdowns"]
 
 _SEGMENTS = ("queued", "prefill", "stall", "decode")
 
@@ -114,12 +112,6 @@ def request_breakdowns(doc: dict) -> List[dict]:
             "preemptions": args[key].get("preemptions", 0),
         })
     return out
-
-
-def tracer_breakdowns(tracer) -> List[dict]:
-    """:func:`request_breakdowns` straight from a live tracer."""
-    from repro.obs.perfetto import to_perfetto
-    return request_breakdowns(to_perfetto(tracer))
 
 
 def breakdown_summary(breakdowns: List[dict],

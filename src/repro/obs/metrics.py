@@ -8,16 +8,12 @@ surface those attributes flow into at end of run: each subsystem
 implements ``emit_metrics(registry, **labels)`` (see
 :mod:`repro.serve.scheduler`, :mod:`repro.serve.paging`,
 :mod:`repro.serve.prefix`, :mod:`repro.serve.events`,
-:mod:`repro.cluster.fleet`), and the registry renders two views:
-
-- :meth:`MetricsRegistry.to_flat_dict` — plain ``{name: number}``,
-  merged into ``ServingReport.metrics()`` / ``FleetReport.metrics()``
-  and thence into the ``BENCH_<pr>.json`` perf trajectory (histograms
-  contribute ``<name>_count`` / ``<name>_sum`` plus interpolated
-  ``<name>_p50`` / ``<name>_p95`` / ``<name>_p99`` estimates);
-- :meth:`MetricsRegistry.to_prometheus` — Prometheus text exposition
-  format, for eyeballs and for scraping if the simulator ever runs
-  behind a real endpoint.
+:mod:`repro.cluster.fleet`), and the registry renders one view,
+:meth:`MetricsRegistry.to_flat_dict` — plain ``{name: number}``,
+merged into ``ServingReport.metrics()`` / ``FleetReport.metrics()``
+and thence into the ``BENCH_<pr>.json`` perf trajectory (histograms
+contribute ``<name>_count`` / ``<name>_sum`` plus interpolated
+``<name>_p50`` / ``<name>_p95`` / ``<name>_p99`` estimates).
 
 Emission is *unconditional* (every run builds its registry, traced or
 not) and reads only end-of-run state, so registry contents are a pure
@@ -35,18 +31,9 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, Iterator
 
 __all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry"]
-
-
-def _format_value(value) -> str:
-    """Prometheus sample value: integers bare, floats via repr."""
-    if isinstance(value, bool):  # pragma: no cover - never stored
-        return str(int(value))
-    if isinstance(value, int) or float(value).is_integer():
-        return str(int(value))
-    return repr(float(value))
 
 
 def _label_suffix(labels: Dict[str, str]) -> str:
@@ -75,9 +62,6 @@ class Counter:
                              f"(inc by {amount})")
         self.value += amount
 
-    def samples(self) -> List[Tuple[str, Dict[str, str], float]]:
-        return [(self.name, self.labels, self.value)]
-
     def flat(self) -> Dict[str, float]:
         return {self.name + _label_suffix(self.labels): self.value}
 
@@ -97,9 +81,6 @@ class Gauge:
 
     def set(self, value) -> None:
         self.value = value
-
-    def samples(self) -> List[Tuple[str, Dict[str, str], float]]:
-        return [(self.name, self.labels, self.value)]
 
     def flat(self) -> Dict[str, float]:
         return {self.name + _label_suffix(self.labels): self.value}
@@ -147,28 +128,6 @@ class Histogram:
         self.counts[self.bucket_index(value)] += 1
         self.total += 1
         self.sum += value
-
-    def cumulative_counts(self) -> List[int]:
-        """Prometheus-style cumulative bucket counts (ends at total)."""
-        out, running = [], 0
-        for count in self.counts:
-            running += count
-            out.append(running)
-        return out
-
-    def samples(self) -> List[Tuple[str, Dict[str, str], float]]:
-        out = []
-        cumulative = self.cumulative_counts()
-        for boundary, count in zip(self.boundaries, cumulative):
-            le = dict(self.labels)
-            le["le"] = _format_value(boundary)
-            out.append((self.name + "_bucket", le, count))
-        inf = dict(self.labels)
-        inf["le"] = "+Inf"
-        out.append((self.name + "_bucket", inf, cumulative[-1]))
-        out.append((self.name + "_sum", self.labels, self.sum))
-        out.append((self.name + "_count", self.labels, self.total))
-        return out
 
     def quantile(self, q: float) -> float:
         """Estimate the ``q``-quantile (``0 <= q <= 1``) from buckets.
@@ -265,26 +224,10 @@ class MetricsRegistry:
         trajectory persists): counters and gauges by full name,
         histograms as ``<name>_count`` / ``<name>_sum`` plus the
         interpolated ``<name>_p50`` / ``<name>_p95`` / ``<name>_p99``
-        quantile estimates (full per-bucket detail stays in
-        :meth:`to_prometheus`, where the format can carry it without
-        exploding the trajectory's key space).
+        quantile estimates (per-bucket counts would explode the
+        trajectory's key space).
         """
         out: Dict[str, float] = {}
         for metric in self:
             out.update(metric.flat())
         return out
-
-    def to_prometheus(self) -> str:
-        """Prometheus text exposition format (``# HELP``/``# TYPE``)."""
-        lines: List[str] = []
-        seen_headers = set()
-        for metric in self:
-            if metric.name not in seen_headers:
-                seen_headers.add(metric.name)
-                if metric.help:
-                    lines.append(f"# HELP {metric.name} {metric.help}")
-                lines.append(f"# TYPE {metric.name} {metric.kind}")
-            for sample_name, labels, value in metric.samples():
-                lines.append(f"{sample_name}{_label_suffix(labels)} "
-                             f"{_format_value(value)}")
-        return "\n".join(lines) + "\n"

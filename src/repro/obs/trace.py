@@ -161,10 +161,6 @@ class Tracer:
 
     # -- introspection --------------------------------------------------
     @property
-    def n_steps(self) -> int:
-        return len(self.steps)
-
-    @property
     def n_requests(self) -> int:
         return len(self.requests)
 
@@ -175,7 +171,3 @@ class Tracer:
         ids.update(row[2] for row in self.events)
         ids.update(row[1] for row in self.requests)
         return sorted(ids)
-
-    def events_of_kind(self, kind: int) -> List[Tuple]:
-        """The instant events of one ``EVT_*`` kind, in record order."""
-        return [row for row in self.events if row[0] == kind]

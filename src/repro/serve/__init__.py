@@ -49,7 +49,6 @@ from repro.serve.requests import (
     bursty_trace,
     multi_turn_chat_trace,
     poisson_trace,
-    replayed_trace,
     shared_prefix_trace,
     trace_stats,
 )
@@ -100,7 +99,6 @@ __all__ = [
     "kv_codebook_bytes",
     "multi_turn_chat_trace",
     "poisson_trace",
-    "replayed_trace",
     "shared_prefix_trace",
     "trace_stats",
 ]

@@ -15,13 +15,24 @@ launch overheads.
 
 One private walk prices every list in order through one per-operator
 pricer, whose engine keywords for the weights and the KV cache are
-fixed at construction.  :meth:`StepCostModel.decode_breakdown` prices
-exactly the (batch, context) it is given and splits the step into
-GEMV, attention, element-wise and collective time; the serving
-simulator reaches it through the bucketed
-:meth:`~StepCostModel.decode_step_us`, and the Fig. 17 ledger
-(:class:`repro.bench.e2e.E2ELedger`) and the TP-scaling table
-(:func:`repro.bench.cluster.tp_scaling`) call it directly.
+fixed at construction.  Every model prices a tensor-parallel group
+described by a :class:`~repro.cluster.sharding.TensorParallelPlan`
+(one GPU by default): GEMM/GEMV and attention operators run at the
+plan's per-shard shape, and the plan adds its two ring-collective
+terms — every layer's all-reduces (decode steps, prefill chunks) and
+the logits all-gather (decode steps, first-token samples).  A one-GPU
+plan passes shapes through and both collectives cost exactly 0.0.
+Element-wise operators stay unsharded: norms run replicated under
+Megatron-style TP and the sharded passes they bracket are
+bandwidth-bound either way, which errs conservative like the bucketing.
+
+:meth:`StepCostModel.decode_breakdown` prices exactly the (batch,
+context) it is given and splits the step into GEMV, attention,
+element-wise and collective time; the serving simulator reaches it
+through the bucketed :meth:`~StepCostModel.decode_step_us`, and the
+Fig. 17 ledger (:class:`repro.bench.e2e.E2ELedger`) and the
+TP-scaling table (:func:`repro.bench.cluster.tp_scaling`) call it
+directly.
 :meth:`~StepCostModel.prefill_us` and
 :meth:`~StepCostModel.first_token_us` read the same walk, whose
 per-kind sums they do not report yet.
@@ -43,9 +54,8 @@ finished per-iteration totals for :meth:`~StepCostModel.decode_step_us`
 (batch bucket).  The first evaluation of a bucket runs the walk; every
 later iteration in the same bucket is a single dict lookup returning
 the *identical* float, so the tables are invisible to the golden
-bit-identity tests.  Subclasses that reshape operators
-(:class:`repro.cluster.costs.ShardedStepCostModel`) inherit the tables
-per instance, with their collective terms memoized inside the totals.
+bit-identity tests; the collective terms are memoized inside the
+totals.
 
 Prefix caching needs no special handling here: the scheduler credits
 cached prompt tokens as already prefilled, so :meth:`~StepCostModel.
@@ -123,7 +133,7 @@ class DecodeStepBreakdown:
 
 
 class StepCostModel:
-    """Prices scheduler iterations for one (GPU, model, mode) triple.
+    """Prices scheduler iterations for one (GPU, model, mode, TP plan).
 
     Quantized operands are passed in directly (the bench layer maps
     serving-mode names to sample tensors, see
@@ -134,6 +144,9 @@ class StepCostModel:
     - ``kv_qt`` (a (K, V) pair) / ``kv_bits`` — the KV-cache scheme
       used by decode attention;
     - the LM head always stays FP16, as in the paper's E2E setup.
+
+    ``plan`` shards every iteration across a tensor-parallel group
+    (``None`` is one GPU); the engine's GPU spec describes one shard.
     """
 
     def __init__(
@@ -146,7 +159,15 @@ class StepCostModel:
         kv_bits: Optional[int] = None,
         level: str = "O4",
         seq_bucket: int = 512,
+        plan=None,
     ):
+        # repro.cluster imports repro.serve, so the plan comes in late.
+        from repro.cluster.sharding import TensorParallelPlan
+
+        if plan is None:
+            plan = TensorParallelPlan(config, 1)
+        elif plan.config is not config and plan.config != config:
+            raise ValueError("plan was built for a different model config")
         if weight_qt is not None and weight_bits is not None:
             raise ValueError("weight_qt and weight_bits are exclusive")
         if kv_qt is not None and kv_bits is not None:
@@ -155,6 +176,7 @@ class StepCostModel:
             raise ValueError("seq_bucket must be >= 1")
         self.engine = engine
         self.config = config
+        self.plan = plan
         self.seq_bucket = seq_bucket
         # Engine keywords of the weight and KV operands (none is FP16);
         # ``level`` only goes with a tensor, as the engine memo keys it.
@@ -193,8 +215,8 @@ class StepCostModel:
         if kind == "elementwise":
             return self._elementwise_us(op.elements)
         if kind in ("gemv", "gemm"):
-            shape = self._shard_gemm(op.name,
-                                     GemmShape(m=op.m, n=op.n, k=op.k))
+            shape = self.plan.shard_gemm(op.name,
+                                         GemmShape(m=op.m, n=op.n, k=op.k))
             if shape.m > GEMV_MAX_BATCH:
                 # Past the GEMV kernels' batch cap a decode projection
                 # runs as the same family's GEMM.
@@ -203,7 +225,7 @@ class StepCostModel:
             return self.engine.batch_latency_us(
                 kind, shape, **({} if op.name == "lm_head"
                                 else self._weight_kw))
-        shape = self._shard_attention(
+        shape = self.plan.shard_attention(
             AttentionShape(batch=op.batch, heads=op.heads,
                            seq_len=op.seq_len, head_dim=op.head_dim))
         if kind == "attention":
@@ -238,24 +260,6 @@ class StepCostModel:
         return (bytes_moved * extra / bw
                 + ELEMENTWISE_LAUNCHES * LAUNCH_OVERHEAD_S) * 1e6
 
-    # -- sharding hooks (identity on one GPU) --------------------------
-    # A tensor-parallel subclass (repro.cluster.costs) reshapes each
-    # operator for one shard and adds the two collective terms: every
-    # layer's all-reduces over an iteration's token rows, and the LM
-    # head's logits all-gather.  Keeping the hooks here lets the walk
-    # stay the single source of truth for *what* an iteration runs.
-    def _shard_gemm(self, name: str, shape: GemmShape) -> GemmShape:
-        return shape
-
-    def _shard_attention(self, shape: AttentionShape) -> AttentionShape:
-        return shape
-
-    def _prefill_collective_us(self, tokens: int) -> float:
-        return 0.0
-
-    def _sample_collective_us(self, batch: int) -> float:
-        return 0.0
-
     # -- iteration pricing ---------------------------------------------
     def decode_breakdown(self, batch: int,
                          seq_len: int) -> DecodeStepBreakdown:
@@ -265,8 +269,8 @@ class StepCostModel:
             decode_operator_shapes(self.config, batch, seq_len))
         # A decode step pays both collective terms: every layer's
         # all-reduces over its ``batch`` rows and the logits all-gather.
-        collective_us = (self._prefill_collective_us(batch)
-                         + self._sample_collective_us(batch))
+        collective_us = (self.plan.prefill_collective_us(batch)
+                         + self.plan.sample_collective_us(batch))
         return DecodeStepBreakdown(by_kind["gemv"], by_kind["attention"],
                                    by_kind["elementwise"], collective_us,
                                    total + collective_us)
@@ -319,7 +323,7 @@ class StepCostModel:
         layer_us, _ = self._walk(prefill_operator_shapes(
             self.config, t, context=start, seq_len=end))
         total = (layer_us * self.config.n_layers
-                 + self._prefill_collective_us(t))
+                 + self.plan.prefill_collective_us(t))
         self._prefill_table[key] = total
         return total
 
@@ -342,7 +346,7 @@ class StepCostModel:
             return cached
         sample_us, _ = self._walk(
             first_token_operator_shapes(self.config, b))
-        total = sample_us + self._sample_collective_us(b)
+        total = sample_us + self.plan.sample_collective_us(b)
         self._first_token_table[b] = total
         return total
 

@@ -13,8 +13,6 @@ Five arrival processes are provided:
   alerting is exercised against: unlike :func:`bursty_trace` the
   overload interval is deterministic, so a test can assert an alert
   fires inside it and clears after the drain;
-- :func:`replayed_trace` — explicit timestamps and lengths, for
-  replaying measured production traces;
 - :func:`shared_prefix_trace` — every request starts with the same
   system prompt (synthesized token ids), the workload automatic prefix
   caching exists for;
@@ -297,28 +295,6 @@ def flash_crowd_trace(
     n = len(arrivals)
     return _build(np.asarray(arrivals), prompt.sample(rng, n),
                   output.sample(rng, n))
-
-
-def replayed_trace(
-    arrivals_s: Sequence[float],
-    prompt_tokens: Sequence[int],
-    output_tokens: Sequence[int],
-    time_scale: float = 1.0,
-) -> List[Request]:
-    """Build a trace from measured timestamps and lengths.
-
-    ``time_scale`` stretches (> 1) or compresses (< 1) the replay, which
-    is how load sweeps over a fixed production trace are done.
-    """
-    if not (len(arrivals_s) == len(prompt_tokens) == len(output_tokens)):
-        raise ValueError("arrivals, prompts and outputs must align")
-    if len(arrivals_s) == 0:
-        raise ValueError("empty trace")
-    if time_scale <= 0:
-        raise ValueError("time_scale must be positive")
-    base = min(arrivals_s)
-    arrivals = [(a - base) * time_scale for a in arrivals_s]
-    return _build(arrivals, list(prompt_tokens), list(output_tokens))
 
 
 def _token_ids(rng: np.random.Generator, n: int, vocab: int) -> str:

@@ -159,8 +159,7 @@ class Report:
     #: Event-loop statistics of the run, surfaced into ``metrics()``.
     event_stats: Optional[EventStats] = None
     #: The run's :class:`~repro.obs.metrics.MetricsRegistry`; its flat
-    #: dict is merged into ``metrics()`` and its Prometheus text is
-    #: available via ``registry.to_prometheus()``.
+    #: dict is merged into ``metrics()``.
     registry: Optional[MetricsRegistry] = None
     #: The run's :class:`~repro.obs.trace.Tracer` when the simulation
     #: ran with ``trace=True`` in its config, else ``None``.
@@ -698,13 +697,20 @@ class ServingSimulator:
         self.scheduler = scheduler
         self.cost_model = cost_model
         self.name = self.config.name
+        self._ran = False
 
     def run(self, trace: Sequence[Request],
             max_iterations: Optional[int] = None) -> ServingReport:
         """Simulate the full trace; returns the metric report.
 
-        ``max_iterations`` defaults to the config's cap.
+        ``max_iterations`` defaults to the config's cap.  A simulator
+        runs once: its scheduler keeps the run's state.
         """
+        if self._ran:
+            raise RuntimeError(
+                "this ServingSimulator has already run; build a fresh "
+                "one from its config (SimConfig.build)")
+        self._ran = True
         sched = self.scheduler
         engine = ServingEngine(sched, self.cost_model)
         run = SimulationRun([engine], self.config, trace, max_iterations)

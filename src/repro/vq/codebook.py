@@ -97,11 +97,6 @@ class CodebookSet:
         return self.books[group][residual]
 
     @property
-    def bytes_per_group(self) -> int:
-        """Bytes a kernel stages to dequantize one group (all residuals)."""
-        return sum(book.nbytes for book in self.books[0])
-
-    @property
     def nbytes(self) -> int:
         """Total codebook storage across all groups and residuals."""
         return sum(book.nbytes for group in self.books for book in group)

@@ -101,15 +101,6 @@ class VQConfig:
         """Compressed size as a fraction of FP16 (Tbl. II column 2)."""
         return self.bits_per_element / 16.0
 
-    @property
-    def aligned_index(self) -> bool:
-        """Whether stored indices are byte/halfword aligned.
-
-        AQLM's 12-bit format is misaligned and needs extra unpack/decode
-        instructions, which the paper calls out repeatedly.
-        """
-        return self.index_bits in (8, 16) or self.index_bits in (1, 2, 4)
-
     def codes_per_row(self, row_elements: int) -> int:
         """Number of sub-vector codes covering one row of the tensor."""
         if row_elements % self.vector_size:

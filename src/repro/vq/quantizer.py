@@ -87,11 +87,6 @@ class QuantizedTensor:
         """Storage of the packed codes."""
         return self.config.quantized_bytes(self.rows * self.cols)
 
-    @property
-    def total_bytes(self) -> float:
-        """Codes plus all codebooks."""
-        return self.quantized_bytes + self.codebooks.nbytes
-
     def lookup_indices(self) -> np.ndarray:
         """Effective codebook-lookup index per code.
 

@@ -1,5 +1,7 @@
 """Harness, workload and E2E-ledger tests."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.bench.accuracy import (
@@ -525,8 +527,8 @@ class TestClusterBench:
         from repro.llm.config import tiny_llama
         cfg = tiny_llama()
         engine = ComputeEngine(RTX4090)
-        reps = make_replicas(3, "fp16", spec=RTX4090.with_dram(1.0),
-                             config=cfg, engine=engine)
+        spec = replace(RTX4090, dram_bytes=1e9)
+        reps = make_replicas(3, "fp16", spec=spec, config=cfg, engine=engine)
         assert len(reps) == 3
         assert len({id(r.scheduler) for r in reps}) == 3  # own schedulers
         assert len({id(r.cost_model) for r in reps}) == 1  # shared pricing
@@ -551,19 +553,19 @@ class TestClusterBench:
         """Step and collective time of a row come from one exact
         decode walk at the requested batch and context."""
         from repro.bench.cluster import tp_scaling
-        from repro.cluster.costs import ShardedStepCostModel
         from repro.cluster.interconnect import PCIE4
         from repro.cluster.sharding import TensorParallelPlan
         from repro.core.engine import ComputeEngine
         from repro.llm.config import tiny_llama
+        from repro.serve.costs import StepCostModel
 
         engine, config = ComputeEngine(RTX4090), tiny_llama()
         row = tp_scaling(spec=RTX4090, config=config, degrees=(2,),
                          links=(PCIE4,), batch=4, context_tokens=300,
                          engine=engine).as_dicts()[0]
-        step = ShardedStepCostModel(
+        step = StepCostModel(
             engine, config,
-            TensorParallelPlan(config, 2, PCIE4)).decode_breakdown(4, 300)
+            plan=TensorParallelPlan(config, 2, PCIE4)).decode_breakdown(4, 300)
         assert row["step_us"] == step.total_us
         assert row["collective_us"] == step.collective_us > 0.0
 
@@ -587,12 +589,13 @@ class TestClusterBench:
         from repro.core.engine import ComputeEngine
         from repro.llm.config import tiny_llama
         reports = {}
+        spec = replace(RTX4090, dram_bytes=2e9)
         result = routing_comparison(
             mode="fp16", n_replicas=2,
             policies=("round-robin", "prefix-affinity"),
-            spec=RTX4090.with_dram(2.0), config=tiny_llama(),
+            spec=spec, config=tiny_llama(),
             rate_rps=8.0, n_requests=8, prompt_mean=32, output_mean=8,
-            engine=ComputeEngine(RTX4090.with_dram(2.0)), reports=reports)
+            engine=ComputeEngine(spec), reports=reports)
         assert result.column("policy") == ["round-robin",
                                            "prefix-affinity"]
         assert set(reports) == {"round-robin", "prefix-affinity"}

@@ -228,6 +228,20 @@ class TestFleetBehaviour:
             FleetSimulator(_replicas(1), config=FleetConfig(name="unit")).run(
                 _trace(10), max_iterations=3)
 
+    def test_second_run_raises_before_touching_state(self):
+        """A second run would route the trace onto replicas that still
+        hold the first run's requests (a report of 10 requests), so it
+        raises and names the fix."""
+        replicas = _paged_replicas(2)
+        sim = FleetSimulator(replicas, config=FleetConfig(
+            policy="round-robin", name="unit"))
+        trace = _trace(5, prompt=40, output=40)
+        assert sim.run(trace).n_requests == 5
+        ran = [rep.iterations for rep in replicas]
+        with pytest.raises(RuntimeError, match="fresh one"):
+            sim.run(trace)
+        assert [rep.iterations for rep in replicas] == ran
+
 
 class TestSizeFleet:
     def test_finds_the_minimal_compliant_fleet(self):

@@ -4,12 +4,10 @@ import pytest
 
 from repro.cluster.interconnect import (
     IDEAL_LINK,
-    LINKS,
     LinkSpec,
     NVLINK3,
     NVLINK4,
     PCIE4,
-    get_link,
     ring_all_gather_us,
     ring_all_reduce_us,
 )
@@ -29,17 +27,6 @@ class TestLinkSpec:
             LinkSpec(name="bad", bandwidth_gbps=0.0, latency_us=1.0)
         with pytest.raises(ValueError):
             LinkSpec(name="bad", bandwidth_gbps=10.0, latency_us=-1.0)
-
-    def test_get_link_normalises_names(self):
-        assert get_link("NVLink 4") is NVLINK4
-        assert get_link("pcie-4") is PCIE4
-        assert get_link("PCIE_4") is PCIE4
-        with pytest.raises(KeyError):
-            get_link("infiniband")
-
-    def test_every_preset_resolves(self):
-        for name, link in LINKS.items():
-            assert get_link(name) is link
 
 
 class TestRingCollectives:

@@ -1,8 +1,7 @@
-"""Tensor-parallel plan and sharded cost model tests."""
+"""Tensor-parallel plan and TP-aware cost model tests."""
 
 import pytest
 
-from repro.cluster.costs import ShardedStepCostModel
 from repro.cluster.interconnect import IDEAL_LINK, NVLINK3, PCIE4
 from repro.cluster.sharding import TensorParallelPlan
 from repro.core.engine import ComputeEngine
@@ -24,7 +23,7 @@ def engine():
 
 def _decode_collective_us(engine, plan, batch):
     """The collective term of one decode step priced under ``plan``."""
-    model = ShardedStepCostModel(engine, plan.config, plan)
+    model = StepCostModel(engine, plan.config, plan=plan)
     return model.decode_breakdown(batch, 512).collective_us
 
 
@@ -160,34 +159,36 @@ class TestKVBudgetSharding:
 
 class TestShardedStepCostModel:
     def test_tp1_equals_base_model_exactly(self, engine):
-        """In every serving mode a TP-1 plan prices float for float as
-        the base model, so ``make_replicas`` needs no single-GPU
-        branch."""
+        """In every serving mode and over any link, an explicit TP-1
+        plan prices float for float as the default (no plan) model, so
+        ``make_replicas`` needs no single-GPU branch."""
         cfg = llama_7b()
-        plan = TensorParallelPlan(cfg, 1, PCIE4)
-        for mode in SERVING_MODES:
-            kwargs = mode_cost_kwargs(mode)
-            base = StepCostModel(engine, cfg, seq_bucket=512, **kwargs)
-            sharded = ShardedStepCostModel(engine, cfg, plan,
-                                           seq_bucket=512, **kwargs)
-            for batch, ctx in ((1, 128), (16, 1024), (64, 4096), (96, 700)):
-                assert (sharded.decode_breakdown(batch, ctx)
-                        == base.decode_breakdown(batch, ctx)), mode
-                assert (sharded.decode_step_us(batch, ctx)
-                        == base.decode_step_us(batch, ctx)), mode
-            for tokens, ctx in ((256, 0), (512, 1024), (700, 300)):
-                assert (sharded.prefill_us(tokens, ctx)
-                        == base.prefill_us(tokens, ctx)), mode
-            for batch in (4, 65):
-                assert (sharded.first_token_us(batch)
-                        == base.first_token_us(batch)), mode
+        for link in (NVLINK3, PCIE4):
+            plan = TensorParallelPlan(cfg, 1, link)
+            for mode in SERVING_MODES:
+                kwargs = mode_cost_kwargs(mode)
+                base = StepCostModel(engine, cfg, seq_bucket=512, **kwargs)
+                tp1 = StepCostModel(engine, cfg, seq_bucket=512, plan=plan,
+                                    **kwargs)
+                for batch, ctx in ((1, 128), (16, 1024), (64, 4096),
+                                   (96, 700)):
+                    assert (tp1.decode_breakdown(batch, ctx)
+                            == base.decode_breakdown(batch, ctx)), mode
+                    assert (tp1.decode_step_us(batch, ctx)
+                            == base.decode_step_us(batch, ctx)), mode
+                for tokens, ctx in ((256, 0), (512, 1024), (700, 300)):
+                    assert (tp1.prefill_us(tokens, ctx)
+                            == base.prefill_us(tokens, ctx)), mode
+                for batch in (4, 65):
+                    assert (tp1.first_token_us(batch)
+                            == base.first_token_us(batch)), mode
 
     def test_first_token_includes_logits_gather_under_tp(self, engine):
         """Regression: under TP the first sampled token's LM-head
         all-gather must be priced, exactly as a decode step's is."""
         cfg = llama_7b()
         plan = TensorParallelPlan(cfg, 4, NVLINK3)
-        sharded = ShardedStepCostModel(engine, cfg, plan, seq_bucket=512)
+        sharded = StepCostModel(engine, cfg, seq_bucket=512, plan=plan)
         shard_only = (sharded.first_token_us(4)
                       - plan.sample_collective_us(4))
         assert plan.sample_collective_us(4) > 0.0
@@ -199,7 +200,7 @@ class TestShardedStepCostModel:
         costs = []
         for tp in (1, 2, 4):
             plan = TensorParallelPlan(cfg, tp, IDEAL_LINK)
-            model = ShardedStepCostModel(engine, cfg, plan, seq_bucket=512)
+            model = StepCostModel(engine, cfg, seq_bucket=512, plan=plan)
             costs.append(model.decode_step_us(16, 1024))
         assert costs[0] > costs[1] > costs[2]
 
@@ -209,8 +210,8 @@ class TestShardedStepCostModel:
 
         def step(link):
             plan = TensorParallelPlan(cfg, 8, link)
-            return ShardedStepCostModel(
-                engine, cfg, plan, seq_bucket=512).decode_step_us(16, 1024)
+            model = StepCostModel(engine, cfg, seq_bucket=512, plan=plan)
+            return model.decode_step_us(16, 1024)
 
         assert step(NVLINK3) < step(PCIE4)
 
@@ -220,7 +221,7 @@ class TestShardedStepCostModel:
         priced exactly while the table rounds them up."""
         cfg = llama_7b()
         plan = TensorParallelPlan(cfg, 4, PCIE4)
-        model = ShardedStepCostModel(engine, cfg, plan, seq_bucket=512)
+        model = StepCostModel(engine, cfg, seq_bucket=512, plan=plan)
         step = model.decode_breakdown(16, 1024)
         assert step.total_us == model.decode_step_us(16, 1024)
         assert step.collective_us == (plan.prefill_collective_us(16)
@@ -234,10 +235,10 @@ class TestShardedStepCostModel:
     def test_config_mismatch_rejected(self, engine):
         plan = TensorParallelPlan(llama_7b(), 2)
         with pytest.raises(ValueError):
-            ShardedStepCostModel(engine, tiny_llama(), plan)
+            StepCostModel(engine, tiny_llama(), plan=plan)
 
     def test_zero_work_is_free(self, engine):
         plan = TensorParallelPlan(llama_7b(), 2, NVLINK3)
-        model = ShardedStepCostModel(engine, llama_7b(), plan)
+        model = StepCostModel(engine, llama_7b(), plan=plan)
         assert model.decode_step_us(0, 128.0) == 0.0
         assert model.prefill_us(0) == 0.0

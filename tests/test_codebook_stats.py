@@ -162,13 +162,6 @@ class TestDegreeEvaluations:
         assert set(calls.values()) == {1}
         assert second.generator.stats.degree_evaluations == 2
 
-    def test_memo_clear_starts_cold(self, qt_cq4_kv):
-        engine = ComputeEngine(RTX4090)
-        engine.batch_latency_us("attention", ATTN, qt=qt_cq4_kv)
-        assert engine.generator.stats.degree_evaluations > 0
-        engine.memo_clear()
-        assert engine.generator.stats.degree_evaluations == 0
-
 
 class TestSlackSearches:
     def test_once_per_operation_and_engine(self, monkeypatch, qt_gptvq,
@@ -188,13 +181,9 @@ class TestSlackSearches:
                 _generate(engine.generator, op, shape, level, qt_gptvq,
                           qt_cq4_kv)
         assert len(searches) == 3  # one per operation, not per kernel
-        engine.memo_clear()
-        _generate(engine.generator, "gemv", GEMV, "O4", qt_gptvq,
-                  qt_cq4_kv)
-        assert len(searches) == 4  # memo_clear dropped the slack too
         _generate(ComputeEngine(RTX4090).generator, "gemv", GEMV, "O4",
                   qt_gptvq, qt_cq4_kv)
-        assert len(searches) == 5  # a fresh engine searches again
+        assert len(searches) == 4  # a fresh engine searches again
 
 
 class TestSweepColdDegrees:

@@ -10,18 +10,13 @@ class TestPerfCounters:
         c = PerfCounters()
         assert c.dram_bytes == 0.0
         assert c.kernel_launches == 1
-        assert c.conflict_rate == 0.0
+        assert c.bank_conflict_transactions == 0.0
 
     def test_shared_traffic_sums_components(self):
         c = PerfCounters(global_to_shared_bytes=10.0,
                          shared_to_reg_bytes=20.0,
                          reg_to_shared_bytes=5.0)
         assert c.shared_traffic_bytes == 35.0
-
-    def test_conflict_rate(self):
-        c = PerfCounters(shared_transactions=100.0,
-                         bank_conflict_transactions=25.0)
-        assert c.conflict_rate == pytest.approx(0.25)
 
     def test_addition_sums_traffic(self):
         a = PerfCounters(dram_bytes=100.0, flops=10.0, kernel_launches=1)

@@ -35,11 +35,6 @@ class TestSpecs:
         assert A100.dram_bytes == pytest.approx(80e9)
         assert A100.dram_gb == pytest.approx(80.0)
 
-    def test_with_dram_derives_a_capacity_variant(self):
-        big = RTX4090.with_dram(48.0)
-        assert big.dram_bytes == pytest.approx(48e9)
-        assert big.dram_bandwidth_gbps == RTX4090.dram_bandwidth_gbps
-
     def test_with_bandwidth_returns_new_spec(self):
         slow = RTX4090.with_bandwidth(500.0)
         assert slow.dram_bandwidth_gbps == 500.0

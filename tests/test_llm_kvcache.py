@@ -75,18 +75,6 @@ class TestQuantizedKVCache:
         fp16_bytes = 2 * 2 * 2 * 16  # k+v, fp16
         assert cache.nbytes == pytest.approx(fp16_bytes * 0.25)
 
-    def test_key_tensor_view(self, calibration):
-        cache = self._make(calibration)
-        k_cal, v_cal = calibration
-        for t in range(3):
-            cache.append(k_cal[t][None], v_cal[t][None])
-        qt = cache.key_tensor(0)
-        assert qt.shape == (3, 32)
-        deq = qt.dequantize()
-        assert np.allclose(
-            deq.reshape(3, 2, 16).transpose(1, 0, 2),
-            cache.keys[0])
-
     def test_requires_channel_group_scope(self, calibration):
         k, v = calibration
         with pytest.raises(ValueError):

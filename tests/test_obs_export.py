@@ -105,7 +105,7 @@ def test_perfetto_engine_steps_match_tracer(traced_report):
     doc = to_perfetto(traced_report.tracer)
     steps = [ev for ev in doc["traceEvents"]
              if ev["ph"] == "X" and ev.get("cat") == "engine"]
-    assert len(steps) == traced_report.tracer.n_steps
+    assert len(steps) == len(traced_report.tracer.steps)
     assert all(ev["tid"] == 0 for ev in steps)
 
 
@@ -138,7 +138,8 @@ def test_perfetto_merges_tracers_with_distinct_pids(engine):
 def test_perfetto_preemption_instants(tmp_path):
     rep = _preempting_report()
     assert rep.n_preempted >= 1
-    assert len(rep.tracer.events_of_kind(EVT_PREEMPTED)) == rep.n_preempted
+    assert sum(row[0] == EVT_PREEMPTED
+               for row in rep.tracer.events) == rep.n_preempted
     doc = to_perfetto(rep.tracer)
     instants = [ev for ev in doc["traceEvents"]
                 if ev["ph"] == "i" and ev["name"] == "preempted"]

@@ -13,7 +13,6 @@ import math
 import pytest
 
 from repro.bench.serving import SERVING_MODES, mode_cost_kwargs
-from repro.cluster.costs import ShardedStepCostModel
 from repro.cluster.interconnect import PCIE4
 from repro.cluster.sharding import TensorParallelPlan
 from repro.core.engine import ComputeEngine
@@ -139,8 +138,8 @@ def test_walk_matches_reference_exactly(engine, mode, tp):
     cfg = llama_7b()
     plan = TensorParallelPlan(cfg, tp, PCIE4)
     kwargs = mode_cost_kwargs(mode)
-    models = [ShardedStepCostModel(engine, cfg, plan, seq_bucket=SEQ_BUCKET,
-                                   **kwargs)]
+    models = [StepCostModel(engine, cfg, seq_bucket=SEQ_BUCKET, plan=plan,
+                            **kwargs)]
     if tp == 1:
         models.append(StepCostModel(engine, cfg, seq_bucket=SEQ_BUCKET,
                                     **kwargs))

@@ -16,7 +16,6 @@ from repro.serve.requests import (
     multi_turn_chat_trace,
     pack_ids,
     poisson_trace,
-    replayed_trace,
     shared_prefix_trace,
     trace_stats,
     unpack_ids,
@@ -142,26 +141,6 @@ class TestBurstyTrace:
             bursty_trace(5.0, 10, burst_factor=0.5)
         with pytest.raises(ValueError):
             bursty_trace(5.0, 10, burst_fraction=1.0)
-
-
-class TestReplayedTrace:
-    def test_rebases_and_scales_time(self):
-        trace = replayed_trace([10.0, 11.0, 14.0], [8, 16, 32], [4, 4, 4],
-                               time_scale=2.0)
-        assert [r.arrival_s for r in trace] == [0.0, 2.0, 8.0]
-        assert [r.prompt_tokens for r in trace] == [8, 16, 32]
-
-    def test_sorts_out_of_order_arrivals(self):
-        trace = replayed_trace([5.0, 1.0], [8, 16], [4, 4])
-        assert [r.prompt_tokens for r in trace] == [16, 8]
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            replayed_trace([0.0], [8], [4, 4])
-        with pytest.raises(ValueError):
-            replayed_trace([], [], [])
-        with pytest.raises(ValueError):
-            replayed_trace([0.0], [8], [4], time_scale=0.0)
 
 
 class TestRequestIds:

@@ -1,5 +1,7 @@
 """Continuous-batching scheduler and KV-memory accounting tests."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.llm.config import llama_7b, tiny_llama
@@ -83,9 +85,9 @@ class TestKVAccounting:
         from repro.gpu.spec import RTX4090
         cfg = llama_7b()
         with pytest.raises(ValueError):  # no dram_bytes on the spec
-            KVBudget.for_gpu(cfg, RTX4090.with_dram(0.0))
+            KVBudget.for_gpu(cfg, replace(RTX4090, dram_bytes=0.0))
         with pytest.raises(ValueError):  # weights exceed the chip
-            KVBudget.for_gpu(cfg, RTX4090.with_dram(10.0))
+            KVBudget.for_gpu(cfg, replace(RTX4090, dram_bytes=1e10))
         with pytest.raises(ValueError):  # one weight format at a time
             KVBudget.for_gpu(cfg, RTX4090, weight_vq=make_config("quip#-4"),
                              weight_bits=4)
@@ -96,7 +98,7 @@ class TestKVAccounting:
         assert int4.capacity_bytes > KVBudget.for_gpu(
             cfg, RTX4090).capacity_bytes
         # A 10 GB chip refuses FP16 weights but holds INT4 ones.
-        assert KVBudget.for_gpu(cfg, RTX4090.with_dram(10.0),
+        assert KVBudget.for_gpu(cfg, replace(RTX4090, dram_bytes=1e10),
                                 weight_bits=4).max_tokens > 0
 
 

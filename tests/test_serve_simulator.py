@@ -182,6 +182,24 @@ class TestSimulatorLoop:
         with pytest.raises(ValueError):
             sim.run([])
 
+    def test_second_run_raises_before_touching_state(self):
+        """A second run would carry the first run's scheduler state into
+        its report (here: double the preemptions), so it raises and
+        names the fix; a fresh simulator reproduces the first report."""
+        config = SimConfig(name="unit", scheduler=SchedulerConfig(
+            token_budget=512, max_seqs=32, admission="paged",
+            block_tokens=8))
+        budget = KVBudget(capacity_bytes=300.0, bytes_per_token=1.0)
+        trace = _trace(5, prompt=40, output=40)
+        sim = config.build(budget, ConstantCostModel())
+        first = sim.run(trace)
+        assert first.n_preempted == sim.scheduler.n_preemptions == 2
+        with pytest.raises(RuntimeError, match="fresh one"):
+            sim.run(trace)
+        assert sim.scheduler.n_preemptions == 2
+        again = config.build(budget, ConstantCostModel()).run(trace)
+        assert again.metrics() == first.metrics()
+
 
 class TestRunLedger:
     """Every run ends by balancing its ledger, with no option: corrupt

@@ -66,13 +66,9 @@ class TestCodebookSet:
         assert books.vector_size == 4
         assert books.n_entries == 8
 
-    def test_bytes_per_group(self):
-        books = self._set()
-        assert books.bytes_per_group == 2 * 8 * 8  # residuals * n * entry
-
     def test_total_bytes(self):
         books = self._set()
-        assert books.nbytes == 3 * books.bytes_per_group
+        assert books.nbytes == 3 * 2 * 8 * 8  # groups * residuals * n * entry
 
     def test_stacked_entries(self):
         books = self._set()

@@ -43,11 +43,6 @@ class TestVQConfig:
         with pytest.raises(ValueError):
             cfg.codes_per_row(130)
 
-    def test_aligned_index_widths(self):
-        assert VQConfig("a", 4, 8, 1).aligned_index
-        assert VQConfig("b", 8, 16, 1).aligned_index
-        assert not VQConfig("c", 8, 12, 1).aligned_index  # AQLM
-
     @pytest.mark.parametrize("bad", [
         dict(vector_size=0, index_bits=8, residuals=1),
         dict(vector_size=4, index_bits=0, residuals=1),
@@ -94,7 +89,6 @@ class TestTable2Presets:
 
     def test_aqlm_misaligned_12bit(self):
         assert ALGORITHMS["aqlm-3"].index_bits == 12
-        assert not ALGORITHMS["aqlm-3"].aligned_index
 
     def test_canonical_name_aliases(self):
         assert canonical_name("QuiP#-4") == "quip#-4"
