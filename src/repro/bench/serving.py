@@ -396,6 +396,116 @@ def prefix_comparison(
     return result
 
 
+def add_workload_options(parser: argparse.ArgumentParser, *,
+                         modes: Sequence[str], rate: float, requests: int,
+                         prompt_mean: int) -> None:
+    """Declare the options both bench CLIs share, up to
+    ``--output-mean``: GPU, modes, trace, recording and load.  Each CLI
+    passes its own defaults for the four that differ."""
+    parser.add_argument("--gpu", default="rtx4090",
+                        help="GPU preset name (rtx4090, a40, a100)")
+    parser.add_argument("--modes", nargs="+", default=list(modes),
+                        choices=list(SERVING_MODES), metavar="MODE",
+                        help=f"serving modes to compare {SERVING_MODES}")
+    parser.add_argument("--trace-kind", default=None, choices=TRACE_KINDS,
+                        help="arrival process (shared_prefix/chat carry "
+                             "token ids for prefix caching); default "
+                             "poisson, or chat when prefix caching is "
+                             "in play")
+    parser.add_argument("--trace-out", default=None, metavar="PATH",
+                        help="record a repro.obs run timeline and write "
+                             "Chrome/Perfetto trace_event JSON here "
+                             "(open at ui.perfetto.dev; summarize with "
+                             "python -m repro.obs.report)")
+    parser.add_argument("--timeline-out", default=None, metavar="PATH",
+                        help="sample windowed per-engine telemetry and "
+                             "write a Perfetto trace with counter tracks "
+                             "here (implies trace recording; dashboard "
+                             "via python -m repro.obs.report --dashboard)")
+    parser.add_argument("--timeline-window", type=float, default=0.25,
+                        metavar="S",
+                        help="timeline sampling window in simulated "
+                             "seconds (with --timeline-out)")
+    parser.add_argument("--slo-ttft-ms", type=float, default=None,
+                        metavar="MS",
+                        help="per-request TTFT limit for SLO burn-rate "
+                             "accounting on the timeline (with "
+                             "--timeline-out)")
+    parser.add_argument("--rate", type=float, default=rate,
+                        help="offered arrival rate, requests/s")
+    parser.add_argument("--requests", type=int, default=requests,
+                        help="number of requests in the trace")
+    parser.add_argument("--prompt-mean", type=int, default=prompt_mean,
+                        help="mean prompt length, tokens")
+    parser.add_argument("--output-mean", type=int, default=96,
+                        help="mean output length, tokens")
+
+
+def add_run_options(parser: argparse.ArgumentParser) -> None:
+    """Declare the options both bench CLIs share after their own:
+    paging, prefix caching, sanitizer, seed and verbosity."""
+    parser.add_argument("--block-tokens", type=int, default=16,
+                        help="token slots per KV block under paged "
+                             "admission")
+    parser.add_argument("--prefix-caching", action="store_true",
+                        help="share KV blocks across common prompt "
+                             "prefixes (implies paged admission)")
+    parser.add_argument("--sanitize", action="store_true",
+                        help="arm allocator invariant checks "
+                             "(repro.serve.sanitize); metrics are "
+                             "bit-identical either way")
+    parser.add_argument("--seed", type=int, default=0,
+                        help="trace RNG seed")
+    parser.add_argument("--verbose", action="store_true",
+                        help="print per-run report summaries")
+
+
+def recording(args: argparse.Namespace) -> dict:
+    """The ``trace``/``timeline`` keyword arguments that the
+    ``--trace-out``/``--timeline-out`` flags ask of every run."""
+    timeline = None
+    if args.timeline_out is not None:
+        timeline = TimelineConfig(
+            window_s=args.timeline_window,
+            slo_ttft_s=(args.slo_ttft_ms / 1e3
+                        if args.slo_ttft_ms is not None else None))
+    return {"trace": args.trace_out is not None or timeline is not None,
+            "timeline": timeline}
+
+
+def print_results(args: argparse.Namespace, table: ExperimentResult,
+                  reports: dict, name: str, write: bool = True) -> None:
+    """The bench CLIs' epilogue: the ``--verbose`` report summaries,
+    the table, then (with ``write``) every recorded run in one Perfetto
+    file per ``--trace-out``/``--timeline-out`` path.
+
+    ``reports`` values are reports or, from fleet sizing, ``(size,
+    report)`` pairs.
+    """
+    runs = {key: value[1] if isinstance(value, tuple) else value
+            for key, value in reports.items()}
+    if args.verbose:
+        for rep in runs.values():
+            print()
+            print(rep.summary())
+        print()
+    print(table)
+    # In flag order, once each: both flags may name the same file.
+    paths = dict.fromkeys(filter(None, (args.trace_out, args.timeline_out)))
+    if not (write and paths):
+        return
+    from repro.obs import write_perfetto
+    tracers = {key: rep.tracer for key, rep in runs.items()
+               if rep.tracer is not None}
+    for path in paths:
+        write_perfetto(path, tracers, name=name,
+                       timelines={key: runs[key].timeline for key in tracers},
+                       slo={key: runs[key].slo for key in tracers})
+        print(f"wrote Perfetto trace: {path} "
+              f"({len(tracers)} runs; open at ui.perfetto.dev or run "
+              f"python -m repro.obs.report {path})")
+
+
 def run(argv: Optional[Sequence[str]] = None,
         reports: Optional[dict] = None) -> ExperimentResult:
     """Run the CLI experiment and return the structured result.
@@ -411,44 +521,11 @@ def run(argv: Optional[Sequence[str]] = None,
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench.serving",
         description="Continuous-batching serving comparison: FP16 vs "
-                    "quantized KV caches at an equal HBM budget.")
-    parser.add_argument("--gpu", default="rtx4090",
-                        help="GPU preset name (rtx4090, a40, a100)")
-    parser.add_argument("--modes", nargs="+",
-                        default=["fp16", "kv-cq-4", "kv-cq-2"],
-                        choices=list(SERVING_MODES), metavar="MODE",
-                        help=f"serving modes to compare {SERVING_MODES}")
-    parser.add_argument("--trace-kind", default=None, choices=TRACE_KINDS,
-                        help="arrival process (shared_prefix/chat carry "
-                             "token ids for prefix caching); default "
-                             "poisson, or chat under --prefix-caching")
-    parser.add_argument("--trace-out", default=None, metavar="PATH",
-                        help="record a repro.obs run timeline and write "
-                             "Chrome/Perfetto trace_event JSON here "
-                             "(open at ui.perfetto.dev; summarize with "
-                             "python -m repro.obs.report)")
-    parser.add_argument("--timeline-out", default=None, metavar="PATH",
-                        help="sample windowed time-series telemetry and "
-                             "write a Perfetto trace with counter tracks "
-                             "here (implies trace recording; dashboard "
-                             "via python -m repro.obs.report --dashboard)")
-    parser.add_argument("--timeline-window", type=float, default=0.25,
-                        metavar="S",
-                        help="timeline sampling window in simulated "
-                             "seconds (with --timeline-out)")
-    parser.add_argument("--slo-ttft-ms", type=float, default=None,
-                        metavar="MS",
-                        help="per-request TTFT limit for SLO burn-rate "
-                             "accounting on the timeline (with "
-                             "--timeline-out)")
-    parser.add_argument("--rate", type=float, default=16.0,
-                        help="offered arrival rate, requests/s")
-    parser.add_argument("--requests", type=int, default=64,
-                        help="number of requests in the trace")
-    parser.add_argument("--prompt-mean", type=int, default=384,
-                        help="mean prompt length, tokens")
-    parser.add_argument("--output-mean", type=int, default=96,
-                        help="mean output length, tokens")
+                    "quantized KV caches at an equal HBM budget.  "
+                    "--prefix-caching switches to the prefix on/off "
+                    "comparison table.")
+    add_workload_options(parser, modes=("fp16", "kv-cq-4", "kv-cq-2"),
+                         rate=16.0, requests=64, prompt_mean=384)
     parser.add_argument("--kv-gb", type=float, default=None,
                         help="KV-cache HBM allowance in GB (default: "
                              "derive from the GPU's DRAM capacity minus "
@@ -463,21 +540,7 @@ def run(argv: Optional[Sequence[str]] = None,
                              f"{ADMISSION_POLICIES}; naming more than one "
                              "switches to the reserve-vs-paged comparison "
                              "table")
-    parser.add_argument("--block-tokens", type=int, default=16,
-                        help="token slots per KV block under paged "
-                             "admission")
-    parser.add_argument("--prefix-caching", action="store_true",
-                        help="share KV blocks across common prompt "
-                             "prefixes (switches to the prefix on/off "
-                             "comparison table; implies paged admission)")
-    parser.add_argument("--sanitize", action="store_true",
-                        help="arm allocator invariant checks "
-                             "(repro.serve.sanitize); metrics are "
-                             "bit-identical either way")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="trace RNG seed")
-    parser.add_argument("--verbose", action="store_true",
-                        help="print per-mode report summaries")
+    add_run_options(parser)
     args = parser.parse_args(argv)
     # A prefix comparison on an id-less trace cannot hit: default to
     # the chat workload unless the user picked a trace explicitly.
@@ -487,21 +550,14 @@ def run(argv: Optional[Sequence[str]] = None,
     spec = get_spec(args.gpu)
     config = llama_7b()
     engine = ComputeEngine(spec)
-    timeline = None
-    if args.timeline_out is not None:
-        timeline = TimelineConfig(
-            window_s=args.timeline_window,
-            slo_ttft_s=(args.slo_ttft_ms / 1e3
-                        if args.slo_ttft_ms is not None else None))
     workload = dict(
         kv_hbm_gb=args.kv_gb, rate_rps=args.rate, n_requests=args.requests,
         prompt_mean=args.prompt_mean, output_mean=args.output_mean,
         token_budget=args.token_budget, max_seqs=args.max_seqs,
         seed=args.seed,
         block_tokens=args.block_tokens,
-        trace=args.trace_out is not None or timeline is not None,
-        timeline=timeline,
         sanitize=args.sanitize,
+        **recording(args),
     )
     stats = trace_stats(make_trace(trace_kind, args.rate, args.requests,
                                    args.prompt_mean, args.output_mean,
@@ -526,24 +582,7 @@ def run(argv: Optional[Sequence[str]] = None,
                                    modes=args.modes, reports=reports,
                                    trace_kind=trace_kind,
                                    admission=args.admission[0], **workload)
-    if args.verbose:
-        for rep in reports.values():
-            print()
-            print(rep.summary())
-        print()
-    print(table)
-    if args.trace_out or args.timeline_out:
-        from repro.obs import write_perfetto
-        tracers = {key: rep.tracer for key, rep in reports.items()
-                   if rep.tracer is not None}
-        timelines = {key: rep.timeline for key, rep in reports.items()}
-        slos = {key: rep.slo for key, rep in reports.items()}
-        for path in filter(None, {args.trace_out, args.timeline_out}):
-            write_perfetto(path, tracers, name="bench.serving",
-                           timelines=timelines, slo=slos)
-            print(f"wrote Perfetto trace: {path} "
-                  f"({len(tracers)} runs; open at ui.perfetto.dev or run "
-                  f"python -m repro.obs.report {path})")
+    print_results(args, table, reports, "bench.serving")
     return table
 
 

@@ -42,7 +42,6 @@ from repro.cluster.fleet import (
 )
 from repro.cluster.interconnect import (
     IDEAL_LINK,
-    LINKS,
     LinkSpec,
     NVLINK3,
     NVLINK4,
@@ -58,7 +57,6 @@ __all__ = [
     "FleetSimulator",
     "IDEAL_LINK",
     "JoinShortestQueuePolicy",
-    "LINKS",
     "LeastKVPressurePolicy",
     "LinkSpec",
     "NVLINK3",

@@ -51,13 +51,13 @@ import bisect
 import hashlib
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 from repro.serve.api import FleetConfig
 from repro.serve.costs import StepCostModel
 from repro.serve.events import SAMPLE, STEP
 from repro.serve.requests import Request
-from repro.serve.scheduler import ContinuousBatchScheduler
+from repro.serve.scheduler import ContinuousBatchScheduler, KVBudget
 from repro.serve.simulator import (Report, RequestRecord, RunLayout,
                                    ServingEngine, SimulationRun)
 
@@ -442,6 +442,10 @@ class FleetSimulator:
     at its end, at a SAMPLE, before routing an arrival once all its
     iterations have started, or cut by an arrival routed to its
     replica; the router reads the others in flight.
+
+    Build fleets with :meth:`~repro.serve.api.FleetConfig.build`, the
+    only reader of ``config.scheduler``: a simulator built here from
+    ready-made replicas runs each on its own scheduler.
     """
 
     def __init__(self, replicas: Sequence[Replica],
@@ -573,36 +577,29 @@ class FleetSimulator:
 
 
 def size_fleet(
-    make_replicas: Callable[[int], Sequence[Replica]],
+    config: FleetConfig,
+    budget: KVBudget,
+    cost_model: StepCostModel,
     trace: Sequence[Request],
     slo: SLO,
-    policy: Union[str, RouterPolicy] = "jsq",
     max_replicas: int = 8,
-    record_trace: bool = False,
-    timeline=None,
 ) -> tuple:
     """Smallest fleet meeting an SLO at the trace's offered load.
 
-    ``make_replicas(n)`` must return ``n`` *fresh* replicas (schedulers
-    hold state across runs).  Returns ``(n, report)`` for the first
-    compliant size, or ``(None, report)`` with the largest fleet's
-    report if even ``max_replicas`` misses the SLO.  String policies
-    are re-instantiated per size so stateful routers start clean.
-    ``record_trace=True`` records a :mod:`repro.obs` timeline per tried
-    size (each report carries its own tracer); ``timeline=`` passes a
-    :class:`~repro.obs.timeline.TimelineConfig` through to each run.
+    Each candidate size ``n`` is a fresh
+    ``config.build(n, budget, cost_model, name=f"fleet-{n}")``, so a
+    policy given by name gets a fresh router at every size, and
+    ``config.trace`` / ``config.timeline`` record every run (each
+    report carries its own tracer).  Returns ``(n, report)`` for the
+    first compliant size, or ``(None, report)`` with the largest
+    fleet's report if even ``max_replicas`` misses the SLO.
     """
     if max_replicas < 1:
         raise ValueError("max_replicas must be >= 1")
     report = None
     for n in range(1, max_replicas + 1):
-        sim = FleetSimulator(
-            make_replicas(n),
-            config=FleetConfig(policy=make_policy(policy)
-                               if isinstance(policy, str) else policy,
-                               name=f"fleet-{n}", trace=record_trace,
-                               timeline=timeline))
-        report = sim.run(trace)
+        report = config.build(n, budget, cost_model,
+                              name=f"fleet-{n}").run(trace)
         if report.meets(slo):
             return n, report
     return None, report

@@ -71,15 +71,6 @@ PCIE5 = LinkSpec(name="PCIe 5.0 x16", bandwidth_gbps=50.0, latency_us=6.0)
 #: bandwidth): isolates pure sharding effects in tests and sweeps.
 IDEAL_LINK = LinkSpec(name="ideal", bandwidth_gbps=1e9, latency_us=0.0)
 
-#: All presets by canonical lowercase key.
-LINKS = {
-    "nvlink4": NVLINK4,
-    "nvlink3": NVLINK3,
-    "pcie4": PCIE4,
-    "pcie5": PCIE5,
-    "ideal": IDEAL_LINK,
-}
-
 
 def _validate(nbytes: float, degree: int) -> None:
     if nbytes < 0:

@@ -522,13 +522,19 @@ class TestClusterBench:
         assert tp2.max_tokens > 2 * single.max_tokens
 
     def test_make_replicas_are_fresh_and_identical(self):
-        from repro.bench.cluster import make_replicas
+        """``FleetConfig.build`` gives every replica its own scheduler
+        over one budget and one shared cost model."""
+        from repro.bench.cluster import replica_kv_budget
+        from repro.bench.serving import make_cost_model
         from repro.core.engine import ComputeEngine
         from repro.llm.config import tiny_llama
+        from repro.serve.api import FleetConfig
         cfg = tiny_llama()
         engine = ComputeEngine(RTX4090)
         spec = replace(RTX4090, dram_bytes=1e9)
-        reps = make_replicas(3, "fp16", spec=spec, config=cfg, engine=engine)
+        reps = FleetConfig().build(3, replica_kv_budget(cfg, "fp16", spec),
+                                   make_cost_model(engine, cfg,
+                                                   "fp16")).replicas
         assert len(reps) == 3
         assert len({id(r.scheduler) for r in reps}) == 3  # own schedulers
         assert len({id(r.cost_model) for r in reps}) == 1  # shared pricing
@@ -703,14 +709,18 @@ class TestStructuredResults:
         assert json.loads(json.dumps(metrics)) == metrics
 
     def test_fleet_report_metrics_with_and_without_slo(self):
-        from repro.bench.cluster import make_replicas
-        from repro.bench.serving import make_trace
-        from repro.cluster.fleet import SLO, FleetSimulator
+        from repro.bench.cluster import replica_kv_budget
+        from repro.bench.serving import make_cost_model, make_trace
+        from repro.cluster.fleet import SLO
+        from repro.core.engine import ComputeEngine
         from repro.serve.api import FleetConfig
 
         trace = make_trace("poisson", 8.0, 8, 64, 16, seed=0)
-        rep = FleetSimulator(make_replicas(2, "fp16"), config=FleetConfig(
-            policy="jsq")).run(trace)
+        config = llama_7b()
+        rep = FleetConfig(policy="jsq").build(
+            2, replica_kv_budget(config, "fp16", RTX4090),
+            make_cost_model(ComputeEngine(RTX4090), config,
+                            "fp16")).run(trace)
         metrics = rep.metrics()
         assert metrics["n_replicas"] == 2
         assert "goodput_rps" not in metrics

@@ -243,6 +243,17 @@ class TestFleetBehaviour:
         assert [rep.iterations for rep in replicas] == ran
 
 
+def _size(trace, slo, max_tokens=100_000, max_replicas=8):
+    """:func:`size_fleet` over fleets of :func:`_replicas`' kind behind
+    ``jsq``."""
+    config = FleetConfig(scheduler=SchedulerConfig(token_budget=512,
+                                                   max_seqs=16),
+                         policy="jsq")
+    budget = KVBudget(capacity_bytes=float(max_tokens), bytes_per_token=1.0)
+    return size_fleet(config, budget, ConstantCostModel(), trace, slo,
+                      max_replicas)
+
+
 class TestSizeFleet:
     def test_finds_the_minimal_compliant_fleet(self):
         """One-sequence replicas, 8 simultaneous arrivals: with 4
@@ -251,30 +262,25 @@ class TestSizeFleet:
         therefore needs exactly 4."""
         trace = _trace(8, prompt=32, output=8)
         slo = SLO(ttft_s=0.010)
-
-        def factory(n):
-            return _replicas(n, max_tokens=40)
-
-        n, report = size_fleet(factory, trace, slo,
-                               policy="jsq", max_replicas=8)
+        n, report = _size(trace, slo, max_tokens=40)
         assert n == 4
         assert report.n_replicas == 4 and report.meets(slo)
+        assert report.name == "fleet-4"
         # One fewer replica must miss (minimality).
-        miss = FleetSimulator(factory(3), config=FleetConfig(
+        miss = FleetSimulator(_replicas(3, max_tokens=40), config=FleetConfig(
             policy="jsq", name="unit")).run(trace)
         assert not miss.meets(slo)
 
     def test_returns_none_when_even_max_misses(self):
         trace = _trace(8, prompt=32, output=8)
-        n, report = size_fleet(lambda n: _replicas(n, max_tokens=40),
-                               trace, SLO(ttft_s=1e-6), max_replicas=2)
+        n, report = _size(trace, SLO(ttft_s=1e-6), max_tokens=40,
+                          max_replicas=2)
         assert n is None
         assert report.n_replicas == 2
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            size_fleet(lambda n: _replicas(n), _trace(1), SLO(ttft_s=1.0),
-                       max_replicas=0)
+            _size(_trace(1), SLO(ttft_s=1.0), max_replicas=0)
 
 
 class TestPagedFleet:

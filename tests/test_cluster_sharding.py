@@ -161,7 +161,8 @@ class TestShardedStepCostModel:
     def test_tp1_equals_base_model_exactly(self, engine):
         """In every serving mode and over any link, an explicit TP-1
         plan prices float for float as the default (no plan) model, so
-        ``make_replicas`` needs no single-GPU branch."""
+        fleet sizing's TP-1 plan and the plan-free cost model of the
+        routing table and the goldens price one GPU alike."""
         cfg = llama_7b()
         for link in (NVLINK3, PCIE4):
             plan = TensorParallelPlan(cfg, 1, link)

@@ -20,7 +20,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster.fleet import FleetSimulator
 from repro.core.engine import ComputeEngine
 from repro.gpu.spec import RTX4090
 from repro.llm.config import llama_7b
@@ -205,18 +204,26 @@ def test_serving_metrics_identical_with_tracing(engine, workload):
     assert on.tracer.n_requests == on.n_requests
 
 
-def test_fleet_metrics_identical_with_tracing(engine):
-    from repro.bench.cluster import make_replicas
-    from repro.bench.serving import make_trace
+def _fp16_fleet_parts(engine):
+    """Budget and cost model of an fp16 RTX 4090 replica, built as
+    hostbench's fleet-route builds them."""
+    from repro.bench.cluster import replica_kv_budget
+    from repro.bench.serving import make_cost_model
 
     config = llama_7b()
+    return (replica_kv_budget(config, "fp16", RTX4090),
+            make_cost_model(engine, config, "fp16"))
+
+
+def test_fleet_metrics_identical_with_tracing(engine):
+    from repro.bench.serving import make_trace
+
     trace = make_trace("poisson", 12.0, 24, 128, 32, seed=0)
+    budget, cost_model = _fp16_fleet_parts(engine)
     runs = {}
     for record in (False, True):
-        replicas = make_replicas(2, "fp16", config=config, engine=engine)
-        runs[record] = FleetSimulator(
-            replicas, config=FleetConfig(policy="jsq",
-                                         trace=record)).run(trace)
+        runs[record] = FleetConfig(policy="jsq", trace=record).build(
+            2, budget, cost_model).run(trace)
     assert runs[False].metrics() == runs[True].metrics()
     assert runs[False].tracer is None
     assert sorted(runs[True].tracer.replicas) == [0, 1]
@@ -244,13 +251,11 @@ def test_serving_metrics_include_event_stats(engine):
 
 
 def test_fleet_metrics_include_event_stats(engine):
-    from repro.bench.cluster import make_replicas
     from repro.bench.serving import make_trace
 
     trace = make_trace("poisson", 12.0, 24, 128, 32, seed=0)
-    replicas = make_replicas(2, "fp16", config=llama_7b(), engine=engine)
-    rep = FleetSimulator(replicas,
-                         config=FleetConfig(policy="jsq")).run(trace)
+    rep = FleetConfig(policy="jsq").build(
+        2, *_fp16_fleet_parts(engine)).run(trace)
     m = rep.metrics()
     assert m["n_events"] > 0
     assert m["n_arrivals"] == 24

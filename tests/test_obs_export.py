@@ -110,20 +110,18 @@ def test_perfetto_engine_steps_match_tracer(traced_report):
 
 
 def test_perfetto_merges_tracers_with_distinct_pids(engine):
-    from repro.bench.cluster import make_replicas
-    from repro.bench.serving import make_trace
-
-    from repro.cluster.fleet import FleetSimulator
+    from repro.bench.cluster import replica_kv_budget
+    from repro.bench.serving import make_cost_model, make_trace
     from repro.serve.api import FleetConfig
 
     trace = make_trace("poisson", 12.0, 16, 128, 32, seed=0)
+    config = llama_7b()
+    budget = replica_kv_budget(config, "fp16", RTX4090)
+    cost_model = make_cost_model(engine, config, "fp16")
     tracers = {}
     for label in ("a", "b"):
-        replicas = make_replicas(2, "fp16", config=llama_7b(),
-                                 engine=engine)
-        rep = FleetSimulator(
-            replicas, config=FleetConfig(policy="jsq",
-                                         trace=True)).run(trace)
+        rep = FleetConfig(policy="jsq", trace=True).build(
+            2, budget, cost_model).run(trace)
         tracers[label] = rep.tracer
     doc = to_perfetto(tracers, name="merged")
     pids = {ev["pid"] for ev in doc["traceEvents"]}
@@ -230,6 +228,53 @@ def test_bench_serving_trace_out(tmp_path):
          "--trace-out", str(path)])
     doc = load_trace(path)
     assert doc["traceEvents"]
+
+
+#: A tiny cluster workload shared by the recording-flag tests.
+TINY_CLUSTER = ["--rate", "8", "--requests", "8", "--prompt-mean", "48",
+                "--output-mean", "8"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["--experiment", "sizing", "--modes", "fp16", "kv-cq-4",
+     "--max-replicas", "2"],
+    ["--experiment", "routing", "--modes", "fp16", "--replicas", "2",
+     "--policy", "round-robin", "prefix-affinity"],
+], ids=["sizing", "routing"])
+def test_bench_cluster_trace_and_timeline_out(tmp_path, capsys, argv):
+    """Every reported run is summarized under --verbose and lands in
+    both Perfetto files, and the timeline file carries counter tracks."""
+    from repro.bench.cluster import run
+
+    trace_path, timeline_path = tmp_path / "a.json", tmp_path / "b.json"
+    reports = {}
+    run(argv + TINY_CLUSTER + ["--verbose", "--trace-out", str(trace_path),
+                               "--timeline-out", str(timeline_path)],
+        reports=reports)
+    out = capsys.readouterr().out
+    assert len(reports) == 2
+    for path in (trace_path, timeline_path):
+        assert load_trace(path)["traceEvents"]
+        assert f"wrote Perfetto trace: {path} ({len(reports)} runs;" in out
+    assert any(ev["ph"] == "C"
+               for ev in load_trace(timeline_path)["traceEvents"])
+    for value in reports.values():
+        rep = value[1] if isinstance(value, tuple) else value
+        assert rep.summary() in out
+
+
+def test_bench_cluster_tp_ignores_trace_out(tmp_path, capsys):
+    """--experiment tp runs no simulation: it writes no file and says
+    so after the table."""
+    from repro.bench.cluster import run
+
+    path = tmp_path / "a.json"
+    table = run(["--experiment", "tp", "--tp", "1", "2",
+                 "--trace-out", str(path)])
+    out = capsys.readouterr().out
+    assert not path.exists()
+    assert (out.index(str(table))
+            < out.index("--trace-out/--timeline-out ignored"))
 
 
 def test_orchestrator_trial_trace_matches_untraced(tmp_path):

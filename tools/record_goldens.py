@@ -18,9 +18,9 @@ import json
 import os
 import sys
 
-from repro.bench.cluster import make_replicas
-from repro.bench.serving import make_trace, simulate_mode
-from repro.cluster.fleet import SLO, FleetSimulator, size_fleet
+from repro.bench.cluster import replica_kv_budget
+from repro.bench.serving import make_cost_model, make_trace, simulate_mode
+from repro.cluster.fleet import SLO, size_fleet
 from repro.serve.api import FleetConfig
 from repro.core.engine import ComputeEngine
 from repro.gpu.spec import RTX4090
@@ -69,13 +69,16 @@ def record() -> dict:
         prefix[mode] = rep.metrics()
     golden["prefix"] = prefix
 
+    # Fleets are built as hostbench's fleet-route builds them: per-GPU
+    # budget, cost model, then FleetConfig.build.
+    budget = replica_kv_budget(config, "kv-cq-4", RTX4090)
+    cost_model = make_cost_model(engine, config, "kv-cq-4")
     spec = dict(FLEET_TRACE)
     trace = make_trace(spec.pop("kind"), **spec)
     fleet = {}
     for policy in ("jsq", "least-kv"):
-        replicas = make_replicas(3, "kv-cq-4", config=config, engine=engine)
-        rep = FleetSimulator(replicas,
-                             config=FleetConfig(policy=policy)).run(trace)
+        rep = FleetConfig(policy=policy).build(3, budget,
+                                               cost_model).run(trace)
         fleet[policy] = {
             "metrics": rep.metrics(),
             "replica_iterations": [s.n_iterations for s in rep.replica_stats],
@@ -85,12 +88,8 @@ def record() -> dict:
 
     spec = dict(SIZING_TRACE)
     strace = make_trace(spec.pop("kind"), **spec)
-
-    def factory(n):
-        return make_replicas(n, "kv-cq-4", config=config, engine=engine)
-
-    n, rep = size_fleet(factory, strace, SIZING_SLO, policy="least-kv",
-                        max_replicas=4)
+    n, rep = size_fleet(FleetConfig(policy="least-kv"), budget, cost_model,
+                        strace, SIZING_SLO, max_replicas=4)
     golden["sizing"] = {"n_replicas": n, "metrics": rep.metrics(SIZING_SLO)}
     return golden
 
