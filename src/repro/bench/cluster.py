@@ -131,8 +131,9 @@ def fleet_sizing_comparison(
     ``tp_degree``-GPU group over NVLink 3.  Extra keyword arguments
     replace fields of :class:`~repro.serve.api.FleetConfig`'s default
     scheduler (``max_seqs=128``); ``trace=True`` and ``timeline=``
-    record every tried size.  Pass a dict as ``reports`` to also
-    receive each mode's ``(size, FleetReport)``.
+    record each mode's returned size (the search itself runs
+    unrecorded).  Pass a dict as ``reports`` to also receive each
+    mode's ``(size, FleetReport)``.
     """
     config = config or llama_7b()
     engine = engine or ComputeEngine(spec)

@@ -11,12 +11,14 @@ Samples are cached per (algorithm, kind, seed) at two levels: an
 in-process dict, and a persistent ``.npz`` store on disk — codebook
 training is an *offline* artifact in the paper's pipeline, so a
 benchmark process should load yesterday's codebooks, not retrain them.
-The disk entry is a lossless round-trip (codes, group map and float32
-codebook entries byte-for-byte), keyed on everything that feeds
-training (algorithm, seed, k-means iterations, sample shape, numpy
-version), so cached and freshly trained runs are bit-identical.  Set
-``REPRO_SAMPLE_CACHE`` to relocate the store (default
-``<repo>/.benchmarks/samples``) or to ``0``/``off`` to disable it.
+The disk entry is a lossless round-trip (codes at their index width,
+float32 codebook entries and the shape, byte-for-byte and dtype for
+dtype; the scope group map is derived, not stored), keyed on
+everything that feeds training (algorithm, seed, k-means iterations,
+sample shape, numpy version), so cached and freshly trained runs are
+bit-identical.  Set ``REPRO_SAMPLE_CACHE`` to relocate the store
+(default ``<repo>/.benchmarks/samples``) or to ``0``/``off`` to
+disable it.
 """
 
 from __future__ import annotations
@@ -48,8 +50,9 @@ KV_SAMPLE_SHAPE = (1024, 512)
 _CACHE: Dict[Tuple, QuantizedTensor] = {}
 
 #: Bumped when the on-disk sample layout changes; stale files are
-#: silently retrained and overwritten.
-_DISK_FORMAT = 1
+#: silently retrained and overwritten.  Format 2 stores codes at their
+#: index width and no group map.
+_DISK_FORMAT = 2
 #: ``train_sample`` both sample builders pass to the quantizer — part
 #: of the disk key because it feeds codebook training.
 _TRAIN_SAMPLE = 8192
@@ -100,7 +103,6 @@ def _qt_to_arrays(prefix: str, qt: QuantizedTensor) -> dict:
                               for group in books], dtype=np.int64)
     return {
         f"{prefix}_codes": qt.codes,
-        f"{prefix}_group_map": qt.group_map,
         f"{prefix}_entries": entries,
         f"{prefix}_element_bytes": element_bytes,
         f"{prefix}_shape": np.array(qt.shape, dtype=np.int64),
@@ -117,7 +119,7 @@ def _qt_from_arrays(prefix: str, data, config) -> QuantizedTensor:
     ]
     shape = tuple(int(x) for x in data[f"{prefix}_shape"])
     return QuantizedTensor(config, shape, data[f"{prefix}_codes"],
-                           data[f"{prefix}_group_map"], CodebookSet(books))
+                           CodebookSet(books))
 
 
 def _disk_load(meta: dict, prefixes: Tuple[str, ...], config):

@@ -50,7 +50,7 @@ from __future__ import annotations
 import bisect
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Union
 
 from repro.serve.api import FleetConfig
@@ -587,19 +587,26 @@ def size_fleet(
     """Smallest fleet meeting an SLO at the trace's offered load.
 
     Each candidate size ``n`` is a fresh
-    ``config.build(n, budget, cost_model, name=f"fleet-{n}")``, so a
-    policy given by name gets a fresh router at every size, and
-    ``config.trace`` / ``config.timeline`` record every run (each
-    report carries its own tracer).  Returns ``(n, report)`` for the
-    first compliant size, or ``(None, report)`` with the largest
-    fleet's report if even ``max_replicas`` misses the SLO.
+    ``config.build(n, budget, cost_model, name=f"fleet-{n}")`` run
+    unrecorded, so a policy given by name gets a fresh router at every
+    size, and the search takes the untraced fast path.  Returns
+    ``(n, report)`` for the first compliant size, or ``(None, report)``
+    with the largest fleet's report if even ``max_replicas`` misses the
+    SLO.  When ``config.trace`` or ``config.timeline`` is set, that one
+    returned size runs once more under ``config``, so the report
+    carries its tracer; recording leaves the metrics bit-identical.
     """
     if max_replicas < 1:
         raise ValueError("max_replicas must be >= 1")
-    report = None
+    search = replace(config, trace=False, timeline=None)
+    found = None
     for n in range(1, max_replicas + 1):
-        report = config.build(n, budget, cost_model,
+        report = search.build(n, budget, cost_model,
                               name=f"fleet-{n}").run(trace)
         if report.meets(slo):
-            return n, report
-    return None, report
+            found = n
+            break
+    if config.trace or config.timeline is not None:
+        report = config.build(n, budget, cost_model,
+                              name=f"fleet-{n}").run(trace)
+    return found, report

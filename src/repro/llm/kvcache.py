@@ -5,8 +5,10 @@ VQ compression quantizes each new row online against codebooks trained on
 calibration data (the paper measures this online step at < 1 us per
 token, i.e. negligible — we count its cost separately in the harness).
 
-:class:`QuantizedKVCache` keeps only the codes plus the codebooks; reads
-dequantize on the fly, which is what the fused attention kernels model.
+:class:`QuantizedKVCache` keeps only the codes, at their index width
+(:attr:`~repro.vq.config.VQConfig.code_dtype`), plus the codebooks;
+reads dequantize on the fly, which is what the fused attention kernels
+model.
 """
 
 from __future__ import annotations
@@ -103,8 +105,8 @@ class QuantizedKVCache:
         self._k_books = self._train_books(quantizer, calibration_k)
         self._v_books = self._train_books(quantizer, calibration_v)
         shape = (batch, n_heads, max_tokens, self.n_sub, config.residuals)
-        self._k_codes = np.zeros(shape, dtype=np.int64)
-        self._v_codes = np.zeros(shape, dtype=np.int64)
+        self._k_codes = np.zeros(shape, dtype=config.code_dtype)
+        self._v_codes = np.zeros(shape, dtype=config.code_dtype)
 
     def _train_books(self, quantizer: VectorQuantizer,
                      calibration: np.ndarray) -> CodebookSet:
@@ -123,7 +125,7 @@ class QuantizedKVCache:
         """Encode one head's (C,) row -> (n_sub, residuals) codes."""
         cfg = self.config
         sub = row.reshape(self.n_sub, cfg.vector_size).astype(np.float64)
-        codes = np.zeros((self.n_sub, cfg.residuals), dtype=np.int64)
+        codes = np.zeros((self.n_sub, cfg.residuals), dtype=cfg.code_dtype)
         for j in range(self.n_sub):
             group = head * self.n_sub + j
             target = sub[j:j + 1].copy()

@@ -25,6 +25,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 #: FP16 element size, bytes.
 FP16_BYTES = 2
 
@@ -64,6 +66,12 @@ class VQConfig:
     def n_entries(self) -> int:
         """Nominal number of entries per codebook (#Entry in Tbl. I)."""
         return 1 << self.index_bits
+
+    @property
+    def code_dtype(self) -> np.dtype:
+        """Storage type of one code: the narrowest unsigned integer that
+        holds ``index_bits`` (``uint8`` up to 8 bits, else ``uint16``)."""
+        return np.dtype(np.uint8 if self.index_bits <= 8 else np.uint16)
 
     @property
     def lookup_entries(self) -> int:
@@ -118,7 +126,7 @@ class VQConfig:
     def codebook_storage_bytes(self, rows: int, cols: int) -> int:
         """Storage for the codebooks of one ``(rows, cols)`` tensor: one
         per residual level per scope group of
-        :meth:`repro.vq.quantizer.VectorQuantizer.group_map`."""
+        :func:`repro.vq.quantizer.scope_group_map`."""
         tile_r, tile_c = self.tile_shape
         groups = 1
         if self.scope == "channel_group":

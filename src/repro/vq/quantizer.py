@@ -8,15 +8,17 @@ sign-magnitude decomposition: 256 stored magnitude entries x ``2**v``
 sign masks give ``2**(8+v)`` nominal entries while lookups touch only the
 256-entry base table — the property Tbl. II footnotes.
 
-The result, :class:`QuantizedTensor`, is what kernels consume: packed
-codes + a :class:`~repro.vq.codebook.CodebookSet`, with helpers for
+The result, :class:`QuantizedTensor`, is what kernels consume: codes at
+their index width (:attr:`~repro.vq.config.VQConfig.code_dtype`) + a
+:class:`~repro.vq.codebook.CodebookSet`, with helpers for
 dequantization, effective-lookup index streams (for hotness profiling)
-and code remapping (for the codebook cache's frequency reorder).
+and code remapping (for the codebook cache's frequency reorder).  Which
+codebook a code position reads is not stored: :func:`scope_group_map`
+derives it from the scope and the shape.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Optional
 
 import numpy as np
@@ -40,30 +42,62 @@ def _assign_nearest(data: np.ndarray, centroids: np.ndarray,
     return out
 
 
+def scope_group_map(config: VQConfig, rows: int, n_sub: int) -> np.ndarray:
+    """Scope group of each (row, sub-vector) code position, read-only.
+
+    The ``tensor`` and ``channel_group`` scopes give a broadcast view
+    (no storage); the ``tile`` scope gives an array of the narrowest
+    unsigned type that numbers its tiles.
+    """
+    if config.scope == "tensor":
+        return np.broadcast_to(np.intp(0), (rows, n_sub))
+    if config.scope == "channel_group":
+        # One codebook per group of vector_size channels (CQ).
+        return np.broadcast_to(np.arange(n_sub), (rows, n_sub))
+    # tile scope (GPTVQ): one codebook per (tile_r, tile_c) weight tile.
+    tile_r, tile_c = config.tile_shape
+    if tile_c % config.vector_size:
+        raise ValueError("tile width must be a multiple of vector_size")
+    subs_per_tile = tile_c // config.vector_size
+    tiles_per_row = -(-n_sub // subs_per_tile)
+    n_groups = -(-rows // tile_r) * tiles_per_row
+    groups = ((np.arange(rows) // tile_r)[:, None] * tiles_per_row
+              + (np.arange(n_sub) // subs_per_tile)[None, :])
+    groups = groups.astype(np.min_scalar_type(max(n_groups - 1, 0)))
+    groups.flags.writeable = False
+    return groups
+
+
 class QuantizedTensor:
-    """A VQ-compressed 2-D tensor: codes, group map and codebooks."""
+    """A VQ-compressed 2-D tensor: codes at index width and codebooks."""
 
     def __init__(
         self,
         config: VQConfig,
         shape: tuple,
         codes: np.ndarray,
-        group_map: np.ndarray,
         codebooks: CodebookSet,
     ):
         rows, cols = shape
         n_sub = cols // config.vector_size
+        codes = np.asarray(codes)
         if codes.shape != (rows, n_sub, config.residuals):
             raise ValueError(
                 f"codes shape {codes.shape} does not match tensor shape "
                 f"{shape} under {config.spec_string()}"
             )
-        if group_map.shape != (rows, n_sub):
-            raise ValueError("group_map shape mismatch")
+        # A bare cast would wrap out-of-range codes (256 -> 0 in uint8).
+        if not np.issubdtype(codes.dtype, np.integer):
+            raise ValueError(f"codes must be integers, got {codes.dtype}")
+        if codes.size and (int(codes.min()) < 0
+                           or int(codes.max()) >= config.n_entries):
+            raise ValueError(
+                f"codes must lie in [0, {config.n_entries}) for "
+                f"{config.index_bits}-bit indices"
+            )
         self.config = config
         self.shape = tuple(shape)
-        self.codes = codes
-        self.group_map = group_map
+        self.codes = codes.astype(config.code_dtype, copy=False)
         self.codebooks = codebooks
 
     @property
@@ -81,6 +115,11 @@ class QuantizedTensor:
     @property
     def n_groups(self) -> int:
         return self.codebooks.n_groups
+
+    @property
+    def group_map(self) -> np.ndarray:
+        """Scope group of each (row, sub-vector) code position."""
+        return scope_group_map(self.config, self.rows, self.n_subvectors)
 
     @property
     def quantized_bytes(self) -> float:
@@ -102,15 +141,16 @@ class QuantizedTensor:
         """Dequantize one residual level, shape (rows, n_sub, vector)."""
         stacked = self.codebooks.stacked_entries(residual)
         codes_r = self.codes[:, :, residual]
+        groups = self.group_map
         if self.config.lattice:
             base = codes_r & (self.config.lattice_lookup_entries - 1)
             masks = codes_r >> 8
-            vecs = stacked[self.group_map, base].astype(np.float64)
+            vecs = stacked[groups, base].astype(np.float64)
             v = self.config.vector_size
             bits = (masks[..., None] >> np.arange(v)) & 1
             signs = np.where(bits > 0, 1.0, -1.0)
             return vecs * signs
-        return stacked[self.group_map, codes_r].astype(np.float64)
+        return stacked[groups, codes_r].astype(np.float64)
 
     def dequantize(self) -> np.ndarray:
         """Reconstruct the full tensor (residual levels accumulated)."""
@@ -149,12 +189,13 @@ class QuantizedTensor:
         ]
         if self.config.lattice:
             base = self.codes & (n_lookup - 1)
-            masks = self.codes & ~(n_lookup - 1)
-            new_codes = masks | inverse[base]
+            # The sign-mask bits are the code less its base index (a
+            # negative mask constant does not fit an unsigned dtype).
+            new_codes = (self.codes - base) | inverse[base]
         else:
             new_codes = inverse[self.codes]
         return QuantizedTensor(self.config, self.shape, new_codes,
-                               self.group_map, CodebookSet(new_books))
+                               CodebookSet(new_books))
 
     def reconstruction_error(self, original: np.ndarray) -> float:
         """Mean squared reconstruction error against ``original``."""
@@ -188,29 +229,6 @@ class VectorQuantizer:
             )
 
     # ------------------------------------------------------------------
-    # Scope grouping
-    # ------------------------------------------------------------------
-    def group_map(self, rows: int, n_sub: int) -> np.ndarray:
-        """Scope group of each (row, sub-vector) code position."""
-        cfg = self.config
-        if cfg.scope == "tensor":
-            return np.zeros((rows, n_sub), dtype=np.int64)
-        if cfg.scope == "channel_group":
-            # One codebook per group of vector_size channels (CQ).
-            return np.broadcast_to(
-                np.arange(n_sub, dtype=np.int64)[None, :], (rows, n_sub)
-            ).copy()
-        # tile scope (GPTVQ): one codebook per (tile_r, tile_c) weight tile.
-        tile_r, tile_c = cfg.tile_shape
-        if tile_c % cfg.vector_size:
-            raise ValueError("tile width must be a multiple of vector_size")
-        tiles_per_row = math.ceil(n_sub * cfg.vector_size / tile_c)
-        row_tile = np.arange(rows, dtype=np.int64) // tile_r
-        col_tile = (np.arange(n_sub, dtype=np.int64)
-                    * cfg.vector_size) // tile_c
-        return row_tile[:, None] * tiles_per_row + col_tile[None, :]
-
-    # ------------------------------------------------------------------
     # Encoding
     # ------------------------------------------------------------------
     def quantize(self, tensor: np.ndarray) -> QuantizedTensor:
@@ -227,7 +245,7 @@ class VectorQuantizer:
             )
         n_sub = cols // cfg.vector_size
         sub = tensor.reshape(rows, n_sub, cfg.vector_size)
-        groups = self.group_map(rows, n_sub)
+        groups = scope_group_map(cfg, rows, n_sub)
         n_groups = int(groups.max()) + 1
 
         codes = np.zeros((rows, n_sub, cfg.residuals), dtype=np.int64)
@@ -242,8 +260,7 @@ class VectorQuantizer:
                 books[g][r] = book
                 codes[mask, r] = idx
                 data = data - self._decode_level(book, idx)
-        return QuantizedTensor(cfg, tensor.shape, codes, groups,
-                               CodebookSet(books))
+        return QuantizedTensor(cfg, tensor.shape, codes, CodebookSet(books))
 
     def _encode_level(self, data: np.ndarray, level_seed: int):
         """Train one codebook level and encode ``data`` against it."""

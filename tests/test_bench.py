@@ -131,12 +131,51 @@ class TestSampleDiskCache:
         finally:
             wl.__dict__["structured_matrix"] = orig
         assert np.array_equal(first.codes, second.codes)
+        assert first.codes.dtype == second.codes.dtype == np.uint8
         assert np.array_equal(first.group_map, second.group_map)
         assert first.shape == second.shape
         for ga, gb in zip(first.codebooks.books, second.codebooks.books):
             for a, b in zip(ga, gb):
                 assert np.array_equal(a.entries, b.entries)
+                assert a.entries.dtype == b.entries.dtype
                 assert a.element_bytes == b.element_bytes
+        # The group map is derived from the scope, never stored.
+        with np.load(files[0]) as data:
+            assert not [k for k in data.files if k.endswith("_group_map")]
+
+    def test_format_1_file_is_retrained_and_overwritten(self, tiny_samples,
+                                                        monkeypatch):
+        """A format-1 file (int64 codes beside an int64 group map) at
+        the sample's path is retrained over, not loaded."""
+        import json
+
+        import numpy as np
+        wl, cache_dir = tiny_samples
+        first = wl.weight_sample("cq-2", kmeans_iters=1)
+        (path,) = cache_dir.glob("*.npz")
+        with np.load(path) as data:
+            arrays = dict(data)
+        meta = json.loads(str(arrays["meta"]))
+        arrays["meta"] = np.array(json.dumps({**meta, "format": 1},
+                                             sort_keys=True))
+        arrays["w_codes"] = arrays["w_codes"].astype(np.int64)
+        arrays["w_group_map"] = first.group_map.astype(np.int64)
+        np.savez(path, **arrays)
+        wl.clear_cache()
+        orig, trained = wl.structured_matrix, []
+
+        def counting(*args):
+            trained.append(args)
+            return orig(*args)
+
+        monkeypatch.setattr(wl, "structured_matrix", counting)
+        second = wl.weight_sample("cq-2", kmeans_iters=1)
+        assert len(trained) == 1
+        assert np.array_equal(first.codes, second.codes)
+        with np.load(path) as data:
+            assert json.loads(str(data["meta"])) == meta
+            assert data["w_codes"].dtype == np.uint8
+            assert "w_group_map" not in data.files
 
     def test_key_mismatch_retrains(self, tiny_samples):
         wl, cache_dir = tiny_samples

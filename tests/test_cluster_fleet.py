@@ -18,6 +18,7 @@ from repro.cluster.fleet import (
     make_policy,
     size_fleet,
 )
+from repro.obs.timeline import TimelineConfig
 from repro.serve.api import FleetConfig, SchedulerConfig
 from repro.serve.requests import LengthSampler, Request, multi_turn_chat_trace
 from repro.serve.scheduler import ContinuousBatchScheduler, KVBudget
@@ -243,12 +244,13 @@ class TestFleetBehaviour:
         assert [rep.iterations for rep in replicas] == ran
 
 
-def _size(trace, slo, max_tokens=100_000, max_replicas=8):
+def _size(trace, slo, max_tokens=100_000, max_replicas=8, record=False):
     """:func:`size_fleet` over fleets of :func:`_replicas`' kind behind
-    ``jsq``."""
+    ``jsq``; ``record`` turns on the tracer and the timeline."""
     config = FleetConfig(scheduler=SchedulerConfig(token_budget=512,
                                                    max_seqs=16),
-                         policy="jsq")
+                         policy="jsq", trace=record,
+                         timeline=TimelineConfig() if record else None)
     budget = KVBudget(capacity_bytes=float(max_tokens), bytes_per_token=1.0)
     return size_fleet(config, budget, ConstantCostModel(), trace, slo,
                       max_replicas)
@@ -281,6 +283,36 @@ class TestSizeFleet:
     def test_validation(self):
         with pytest.raises(ValueError):
             _size(_trace(1), SLO(ttft_s=1.0), max_replicas=0)
+
+    @pytest.mark.parametrize("slo,max_replicas,size", [
+        (SLO(ttft_s=0.010), 8, 4),
+        (SLO(ttft_s=1e-6), 2, None),
+    ], ids=["compliant", "none"])
+    def test_records_only_the_returned_size(self, monkeypatch, slo,
+                                            max_replicas, size):
+        """A recording config runs one recorded fleet per call, at the
+        returned size (the largest when none complies); the sizes
+        tried before it run unrecorded.  The recorded report's metrics
+        equal the unrecorded search's."""
+        recorded = []
+        original = FleetSimulator.run
+
+        def run(self, trace, max_iterations=None):
+            if self.config.trace or self.config.timeline is not None:
+                recorded.append(len(self.replicas))
+            return original(self, trace, max_iterations)
+
+        monkeypatch.setattr(FleetSimulator, "run", run)
+        trace = _trace(8, prompt=32, output=8)
+        n, plain = _size(trace, slo, max_tokens=40,
+                         max_replicas=max_replicas)
+        assert recorded == []
+        n_rec, report = _size(trace, slo, max_tokens=40,
+                              max_replicas=max_replicas, record=True)
+        assert n_rec == n == size
+        assert recorded == [report.n_replicas]
+        assert report.tracer is not None
+        assert report.metrics() == plain.metrics()
 
 
 class TestPagedFleet:

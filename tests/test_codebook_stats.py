@@ -202,8 +202,7 @@ class TestSweepColdDegrees:
 class TestLifetime:
     def test_engine_pins_tensors_only_while_alive(self, qt_gptvq):
         qt = QuantizedTensor(qt_gptvq.config, qt_gptvq.shape,
-                             qt_gptvq.codes, qt_gptvq.group_map,
-                             qt_gptvq.codebooks)
+                             qt_gptvq.codes, qt_gptvq.codebooks)
         ref = weakref.ref(qt)
         engine = ComputeEngine(RTX4090)
         engine.batch_latency_us("gemv", GEMV, qt=qt)

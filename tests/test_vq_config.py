@@ -32,6 +32,12 @@ class TestVQConfig:
         assert cfg.entry_element_bytes == 1
         assert cfg.codebook_bytes == 2048  # the paper's 2 KB
 
+    @pytest.mark.parametrize("bits,dtype", [(1, "uint8"), (8, "uint8"),
+                                            (9, "uint16"), (16, "uint16")])
+    def test_code_dtype_is_index_width(self, bits, dtype):
+        cfg = VQConfig("x", vector_size=4, index_bits=bits, residuals=1)
+        assert cfg.code_dtype == dtype
+
     def test_quantized_bytes(self):
         cfg = VQConfig("x", vector_size=4, index_bits=8, residuals=1)
         # 1024 elements -> 256 codes x 1 byte.

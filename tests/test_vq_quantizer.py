@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.vq.algorithms import make_quantizer
+from repro.vq.algorithms import make_config, make_quantizer
 from repro.vq.config import VQConfig
-from repro.vq.quantizer import VectorQuantizer
+from repro.vq.quantizer import (QuantizedTensor, VectorQuantizer,
+                                scope_group_map)
 
 
 def _quantizer(vector=4, bits=6, residuals=1, scope="tensor", **kw):
@@ -77,7 +78,8 @@ class TestScoping:
 
     def test_tile_scope_group_layout(self):
         q = _quantizer(scope="tile", tile_shape=(64, 64))
-        gm = q.group_map(128, 32)  # 128 rows, 32 subvectors (128 cols)
+        # 128 rows, 32 subvectors (128 cols)
+        gm = scope_group_map(q.config, 128, 32)
         assert gm[0, 0] == 0
         assert gm[0, 16] == 1      # second column tile
         assert gm[64, 0] == 2      # second row tile
@@ -86,7 +88,7 @@ class TestScoping:
     def test_tile_width_must_divide_vector(self):
         q = _quantizer(scope="tile", tile_shape=(64, 30))
         with pytest.raises(ValueError):
-            q.group_map(64, 16)
+            scope_group_map(q.config, 64, 16)
 
 
 class TestLattice:
@@ -136,6 +138,107 @@ class TestRemap:
         perm = np.roll(np.arange(256), 1)
         remapped = qt_gptvq.remap(perm)
         assert not np.array_equal(remapped.codes, qt_gptvq.codes)
+
+
+#: Preset fixtures by algorithm, and each preset's code dtype.
+PRESETS = {"cq-2": ("qt_cq2_kv", np.uint8), "cq-4": ("qt_cq4_kv", np.uint8),
+           "gptvq-2": ("qt_gptvq", np.uint8),
+           "aqlm-3": ("qt_aqlm", np.uint16),
+           "quip#-4": ("qt_quip", np.uint16)}
+
+
+def _scope_rule(cfg, rows, n_sub):
+    """The scope rule spelled out position by position, as int64."""
+    tile_r, tile_c = cfg.tile_shape
+    tiles_per_row = -(-n_sub * cfg.vector_size // tile_c)
+    rule = {"tensor": lambda r, j: 0,
+            "channel_group": lambda r, j: j,
+            "tile": lambda r, j: (r // tile_r * tiles_per_row
+                                  + j * cfg.vector_size // tile_c),
+            }[cfg.scope]
+    return np.array([[rule(r, j) for j in range(n_sub)]
+                     for r in range(rows)], dtype=np.int64)
+
+
+def _reference_dequantize(qt):
+    """Dequantize with int64 codes and the spelled-out scope rule."""
+    cfg = qt.config
+    groups = _scope_rule(cfg, qt.rows, qt.n_subvectors)
+    codes = qt.codes.astype(np.int64)
+    total = np.zeros((qt.rows, qt.n_subvectors, cfg.vector_size))
+    for r in range(cfg.residuals):
+        stacked = qt.codebooks.stacked_entries(r).astype(np.float64)
+        if cfg.lattice:
+            vecs = stacked[groups, codes[:, :, r] % 256]
+            masks = codes[:, :, r] // 256
+            bits = (masks[..., None] >> np.arange(cfg.vector_size)) & 1
+            total += vecs * np.where(bits > 0, 1.0, -1.0)
+        else:
+            total += stacked[groups, codes[:, :, r]]
+    return total.reshape(qt.shape)
+
+
+class TestCodeFormat:
+    """Codes are stored at index width; the group map is derived."""
+
+    @pytest.mark.parametrize("algo", sorted(PRESETS))
+    def test_preset_codes_at_index_width(self, request, algo):
+        fixture, dtype = PRESETS[algo]
+        qt = request.getfixturevalue(fixture)
+        assert make_config(algo).code_dtype == dtype
+        assert qt.codes.dtype == dtype
+
+    @pytest.mark.parametrize("algo", sorted(PRESETS))
+    def test_group_map_is_the_scope_rule(self, request, algo):
+        qt = request.getfixturevalue(PRESETS[algo][0])
+        gm = qt.group_map
+        assert np.array_equal(
+            gm, _scope_rule(qt.config, qt.rows, qt.n_subvectors))
+        assert not gm.flags.writeable
+        if qt.config.scope == "tile":
+            assert gm.dtype == np.uint8  # a handful of tiles
+        else:
+            assert gm.strides[0] == 0  # a broadcast view: no storage
+
+    @pytest.mark.parametrize("tile_shape,rows,n_sub,dtype", [
+        ((64, 64), 200, 40, np.uint8),   # ragged last tiles: 4 x 3
+        ((1, 4), 20, 20, np.uint16),     # 400 tiles
+    ])
+    def test_tile_map_is_the_scope_rule_across_tiles(self, tile_shape, rows,
+                                                     n_sub, dtype):
+        cfg = _quantizer(scope="tile", tile_shape=tile_shape).config
+        gm = scope_group_map(cfg, rows, n_sub)
+        assert np.array_equal(gm, _scope_rule(cfg, rows, n_sub))
+        assert gm.dtype == dtype and not gm.flags.writeable
+
+    @pytest.mark.parametrize("algo", sorted(PRESETS))
+    def test_dequantize_unchanged(self, request, algo):
+        qt = request.getfixturevalue(PRESETS[algo][0])
+        assert np.array_equal(qt.dequantize(), _reference_dequantize(qt))
+
+    def test_remapped_lattice_codes_stay_uint16(self, qt_quip):
+        perm = np.random.default_rng(1).permutation(256)
+        assert qt_quip.remap(perm).codes.dtype == np.uint16
+
+    @pytest.mark.parametrize("bad", ["too_large", "negative", "float"])
+    def test_rejects_codes_outside_index_range(self, qt_gptvq, bad):
+        codes = qt_gptvq.codes.astype(np.int64)
+        if bad == "too_large":
+            codes[0, 0, 0] = 256  # would wrap to 0 as uint8
+        elif bad == "negative":
+            codes[0, 0, 0] = -1
+        else:
+            codes = codes.astype(np.float64)
+        with pytest.raises(ValueError):
+            QuantizedTensor(qt_gptvq.config, qt_gptvq.shape, codes,
+                            qt_gptvq.codebooks)
+
+    def test_accepts_int64_codes_in_range(self, qt_aqlm):
+        qt = QuantizedTensor(qt_aqlm.config, qt_aqlm.shape,
+                             qt_aqlm.codes.astype(np.int64),
+                             qt_aqlm.codebooks)
+        assert qt.codes.dtype == np.uint16
+        assert np.array_equal(qt.codes, qt_aqlm.codes)
 
 
 class TestKVQuantization:

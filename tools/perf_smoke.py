@@ -109,6 +109,18 @@ Checks:
     65,536, so the trace reads 2.09 (1,022,878 B for 489,239 ids);
     tuples of ints (8.05 for their slots alone) fail it
     deterministically.
+14. Sample bytes per code position, an exact count rather than a
+    time: the quantized samples of the four serving modes the host
+    benchmark loads (``kv-cq-4``, ``kv-cq-2``, ``vq4``, ``vq2``),
+    loaded from a warm store after
+    :func:`~repro.bench.workloads.clear_cache`, may retain at most 6
+    bytes per (row, sub-vector) code position, read with
+    :mod:`tracemalloc` after ``gc.collect()``.  Codes are kept at
+    their index width (1 byte per residual for CQ and GPTVQ, 2 for
+    QuiP#) and the scope group map is derived, so the samples read
+    3.63 (3,563,610 B for 983,040 positions, codebooks included);
+    int64 codes beside a stored int64 group map (18.96) fail it
+    deterministically.
 
 Run with::
 
@@ -119,12 +131,14 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import hashlib
 import io
 import random
 import runpy
 import sys
 import time
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -133,7 +147,8 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from repro.bench.cluster import replica_kv_budget  # noqa: E402
 from repro.bench.serving import (make_cost_model, make_kv_budget,  # noqa: E402
-                                 make_trace)
+                                 make_trace, mode_cost_kwargs)
+from repro.bench.workloads import clear_cache  # noqa: E402
 from repro.core.codegen import VQLLMCodeGenerator  # noqa: E402
 from repro.core.emitter import emit_cuda  # noqa: E402
 from repro.core.engine import ComputeEngine  # noqa: E402
@@ -173,6 +188,11 @@ MAX_ID_BYTES = 4
 
 #: The fleet replay-count run: replicas, and bursty requests at 24 req/s.
 FLEET_REPLICAS, FLEET_REQUESTS = 8, 1_000
+
+#: Serving modes whose quantized samples the host benchmark loads, and
+#: the most bytes per code position they may retain once loaded.
+SAMPLE_MODES = ("kv-cq-4", "kv-cq-2", "vq4", "vq2")
+MAX_SAMPLE_BYTES = 6
 
 
 class _ConstantCostModel:
@@ -316,6 +336,27 @@ def _fleet_schedule_calls() -> tuple:
     assert report.n_requests == FLEET_REQUESTS
     return (sum(rep.scheduler.n_schedule_calls for rep in sim.replicas),
             sum(s.n_iterations for s in report.replica_stats))
+
+
+def _sample_bytes() -> tuple:
+    """``(retained bytes, code positions)`` of the :data:`SAMPLE_MODES`
+    samples, loaded from a warm store into an empty in-process cache."""
+    for mode in SAMPLE_MODES:
+        mode_cost_kwargs(mode)  # warm the store (trains on a fresh one)
+    clear_cache()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        loaded = [mode_cost_kwargs(mode) for mode in SAMPLE_MODES]
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    tensors = {id(qt): qt for kwargs in loaded
+               for qt in (kwargs.get("weight_qt"), *kwargs.get("kv_qt", ()))
+               if qt is not None}
+    return retained, sum(qt.rows * qt.n_subvectors
+                         for qt in tensors.values())
 
 
 def _decode_sweep() -> None:
@@ -476,7 +517,18 @@ def main(argv=None) -> int:
     print(f"fleet decode runs: {fleet_calls:,} schedule calls planned "
           f"{fleet_iterations:,} iterations (max a quarter)")
 
+    sample_bytes, positions = _sample_bytes()
+    print(f"sample tensors: {sample_bytes:,} B retained for "
+          f"{positions:,} code positions ({sample_bytes / positions:.2f} "
+          f"B per position, max {MAX_SAMPLE_BYTES})")
+
     failed = False
+    if sample_bytes > MAX_SAMPLE_BYTES * positions:
+        print(f"PERF REGRESSION: loaded samples retain "
+              f"{sample_bytes / positions:.2f} B per code position; codes "
+              f"should be stored at their index width and the scope "
+              f"group map derived, not stored")
+        failed = True
     if id_bytes > MAX_ID_BYTES * n_ids:
         print(f"PERF REGRESSION: token ids cost {id_bytes / n_ids:.2f} B "
               f"each; a trace's ids should be packed two bytes each")
