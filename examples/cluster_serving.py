@@ -24,10 +24,10 @@ from repro.bench.cluster import (
     replica_kv_budget,
     tp_scaling,
 )
-from repro.cluster.fleet import SLO
 from repro.core.engine import ComputeEngine
 from repro.gpu.spec import RTX4090
 from repro.llm.config import llama_7b
+from repro.obs.slo import SLO
 from repro.serve.scheduler import hbm_walk
 
 #: Shared workload: 96 requests offered at 24 req/s, ~1024-token

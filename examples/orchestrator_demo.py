@@ -8,13 +8,15 @@ orchestrator end to end and *starts the perf-trajectory convention*:
    paged, paged+prefix) on a sessionized chat trace at a tight 1 GB KV
    budget — in parallel worker processes;
 2. persist every trial (config, metrics, wall time, git SHA) to
-   ``BENCH_<pr>.json`` (``BENCH_10.json`` for this PR) at the
-   repo root and render the markdown
-   regression report next to it;
+   ``build/BENCH_<pr>.json`` (``BENCH_10.json`` for the current
+   trajectory) and render the markdown regression report next to it;
+   ``build/`` is git-ignored, so a run never rewrites the committed
+   trajectory;
 3. re-run one grid cell and assert its metrics are *bit-identical* —
    the determinism the trajectory convention depends on;
-4. if an earlier committed ``BENCH_<n>.json`` baseline exists,
-   compare the fresh run against it and **fail on any regression
+4. compare the fresh run against the committed ``BENCH_<pr>.json`` at
+   the repo root (or, without one, the newest earlier
+   ``BENCH_<n>.json``), read-only, and **fail on any regression
    beyond tolerance** — this is the CI ``orchestrator-smoke`` gate;
 5. run a 2-replica fleet mini-sweep to show the same orchestrator
    drives :mod:`repro.cluster` trials.
@@ -41,6 +43,8 @@ from repro.bench.orchestrator import (
 )
 
 ROOT = Path(__file__).resolve().parents[1]
+#: Where the fresh trajectory and report go (git-ignored).
+OUT_DIR = ROOT / "build"
 
 #: Relative tolerance for the regression gate against the committed
 #: baseline.  The simulators are deterministic, so only a behavioural
@@ -67,15 +71,15 @@ FLEET_GRID = SweepConfig(
 
 
 def main() -> int:
-    out = bench_path(ROOT)
+    committed = bench_path(ROOT)
+    out = bench_path(OUT_DIR)
     report_path = out.with_suffix(".md")
 
-    # Load the committed baseline *before* overwriting it.
     baseline = None
-    if out.exists():
+    if committed.exists():
         try:
-            baseline = Trajectory.load(out)
-            print(f"committed baseline: {out} "
+            baseline = Trajectory.load(committed)
+            print(f"committed baseline: {committed} "
                   f"(git {baseline.git_sha or 'unknown'})")
         except TrajectoryError as exc:
             print(f"ignoring unreadable baseline: {exc}")
@@ -92,6 +96,7 @@ def main() -> int:
     trajectory = run_sweep(config, workers=2, progress=print)
 
     # -- 2. persist trajectory + report --------------------------------
+    OUT_DIR.mkdir(exist_ok=True)
     trajectory.save(out)
     report = render_report(trajectory, baseline, tolerance=TOLERANCE)
     report_path.write_text(report + "\n")
@@ -140,8 +145,9 @@ def main() -> int:
                   f"{d.before:.6g} -> {d.after:.6g} ({d.rel_change:+.1%})")
         if regressions:
             print("regression report flagged deltas beyond tolerance; "
-                  "if intentional, regenerate the BENCH_<pr>.json "
-                  "trajectory in this PR")
+                  "if intentional, regenerate the committed "
+                  "BENCH_<pr>.json trajectory (python -m "
+                  "repro.bench.orchestrator --preset demo) in this PR")
             return 1
     else:
         print("no baseline yet: this run starts the trajectory")

@@ -3,11 +3,11 @@
 A serving replica handles steady Poisson traffic except for one flash
 crowd — a burst window where the arrival rate multiplies — and the
 run samples windowed time series over *simulated* time
-(``SimConfig(timeline=TimelineConfig(...))``).  With a TTFT limit on
-the timeline config, the burn-rate monitor replays SRE multi-window
-alerting against the windows: the error budget is ``1 - target``, and
-an alert fires when the trailing long- and short-window burn rates
-both exceed the rule's factor.
+(``SimConfig(timeline=TimelineConfig(...))``).  With an SLO on the
+timeline config, the burn-rate monitor replays SRE multi-window
+alerting against the windows: the error budget is ``1 - SLO.TARGET``,
+and an alert fires when the trailing long- and short-window burn
+rates both exceed the rule's factor.
 
 The example demonstrates, and asserts, four claims:
 
@@ -32,6 +32,7 @@ from repro.core.engine import ComputeEngine
 from repro.gpu.spec import RTX4090
 from repro.llm.config import llama_7b
 from repro.obs import TimelineConfig
+from repro.obs.slo import SLO
 from repro.serve.api import SchedulerConfig, SimConfig
 from repro.serve.requests import LengthSampler, flash_crowd_trace
 
@@ -43,8 +44,9 @@ DURATION_S = 60.0
 CROWD_FACTOR = 6.0
 #: The crowd: t in [20 s, 25 s).
 CROWD_START_S, CROWD_DURATION_S = 20.0, 5.0
-#: TTFT SLO limit and attainment target (1% error budget).
-SLO_TTFT_S, SLO_TARGET = 0.75, 0.99
+#: The objective: first token within 750 ms (``SLO.TARGET`` of
+#: completions must meet it, a 1% error budget).
+OBJECTIVE = SLO(ttft_s=0.75)
 
 
 def build_config(timeline):
@@ -69,8 +71,7 @@ def run(timeline):
 
 
 def main():
-    timeline_cfg = TimelineConfig(window_s=0.5, slo_ttft_s=SLO_TTFT_S,
-                                  slo_target=SLO_TARGET)
+    timeline_cfg = TimelineConfig(window_s=0.5, slo=OBJECTIVE)
     trace, report = run(timeline_cfg)
     _, plain = run(None)
 
@@ -78,8 +79,8 @@ def main():
     print(f"flash crowd: {BASE_RATE:g} req/s base, x{CROWD_FACTOR:g} "
           f"during [{CROWD_START_S:g} s, {crowd_end:g} s) — "
           f"{len(trace)} requests over {DURATION_S:g} s")
-    print(f"SLO: TTFT <= {SLO_TTFT_S * 1e3:.0f} ms for "
-          f"{SLO_TARGET:.0%} of completions\n")
+    print(f"SLO: TTFT <= {OBJECTIVE.ttft_s * 1e3:.0f} ms for "
+          f"{SLO.TARGET:.0%} of completions\n")
     print(report.summary())
 
     # Claim 1: the collector observes, never steers.

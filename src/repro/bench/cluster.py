@@ -10,16 +10,18 @@ Two questions the single-GPU serving comparison cannot answer:
 
 2. **How many GPUs does an SLO cost?**  :func:`fleet_sizing_comparison`
    grows each mode's fleet of identical replicas
-   (:func:`~repro.cluster.fleet.size_fleet`) until the TTFT/TPOT SLO
-   is met at a fixed offered load, at equal per-GPU HBM (derived from
-   ``GPUSpec.dram_bytes``).  Because a CQ-compressed KV cache admits
-   ~4-8x more concurrent sequences per replica, the VQ fleet meets the
-   same SLO with fewer GPUs — the fleet-scale form of the paper's
-   headline claim.
+   (:func:`~repro.cluster.fleet.size_fleet`) until the TTFT-p95 SLO
+   (:class:`repro.obs.slo.SLO`) is met at a fixed offered load, at
+   equal per-GPU HBM (derived from ``GPUSpec.dram_bytes``).  Because
+   a CQ-compressed KV cache admits ~4-8x more concurrent sequences per
+   replica, the VQ fleet meets the same SLO with fewer GPUs — the
+   fleet-scale form of the paper's headline claim.
 
 Every fleet comes from :meth:`~repro.serve.api.FleetConfig.build`, and
 every replica in every fleet shares one :class:`ComputeEngine`, so the
-whole sweep evaluates each distinct kernel once.
+whole sweep evaluates each distinct kernel once.  On the command line
+``--slo-ttft-ms`` sets one objective for sizing and for the timeline's
+burn-rate alerts; sizing holds the fleet to 2,000 ms when it is unset.
 """
 
 from __future__ import annotations
@@ -32,20 +34,25 @@ from repro.bench.harness import ExperimentResult
 from repro.bench.serving import (
     add_run_options,
     add_workload_options,
+    cli_slo,
     make_cost_model,
     make_kv_budget,
     make_trace,
     print_results,
     recording,
 )
-from repro.cluster.fleet import POLICIES, SLO, FleetReport, size_fleet
+from repro.cluster.fleet import POLICIES, FleetReport, size_fleet
 from repro.cluster.interconnect import LinkSpec, NVLINK3, PCIE4
 from repro.cluster.sharding import TensorParallelPlan
 from repro.core.engine import ComputeEngine
 from repro.gpu.spec import GPUSpec, RTX4090, get_spec
 from repro.llm.config import LlamaConfig, llama_7b
+from repro.obs.slo import SLO
 from repro.serve.api import FleetConfig
 from repro.serve.scheduler import ADMISSION_POLICIES, KVBudget
+
+#: The sizing objective when none is given: first token within 2 s.
+SIZING_SLO = SLO(ttft_s=2.0)
 
 
 def replica_kv_budget(
@@ -113,7 +120,7 @@ def fleet_sizing_comparison(
     output_mean: int = 96,
     trace_kind: str = "poisson",
     seed: int = 0,
-    slo: SLO = SLO(ttft_s=2.0),
+    slo: SLO = SIZING_SLO,
     policy: str = "least-kv",
     max_replicas: int = 8,
     tp_degree: int = 1,
@@ -146,7 +153,7 @@ def fleet_sizing_comparison(
     result = ExperimentResult(
         experiment_id="fleet_sizing",
         title=f"Fleet sizing on {spec.name} ({config.name}, "
-              f"{rate_rps:.0f} req/s offered, TTFT p{slo.quantile:.0f} "
+              f"{rate_rps:.0f} req/s offered, TTFT p{SLO.QUANTILE:.0f} "
               f"<= {slo.ttft_s:.1f} s, equal per-GPU HBM)",
         columns=("mode", "replicas", "gpus", "goodput_rps",
                  "ttft_p95_ms", "tpot_p50_ms", "attainment"),
@@ -279,8 +286,6 @@ def run(argv: Optional[Sequence[str]] = None,
                              "(sizing grows up to --max-replicas)")
     parser.add_argument("--max-replicas", type=int, default=8,
                         help="largest fleet sizing will try")
-    parser.add_argument("--slo-ttft", type=float, default=2.0,
-                        help="TTFT SLO limit in seconds (sizing)")
     parser.add_argument("--tp", nargs="+", type=int, default=[1, 2, 4, 8],
                         help="tensor-parallel degrees (tp experiment, "
                              "priced at --prompt-mean tokens of context)")
@@ -325,7 +330,7 @@ def run(argv: Optional[Sequence[str]] = None,
             rate_rps=args.rate, n_requests=args.requests,
             prompt_mean=args.prompt_mean, output_mean=args.output_mean,
             trace_kind=trace_kind, seed=args.seed,
-            slo=SLO(ttft_s=args.slo_ttft),
+            slo=cli_slo(args) or SIZING_SLO,
             policy=(args.policy[0] if args.policy else "least-kv"),
             max_replicas=args.max_replicas, engine=engine,
             admission=admission, block_tokens=args.block_tokens,

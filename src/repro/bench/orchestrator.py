@@ -389,11 +389,17 @@ def run_trial(spec: TrialSpec,
     Both are observation-only — the metric payload is bit-identical
     with or without them.
     """
+    from repro.obs.slo import SLO
+
     start = time.perf_counter()
+    # One objective judges both the timeline's windows and the fleet's
+    # SLO metrics.
+    slo = (SLO(ttft_s=spec.slo_ttft_s)
+           if spec.slo_ttft_s is not None else None)
     timeline_cfg = None
     if timeline_path is not None:
         from repro.obs.timeline import TimelineConfig
-        timeline_cfg = TimelineConfig(slo_ttft_s=spec.slo_ttft_s)
+        timeline_cfg = TimelineConfig(slo=slo)
     if spec.kind == "serving":
         from repro.bench.serving import simulate_mode
         from repro.gpu.spec import get_spec
@@ -414,7 +420,6 @@ def run_trial(spec: TrialSpec,
             make_kv_budget,
             make_trace,
         )
-        from repro.cluster.fleet import SLO
         from repro.core.engine import ComputeEngine
         from repro.gpu.spec import get_spec
         from repro.llm.config import llama_7b
@@ -441,8 +446,6 @@ def run_trial(spec: TrialSpec,
         cost_model = make_cost_model(ComputeEngine(gpu), config, spec.mode)
         report = fleet_config.build(spec.n_replicas, budget,
                                     cost_model).run(trace)
-        slo = (SLO(ttft_s=spec.slo_ttft_s)
-               if spec.slo_ttft_s is not None else None)
         metrics = report.metrics(slo)
     if trace_path is not None and report.tracer is not None:
         from repro.obs import write_perfetto

@@ -39,6 +39,7 @@ from repro.cluster.sharding import TensorParallelPlan
 from repro.core.engine import ComputeEngine
 from repro.gpu.spec import GPUSpec, RTX4090, get_spec
 from repro.llm.config import LlamaConfig, llama_7b
+from repro.obs.slo import SLO
 from repro.obs.timeline import TimelineConfig
 from repro.serve.api import SchedulerConfig, SimConfig
 from repro.serve.costs import StepCostModel
@@ -220,7 +221,7 @@ def simulate_mode(
     ``trace=True`` records a :mod:`repro.obs` timeline on the returned
     report's ``tracer`` (metrics are bit-identical either way).
     ``timeline=TimelineConfig(...)`` additionally samples windowed
-    time-series telemetry (and, with SLO limits set, burn-rate alerts)
+    time-series telemetry (and, with an SLO set, burn-rate alerts)
     onto the report's ``timeline`` / ``slo`` — same bit-identity
     contract.  ``sanitize=True`` arms the allocator invariant checks
     of :mod:`repro.serve.sanitize` (also bit-identical on metrics).
@@ -428,9 +429,10 @@ def add_workload_options(parser: argparse.ArgumentParser, *,
                              "seconds (with --timeline-out)")
     parser.add_argument("--slo-ttft-ms", type=float, default=None,
                         metavar="MS",
-                        help="per-request TTFT limit for SLO burn-rate "
-                             "accounting on the timeline (with "
-                             "--timeline-out)")
+                        help="per-request TTFT SLO: the timeline's "
+                             "burn-rate objective (with --timeline-out) "
+                             "and the TTFT-p95 limit of fleet sizing "
+                             "(2000 there when unset)")
     parser.add_argument("--rate", type=float, default=rate,
                         help="offered arrival rate, requests/s")
     parser.add_argument("--requests", type=int, default=requests,
@@ -460,15 +462,20 @@ def add_run_options(parser: argparse.ArgumentParser) -> None:
                         help="print per-run report summaries")
 
 
+def cli_slo(args: argparse.Namespace) -> Optional[SLO]:
+    """The objective ``--slo-ttft-ms`` sets, or ``None`` when unset."""
+    if args.slo_ttft_ms is None:
+        return None
+    return SLO(ttft_s=args.slo_ttft_ms / 1e3)
+
+
 def recording(args: argparse.Namespace) -> dict:
     """The ``trace``/``timeline`` keyword arguments that the
     ``--trace-out``/``--timeline-out`` flags ask of every run."""
     timeline = None
     if args.timeline_out is not None:
-        timeline = TimelineConfig(
-            window_s=args.timeline_window,
-            slo_ttft_s=(args.slo_ttft_ms / 1e3
-                        if args.slo_ttft_ms is not None else None))
+        timeline = TimelineConfig(window_s=args.timeline_window,
+                                  slo=cli_slo(args))
     return {"trace": args.trace_out is not None or timeline is not None,
             "timeline": timeline}
 

@@ -19,7 +19,9 @@ offered load.
   simulator: N continuous-batching engines behind a router
   (round-robin / join-shortest-queue / least-KV-pressure), fleet
   reports with SLO goodput, and :func:`~repro.cluster.fleet.size_fleet`
-  for the headline "how many GPUs does this SLO cost" question.
+  for the headline "how many GPUs does this SLO cost" question.  The
+  objective itself is :class:`repro.obs.slo.SLO`, the one the
+  timeline's burn-rate alerts judge too.
 
 See :mod:`repro.bench.cluster` and ``examples/cluster_serving.py`` for
 the FP16-vs-CQ fleet-sizing comparison, and ``docs/architecture.md``
@@ -27,7 +29,6 @@ for how this layer rides the memoized kernel stack.
 """
 
 from repro.cluster.fleet import (
-    SLO,
     FleetReport,
     FleetSimulator,
     JoinShortestQueuePolicy,
@@ -68,7 +69,6 @@ __all__ = [
     "ReplicaStats",
     "RoundRobinPolicy",
     "RouterPolicy",
-    "SLO",
     "TensorParallelPlan",
     "make_policy",
     "ring_all_gather_us",

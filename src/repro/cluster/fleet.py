@@ -39,8 +39,9 @@ Routing policies:
 
 The fleet-level deliverable is :class:`FleetReport` and its
 SLO-conditioned metrics (:meth:`FleetReport.goodput_rps`,
-:meth:`FleetReport.meets`), plus :func:`size_fleet` — the smallest
-replica count whose fleet meets a TTFT/TPOT SLO at a given offered
+:meth:`FleetReport.meets`), each judged by
+:meth:`repro.obs.slo.SLO.met_by`, plus :func:`size_fleet` — the
+smallest replica count whose fleet meets a TTFT SLO at a given offered
 load, which is the unit the headline CQ-vs-FP16 comparison is priced
 in (GPUs, not microseconds).
 """
@@ -53,44 +54,14 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Union
 
+from repro.obs.slo import SLO
 from repro.serve.api import FleetConfig
 from repro.serve.costs import StepCostModel
 from repro.serve.events import SAMPLE, STEP
 from repro.serve.requests import Request
 from repro.serve.scheduler import ContinuousBatchScheduler, KVBudget
-from repro.serve.simulator import (Report, RequestRecord, RunLayout,
-                                   ServingEngine, SimulationRun)
-
-
-@dataclass(frozen=True)
-class SLO:
-    """A per-request service-level objective.
-
-    ``ttft_s`` / ``tpot_s`` are the limits an individual request must
-    meet; fleet-level compliance (:meth:`FleetReport.meets`) requires
-    the ``quantile``-th percentile of completed requests within the
-    limits and no rejections.
-    """
-
-    ttft_s: float
-    tpot_s: Optional[float] = None
-    quantile: float = 95.0
-
-    def __post_init__(self):
-        if self.ttft_s <= 0:
-            raise ValueError("ttft_s must be positive")
-        if self.tpot_s is not None and self.tpot_s <= 0:
-            raise ValueError("tpot_s must be positive")
-        if not 0 < self.quantile <= 100:
-            raise ValueError("quantile must be in (0, 100]")
-
-    def met_by(self, record: RequestRecord) -> bool:
-        """Whether one completed request met the objective."""
-        if record.ttft_s > self.ttft_s:
-            return False
-        if self.tpot_s is not None and record.tpot_s > self.tpot_s:
-            return False
-        return True
+from repro.serve.simulator import (Report, RunLayout, ServingEngine,
+                                   SimulationRun)
 
 
 class Replica(ServingEngine):
@@ -379,26 +350,23 @@ class FleetReport(Report):
         offered = self.n_requests + self.n_rejected
         if offered == 0:
             return 0.0
-        met = sum(1 for r in self.records if slo.met_by(r))
+        met = sum(1 for r in self.records if slo.met_by(r.ttft_s))
         return met / offered
 
     def goodput_rps(self, slo: SLO) -> float:
         """SLO-meeting requests completed per second."""
         if not self.makespan_s:
             return 0.0
-        met = sum(1 for r in self.records if slo.met_by(r))
+        met = sum(1 for r in self.records if slo.met_by(r.ttft_s))
         return met / self.makespan_s
 
     def meets(self, slo: SLO) -> bool:
-        """Percentile-level compliance: the SLO's quantile of completed
-        requests is within limits and nothing was rejected."""
+        """Percentile-level compliance: the :attr:`SLO.QUANTILE`-th
+        percentile TTFT of completed requests meets the SLO and nothing
+        was rejected."""
         if self.n_rejected or not self.records:
             return False
-        if self.ttft_s(slo.quantile) > slo.ttft_s:
-            return False
-        if slo.tpot_s is not None and self.tpot_s(slo.quantile) > slo.tpot_s:
-            return False
-        return True
+        return slo.met_by(self.ttft_s(SLO.QUANTILE))
 
     def metrics(self, slo: Optional[SLO] = None) -> dict:
         """Flat JSON-safe metric dict (see :meth:`Report._metrics`).

@@ -61,6 +61,21 @@ class AttentionShape:
         return float(self.batch * self.heads * self.head_dim * FP16)
 
 
+def token_chunks(shape: AttentionShape, spec: GPUSpec) -> int:
+    """FlashDecoding's token split: how many blocks share each
+    (batch, head) row's KV scan.
+
+    No split once the rows alone give two blocks per SM; otherwise
+    enough chunks to reach that, at most one per ``BLOCK_TOKENS``-token
+    tile.
+    """
+    bh = shape.batch * shape.heads
+    target = 2 * spec.sm_count
+    if bh >= target:
+        return 1
+    return min(max(1, shape.seq_len // BLOCK_TOKENS), math.ceil(target / bh))
+
+
 class _DecodeAttentionBase(KernelBase):
     """Shared counter arithmetic of the FP16 decode-attention family."""
 
@@ -76,20 +91,9 @@ class _DecodeAttentionBase(KernelBase):
         self.shape = shape
         self.q, self.k, self.v = q, k, v
 
-    def _chunks(self, spec: GPUSpec) -> int:
-        s = self.shape
-        if not self.split_tokens:
-            return 1
-        max_chunks = max(1, s.seq_len // BLOCK_TOKENS)
-        bh = s.batch * s.heads
-        target = 2 * spec.sm_count
-        if bh >= target:
-            return 1
-        return min(max_chunks, math.ceil(target / bh))
-
     def counters(self, spec: GPUSpec) -> PerfCounters:
         s = self.shape
-        chunks = self._chunks(spec)
+        chunks = token_chunks(s, spec) if self.split_tokens else 1
         grid = s.batch * s.heads * chunks
         kv_bytes = s.kv_bytes
         table_bytes = 0.0

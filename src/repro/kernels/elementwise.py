@@ -22,6 +22,7 @@ from repro.kernels.attention import (
     ATTN_THREADS,
     BLOCK_TOKENS,
     AttentionShape,
+    token_chunks,
 )
 from repro.kernels.base import FP16, FP32, KernelBase
 from repro.kernels.gemm import GEMM_TILE, GEMV_TILE, GemmShape, gemv_split_k
@@ -134,11 +135,8 @@ class ElementwiseAttentionKernel(KernelBase):
 
     def counters(self, spec: GPUSpec) -> PerfCounters:
         s = self.shape
-        bh = s.batch * s.heads
-        max_chunks = max(1, s.seq_len // BLOCK_TOKENS)
-        chunks = 1 if bh >= 2 * spec.sm_count else min(
-            max_chunks, math.ceil(2 * spec.sm_count / bh))
-        grid = bh * chunks
+        chunks = token_chunks(s, spec)
+        grid = s.batch * s.heads * chunks
         n_kv = 2.0 * s.batch * s.heads * s.seq_len * s.head_dim
         kv_bytes = quant_payload_bytes(n_kv, self.bits, KV_GROUP_SIZE)
         q_bytes = grid * s.head_dim * FP16

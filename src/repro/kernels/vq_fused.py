@@ -50,7 +50,8 @@ from repro.gpu.banks import BankConflictModel
 from repro.gpu.counters import PerfCounters
 from repro.gpu.memory import l1_hit_rate
 from repro.gpu.spec import GPUSpec
-from repro.kernels.attention import BLOCK_TOKENS, AttentionShape
+from repro.kernels.attention import (BLOCK_TOKENS, AttentionShape,
+                                     token_chunks)
 from repro.kernels.base import FP16, FP32, KernelBase
 from repro.kernels.gemm import (
     GEMM_TILE,
@@ -529,9 +530,7 @@ class VQAttentionKernel(_VQFusedBase):
             base_smem = 4 * BLOCK_TOKENS * cfg.vector_size * FP16 + 4096
             notes["dataflow"] = "per_codebook"
         else:
-            max_chunks = max(1, s.seq_len // BLOCK_TOKENS)
-            chunks = 1 if bh >= 2 * spec.sm_count else min(
-                max_chunks, math.ceil(2 * spec.sm_count / bh))
+            chunks = token_chunks(s, spec)
             grid_blocks = bh * chunks
             if chunks > 1:
                 reduction = grid_blocks * (s.head_dim + 2) * FP32 * 2

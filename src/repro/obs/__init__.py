@@ -6,33 +6,37 @@ Six pieces (see each module's docs):
   with a near-zero-cost disabled path (:data:`NULL_TRACER`);
 - :mod:`repro.obs.metrics` — :class:`MetricsRegistry` of counters,
   gauges and log-bucketed histograms with flat-dict export
-  (histograms also export estimated ``_p50/_p95/_p99`` quantiles);
+  (histograms also export estimated ``_p50/_p95/_p99`` quantiles),
+  and :func:`percentile`, the one exact percentile;
 - :mod:`repro.obs.timeline` — :class:`TimelineCollector` windowed
   time-series telemetry over simulated time (queue depth, KV
   occupancy, per-window latency tails), sampled via SAMPLE events on
   the shared event heap;
-- :mod:`repro.obs.slo` — :class:`SLOMonitor` multi-window burn-rate
-  alerting and error-budget accounting over a timeline;
+- :mod:`repro.obs.slo` — :class:`SLO`, the one per-request objective
+  and its rule (:meth:`SLO.met_by`), and :func:`slo_report`,
+  multi-window burn-rate alerting and error-budget accounting over a
+  timeline recorded with that objective;
 - :mod:`repro.obs.breakdown` — per-request latency decomposition
   (queue-wait / prefill / preemption-stall / decode) and tail-TTFT
   attribution;
 - :mod:`repro.obs.perfetto` / :mod:`repro.obs.report` — Chrome/Perfetto
   ``trace_event`` JSON export (spans, instants and timeline counter
   tracks) and the ``python -m repro.obs.report`` markdown/HTML
-  breakdown + dashboard CLI.
+  breakdown + dashboard CLI.  The package does not import the CLI
+  module, so runpy executes it once.
 
 Enable tracing with ``SimConfig(trace=True)`` / ``FleetConfig(trace=True)``
 or the bench ``--trace-out`` / orchestrator ``--trace-dir`` flags;
 enable the timeline with ``SimConfig(timeline=TimelineConfig(...))`` /
 ``FleetConfig(timeline=...)`` or ``--timeline-out`` /
-``--timeline-dir``.
+``--timeline-dir``; ``TimelineConfig(slo=SLO(...))``, or
+``--slo-ttft-ms``, adds burn-rate alerting.
 """
 
 from .breakdown import breakdown_summary, request_breakdowns
-from .metrics import Counter, Gauge, Histogram, MetricsRegistry
+from .metrics import Counter, Gauge, Histogram, MetricsRegistry, percentile
 from .perfetto import to_perfetto, write_perfetto
-from .report import percentile
-from .slo import BurnRateRule, SLOAlert, SLOMonitor, SLOReport
+from .slo import SLO, BurnRateRule, SLOAlert, SLOReport, slo_report
 from .timeline import (
     Timeline,
     TimelineCollector,
@@ -65,8 +69,8 @@ __all__ = [
     "MetricsRegistry",
     "NULL_TRACER",
     "NullTracer",
+    "SLO",
     "SLOAlert",
-    "SLOMonitor",
     "SLOReport",
     "Timeline",
     "TimelineCollector",
@@ -76,6 +80,7 @@ __all__ = [
     "breakdown_summary",
     "percentile",
     "request_breakdowns",
+    "slo_report",
     "to_perfetto",
     "write_perfetto",
 ]

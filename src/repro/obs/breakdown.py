@@ -31,7 +31,7 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Dict, List, Optional
 
-from repro.obs.report import percentile
+from repro.obs.metrics import percentile
 
 __all__ = ["breakdown_summary", "request_breakdowns"]
 

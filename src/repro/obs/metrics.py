@@ -25,15 +25,44 @@ series ``start * factor**i`` (Prometheus ``le`` semantics — a value
 equal to a boundary falls in that bucket), with one overflow bucket
 above the last boundary.  Latency-shaped data spans four orders of
 magnitude; log buckets keep relative resolution constant across them.
+
+Exact percentiles of raw samples come from :func:`percentile`, the
+package's one implementation.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from typing import Dict, Iterator
+from typing import Dict, Iterable, Iterator
 
-__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry"]
+__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry", "percentile"]
+
+
+def percentile(values: Iterable[float], q: float) -> float:
+    """Exact percentile (q in [0, 100]): ``np.percentile``'s default
+    linear interpolation, in stdlib.
+
+    Bit-identical to numpy: the same rank, and numpy's ``_lerp`` form,
+    which interpolates from the nearer neighbour.  The package's one
+    exact percentile — the simulators' reports, the latency breakdown
+    and the ``python -m repro.obs.report`` CLI all call it, so they
+    reconcile bit-for-bit.  Raises on an empty input; each caller
+    picks its own empty value.
+    """
+    if not 0 <= q <= 100:
+        raise ValueError("q must be in [0, 100]")
+    data = sorted(values)
+    if not data:
+        raise ValueError("percentile of an empty sequence")
+    rank = (len(data) - 1) * (q / 100)
+    lo = math.floor(rank)
+    if lo >= len(data) - 1:
+        return float(data[-1])
+    a, b = float(data[lo]), float(data[lo + 1])
+    g = rank - lo
+    diff = b - a
+    return b - diff * (1 - g) if g >= 0.5 else a + diff * g
 
 
 def _label_suffix(labels: Dict[str, str]) -> str:

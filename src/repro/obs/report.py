@@ -12,7 +12,7 @@ renders the causal story behind a run's aggregate metrics:
   time per generated token) — these reconcile with
   ``ServingReport.metrics()`` because both derive from the same
   simulated timestamps (percentiles replicate ``np.percentile``'s
-  linear interpolation, see :func:`percentile`);
+  linear interpolation, see :func:`repro.obs.metrics.percentile`);
 - **preemption causes**: per-replica preemption counts and recompute
   token totals (the only cause today is KV block exhaustion under
   paged admission);
@@ -35,13 +35,15 @@ import json
 import math
 import sys
 from collections import defaultdict
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
+
+from repro.obs.breakdown import breakdown_summary, request_breakdowns
+from repro.obs.metrics import percentile
 
 __all__ = [
     "build_report",
     "counter_series",
     "load_trace",
-    "percentile",
     "render_dashboard",
     "render_html",
     "render_markdown",
@@ -50,31 +52,6 @@ __all__ = [
 
 _PHASES = ("queued", "prefill", "decode")
 _SEGMENTS = ("queued", "prefill", "stall", "decode")
-
-
-def percentile(values: Iterable[float], q: float) -> float:
-    """Exact percentile (q in [0, 100]): ``np.percentile``'s default
-    linear interpolation, in stdlib.
-
-    Bit-identical to numpy: the same rank, and numpy's ``_lerp`` form,
-    which interpolates from the nearer neighbour.  The package's one
-    exact percentile — the simulators' reports, timeline windows and
-    this CLI all call it, so they reconcile bit-for-bit.  Raises on an
-    empty input; each caller picks its own empty value.
-    """
-    if not 0 <= q <= 100:
-        raise ValueError("q must be in [0, 100]")
-    data = sorted(values)
-    if not data:
-        raise ValueError("percentile of an empty sequence")
-    rank = (len(data) - 1) * (q / 100)
-    lo = math.floor(rank)
-    if lo >= len(data) - 1:
-        return float(data[-1])
-    a, b = float(data[lo]), float(data[lo + 1])
-    g = rank - lo
-    diff = b - a
-    return b - diff * (1 - g) if g >= 0.5 else a + diff * g
 
 
 def load_trace(path) -> dict:
@@ -171,8 +148,6 @@ def build_report(doc: dict) -> dict:
     imbalance = (max(busy_values) / mean_busy
                  if busy_values and mean_busy > 0 else 1.0)
 
-    # Lazy import: breakdown imports percentile from this module.
-    from repro.obs.breakdown import breakdown_summary, request_breakdowns
     breakdown = breakdown_summary(request_breakdowns(doc))
 
     return {

@@ -1,45 +1,74 @@
-"""Multi-window SLO burn-rate monitoring over a timeline.
+"""The per-request SLO and multi-window burn-rate monitoring.
+
+:class:`SLO` is the one per-request objective, a time-to-first-token
+limit, and :meth:`SLO.met_by` the one rule every account judges with:
+the timeline's per-window violation counts and the fleet's
+attainment, goodput and compliance
+(:class:`~repro.cluster.fleet.FleetReport`).  Its two constants are
+the objective levels: sizing holds the p95 TTFT to the limit, and the
+error budget lets 1% of completions miss it.
 
 The SRE playbook's alerting strategy, applied to simulated serving:
-define an *error budget* from an attainment target (99% of completions
-must meet the per-request TTFT/TPOT limits → 1% may violate), then
-alert on the *burn rate* — the ratio of the observed violation
-fraction to the budget — evaluated over a pair of trailing windows.
-A **long** window makes the alert represent real budget spend; a
-**short** window makes it reset quickly once the incident drains
-(without it, a long-window alert stays red long after recovery).  A
-rule fires when *both* windows burn above its factor and clears when
-either drops back below.
+define an *error budget* from the attainment target (99% of
+completions must meet the limit → 1% may violate), then alert on the
+*burn rate* — the ratio of the observed violation fraction to the
+budget — evaluated over a pair of trailing windows.  A **long**
+window makes the alert represent real budget spend; a **short**
+window makes it reset quickly once the incident drains (without it,
+a long-window alert stays red long after recovery).  A rule fires
+when *both* windows burn above its factor and clears when either
+drops back below.
 
-Input is a :class:`~repro.obs.timeline.Timeline` whose windows carry
-per-window completion and violation counts (recorded when the
-timeline's :class:`~repro.obs.timeline.TimelineConfig` carries SLO
-limits) — or raw TTFT/TPOT samples, which :class:`SLOMonitor` can
-re-judge against explicit limits for post-hoc what-if sweeps.  Output
-is an :class:`SLOReport`: the budget account plus fire/clear
+:func:`slo_report` reads a :class:`~repro.obs.timeline.Timeline`
+recorded with ``TimelineConfig(slo=...)`` and returns an
+:class:`SLOReport`: the budget account plus fire/clear
 :class:`SLOAlert` events, which the serving/fleet reports attach and
-the Perfetto export renders as instants.
-
-Evaluation runs once at end of run over closed windows — never in the
-simulation hot loop — and is a pure function of the timeline, so
-report metrics stay bit-identical whether a monitor ran or not.
+the Perfetto export renders as instants.  It runs once at end of run
+over closed windows — never in the simulation hot loop — and is a
+pure function of the timeline, so report metrics stay bit-identical
+whether it ran or not.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import TYPE_CHECKING, ClassVar, List, Optional
 
-from repro.obs.timeline import Timeline, TimelineWindow
+if TYPE_CHECKING:
+    from repro.obs.timeline import Timeline
 
 __all__ = [
     "BurnRateRule",
+    "SLO",
     "SLOAlert",
-    "SLOMonitor",
     "SLOReport",
     "default_rules",
+    "slo_report",
 ]
+
+
+@dataclass(frozen=True)
+class SLO:
+    """A per-request service-level objective: the first token within
+    ``ttft_s`` seconds of arrival."""
+
+    #: Percentile of completed requests that fleet compliance
+    #: (:meth:`~repro.cluster.fleet.FleetReport.meets`) holds to the
+    #: limit.
+    QUANTILE: ClassVar[float] = 95.0
+    #: Attainment the error budget derives from (1% may violate).
+    TARGET: ClassVar[float] = 0.99
+
+    ttft_s: float
+
+    def __post_init__(self):
+        if self.ttft_s <= 0:
+            raise ValueError("ttft_s must be positive")
+
+    def met_by(self, ttft_s: float) -> bool:
+        """Whether a time to first token (seconds) meets the limit."""
+        return ttft_s <= self.ttft_s
 
 
 @dataclass(frozen=True)
@@ -100,10 +129,14 @@ class SLOAlert:
 class SLOReport:
     """Error-budget account plus the alert history of one run."""
 
-    target: float
     n_completions: int
     n_violations: int
     alerts: List[SLOAlert]
+
+    @property
+    def target(self) -> float:
+        """Attainment objective (:attr:`SLO.TARGET`)."""
+        return SLO.TARGET
 
     @property
     def budget(self) -> float:
@@ -161,120 +194,69 @@ class SLOReport:
 class _RuleState:
     """Mutable evaluation state of one rule during the window walk."""
 
-    __slots__ = ("rule", "active", "fired_s", "peak", "alerts")
+    __slots__ = ("rule", "long_n", "short_n", "active", "fired_s", "peak",
+                 "alerts")
 
-    def __init__(self, rule: BurnRateRule):
+    def __init__(self, rule: BurnRateRule, window_s: float):
         self.rule = rule
+        #: The rule's trailing spans, in whole windows.
+        self.long_n = max(1, math.ceil(rule.long_s / window_s))
+        self.short_n = max(1, math.ceil(rule.short_s / window_s))
         self.active = False
         self.fired_s = 0.0
         self.peak = 0.0
         self.alerts: List[SLOAlert] = []
 
 
-class SLOMonitor:
-    """Evaluates burn-rate rules against a timeline's windows.
+def _trailing_burn(counts: List[tuple], i: int, span_windows: int,
+                   budget: float) -> float:
+    comp = viol = 0
+    for j in range(max(0, i - span_windows + 1), i + 1):
+        comp += counts[j][0]
+        viol += counts[j][1]
+    if comp == 0:
+        return 0.0
+    return (viol / comp) / budget
 
-    With ``ttft_s`` / ``tpot_s`` left ``None`` the monitor consumes the
-    violation counts the collector recorded (the timeline must have
-    run with SLO limits configured); passing limits re-judges every
-    window's raw latency samples instead, enabling post-hoc "what if
-    the SLO were tighter" sweeps over one recorded timeline.
-    """
 
-    def __init__(self, target: float = 0.99,
-                 rules: Optional[Sequence[BurnRateRule]] = None,
-                 ttft_s: Optional[float] = None,
-                 tpot_s: Optional[float] = None):
-        if not 0 < target < 1:
-            raise ValueError("target must be in (0, 1)")
-        if ttft_s is not None and ttft_s <= 0:
-            raise ValueError("ttft_s must be positive")
-        if tpot_s is not None and tpot_s <= 0:
-            raise ValueError("tpot_s must be positive")
-        self.target = target
-        self.rules = list(rules) if rules is not None else None
-        self.ttft_s = ttft_s
-        self.tpot_s = tpot_s
-
-    @property
-    def rejudges(self) -> bool:
-        return self.ttft_s is not None or self.tpot_s is not None
-
-    def _counts(self, window: TimelineWindow) -> tuple:
-        """(completions, violations) of one window under this monitor."""
-        if not self.rejudges:
-            return window.completions, window.slo_violations
-        bad = 0
-        if self.ttft_s is not None:
-            limit_ms = self.ttft_s * 1e3
-            bad = sum(1 for v in window.ttft_ms if v > limit_ms)
-        if self.tpot_s is not None:
-            limit_ms = self.tpot_s * 1e3
-            bad += sum(1 for v in window.tpot_ms if v > limit_ms)
-            # A completion can violate both limits; clamp to the
-            # completion count so fractions stay in [0, 1].
-            bad = min(bad, window.completions)
-        return window.completions, bad
-
-    @staticmethod
-    def _trailing_burn(counts: List[tuple], i: int, span_windows: int,
-                       budget: float) -> float:
-        comp = viol = 0
-        for j in range(max(0, i - span_windows + 1), i + 1):
-            comp += counts[j][0]
-            viol += counts[j][1]
-        if comp == 0:
-            return 0.0
-        return (viol / comp) / budget
-
-    def evaluate(self, timeline: Timeline) -> SLOReport:
-        """Walk the (fleet-merged) windows and build the report."""
-        cfg = timeline.config
-        if (not self.rejudges
-                and (cfg is None or not cfg.tracks_slo)):
-            raise ValueError(
-                "timeline recorded no SLO violation counts; run it "
-                "with TimelineConfig(slo_ttft_s=...) or give the "
-                "monitor explicit ttft_s/tpot_s limits")
-        windows = timeline.merged()
-        counts = [self._counts(w) for w in windows]
-        budget = 1.0 - self.target
-        rules = (self.rules if self.rules is not None
-                 else default_rules(timeline.window_s))
-        states = [_RuleState(rule) for rule in rules]
-        for i, window in enumerate(windows):
-            for st in states:
-                rule = st.rule
-                long_n = max(1, math.ceil(rule.long_s
-                                          / timeline.window_s))
-                short_n = max(1, math.ceil(rule.short_s
-                                           / timeline.window_s))
-                burn_long = self._trailing_burn(counts, i, long_n, budget)
-                burn_short = self._trailing_burn(counts, i, short_n,
-                                                 budget)
-                firing = (burn_long >= rule.factor
-                          and burn_short >= rule.factor)
-                if firing and not st.active:
-                    st.active = True
-                    st.fired_s = window.t_end_s
-                    st.peak = burn_long
-                elif firing:
-                    st.peak = max(st.peak, burn_long)
-                elif st.active:
-                    st.active = False
-                    st.alerts.append(SLOAlert(
-                        rule=rule.name, fired_s=st.fired_s,
-                        cleared_s=window.t_end_s,
-                        peak_burn_rate=st.peak))
+def slo_report(timeline: Timeline) -> SLOReport:
+    """Evaluate :func:`default_rules` against the fleet-merged windows
+    of a timeline recorded with ``TimelineConfig(slo=...)``."""
+    cfg = timeline.config
+    if cfg is None or cfg.slo is None:
+        raise ValueError(
+            "timeline recorded no SLO violation counts; run it with "
+            "TimelineConfig(slo=SLO(...))")
+    windows = timeline.merged()
+    counts = [(w.completions, w.slo_violations) for w in windows]
+    budget = 1.0 - SLO.TARGET
+    states = [_RuleState(rule, timeline.window_s)
+              for rule in default_rules(timeline.window_s)]
+    for i, window in enumerate(windows):
         for st in states:
-            if st.active:  # run ended mid-incident
+            burn_long = _trailing_burn(counts, i, st.long_n, budget)
+            burn_short = _trailing_burn(counts, i, st.short_n, budget)
+            factor = st.rule.factor
+            firing = burn_long >= factor and burn_short >= factor
+            if firing and not st.active:
+                st.active = True
+                st.fired_s = window.t_end_s
+                st.peak = burn_long
+            elif firing:
+                st.peak = max(st.peak, burn_long)
+            elif st.active:
+                st.active = False
                 st.alerts.append(SLOAlert(
                     rule=st.rule.name, fired_s=st.fired_s,
-                    cleared_s=None, peak_burn_rate=st.peak))
-        alerts = [a for st in states for a in st.alerts]
-        alerts.sort(key=lambda a: (a.fired_s, a.rule))
-        return SLOReport(
-            target=self.target,
-            n_completions=sum(c for c, _ in counts),
-            n_violations=sum(v for _, v in counts),
-            alerts=alerts)
+                    cleared_s=window.t_end_s, peak_burn_rate=st.peak))
+    for st in states:
+        if st.active:  # run ended mid-incident
+            st.alerts.append(SLOAlert(
+                rule=st.rule.name, fired_s=st.fired_s,
+                cleared_s=None, peak_burn_rate=st.peak))
+    alerts = [a for st in states for a in st.alerts]
+    alerts.sort(key=lambda a: (a.fired_s, a.rule))
+    return SLOReport(
+        n_completions=sum(c for c, _ in counts),
+        n_violations=sum(v for _, v in counts),
+        alerts=alerts)

@@ -4,7 +4,9 @@ End-of-run aggregates (:mod:`repro.obs.metrics`) answer what a run did
 on average; this module records how the run *evolved* — queue depth
 climbing through a flash crowd, the KV pool saturating, per-window
 TTFT tails blowing out — which is the signal an autoscaler (or an SLO
-burn-rate monitor, :mod:`repro.obs.slo`) acts on.
+burn-rate monitor, :mod:`repro.obs.slo`) acts on.  With
+``TimelineConfig(slo=...)`` every window also counts the completions
+that the one SLO rule, :meth:`~repro.obs.slo.SLO.met_by`, rejects.
 
 Design mirrors the tracer contract (:mod:`repro.obs.trace`):
 
@@ -38,6 +40,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.obs.slo import SLO
+
 __all__ = [
     "Timeline",
     "TimelineCollector",
@@ -64,37 +68,22 @@ class TimelineConfig:
     """Sampling options, passed as ``SimConfig(timeline=...)`` /
     ``FleetConfig(timeline=...)``.
 
-    ``slo_ttft_s`` / ``slo_tpot_s`` are optional per-request limits:
-    when set, every window also counts SLO violations among its
-    completions, which is what the burn-rate monitor
-    (:class:`repro.obs.slo.SLOMonitor`) consumes, and the simulators
-    attach an evaluated :class:`~repro.obs.slo.SLOReport` to the run
-    report.  ``slo_target`` is the attainment objective the error
-    budget is defined against (0.99 → 1% of completions may violate).
+    ``slo`` is an optional per-request objective: when set, every
+    window also counts the completions that miss it
+    (:meth:`~repro.obs.slo.SLO.met_by`), which the burn-rate
+    evaluation (:func:`repro.obs.slo.slo_report`) consumes, and the
+    simulators attach its :class:`~repro.obs.slo.SLOReport` to the run
+    report.
     """
 
     #: Window length in simulated seconds.
     window_s: float = 0.25
-    #: Optional per-request TTFT limit (seconds) for SLO accounting.
-    slo_ttft_s: Optional[float] = None
-    #: Optional per-request TPOT limit (seconds) for SLO accounting.
-    slo_tpot_s: Optional[float] = None
-    #: Target attainment fraction the error budget derives from.
-    slo_target: float = 0.99
+    #: Optional per-request objective for SLO accounting.
+    slo: Optional[SLO] = None
 
     def __post_init__(self):
         if self.window_s <= 0:
             raise ValueError("window_s must be positive")
-        if self.slo_ttft_s is not None and self.slo_ttft_s <= 0:
-            raise ValueError("slo_ttft_s must be positive")
-        if self.slo_tpot_s is not None and self.slo_tpot_s <= 0:
-            raise ValueError("slo_tpot_s must be positive")
-        if not 0 < self.slo_target < 1:
-            raise ValueError("slo_target must be in (0, 1)")
-
-    @property
-    def tracks_slo(self) -> bool:
-        return self.slo_ttft_s is not None or self.slo_tpot_s is not None
 
 
 @dataclass(frozen=True)
@@ -104,8 +93,7 @@ class TimelineWindow:
     Flow fields count events whose simulated timestamp fell in
     ``[t_start_s, t_end_s)``; gauge fields are the state observed at
     the window-closing sample.  ``ttft_ms`` / ``tpot_ms`` keep the raw
-    per-completion samples so percentiles (and post-hoc SLO sweeps)
-    need no re-simulation.
+    per-completion samples so percentiles need no re-simulation.
     """
 
     t_start_s: float
@@ -117,8 +105,8 @@ class TimelineWindow:
     preemptions: int = 0
     prefix_lookups: int = 0
     prefix_hits: int = 0
-    #: Completions violating the configured SLO limits (0 when the
-    #: timeline ran without SLO limits).
+    #: Completions missing the configured SLO (0 when the timeline ran
+    #: without one).
     slo_violations: int = 0
     # -- gauges at the window boundary --------------------------------
     queue_depth: int = 0
@@ -295,24 +283,19 @@ class TimelineCollector:
         that produced the completions straddled it); assignment to a
         window happens at close time.
         """
-        cfg = self.config
+        slo = self.config.slo
         pending = self._accums[replica].pending
         for s in seqs:
             req = s.request
             ttft_s = s.first_token_s - req.arrival_s
-            tpot_s = None
+            tpot_ms = None
             if req.output_tokens > 1:
                 tpot_s = ((s.finished_s - s.first_token_s)
                           / (req.output_tokens - 1))
-            violated = False
-            if cfg.slo_ttft_s is not None and ttft_s > cfg.slo_ttft_s:
-                violated = True
-            if (cfg.slo_tpot_s is not None and tpot_s is not None
-                    and tpot_s > cfg.slo_tpot_s):
-                violated = True
+                tpot_ms = tpot_s * 1e3
             pending.append(
-                (s.finished_s, ttft_s * 1e3,
-                 None if tpot_s is None else tpot_s * 1e3, violated))
+                (s.finished_s, ttft_s * 1e3, tpot_ms,
+                 slo is not None and not slo.met_by(ttft_s)))
 
     # -- window closing -----------------------------------------------
     def _gauge(self, sched) -> Tuple[int, int, float, int, int, int]:

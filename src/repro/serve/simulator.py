@@ -40,9 +40,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.report import percentile
-from repro.obs.slo import SLOMonitor
+from repro.obs.metrics import MetricsRegistry, percentile
+from repro.obs.slo import slo_report
 from repro.obs.timeline import TimelineCollector
 from repro.obs.trace import EVT_EVICTED, EVT_REJECTED, NULL_TRACER, Tracer
 from repro.serve.api import FleetConfig, SimConfig
@@ -170,7 +169,7 @@ class Report:
     #: product, and metrics stay bit-identical with sampling on/off.
     timeline: Optional[object] = None
     #: Evaluated :class:`~repro.obs.slo.SLOReport` when the timeline
-    #: config carried SLO limits, else ``None``.
+    #: config carried an SLO, else ``None``.
     slo: Optional[object] = None
 
     # -- throughput ----------------------------------------------------
@@ -285,7 +284,7 @@ class Report:
 
 
 def _percentile(values: List[float], q: float) -> float:
-    """:func:`~repro.obs.report.percentile`, 0.0 for no values."""
+    """:func:`~repro.obs.metrics.percentile`, 0.0 for no values."""
     return percentile(values, q) if values else 0.0
 
 
@@ -617,10 +616,8 @@ class SimulationRun:
         timeline = slo = None
         if self.timeline is not None:
             timeline = self.timeline.finalize(makespan_s, self.schedulers)
-            if self.config.timeline.tracks_slo:
-                slo = SLOMonitor(
-                    target=self.config.timeline.slo_target,
-                ).evaluate(timeline)
+            if self.config.timeline.slo is not None:
+                slo = slo_report(timeline)
         return dict(
             name=self.config.name,
             records=records,

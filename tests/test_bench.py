@@ -750,8 +750,8 @@ class TestStructuredResults:
     def test_fleet_report_metrics_with_and_without_slo(self):
         from repro.bench.cluster import replica_kv_budget
         from repro.bench.serving import make_cost_model, make_trace
-        from repro.cluster.fleet import SLO
         from repro.core.engine import ComputeEngine
+        from repro.obs.slo import SLO
         from repro.serve.api import FleetConfig
 
         trace = make_trace("poisson", 8.0, 8, 64, 16, seed=0)

@@ -21,7 +21,8 @@ from repro.core.engine import ComputeEngine
 from repro.gpu.spec import RTX4090
 from repro.llm.config import llama_7b
 from repro.obs import EVT_PREEMPTED, to_perfetto, write_perfetto
-from repro.obs.report import build_report, load_trace, percentile
+from repro.obs.metrics import percentile
+from repro.obs.report import build_report, load_trace
 from repro.serve.api import SchedulerConfig, SimConfig
 from repro.serve.requests import Request
 from repro.serve.scheduler import KVBudget

@@ -26,6 +26,7 @@ from repro.cluster.fleet import FleetSimulator, Replica
 from repro.core.engine import ComputeEngine
 from repro.gpu.spec import RTX4090
 from repro.llm.config import tiny_llama
+from repro.obs.slo import SLO
 from repro.obs.timeline import TimelineConfig
 from repro.serve.api import FleetConfig, SchedulerConfig, SimConfig
 from repro.serve.costs import StepCostModel
@@ -101,7 +102,7 @@ def _cases(draw):
                       bytes_per_token=1.0)
     timeline = draw(st.sampled_from([
         None, TimelineConfig(window_s=0.0007),
-        TimelineConfig(window_s=0.003, slo_ttft_s=0.002)]))
+        TimelineConfig(window_s=0.003, slo=SLO(ttft_s=0.002))]))
     n_replicas = draw(st.integers(1, 4))  # 1: the single engine
     policy = draw(st.sampled_from(["round-robin", "jsq", "least-kv",
                                    "prefix-affinity"]))

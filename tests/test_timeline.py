@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.obs.breakdown import breakdown_summary, request_breakdowns
-from repro.obs.slo import BurnRateRule, SLOMonitor, default_rules
+from repro.obs.slo import SLO, BurnRateRule, default_rules, slo_report
 from repro.obs.timeline import (
     Timeline,
     TimelineCollector,
@@ -74,14 +74,7 @@ class TestConfig:
         with pytest.raises(ValueError):
             TimelineConfig(window_s=0.0)
         with pytest.raises(ValueError):
-            TimelineConfig(slo_ttft_s=-1.0)
-        with pytest.raises(ValueError):
-            TimelineConfig(slo_target=1.0)
-
-    def test_tracks_slo(self):
-        assert not TimelineConfig().tracks_slo
-        assert TimelineConfig(slo_ttft_s=0.5).tracks_slo
-        assert TimelineConfig(slo_tpot_s=0.05).tracks_slo
+            TimelineConfig(slo=SLO(ttft_s=-1.0))
 
 
 class TestBitIdentity:
@@ -92,7 +85,7 @@ class TestBitIdentity:
                               output=LengthSampler(mean=16), seed=3)
         plain = _run_serving(trace)
         sampled = _run_serving(
-            trace, timeline=TimelineConfig(window_s=0.05, slo_ttft_s=0.2))
+            trace, timeline=TimelineConfig(window_s=0.05, slo=SLO(ttft_s=0.2)))
         assert sampled.metrics() == plain.metrics()
         assert sampled.timeline is not None and plain.timeline is None
 
@@ -111,7 +104,7 @@ class TestBitIdentity:
                               output=LengthSampler(mean=16), seed=4)
         plain = _run_fleet(trace)
         sampled = _run_fleet(
-            trace, timeline=TimelineConfig(window_s=0.05, slo_ttft_s=0.2))
+            trace, timeline=TimelineConfig(window_s=0.05, slo=SLO(ttft_s=0.2)))
         assert sampled.metrics() == plain.metrics()
         assert sorted(sampled.timeline.replicas) == [0, 1]
 
@@ -271,16 +264,18 @@ def _slo_timeline(violating, total=10, window_s=1.0, n_windows=40):
             t_start_s=float(i), t_end_s=float(i + 1),
             completions=total, slo_violations=bad,
             ttft_ms=tuple([500.0] * bad + [50.0] * (total - bad))))
-    cfg = TimelineConfig(window_s=window_s, slo_ttft_s=0.1)
+    cfg = TimelineConfig(window_s=window_s, slo=SLO(ttft_s=0.1))
     return Timeline(name="synthetic", window_s=window_s,
                     replicas={0: wins}, config=cfg)
 
 
 class TestSLOMonitor:
+    """Burn-rate evaluation (:func:`slo_report`) of synthetic windows."""
+
     def test_fires_during_burst_and_clears_after(self):
         # Windows 10..15 violate 100%; everything else is clean.
         timeline = _slo_timeline({i: 10 for i in range(10, 16)})
-        report = SLOMonitor(target=0.99).evaluate(timeline)
+        report = slo_report(timeline)
         assert report.fired
         fast = report.alerts_for("fast")
         assert fast, "fast-burn rule should fire on a 100% burst"
@@ -290,7 +285,7 @@ class TestSLOMonitor:
         assert alert.peak_burn_rate > 10.0
 
     def test_quiet_timeline_never_fires(self):
-        report = SLOMonitor(target=0.99).evaluate(_slo_timeline({}))
+        report = slo_report(_slo_timeline({}))
         assert not report.fired
         assert report.attainment == 1.0
         assert report.alerts == []
@@ -298,22 +293,15 @@ class TestSLOMonitor:
     def test_budget_accounting(self):
         # 60 violations out of 400 completions against a 1% budget.
         timeline = _slo_timeline({i: 10 for i in range(10, 16)})
-        report = SLOMonitor(target=0.99).evaluate(timeline)
+        report = slo_report(timeline)
         assert report.violation_fraction == pytest.approx(60 / 400)
         assert report.budget_consumed == pytest.approx((60 / 400) / 0.01)
 
-    def test_rejudge_with_tighter_limit(self):
-        # Re-judging from raw samples: with ttft_s=0.04 every
-        # completion (50 ms clean ones included) violates.
-        timeline = _slo_timeline({})
-        report = SLOMonitor(target=0.99, ttft_s=0.04).evaluate(timeline)
-        assert report.violation_fraction == 1.0
-
-    def test_requires_slo_tracking_or_rejudge(self):
+    def test_requires_slo_tracking(self):
         timeline = Timeline(name="x", window_s=1.0,
                             replicas={0: []}, config=TimelineConfig())
         with pytest.raises(ValueError):
-            SLOMonitor().evaluate(timeline)
+            slo_report(timeline)
 
     def test_default_rules_scale_with_window(self):
         rules = default_rules(1.0)
@@ -335,13 +323,79 @@ class TestEndToEndSLO:
             crowd_duration_s=5.0, prompt=LengthSampler(mean=64),
             output=LengthSampler(mean=16), seed=2)
         report = _run_serving(
-            trace, timeline=TimelineConfig(window_s=0.5, slo_ttft_s=0.05),
+            trace, timeline=TimelineConfig(window_s=0.5,
+                                           slo=SLO(ttft_s=0.05)),
             max_tokens=2_000.0, step_us=20_000.0)
         slo = report.slo
         assert slo is not None and slo.fired
         alert = slo.alerts_for("fast")[0]
         assert alert.fired_s >= 10.0
         assert alert.cleared_s is None or alert.cleared_s > 15.0
+
+
+class TestOneRule:
+    """Every SLO account of a run judges requests with
+    :meth:`SLO.met_by`: the timeline's windows, the burn-rate report,
+    the fleet's attainment and the cluster CLI's sizing objective."""
+
+    @staticmethod
+    def _median_slo(records):
+        # The run's own median TTFT: some requests meet it, some miss,
+        # and at least one sits exactly on the limit.
+        ttfts = sorted(r.ttft_s for r in records)
+        return SLO(ttft_s=ttfts[len(ttfts) // 2])
+
+    @staticmethod
+    def _misses(report, slo):
+        return sum(1 for r in report.records if not slo.met_by(r.ttft_s))
+
+    def test_serving_windows_count_what_met_by_rejects(self):
+        trace = poisson_trace(60.0, 80, prompt=LengthSampler(mean=64),
+                              output=LengthSampler(mean=16), seed=5)
+        slo = self._median_slo(_run_serving(trace).records)
+        report = _run_serving(
+            trace, timeline=TimelineConfig(window_s=0.05, slo=slo))
+        misses = self._misses(report, slo)
+        assert 0 < misses < report.n_requests
+        windows = report.timeline.windows(0)
+        assert sum(w.slo_violations for w in windows) == misses
+        assert report.slo.n_violations == misses
+
+    def test_fleet_windows_and_attainment_count_the_same_misses(self):
+        # A 120-token budget rejects some requests outright, so the
+        # attainment's denominator (offered) exceeds the completions.
+        trace = poisson_trace(60.0, 80, prompt=LengthSampler(mean=64),
+                              output=LengthSampler(mean=16), seed=5)
+        slo = self._median_slo(_run_fleet(trace, max_tokens=120.0).records)
+        report = _run_fleet(
+            trace, timeline=TimelineConfig(window_s=0.05, slo=slo),
+            max_tokens=120.0)
+        misses = self._misses(report, slo)
+        assert 0 < misses < report.n_requests and report.n_rejected > 0
+        timeline = report.timeline
+        assert sum(w.slo_violations for rid in timeline.replica_ids
+                   for w in timeline.windows(rid)) == misses
+        assert report.slo.n_violations == misses
+        offered = report.n_requests + report.n_rejected
+        assert report.slo_attainment(slo) \
+            == (report.n_requests - misses) / offered
+
+    def test_cluster_cli_sizing_reads_slo_ttft_ms(self, tmp_path):
+        from repro.bench.cluster import fleet_sizing_comparison, run
+
+        workload = ["--modes", "kv-cq-4", "--requests", "24"]
+        tables = {limit_s: fleet_sizing_comparison(
+            modes=("kv-cq-4",), n_requests=24,
+            slo=SLO(ttft_s=limit_s)).render() for limit_s in (1.0, 2.0)}
+        assert tables[1.0] != tables[2.0], "the workload must tell them apart"
+        reports = {}
+        one_s = run(workload + ["--slo-ttft-ms", "1000", "--timeline-out",
+                                str(tmp_path / "tl.json")], reports=reports)
+        assert one_s.render() == tables[1.0]
+        # The same flag set the timeline's objective.
+        _, report = reports["kv-cq-4"]
+        assert report.timeline.config.slo == SLO(ttft_s=1.0)
+        assert run(workload).render() == tables[2.0]
 
 
 class TestBreakdown:
@@ -374,11 +428,11 @@ class TestBreakdown:
         assert len(request_breakdowns(doc)) == len(report.records)
 
 
-def _run_cli(*args, cwd=REPO):
+def _run_cli(*args, cwd=REPO, flags=()):
     return subprocess.run(
-        [sys.executable, "-m", *args], capture_output=True, text=True,
-        cwd=cwd, env={"PYTHONPATH": str(REPO / "src"),
-                      "PATH": "/usr/bin:/bin"})
+        [sys.executable, *flags, "-m", *args], capture_output=True,
+        text=True, cwd=cwd, env={"PYTHONPATH": str(REPO / "src"),
+                                 "PATH": "/usr/bin:/bin"})
 
 
 class TestCLI:
@@ -398,6 +452,14 @@ class TestCLI:
         assert counters, "timeline must export Perfetto counter tracks"
         names = {e["name"] for e in counters}
         assert "timeline" in names and "kv_occupancy" in names
+
+    def test_report_cli_runs_warning_free(self, timeline_trace):
+        # runpy warns, an error here, if importing the package already
+        # imported the CLI module it is about to run.
+        proc = _run_cli("repro.obs.report", str(timeline_trace),
+                        flags=("-W", "error"))
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert proc.stderr == ""
 
     def test_report_dashboard_renders_sparklines(self, timeline_trace):
         proc = _run_cli("repro.obs.report", str(timeline_trace),

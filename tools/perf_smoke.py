@@ -157,6 +157,7 @@ from repro.core.template import build_template  # noqa: E402
 from repro.gpu.banks import BankConflictModel  # noqa: E402
 from repro.gpu.spec import RTX4090  # noqa: E402
 from repro.llm.config import llama_7b  # noqa: E402
+from repro.obs.slo import SLO  # noqa: E402
 from repro.obs.timeline import TimelineConfig  # noqa: E402
 from repro.serve.api import FleetConfig, SchedulerConfig, SimConfig  # noqa: E402
 from repro.serve.costs import BATCH_BUCKETS  # noqa: E402
@@ -235,7 +236,7 @@ def _overhead_best_s(n_requests: int) -> tuple:
     """Best-of-:data:`OVERHEAD_ROUNDS` wall seconds of the untraced,
     traced and timeline-sampled simulations, run interleaved so a
     slow stretch of a shared host hits every side alike."""
-    timeline = TimelineConfig(window_s=0.25, slo_ttft_s=0.5)
+    timeline = TimelineConfig(window_s=0.25, slo=SLO(ttft_s=0.5))
     best = [float("inf")] * 3
     for _ in range(OVERHEAD_ROUNDS):
         for i, kwargs in enumerate(({}, {"trace": True},

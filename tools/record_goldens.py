@@ -20,11 +20,12 @@ import sys
 
 from repro.bench.cluster import replica_kv_budget
 from repro.bench.serving import make_cost_model, make_trace, simulate_mode
-from repro.cluster.fleet import SLO, size_fleet
+from repro.cluster.fleet import size_fleet
 from repro.serve.api import FleetConfig
 from repro.core.engine import ComputeEngine
 from repro.gpu.spec import RTX4090
 from repro.llm.config import llama_7b
+from repro.obs.slo import SLO
 
 OUT = os.path.join(os.path.dirname(__file__), os.pardir,
                    "tests", "data", "golden_fastpath.json")
